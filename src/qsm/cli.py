@@ -9,6 +9,7 @@ timestamps are written.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .maps import (
 from .metrics import are_orthogonal, bures_distance, fidelity, trace_distance
 from .serialize import canonical_dumps, load_density, matrix_to_json, save_json
 from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
-from .suites import SUITE_IDS, run_suite
+from .suites import SUITE_IDS, TOLERANCE_NAMES, run_suite
 
 SCHEMA = "qsm-report/1"
 
@@ -68,23 +69,24 @@ def dim_cap() -> int:
 
 
 def parse_dims(text: str) -> list[int]:
-    """Parse '1,2,4..6' style dimension lists (ranges inclusive)."""
+    """Parse '1,2,4..6' style dimension lists (ranges inclusive).  Each range
+    is checked against the cap before it is expanded."""
+    cap = dim_cap()
     dims: set[int] = set()
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            dims.update(range(int(lo), int(hi) + 1))
-        else:
-            dims.add(int(token))
+        lo, dots, hi = token.partition("..")
+        try:
+            first, last = int(lo), int(hi if dots else lo)
+        except ValueError as exc:
+            raise click.UsageError(f"bad dimension {token!r} in --dims") from exc
+        if first <= last and (first < 1 or last > cap):
+            raise click.UsageError(f"dimension {token!r} outside [1, {cap}]")
+        dims.update(range(first, last + 1))
     if not dims:
         raise click.UsageError("no dimensions given")
-    cap = dim_cap()
-    for d in dims:
-        if not 1 <= d <= cap:
-            raise click.UsageError(f"dimension {d} outside [1, {cap}]")
     return sorted(dims)
 
 
@@ -94,10 +96,18 @@ def parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
         name, sep, value = entry.partition("=")
         if not sep:
             raise click.UsageError(f"--tol expects name=value, got {entry!r}")
+        name = name.strip()
+        if name not in TOLERANCE_NAMES:
+            raise click.UsageError(
+                f"unknown tolerance {name!r}; choose from {', '.join(TOLERANCE_NAMES)}"
+            )
         try:
-            overrides[name.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise click.UsageError(f"--tol value for {name!r} is not a number") from exc
+        if not (math.isfinite(number) and number > 0.0):
+            raise click.UsageError(f"--tol {name} must be finite and positive, got {value!r}")
+        overrides[name] = number
     return overrides
 
 
@@ -151,10 +161,10 @@ def cmd_metric(file_a, file_b, which, output_path):
 @click.argument("suite_id")
 @click.option("--dims", default="1,2,3,4,6", show_default=True,
               help="Dimensions, e.g. '1,2,4' or '2..6'.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--samples", default=200, show_default=True, type=int,
               help="Pairs per check (pinch configurations per dim for lemma3).")
-@click.option("--budget", default=2000, show_default=True, type=int,
+@click.option("--budget", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Proposals per uniqueness search.")
 @click.option("--tol", "tol_entries", multiple=True, metavar="NAME=VALUE",
               help="Tolerance overrides (repeatable).")
@@ -218,7 +228,7 @@ def _builtin_map(spec_text: str, dim: int, seed: int):
 @click.option("--map-file", "map_file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="StateMap JSON file.")
 @click.option("--dim", default=3, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None)
 def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
     """Recover the implementing unitary/antiunitary of a map; exit 1 if the
@@ -229,7 +239,10 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
         raise click.UsageError(f"dimension {dim} outside [1, {dim_cap()}]")
     if builtin_id is not None:
         source = builtin_id
-        state_map = _builtin_map(builtin_id, dim, seed)
+        try:
+            state_map = _builtin_map(builtin_id, dim, seed)
+        except (ValueError, QsmError) as exc:
+            raise click.UsageError(f"bad builtin {builtin_id!r}: {exc}") from exc
     else:
         source = map_file
         try:

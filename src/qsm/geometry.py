@@ -20,7 +20,7 @@ from .errors import (
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import HermitianOperator, psd_clamp_entries
+from .linalg import HermitianOperator, psd_clamp_entries, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
@@ -41,6 +41,10 @@ BALL_SLACK = 1e-9
 
 #: traces at or below this are treated as the zero operator.
 ZERO_TRACE = 1e-12
+
+#: rejections per annealing step of the uniqueness search, and the most
+#: proposals it evaluates in one batch.
+_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,12 @@ class IntersectionSearchResult:
     best_candidate: DensityOperator
     separation_from_center: float
     max_ball_violation: float
+    #: proposals evaluated (the search budget)
+    proposals: int
+    #: proposals that fell outside a ball by more than the slack
+    rejections: int
+    #: perturbation scale after the last annealing step
+    final_scale: float
 
 
 @dataclass(frozen=True)
@@ -305,14 +315,27 @@ def intersection_uniqueness_search(
     of the two ball centers (balls are convex, so those are feasible whenever
     the midpoint is — this is what lets the search certify *strict*
     containment when the center is 0).  The best feasible candidate by
-    separation is kept.
+    separation is kept; the first one wins a tie.
 
     slack defaults to a roundoff-level allowance.  Any looser slack s fattens
     the one-point intersection into a tube of width sqrt(2*epsilon*s) along
     the couplings to the pinched eigenvector (||eps*P +- delta||_1 grows only
     quadratically in those directions), which the search will find and report
     as a spurious uniqueness violation.
+
+    Proposals are evaluated in blocks: the PSD clamp and the three trace
+    norms of a block run as one batched decomposition each.  A block holds
+    k = min(proposals left, 100 - rejections % 100) proposals, so the 100th
+    rejection that shrinks the scale can only be the block's last proposal,
+    and every proposal sees the scale a one-at-a-time loop would give it.
+    The random numbers are drawn proposal by proposal in that loop's order
+    (a uniform, then a uniform or two standard-normal matrices) and do not
+    depend on the scale, so the generator ends in the same state.  Batched
+    decompositions and trace norms equal the single-matrix ones bit for bit,
+    so the result does not depend on the blocking.
     """
+    if budget < 1:
+        raise InvalidConfiguration("uniqueness search needs a budget of at least 1 proposal")
     gen = generator_of(rng)
     n = center.dim
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
@@ -323,37 +346,57 @@ def intersection_uniqueness_search(
         )
     mid = 0.5 * (x_e + y_e)
 
-    def dist(p, q):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(p - q))))
-
     def ball_excess(z):
-        return max(dist(x_e, z), dist(y_e, z)) - epsilon
+        return np.maximum(trace_norm_entries(x_e - z), trace_norm_entries(y_e - z)) - epsilon
 
     best = a_e
     best_sep = 0.0
-    best_excess = ball_excess(a_e)
+    best_excess = float(ball_excess(a_e))
     scale = 0.1 * epsilon
     rejections = 0
-    for _ in range(int(budget)):
-        if gen.uniform() < 0.2:
-            t = float(gen.uniform())
-            candidate = (1.0 - t) * a_e + t * mid
-        else:
-            g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-            candidate = psd_clamp_entries(a_e + scale * (g + g.conj().T) / 2.0)
-        excess = ball_excess(candidate)
-        if excess > slack:
-            rejections += 1
-            if rejections % 100 == 0:
-                scale *= 0.9
-            continue
-        sep = dist(candidate, a_e)
-        if sep > best_sep:
-            best, best_sep, best_excess = candidate, sep, excess
+    left = int(budget)
+    size = min(left, _BLOCK)
+    convex = np.empty(size, dtype=bool)
+    t = np.empty(size)
+    g_re = np.empty((size, n, n))
+    g_im = np.empty((size, n, n))
+    while left:
+        k = min(left, _BLOCK - rejections % _BLOCK)
+        left -= k
+        for j in range(k):
+            convex[j] = gen.uniform() < 0.2
+            if convex[j]:
+                t[j] = gen.uniform()
+            else:
+                gen.standard_normal(out=g_re[j])
+                gen.standard_normal(out=g_im[j])
+        moves = convex[:k]
+        steps = ~moves
+        block = np.empty((k, n, n), dtype=np.complex128)
+        tm = t[:k][moves][:, None, None]
+        block[moves] = (1.0 - tm) * a_e + tm * mid
+        g = g_re[:k][steps] + 1j * g_im[:k][steps]
+        block[steps] = psd_clamp_entries(a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0)
+        excess = ball_excess(block)
+        rejected = excess > slack
+        rejected_here = int(np.count_nonzero(rejected))
+        rejections += rejected_here
+        if rejected_here and rejections % _BLOCK == 0:
+            scale *= 0.9
+        feasible = np.flatnonzero(~rejected)
+        if feasible.size:
+            sep = trace_norm_entries(block[feasible] - a_e)
+            i = int(np.argmax(sep))
+            if sep[i] > best_sep:
+                j = feasible[i]
+                best, best_sep, best_excess = block[j], float(sep[i]), float(excess[j])
     return IntersectionSearchResult(
         best_candidate=DensityOperator(best),
         separation_from_center=best_sep,
         max_ball_violation=max(0.0, best_excess),
+        proposals=int(budget),
+        rejections=rejections,
+        final_scale=scale,
     )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import NotImplementable, NotIsometryEvidence, NumericalBreakdown
 from .geometry import (
+    BALL_SLACK,
     BallSpec,
     bures_ball_diameter,
     intersection_uniqueness_search,
@@ -17,6 +18,7 @@ from .geometry import (
     pinch_configuration,
     zero_characterization_bures,
 )
+from .linalg import trace_norm_entries
 from .maps import (
     MapDomain,
     MapKind,
@@ -57,7 +59,8 @@ SUITE_IDS = (
 #: the dimension, so concurrent or reordered runs see identical draws.
 _STREAM_BASE = {suite: 1000 * (k + 1) for k, suite in enumerate(SUITE_IDS)}
 
-BALL_SLACK = 1e-9
+#: the tolerance overrides the suites read from their `tolerances` argument.
+TOLERANCE_NAMES = ("separation", "slack", "orthogonality", "isometry")
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ def run_lemma3(dims, seed, samples, budget, tolerances) -> list[ExperimentReport
                 - result.best_candidate.entries
                 - pinch.epsilon * pinch.projection.entries
             )
-            rigidity = float(np.sum(np.abs(np.linalg.eigvalsh(shift))))
+            rigidity = float(trace_norm_entries(shift))
             passed &= rigidity <= separation_factor * pinch.epsilon
             if k == 0:
                 witnesses.append(

@@ -2,6 +2,7 @@
 
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -31,6 +32,14 @@ def matrix_files(tmp_path):
         save_json(path, matrix_to_json(diag.astype(complex)))
         paths[name] = str(path)
     return paths
+
+
+def assert_usage_error(result):
+    """Exit 2 with click's one-line error, not a traceback (exit 1 means a
+    property failed)."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: " in result.output
 
 
 class TestMetricCommand:
@@ -110,6 +119,28 @@ class TestVerifyCommand:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert first.output == second.output
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_empty_search_budget_exits_2(self, runner, budget):
+        result = runner.invoke(
+            main, ["verify", "lemma3", "--dims", "2", "--samples", "5", "--budget", budget]
+        )
+        assert_usage_error(result)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--dims", "a"],
+            ["--seed", "-1"],
+            ["--tol", "bogus=1"],
+            ["--tol", "isometry=nan"],
+            ["--tol", "separation=-1e-5"],
+        ],
+        ids=["dims-a", "seed-negative", "tol-unknown", "tol-nan", "tol-negative"],
+    )
+    def test_bad_option_exits_2(self, runner, option):
+        result = runner.invoke(main, ["verify", "lemma1", "--dims", "2", "--samples", "5"] + option)
+        assert_usage_error(result)
+
     def test_dim_cap_enforced(self, runner, monkeypatch):
         monkeypatch.setenv("QSM_DIM_CAP", "3")
         result = runner.invoke(main, ["verify", "lemma1", "--dims", "1,4", "--samples", "5"])
@@ -147,6 +178,18 @@ class TestReconstructCommand:
         assert payload["pass"] is False
         assert payload["purity_defect"] > 1e-3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--builtin", "depolarizing:2"],
+            ["--builtin", "depolarizing:abc"],
+            ["--builtin", "identity", "--seed", "-1"],
+        ],
+        ids=["depolarizing-2", "depolarizing-abc", "seed-negative"],
+    )
+    def test_bad_builtin_or_seed_exits_2(self, runner, args):
+        assert_usage_error(runner.invoke(main, ["reconstruct", "--dim", "2"] + args))
+
     def test_map_file(self, runner, tmp_path):
         from qsm.maps import statemap_to_json, unitary_conjugation
         from qsm.states import random_unitary
@@ -180,3 +223,8 @@ def test_parse_dims():
     assert parse_dims("3") == [3]
     with pytest.raises(Exception):
         parse_dims("0")
+    with pytest.raises(click.UsageError):
+        parse_dims("2..x")
+    # rejected before the range is expanded, so this neither hangs nor allocates
+    with pytest.raises(click.UsageError):
+        parse_dims("2..1000000000000")

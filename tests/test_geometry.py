@@ -214,6 +214,16 @@ class TestUniquenessSearch:
         rigidity = float(np.sum(np.abs(np.linalg.eigvalsh(shift))))
         assert rigidity <= 1e-5 * pinch.epsilon
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_empty_budget_rejected(self, budget):
+        # a search that makes no proposal would certify uniqueness vacuously
+        center = random_state(2, 2, RngStream(10))
+        pinch = pinch_configuration(center, RngStream(11))
+        with pytest.raises(InvalidConfiguration):
+            intersection_uniqueness_search(
+                pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(12), budget
+            )
+
 
 class TestBallSamplers:
     def test_trace_ball_membership(self):
