@@ -6,100 +6,17 @@ unitary/antiunitary structure of isometries; reconstruction of the
 implementing operator from a black-box isometry.
 """
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EigenDecompositionError,
-    InvalidConfiguration,
-    InvalidParameter,
-    InvalidPool,
-    InvalidRank,
-    InvalidVector,
-    NotImplementable,
-    NotIsometryEvidence,
-    NotPositiveSemidefinite,
-    NotTraceZero,
-    NumericalBreakdown,
-    QsmError,
-    ZeroCenter,
-)
-from .geometry import (
-    BallSpec,
-    DiameterEstimate,
-    IntersectionSearchResult,
-    Membership,
-    PinchConfiguration,
-    bures_ball_diameter,
-    double_orthocomplement_rank,
-    intersection_uniqueness_search,
-    midpoint_witness,
-    nonzero_center_witness,
-    orthocomplement_pool,
-    pinch_configuration,
-    sample_in_bures_ball,
-    sample_in_bures_ball_at_zero,
-    sample_in_trace_ball,
-    shifted_states_membership,
-    zero_characterization_bures,
-)
-from .linalg import (
-    HermitianOperator,
-    Spectrum,
-    abs_op,
-    hermitian_eig,
-    matrix_sqrt,
-    pos_neg_parts,
-    psd_clamp,
-    trace,
-    trace_norm,
-)
+from .errors import QsmError
 from .maps import (
-    IsometryReport,
     MapDomain,
     MapKind,
-    PreservationReport,
-    ReconstructionResult,
-    RoundtripReport,
-    StateMap,
-    antiunitary_conjugation,
     apply_map,
-    check_isometry,
-    isometry_roundtrip,
-    named_nonisometry,
     oracle_map,
-    preservation_suite,
     reconstruct_implementer,
-    statemap_from_json,
-    statemap_to_json,
-    trace_preservation_check,
     unitary_conjugation,
-    zero_fixed_check,
 )
-from .metrics import (
-    MetricKind,
-    additivity_gap,
-    are_orthogonal,
-    bures_distance,
-    distance,
-    fidelity,
-    norm_identity_gap,
-    product_trace_norm,
-    trace_distance,
-)
-from .states import (
-    DensityOperator,
-    PureState,
-    QuantumState,
-    RngStream,
-    as_projection,
-    basis_projection,
-    pure_state,
-    random_density,
-    random_state,
-    random_unitary,
-    rank_of,
-    zero_density,
-)
-from .suites import SUITE_IDS, ExperimentReport, run_suite
+from .metrics import are_orthogonal, bures_distance, fidelity, trace_distance
+from .states import DensityOperator, QuantumState, RngStream, random_state, random_unitary
+from .suites import SUITE_IDS, run_suite
 
 __version__ = "0.1.0"

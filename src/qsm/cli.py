@@ -37,13 +37,11 @@ SCHEMA = "qsm-report/1"
 class RunConfig:
     """Everything needed to replay a verification run."""
 
-    command: str
     dims: list[int]
     seed: int
     samples: int
     budget: int
     tolerances: dict[str, float] = field(default_factory=dict)
-    output_path: str | None = None
 
     def as_json(self) -> dict:
         return {
@@ -178,13 +176,11 @@ def cmd_verify(suite_id, dims, seed, samples, budget, tol_entries, output_path):
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
     config = RunConfig(
-        command="verify",
         dims=parse_dims(dims),
         seed=seed,
         samples=samples,
         budget=budget,
         tolerances=parse_tolerances(tol_entries),
-        output_path=output_path,
     )
     reports = run_suite(
         suite_id, config.dims, config.seed, config.samples, config.budget, config.tolerances

@@ -9,14 +9,6 @@ class DimensionMismatch(QsmError):
     """Two operators that should share a dimension do not."""
 
 
-class EigenDecompositionError(QsmError):
-    """The eigensolver failed to converge."""
-
-    def __init__(self, message: str, residual: float = float("inf")):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NotPositiveSemidefinite(QsmError):
     """An operator required to be PSD has an eigenvalue below tolerance."""
 

@@ -46,6 +46,11 @@ ZERO_TRACE = 1e-12
 #: proposals it evaluates in one batch.
 _BLOCK = 100
 
+#: most matrix entries (proposals x n^2) in one batch of the uniqueness
+#: search, which bounds its buffers and temporaries; n <= 8 keeps blocks of
+#: _BLOCK proposals.
+_BLOCK_ENTRIES = 6400
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -325,9 +330,11 @@ def intersection_uniqueness_search(
 
     Proposals are evaluated in blocks: the PSD clamp and the three trace
     norms of a block run as one batched decomposition each.  A block holds
-    k = min(proposals left, 100 - rejections % 100) proposals, so the 100th
-    rejection that shrinks the scale can only be the block's last proposal,
-    and every proposal sees the scale a one-at-a-time loop would give it.
+    at most 100 - rejections % 100 proposals, so the 100th rejection that
+    shrinks the scale can only be the block's last proposal, and every
+    proposal sees the scale a one-at-a-time loop would give it.  Blocks are
+    also capped at _BLOCK_ENTRIES // n^2 proposals to bound memory at large
+    n; any smaller block keeps that property.
     The random numbers are drawn proposal by proposal in that loop's order
     (a uniform, then a uniform or two standard-normal matrices) and do not
     depend on the scale, so the generator ends in the same state.  Batched
@@ -355,13 +362,14 @@ def intersection_uniqueness_search(
     scale = 0.1 * epsilon
     rejections = 0
     left = int(budget)
-    size = min(left, _BLOCK)
+    cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (n * n)))
+    size = min(left, cap)
     convex = np.empty(size, dtype=bool)
     t = np.empty(size)
     g_re = np.empty((size, n, n))
     g_im = np.empty((size, n, n))
     while left:
-        k = min(left, _BLOCK - rejections % _BLOCK)
+        k = min(left, cap, _BLOCK - rejections % _BLOCK)
         left -= k
         for j in range(k):
             convex[j] = gen.uniform() < 0.2

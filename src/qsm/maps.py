@@ -6,10 +6,6 @@ non-isometry control, or an opaque oracle.  This module checks maps for
 isometry and for the preservation properties (trace, orthogonality, rank,
 affinity, fixing 0) and reconstructs the implementing operator from a
 black-box isometry oracle via a fixed probe schedule.
-
-StateMap values are immutable and safe to share; oracles declare via
-concurrent_safe whether their evaluation may be called from several tasks.
-Every check in this module evaluates its oracle serially.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .errors import (
     NotIsometryEvidence,
     NotPositiveSemidefinite,
 )
-from .linalg import psd_clamp_entries
+from .linalg import trace_norm_entries
 from .metrics import (
     MetricKind,
     are_orthogonal,
@@ -83,12 +79,11 @@ class StateMap:
     name: str | None = None
     params: dict | None = None
     evaluate: Callable[[DensityOperator], DensityOperator] | None = None
-    concurrent_safe: bool = True
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
     n = u.shape[0]
-    return float(np.sum(np.abs(np.linalg.eigvalsh(u @ u.conj().T - np.eye(n)))))
+    return float(trace_norm_entries(u @ u.conj().T - np.eye(n)))
 
 
 def _checked_unitary(u) -> np.ndarray:
@@ -117,12 +112,9 @@ def oracle_map(
     evaluate: Callable[[DensityOperator], DensityOperator],
     dim: int,
     domain: MapDomain = MapDomain.FULL_DENSITY,
-    concurrent_safe: bool = True,
 ) -> StateMap:
     """Wrap an opaque evaluation as a StateMap."""
-    return StateMap(
-        MapKind.ORACLE, dim, domain, evaluate=evaluate, concurrent_safe=concurrent_safe
-    )
+    return StateMap(MapKind.ORACLE, dim, domain, evaluate=evaluate)
 
 
 def named_nonisometry(
@@ -174,10 +166,13 @@ def _named_action(m: StateMap, arr: np.ndarray) -> np.ndarray:
 
 
 def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
-    """Evaluate a StateMap; the result is symmetrized and PSD-clamped.
+    """Evaluate a StateMap.
 
-    Inputs and outputs must respect the declared domain (states stay trace-1
-    within 1e-10)."""
+    The output is built as a DensityOperator (a QuantumState on the states
+    domain), whose constructor symmetrizes it and clamps eigenvalues within
+    -1e-9*(1+trace) of zero; one decomposition serves both.  Inputs and
+    outputs must respect the declared dimension and domain (states stay
+    trace-1 within 1e-10); an output that does not raises DomainError."""
     if a.dim != m.dim:
         raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
     if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
@@ -190,10 +185,8 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
         out = _named_action(m, a.entries)
     else:
         out = m.evaluate(a).entries
-    out = (out + out.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(out)[0])
-    if lam_min < 0.0 and lam_min >= -1e-12:
-        out = psd_clamp_entries(out)
+    if out.shape != (m.dim, m.dim):
+        raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
     try:
         if m.domain is MapDomain.STATES_ONLY:
             return QuantumState(out)
@@ -318,6 +311,7 @@ def preservation_suite(
     """Check orthogonality (both directions), rank, and affinity preservation."""
     gen = generator_of(rng)
     n = m.dim
+    build = QuantumState if m.domain is MapDomain.STATES_ONLY else DensityOperator
     fwd_max, fwd_bad = 0.0, 0
     bwd_min, bwd_bad = np.inf, 0
     rank_bad = 0
@@ -331,9 +325,7 @@ def preservation_suite(
                 fwd_bad += 1
             a = _sample_in_domain(n, gen, m.domain)
             b = _sample_in_domain(n, gen, m.domain)
-            overlapping = DensityOperator((a.entries + b.entries) / 2.0)
-            if m.domain is MapDomain.STATES_ONLY:
-                overlapping = QuantumState(overlapping.entries)
+            overlapping = build((a.entries + b.entries) / 2.0)
             fa, fo = apply_map(m, a), apply_map(m, overlapping)
             bwd_min = min(bwd_min, product_trace_norm(fa, fo))
             if are_orthogonal(fa, fo):
@@ -345,14 +337,11 @@ def preservation_suite(
         a = _sample_in_domain(n, gen, m.domain)
         b = _sample_in_domain(n, gen, m.domain)
         mixed = lam * a.entries + (1.0 - lam) * b.entries
-        mixed_in = (
-            QuantumState(mixed) if m.domain is MapDomain.STATES_ONLY else DensityOperator(mixed)
-        )
-        image_of_mix = apply_map(m, mixed_in).entries
+        image_of_mix = apply_map(m, build(mixed)).entries
         mix_of_images = lam * apply_map(m, a).entries + (1.0 - lam) * apply_map(m, b).entries
         affinity_max = max(
             affinity_max,
-            float(np.sum(np.abs(np.linalg.eigvalsh(image_of_mix - mix_of_images)))),
+            float(trace_norm_entries(image_of_mix - mix_of_images)),
         )
     if not np.isfinite(bwd_min):
         bwd_min = 0.0

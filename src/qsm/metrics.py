@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, trace_norm_entries
 from .states import DensityOperator
 
 #: default relative tolerance for orthogonality of PSD operators.
@@ -70,7 +70,7 @@ def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
 def trace_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     """Trace-norm distance: sum of absolute eigenvalues of A - B."""
     _check_dims(a, b)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
+    return float(trace_norm_entries(a.entries - b.entries))
 
 
 def product_trace_norm(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -98,8 +98,8 @@ def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
     (XY = 0 iff the two norms agree) can be checked against each other.
     """
     _check_dims(x, y)
-    diff = float(np.sum(np.abs(np.linalg.eigvalsh(x.entries - y.entries))))
-    total = float(np.sum(np.abs(np.linalg.eigvalsh(x.entries + y.entries))))
+    diff = float(trace_norm_entries(x.entries - y.entries))
+    total = float(trace_norm_entries(x.entries + y.entries))
     return abs(diff - total)
 
 

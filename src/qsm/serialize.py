@@ -1,4 +1,4 @@
-"""Shared JSON file formats for matrices, density operators, and pure states.
+"""Shared JSON file formats for matrices and density operators.
 
 Matrix literal format (repo-wide):
     { "dim": n, "entries": [[[re, im], ...], ...] }
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import HermitianOperator
-from .states import DensityOperator, PureState
+from .states import DensityOperator
 
 HERMITIAN_SYMMETRY_TOL = 1e-12
 
@@ -64,20 +64,6 @@ def density_from_json(obj: dict) -> DensityOperator:
 def unitary_from_json(obj: dict) -> np.ndarray:
     """Decode a (generally non-Hermitian) complex matrix; no symmetry check."""
     return _decode_matrix_obj(obj)
-
-
-def pure_state_to_json(state: PureState) -> dict:
-    return {
-        "dim": state.dim,
-        "vector": [[float(z.real), float(z.imag)] for z in state.vector],
-    }
-
-
-def pure_state_from_json(obj: dict) -> PureState:
-    arr = np.asarray(obj["vector"], dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != int(obj["dim"]):
-        raise ValueError("pure state JSON must carry dim matching [[re, im], ...]")
-    return PureState(arr[:, 0] + 1j * arr[:, 1])
 
 
 def load_density(path: str | Path) -> DensityOperator:

@@ -18,7 +18,7 @@ from .errors import (
     NotPositiveSemidefinite,
     NumericalBreakdown,
 )
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, trace_norm_entries
 
 #: relative floor for "numerically PSD": eigenvalues above -PSD_TOL*(1+trace)
 #: are clamped to zero, anything lower is rejected.
@@ -116,15 +116,6 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
-def pure_state(vector) -> PureState:
-    """Normalize a nonzero complex vector into a PureState."""
-    return PureState(vector)
-
-
-def as_projection(state: PureState) -> QuantumState:
-    return state.as_projection()
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic random stream identified by (seed, stream_index).
@@ -174,7 +165,7 @@ def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    defect = float(np.sum(np.abs(np.linalg.eigvalsh(q @ q.conj().T - np.eye(n)))))
+    defect = float(trace_norm_entries(q @ q.conj().T - np.eye(n)))
     if defect > 1e-10 * n:
         raise NumericalBreakdown(f"unitarity defect {defect:.3e} exceeds 1e-10*n")
     return q
@@ -220,11 +211,6 @@ def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> Qua
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
     gen = generator_of(rng)
     return QuantumState(_wishart_entries(n, rank, 1.0, gen))
-
-
-def rank_of(op: DensityOperator, tol: float = 1e-10) -> int:
-    """Spectral rank: eigenvalues above tol*(1+trace)."""
-    return op.rank(tol)
 
 
 def zero_density(n: int) -> DensityOperator:

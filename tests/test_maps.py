@@ -72,6 +72,11 @@ class TestApplyMap:
         with pytest.raises(InvalidParameter):
             unitary_conjugation(np.diag([1.0, 2.0]))
 
+    def test_oracle_output_of_wrong_dimension_rejected(self):
+        m = oracle_map(lambda a: zero_density(3), 2)
+        with pytest.raises(DomainError):
+            apply_map(m, random_density(2, 1, 1.0, RngStream(6)))
+
 
 class TestNamedMaps:
     def test_depolarizing_zero_is_identity(self):

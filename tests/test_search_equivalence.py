@@ -5,7 +5,7 @@ generator state, bit for bit."""
 import numpy as np
 import pytest
 
-from qsm.geometry import intersection_uniqueness_search, pinch_configuration
+from qsm.geometry import _BLOCK_ENTRIES, intersection_uniqueness_search, pinch_configuration
 from qsm.states import DensityOperator, RngStream, random_state, random_unitary, zero_density
 
 
@@ -76,10 +76,7 @@ def _zero_center_control(dim, seed):
     return x, y, zero_density(dim), eps
 
 
-@pytest.mark.parametrize("budget", [1, 99, 100, 101, 2000])
-@pytest.mark.parametrize("config", [_pinch, _zero_center_control])
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_blocked_search_matches_serial_loop(dim, config, budget):
+def _assert_matches_serial(dim, config, budget):
     upper, lower, center, eps = config(dim, 100 + dim)
     serial_gen = RngStream(7, dim).generator()
     blocked_gen = RngStream(7, dim).generator()
@@ -95,3 +92,18 @@ def test_blocked_search_matches_serial_loop(dim, config, budget):
     assert result.final_scale == scale
     assert blocked_gen.bit_generator.state == serial_gen.bit_generator.state
     assert blocked_gen.uniform() == serial_gen.uniform()
+
+
+@pytest.mark.parametrize("budget", [1, 99, 100, 101, 2000])
+@pytest.mark.parametrize("config", [_pinch, _zero_center_control])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_blocked_search_matches_serial_loop(dim, config, budget):
+    _assert_matches_serial(dim, config, budget)
+
+
+@pytest.mark.parametrize("config", [_pinch, _zero_center_control])
+@pytest.mark.parametrize("dim", [12, 16])
+def test_entry_capped_blocks_match_serial_loop(dim, config):
+    """Above n = 8 the entry cap makes blocks shorter than 100 proposals."""
+    assert _BLOCK_ENTRIES // dim**2 < 100
+    _assert_matches_serial(dim, config, 300)

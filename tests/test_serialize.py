@@ -12,12 +12,10 @@ from qsm.serialize import (
     hermitian_from_json,
     load_density,
     matrix_to_json,
-    pure_state_from_json,
-    pure_state_to_json,
     save_json,
     unitary_from_json,
 )
-from qsm.states import PureState, RngStream, random_density, random_unitary
+from qsm.states import RngStream, random_density, random_unitary
 
 
 def test_matrix_roundtrip_bitwise():
@@ -62,14 +60,6 @@ def test_unitary_roundtrip_skips_symmetry_check():
     u = random_unitary(3, RngStream(2))
     back = unitary_from_json(matrix_to_json(u))
     assert np.array_equal(back, u)
-
-
-def test_pure_state_roundtrip():
-    state = PureState(np.array([1.0, 1j, 0.0]) / np.sqrt(2.0))
-    obj = pure_state_to_json(state)
-    assert obj["dim"] == 3
-    back = pure_state_from_json(obj)
-    assert np.allclose(back.vector, state.vector)
 
 
 def test_file_io_and_canonical_text(tmp_path):

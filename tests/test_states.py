@@ -12,14 +12,12 @@ from qsm.errors import (
 from qsm.states import (
     DensityOperator,
     QuantumState,
+    PureState,
     RngStream,
-    as_projection,
     basis_projection,
-    pure_state,
     random_density,
     random_state,
     random_unitary,
-    rank_of,
     zero_density,
 )
 
@@ -47,32 +45,32 @@ class TestDensityOperator:
 
 class TestPureState:
     def test_basis_vector(self):
-        proj = pure_state([1.0, 0.0]).as_projection()
+        proj = PureState([1.0, 0.0]).as_projection()
         assert np.allclose(proj.entries, np.diag([1.0, 0.0]))
 
     def test_real_superposition(self):
-        proj = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0)).as_projection()
+        proj = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)).as_projection()
         assert np.allclose(proj.entries, np.full((2, 2), 0.5))
 
     def test_imaginary_superposition(self):
         # outer product by hand: v v* = [[1, -i], [i, 1]] / 2
-        proj = as_projection(pure_state(np.array([1.0, 1j]) / np.sqrt(2.0)))
+        proj = PureState(np.array([1.0, 1j]) / np.sqrt(2.0)).as_projection()
         expected = np.array([[1.0, -1j], [1j, 1.0]]) / 2.0
         assert np.allclose(proj.entries, expected)
 
     def test_normalizes(self):
-        ps = pure_state([3.0, 4.0])
+        ps = PureState([3.0, 4.0])
         assert np.linalg.norm(ps.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidVector):
-            pure_state([0.0, 0.0])
+            PureState([0.0, 0.0])
 
     def test_projection_invariants(self):
         gen = np.random.default_rng(5)
         for _ in range(20):
             vec = gen.standard_normal(4) + 1j * gen.standard_normal(4)
-            proj = pure_state(vec).as_projection()
+            proj = PureState(vec).as_projection()
             assert proj.trace == pytest.approx(1.0, abs=1e-12)
             idem = proj.entries @ proj.entries - proj.entries
             assert np.max(np.abs(idem)) <= 1e-10
@@ -166,6 +164,6 @@ class TestRandomDensity:
 
 class TestRankOf:
     def test_examples(self):
-        assert rank_of(zero_density(3)) == 0
-        assert rank_of(basis_projection(3, 1)) == 1
-        assert rank_of(DensityOperator(np.diag([0.5, 0.5, 0.0]))) == 2
+        assert zero_density(3).rank() == 0
+        assert basis_projection(3, 1).rank() == 1
+        assert DensityOperator(np.diag([0.5, 0.5, 0.0])).rank() == 2
