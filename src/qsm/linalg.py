@@ -10,14 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
+NONFINITE_MESSAGE = "matrix entries must be finite (no NaN/Inf)"
 
-def _as_complex_square(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+
+def _as_complex_squares(entries, ndim: int = 2) -> np.ndarray:
+    """A square matrix (ndim 2) or a ``(k, n, n)`` stack of them (ndim 3) as
+    a complex array, not necessarily a copy; only the shape is checked."""
+    arr = np.asarray(entries, dtype=np.complex128)
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return arr
+
+
+def _finite_prefix(arr: np.ndarray) -> int:
+    """How many leading matrices of a ``(k, n, n)`` stack are all finite."""
+    if np.isfinite(arr).all():
+        return len(arr)
+    return int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
+
+
+def _symmetrized(arr: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a matrix, or of each matrix of a stack."""
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HermitianOperator:
@@ -30,8 +44,10 @@ class HermitianOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        arr = _as_complex_square(entries)
-        arr = (arr + arr.conj().T) / 2.0
+        arr = _as_complex_squares(entries)
+        if not _finite_prefix(arr[None]):
+            raise ValueError(NONFINITE_MESSAGE)
+        arr = _symmetrized(arr)
         arr.setflags(write=False)
         self.entries = arr
 

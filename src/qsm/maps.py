@@ -6,6 +6,17 @@ non-isometry control, or an opaque oracle.  This module checks maps for
 isometry and for the preservation properties (trace, orthogonality, rank,
 affinity, fixing 0) and reconstructs the implementing operator from a
 black-box isometry oracle via a fixed probe schedule.
+
+The sample loops (check_isometry, trace_preservation_check,
+preservation_suite and the validation of a reconstruction) run in blocks of
+samples.  A block first makes all of its random draws, one sample after
+another in the order a one-sample-at-a-time loop makes them, so the
+generator stream, and with it every report, is that loop's.  The block's
+operators are then built, mapped and measured as ``(k, n, n)`` stacks with
+batched kernels.  An oracle stays a black box, called once per operator in
+that same order.  A block holds as many samples as keep each stacked operand
+within _BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.
+A failing sample raises once its whole block has been drawn.
 """
 
 from __future__ import annotations
@@ -25,29 +36,30 @@ from .errors import (
     NotPositiveSemidefinite,
 )
 from .linalg import trace_norm_entries
-from .metrics import (
-    MetricKind,
-    are_orthogonal,
-    distance,
-    product_trace_norm,
-    trace_distance,
-)
+from .metrics import MetricKind, distance, distances, orthogonality
 from .serialize import matrix_to_json, unitary_from_json
 from .states import (
     DensityOperator,
     PureState,
     QuantumState,
     RngStream,
+    _check_sampled_density,
+    _unitarity_defect,
+    _wishart_entries,
     basis_projection,
     generator_of,
     random_density,
-    random_state,
     random_unitary,
     zero_density,
 )
 
 #: residual above which a reconstruction is rejected as not implementable.
 TOL_ACCEPT = 1e-6
+
+#: cap on the matrix entries of one stacked operand in a sample loop: a block
+#: holds as many samples as fit, at least one.  Larger blocks gained no speed
+#: and raised peak memory at large n.
+_BLOCK_ENTRIES = 800
 
 #: human-readable statement of the output gauge fixing.
 PHASE_CONVENTION = (
@@ -79,11 +91,6 @@ class StateMap:
     name: str | None = None
     params: dict | None = None
     evaluate: Callable[[DensityOperator], DensityOperator] | None = None
-
-
-def _unitarity_defect(u: np.ndarray) -> float:
-    n = u.shape[0]
-    return float(trace_norm_entries(u @ u.conj().T - np.eye(n)))
 
 
 def _checked_unitary(u) -> np.ndarray:
@@ -152,17 +159,54 @@ def named_nonisometry(
 
 
 def _named_action(m: StateMap, arr: np.ndarray) -> np.ndarray:
+    """A named map on a ``(k, n, n)`` stack."""
     if m.name == "depolarizing":
         p = m.params["p"]
-        tr = float(np.trace(arr).real)
-        return (1.0 - p) * arr + p * tr * np.eye(m.dim) / m.dim
+        tr = np.trace(arr, axis1=1, axis2=2).real
+        return (1.0 - p) * arr + (p * tr)[:, None, None] * np.eye(m.dim) / m.dim
     if m.name == "pinching":
         v = m.params["basis"]
         rotated = v.conj().T @ arr @ v
-        return v @ np.diag(np.diagonal(rotated)) @ v.conj().T
+        diagonal = np.zeros_like(rotated)
+        idx = np.arange(m.dim)
+        diagonal[:, idx, idx] = rotated[:, idx, idx]
+        return v @ diagonal @ v.conj().T
     if m.name == "trace-rescale":
         return m.params["c"] * arr
     raise InvalidParameter(f"unknown non-isometry id {m.name!r}")
+
+
+def _domain_type(domain: MapDomain) -> type[DensityOperator]:
+    return QuantumState if domain is MapDomain.STATES_ONLY else DensityOperator
+
+
+def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]:
+    """apply_map of each operator in order: inputs are checked first, an
+    oracle is then evaluated once per operator, and the outputs are checked
+    and built as one stack."""
+    for a in ops:
+        if a.dim != m.dim:
+            raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
+        if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
+            raise DomainError("map is declared on states only; input has trace != 1")
+    if m.kind is MapKind.ORACLE:
+        outs = [m.evaluate(a).entries for a in ops]
+        for out in outs:
+            if out.shape != (m.dim, m.dim):
+                raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
+        out = np.array(outs)
+    else:
+        arr = _entries(ops, 0, 1)
+        if m.kind is MapKind.UNITARY_CONJ:
+            out = m.unitary @ arr @ m.unitary.conj().T
+        elif m.kind is MapKind.ANTIUNITARY_CONJ:
+            out = m.unitary @ arr.conj() @ m.unitary.conj().T
+        else:
+            out = _named_action(m, arr)
+    try:
+        return _domain_type(m.domain).from_stack(out)
+    except (ValueError, NotPositiveSemidefinite) as exc:
+        raise DomainError(f"map output left its declared domain: {exc}") from exc
 
 
 def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
@@ -173,26 +217,7 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
     -1e-9*(1+trace) of zero; one decomposition serves both.  Inputs and
     outputs must respect the declared dimension and domain (states stay
     trace-1 within 1e-10); an output that does not raises DomainError."""
-    if a.dim != m.dim:
-        raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
-    if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
-        raise DomainError("map is declared on states only; input has trace != 1")
-    if m.kind is MapKind.UNITARY_CONJ:
-        out = m.unitary @ a.entries @ m.unitary.conj().T
-    elif m.kind is MapKind.ANTIUNITARY_CONJ:
-        out = m.unitary @ a.entries.conj() @ m.unitary.conj().T
-    elif m.kind is MapKind.NAMED:
-        out = _named_action(m, a.entries)
-    else:
-        out = m.evaluate(a).entries
-    if out.shape != (m.dim, m.dim):
-        raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
-    try:
-        if m.domain is MapDomain.STATES_ONLY:
-            return QuantumState(out)
-        return DensityOperator(out)
-    except (ValueError, NotPositiveSemidefinite) as exc:
-        raise DomainError(f"map output left its declared domain: {exc}") from exc
+    return _map_block(m, [a])[0]
 
 
 @dataclass(frozen=True)
@@ -204,11 +229,43 @@ class IsometryReport:
     seed: int
 
 
-def _sample_in_domain(n: int, gen: np.random.Generator, domain: MapDomain) -> DensityOperator:
+def _blocks(total: int, n: int, per_sample: int):
+    """Sample counts of the consecutive blocks that cover ``total`` samples
+    when each sample stacks ``per_sample`` n x n operators."""
+    size = max(1, _BLOCK_ENTRIES // (per_sample * n * n))
+    for start in range(0, total, size):
+        yield min(size, total - start)
+
+
+def _draw_sample(n: int, gen: np.random.Generator, domain: MapDomain):
+    """The draws of one random operator of the domain, in the order
+    random_density and random_state make them: rank, the trace (density cone
+    only), then the Ginibre matrix.  Returns (entries, rank, trace), with
+    trace None for a state, which random_state builds unchecked."""
     rank = int(gen.integers(1, n + 1))
     if domain is MapDomain.STATES_ONLY:
-        return random_state(n, rank, gen)
-    return random_density(n, rank, float(gen.uniform(0.2, 2.0)), gen)
+        return _wishart_entries(n, rank, 1.0, gen), rank, None
+    trace = float(gen.uniform(0.2, 2.0))
+    return _wishart_entries(n, rank, trace, gen), rank, trace
+
+
+def _build_samples(draws: list, domain: MapDomain) -> list[DensityOperator]:
+    """Build drawn operators as one stack and hold each density to the rank
+    and trace it was drawn with, as random_density does."""
+    ops = _domain_type(domain).from_stack(np.array([entries for entries, _, _ in draws]))
+    for op, (_, rank, trace) in zip(ops, draws):
+        if trace is not None:
+            _check_sampled_density(op, rank, trace)
+    return ops
+
+
+def _entries(ops: list[DensityOperator], start: int, step: int) -> np.ndarray:
+    """Entries of ops[start::step] as one stack."""
+    return np.array([op.entries for op in ops[start::step]])
+
+
+def _sample_block(n: int, gen: np.random.Generator, domain: MapDomain, count: int):
+    return _build_samples([_draw_sample(n, gen, domain) for _ in range(count)], domain)
 
 
 def check_isometry(
@@ -218,19 +275,22 @@ def check_isometry(
     pairs: int,
 ) -> IsometryReport:
     """Max |d(phi(A), phi(B)) - d(A, B)| over sampled pairs from the map's
-    domain."""
+    domain; the worst pair is the first to reach the maximum."""
     if pairs < 1:
         raise InvalidParameter("need at least one pair")
     seed = rng.seed if isinstance(rng, RngStream) else 0
     gen = generator_of(rng)
     worst = 0.0
     worst_pair = None
-    for _ in range(pairs):
-        a = _sample_in_domain(m.dim, gen, m.domain)
-        b = _sample_in_domain(m.dim, gen, m.domain)
-        deviation = abs(distance(metric, apply_map(m, a), apply_map(m, b)) - distance(metric, a, b))
-        if worst_pair is None or deviation > worst:
-            worst, worst_pair = deviation, (a, b)
+    for count in _blocks(pairs, m.dim, 2):
+        ops = _sample_block(m.dim, gen, m.domain, 2 * count)
+        images = _map_block(m, ops)
+        deviation = np.abs(
+            distances(metric, images[0::2], images[1::2]) - distances(metric, ops[0::2], ops[1::2])
+        )
+        i = int(np.argmax(deviation))
+        if worst_pair is None or deviation[i] > worst:
+            worst, worst_pair = float(deviation[i]), (ops[2 * i], ops[2 * i + 1])
     return IsometryReport(metric, pairs, worst, worst_pair, seed)
 
 
@@ -255,9 +315,10 @@ def trace_preservation_check(
         raise DomainError("trace_preservation_check needs the full density cone")
     gen = generator_of(rng)
     worst = 0.0
-    for _ in range(samples):
-        a = _sample_in_domain(m.dim, gen, m.domain)
-        worst = max(worst, abs(apply_map(m, a).trace - a.trace))
+    for count in _blocks(samples, m.dim, 1):
+        ops = _sample_block(m.dim, gen, m.domain, count)
+        images = _map_block(m, ops)
+        worst = max(worst, max(abs(image.trace - a.trace) for image, a in zip(images, ops)))
     return worst <= tol
 
 
@@ -286,9 +347,11 @@ class PreservationReport:
         )
 
 
-def _orthogonal_pair(
+def _orthogonal_pair_entries(
     n: int, gen: np.random.Generator, domain: MapDomain
-) -> tuple[DensityOperator, DensityOperator]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of two random operators supported on complementary subspaces
+    of a random frame."""
     v = random_unitary(n, gen)
     k = int(gen.integers(1, n))
     left, right = v[:, :k], v[:, k:]
@@ -296,11 +359,7 @@ def _orthogonal_pair(
     tr_y = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
     x = random_density(k, int(gen.integers(1, k + 1)), tr_x, gen)
     y = random_density(n - k, int(gen.integers(1, n - k + 1)), tr_y, gen)
-    build = QuantumState if domain is MapDomain.STATES_ONLY else DensityOperator
-    return (
-        build(left @ x.entries @ left.conj().T),
-        build(right @ y.entries @ right.conj().T),
-    )
+    return left @ x.entries @ left.conj().T, right @ y.entries @ right.conj().T
 
 
 def preservation_suite(
@@ -308,41 +367,64 @@ def preservation_suite(
     rng: RngStream | np.random.Generator,
     samples: int = 100,
 ) -> PreservationReport:
-    """Check orthogonality (both directions), rank, and affinity preservation."""
+    """Check orthogonality (both directions), rank, and affinity preservation.
+
+    Each sample maps, in this order: an orthogonal pair x, y and an
+    overlapping pair a, (a+b)/2 (from n = 2 on), a rank probe, then a
+    mixture lam*c + (1-lam)*d and its ends c and d."""
     gen = generator_of(rng)
     n = m.dim
-    build = QuantumState if m.domain is MapDomain.STATES_ONLY else DensityOperator
+    pairs = n >= 2
+    # drawn per sample: [x, y, a, b,] probe, c, d
+    drawn_per, mapped_per = (7, 8) if pairs else (3, 4)
+    probe = mapped_per - 4
     fwd_max, fwd_bad = 0.0, 0
     bwd_min, bwd_bad = np.inf, 0
     rank_bad = 0
     affinity_max = 0.0
-    for _ in range(samples):
-        if n >= 2:
-            x, y = _orthogonal_pair(n, gen, m.domain)
-            fx, fy = apply_map(m, x), apply_map(m, y)
-            fwd_max = max(fwd_max, product_trace_norm(fx, fy))
-            if not are_orthogonal(fx, fy):
-                fwd_bad += 1
-            a = _sample_in_domain(n, gen, m.domain)
-            b = _sample_in_domain(n, gen, m.domain)
-            overlapping = build((a.entries + b.entries) / 2.0)
-            fa, fo = apply_map(m, a), apply_map(m, overlapping)
-            bwd_min = min(bwd_min, product_trace_norm(fa, fo))
-            if are_orthogonal(fa, fo):
-                bwd_bad += 1
-        sample = _sample_in_domain(n, gen, m.domain)
-        if apply_map(m, sample).rank() != sample.rank():
-            rank_bad += 1
-        lam = float(gen.uniform())
-        a = _sample_in_domain(n, gen, m.domain)
-        b = _sample_in_domain(n, gen, m.domain)
-        mixed = lam * a.entries + (1.0 - lam) * b.entries
-        image_of_mix = apply_map(m, build(mixed)).entries
-        mix_of_images = lam * apply_map(m, a).entries + (1.0 - lam) * apply_map(m, b).entries
-        affinity_max = max(
-            affinity_max,
-            float(trace_norm_entries(image_of_mix - mix_of_images)),
+    for count in _blocks(samples, n, mapped_per):
+        draws, lams = [], []
+        for _ in range(count):
+            if pairs:
+                x, y = _orthogonal_pair_entries(n, gen, m.domain)
+                draws += [(x, 0, None), (y, 0, None)]
+                draws += [_draw_sample(n, gen, m.domain), _draw_sample(n, gen, m.domain)]
+            draws.append(_draw_sample(n, gen, m.domain))
+            lams.append(float(gen.uniform()))
+            draws += [_draw_sample(n, gen, m.domain), _draw_sample(n, gen, m.domain)]
+        drawn = _build_samples(draws, m.domain)
+        lam = np.array(lams)[:, None, None]
+        derived = (
+            lam * _entries(drawn, drawn_per - 2, drawn_per)
+            + (1.0 - lam) * _entries(drawn, drawn_per - 1, drawn_per)
         )
+        if pairs:
+            overlaps = (_entries(drawn, 2, drawn_per) + _entries(drawn, 3, drawn_per)) / 2.0
+            derived = np.concatenate([overlaps, derived])
+        derived = _domain_type(m.domain).from_stack(derived)
+        mapped = []
+        for i in range(count):
+            own = drawn[i * drawn_per:(i + 1) * drawn_per]
+            if pairs:
+                mapped += own[:3] + [derived[i]]
+            mapped += [own[-3], derived[i - count], own[-2], own[-1]]
+        images = _map_block(m, mapped)
+        if pairs:
+            norms, orthogonal = orthogonality(images[0::mapped_per], images[1::mapped_per])
+            fwd_max = max(fwd_max, float(norms.max()))
+            fwd_bad += int(np.count_nonzero(~orthogonal))
+            norms, orthogonal = orthogonality(images[2::mapped_per], images[3::mapped_per])
+            bwd_min = min(bwd_min, float(norms.min()))
+            bwd_bad += int(np.count_nonzero(orthogonal))
+        for a, image in zip(mapped[probe::mapped_per], images[probe::mapped_per]):
+            if image.rank() != a.rank():
+                rank_bad += 1
+        mix_of_images = (
+            lam * _entries(images, probe + 2, mapped_per)
+            + (1.0 - lam) * _entries(images, probe + 3, mapped_per)
+        )
+        violation = trace_norm_entries(_entries(images, probe + 1, mapped_per) - mix_of_images)
+        affinity_max = max(affinity_max, float(violation.max()))
     if not np.isfinite(bwd_min):
         bwd_min = 0.0
     return PreservationReport(
@@ -391,6 +473,19 @@ def _pure_image_vector(
             probe=label,
         )
     return image.eigenvectors[:, -1]
+
+
+def _validation_residual(
+    oracle: StateMap, recon: StateMap, n: int, gen: np.random.Generator, samples: int
+) -> float:
+    """Largest trace distance between the oracle's and the reconstruction's
+    images of ``samples`` random states."""
+    residual = 0.0
+    for count in _blocks(samples, n, 1):
+        states = _sample_block(n, gen, MapDomain.STATES_ONLY, count)
+        found = distances(MetricKind.TRACE_NORM, _map_block(oracle, states), _map_block(recon, states))
+        residual = max(residual, float(found.max()))
+    return residual
 
 
 def reconstruct_implementer(
@@ -473,12 +568,7 @@ def reconstruct_implementer(
     recon = (
         antiunitary_conjugation(u) if kind is MapKind.ANTIUNITARY_CONJ else unitary_conjugation(u)
     )
-    residual = 0.0
-    for _ in range(validation_samples):
-        state = random_state(n, int(gen.integers(1, n + 1)), gen)
-        residual = max(
-            residual, trace_distance(apply_map(oracle, state), apply_map(recon, state))
-        )
+    residual = _validation_residual(oracle, recon, n, gen, validation_samples)
     if residual > TOL_ACCEPT:
         raise NotImplementable(
             f"validation residual {residual:.3e} exceeds {TOL_ACCEPT:.1e}",
@@ -532,14 +622,7 @@ def isometry_roundtrip(
     preserved = preservation_suite(oracle, gen, samples=preservation_samples).all_preserved()
     recon = reconstruct_implementer(oracle, n, gen, validation_samples=validation_samples)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
-    recon_map = recon.as_map(domain)
-    validation_max = 0.0
-    for _ in range(validation_samples):
-        state = random_state(n, int(gen.integers(1, n + 1)), gen)
-        validation_max = max(
-            validation_max,
-            trace_distance(apply_map(oracle, state), apply_map(recon_map, state)),
-        )
+    validation_max = _validation_residual(oracle, recon.as_map(domain), n, gen, validation_samples)
     expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
     passed = (
         recon.kind is expected_kind

@@ -5,6 +5,10 @@ A^{1/2} B^{1/2} (the same quantity): singular values of the product carry a
 linear O(eps) error on null modes, whereas eigendecomposing the sandwich and
 square-rooting amplifies null-mode noise to O(sqrt(eps)), which is too coarse
 for the 1e-8 isometry-deviation checks downstream.
+
+``distances`` and ``orthogonality`` evaluate whole lists of pairs with
+batched decompositions; they share their kernels with the per-pair functions,
+so each batched value is bit for bit the per-pair one.
 """
 
 from __future__ import annotations
@@ -35,36 +39,53 @@ def _check_dims(a: HermitianOperator, b: HermitianOperator) -> None:
         raise DimensionMismatch(f"operator dims {a.dim} and {b.dim} differ")
 
 
-def _sqrt_entries(op: DensityOperator) -> np.ndarray:
-    lam = op.eigenvalues
+def _sqrt_entries(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix, or of each matrix of a stack, from its
+    eigenvalues ``(..., n)`` and eigenvectors ``(..., n, n)``."""
     # null modes of a rank-deficient operator carry O(n*eps) eigenvalue noise
     # (more after a conjugation's matmuls); square-rooting would amplify it
     # to O(sqrt(eps)), so they are zeroed at the numerical-rank floor first.
-    floor = 64.0 * op.dim * np.finfo(np.float64).eps * max(float(lam[-1]), 0.0)
-    lam = np.sqrt(np.where(lam > floor, lam, 0.0))
-    v = op.eigenvectors
-    return (v * lam) @ v.conj().T
+    floor = 64.0 * lam.shape[-1] * np.finfo(np.float64).eps * np.maximum(lam[..., -1:], 0.0)
+    root = np.sqrt(np.where(lam > floor, lam, 0.0))
+    return (vec * root[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
+    """Trace norm of AB, or of each product of two stacks: the sum of its
+    singular values."""
+    return np.sum(np.linalg.svd(a @ b, compute_uv=False), axis=-1)
+
+
+def _fidelity_entries(lam_a, vec_a, lam_b, vec_b):
+    return _product_trace_norm_entries(_sqrt_entries(lam_a, vec_a), _sqrt_entries(lam_b, vec_b))
+
+
+def _bures_entries(tr_a, tr_b, fid, n: int):
+    """Bures distances from traces and fidelities (scalars or arrays); the
+    first radicand below the clamp window raises."""
+    radicand = tr_a + tr_b - 2.0 * fid
+    low = np.flatnonzero(radicand < -1e-9 * (tr_a + tr_b + 1.0))
+    if low.size:
+        raise NumericalBreakdown(
+            f"Bures radicand {np.ravel(radicand)[low[0]]:.3e} below the -1e-9 clamp window"
+        )
+    return np.sqrt(np.where(radicand < _RADICAND_FLOOR * n * (1.0 + tr_a + tr_b), 0.0, radicand))
+
+
+def _orthogonality_threshold(tr_x, tr_y, tol: float):
+    return tol * (1.0 + tr_x * tr_y)
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity of two PSD operators (not squared, not normalized)."""
     _check_dims(a, b)
-    product = _sqrt_entries(a) @ _sqrt_entries(b)
-    return float(np.sum(np.linalg.svd(product, compute_uv=False)))
+    return float(_fidelity_entries(a.eigenvalues, a.eigenvectors, b.eigenvalues, b.eigenvectors))
 
 
 def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Bures metric (tr A + tr B - 2 F(A,B))^{1/2} on the density cone."""
     _check_dims(a, b)
-    tr_a, tr_b = a.trace, b.trace
-    radicand = tr_a + tr_b - 2.0 * fidelity(a, b)
-    if radicand < -1e-9 * (tr_a + tr_b + 1.0):
-        raise NumericalBreakdown(
-            f"Bures radicand {radicand:.3e} below the -1e-9 clamp window"
-        )
-    if radicand < _RADICAND_FLOOR * a.dim * (1.0 + tr_a + tr_b):
-        radicand = 0.0
-    return float(np.sqrt(radicand))
+    return float(_bures_entries(a.trace, b.trace, fidelity(a, b), a.dim))
 
 
 def trace_distance(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -76,7 +97,7 @@ def trace_distance(a: HermitianOperator, b: HermitianOperator) -> float:
 def product_trace_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     """Trace norm of the (generally non-Hermitian) product AB."""
     _check_dims(a, b)
-    return float(np.sum(np.linalg.svd(a.entries @ b.entries, compute_uv=False)))
+    return float(_product_trace_norm_entries(a.entries, b.entries))
 
 
 def are_orthogonal(
@@ -87,8 +108,44 @@ def are_orthogonal(
     For PSD operators the trace norm equals the trace, so the scale factor
     uses traces directly.
     """
-    threshold = tol * (1.0 + x.trace * y.trace)
-    return product_trace_norm(x, y) <= threshold
+    return product_trace_norm(x, y) <= _orthogonality_threshold(x.trace, y.trace, tol)
+
+
+def _stacks(xs, ys, attr: str) -> tuple[np.ndarray, np.ndarray]:
+    """One attribute of two equally long operator lists of one dimension,
+    stacked."""
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} operators paired with {len(ys)}")
+    dims = {op.dim for op in xs} | {op.dim for op in ys}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"operator dims {sorted(dims)} differ")
+    return (np.array([getattr(op, attr) for op in xs]),
+            np.array([getattr(op, attr) for op in ys]))
+
+
+def _traces(ops) -> np.ndarray:
+    return np.array([op.trace for op in ops])
+
+
+def orthogonality(xs, ys, tol: float = ORTHOGONALITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """product_trace_norm of each pair (xs[i], ys[i]) and whether
+    are_orthogonal holds for it, batched."""
+    norms = _product_trace_norm_entries(*_stacks(xs, ys, "entries"))
+    return norms, norms <= _orthogonality_threshold(_traces(xs), _traces(ys), tol)
+
+
+def distances(kind: MetricKind, xs, ys) -> np.ndarray:
+    """distance(kind, xs[i], ys[i]) for each pair, batched; each value is
+    bit for bit the per-pair one."""
+    if kind is MetricKind.BURES:
+        lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
+        vec_x, vec_y = _stacks(xs, ys, "eigenvectors")
+        fid = _fidelity_entries(lam_x, vec_x, lam_y, vec_y)
+        return _bures_entries(_traces(xs), _traces(ys), fid, xs[0].dim)
+    if kind is MetricKind.TRACE_NORM:
+        x, y = _stacks(xs, ys, "entries")
+        return trace_norm_entries(x - y)
+    raise ValueError(f"unknown metric kind {kind!r}")
 
 
 def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:

@@ -18,7 +18,14 @@ from .errors import (
     NotPositiveSemidefinite,
     NumericalBreakdown,
 )
-from .linalg import HermitianOperator, trace_norm_entries
+from .linalg import (
+    NONFINITE_MESSAGE,
+    HermitianOperator,
+    _as_complex_squares,
+    _finite_prefix,
+    _symmetrized,
+    trace_norm_entries,
+)
 
 #: relative floor for "numerically PSD": eigenvalues above -PSD_TOL*(1+trace)
 #: are clamped to zero, anything lower is rejected.
@@ -33,31 +40,81 @@ class DensityOperator(HermitianOperator):
 
     Construction eigendecomposes once: eigenvalues within -1e-9*(1+trace) of
     zero are clamped to exactly zero, more negative ones raise
-    NotPositiveSemidefinite.  The spectrum is cached for downstream use.
+    NotPositiveSemidefinite.  The spectrum and the trace are cached for
+    downstream use.  ``from_stack`` builds a whole ``(k, n, n)`` stack with
+    the same checks and one batched decomposition.
     """
 
-    __slots__ = ("_eigenvalues", "_eigenvectors")
+    __slots__ = ("_eigenvalues", "_eigenvectors", "_trace")
+
+    #: whether construction also holds the trace to 1 (QuantumState)
+    _UNIT_TRACE = False
 
     def __init__(self, entries):
-        super().__init__(entries)
-        lam, vec = np.linalg.eigh(self.entries)
-        tr = float(np.trace(self.entries).real)
+        ent, lam, vec, tr = self._validated(entries, stacked=False)
+        self._fill(ent[0], lam[0], vec[0], tr[0])
+
+    @classmethod
+    def from_stack(cls, entries) -> list:
+        """One operator per matrix of a ``(k, n, n)`` stack, each bit for bit
+        what the constructor makes of that matrix; the first matrix in order
+        that the constructor would reject raises its exception."""
+        ent, lam, vec, tr = cls._validated(entries, stacked=True)
+        ops = []
+        for i, trace in enumerate(tr):
+            op = cls.__new__(cls)
+            op._fill(ent[i], lam[i], vec[i], trace)
+            ops.append(op)
+        return ops
+
+    @classmethod
+    def _validated(cls, entries, stacked: bool):
+        """Entries, eigenvalues, eigenvectors and traces of a stack, with
+        every construction check applied in the order a loop over the
+        matrices would meet them."""
+        arr = _as_complex_squares(entries, 3 if stacked else 2)
+        if not stacked:
+            arr = arr[None]
+        count = len(arr)
+        finite = _finite_prefix(arr)
+        arr = _symmetrized(arr[:finite])
+        lam, vec = np.linalg.eigh(arr)
+        tr = arr.trace(axis1=1, axis2=2).real
         tol = PSD_TOL * (1.0 + tr)
-        if lam[0] < -tol:
+        lowest = lam[:, 0]
+        first_below = finite
+        if lowest.min(initial=0.0) < 0.0:
+            below = np.flatnonzero(lowest < -tol)
+            if below.size:
+                first_below = int(below[0])
+            low = np.flatnonzero(lowest[:first_below] < 0.0)
+            if low.size:
+                lam[low] = np.maximum(lam[low], 0.0)
+                v = vec[low]
+                arr[low] = _symmetrized((v * lam[low][:, None, :]) @ v.conj().swapaxes(-1, -2))
+                tr[low] = arr[low].trace(axis1=1, axis2=2).real
+        traces = tr.tolist()
+        if cls._UNIT_TRACE:
+            off = next((t for t in traces[:first_below] if abs(t - 1.0) > 1e-10), None)
+            if off is not None:
+                raise ValueError(f"quantum state must have trace 1, got {off!r}")
+        if first_below < finite:
+            eigenvalue = float(lowest[first_below])
             raise NotPositiveSemidefinite(
-                f"density operator has eigenvalue {lam[0]:.3e} < -{tol:.3e}",
-                eigenvalue=float(lam[0]),
+                f"density operator has eigenvalue {eigenvalue:.3e} < -{tol[first_below]:.3e}",
+                eigenvalue=eigenvalue,
             )
-        if lam[0] < 0.0:
-            lam = np.maximum(lam, 0.0)
-            ent = (vec * lam) @ vec.conj().T
-            ent = (ent + ent.conj().T) / 2.0
-            ent.setflags(write=False)
-            self.entries = ent
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        self._eigenvalues = lam
-        self._eigenvectors = vec
+        if finite < count:
+            raise ValueError(NONFINITE_MESSAGE)
+        for a in (arr, lam, vec):
+            a.setflags(write=False)
+        return arr, lam, vec, traces
+
+    def _fill(self, entries, eigenvalues, eigenvectors, trace: float) -> None:
+        self.entries = entries
+        self._eigenvalues = eigenvalues
+        self._eigenvectors = eigenvectors
+        self._trace = trace
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -69,11 +126,11 @@ class DensityOperator(HermitianOperator):
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return self._trace
 
     def rank(self, tol: float = 1e-10) -> int:
         """Number of eigenvalues above tol*(1+trace)."""
-        return int(np.count_nonzero(self._eigenvalues > tol * (1.0 + self.trace)))
+        return int(np.count_nonzero(self._eigenvalues > tol * (1.0 + self._trace)))
 
 
 class QuantumState(DensityOperator):
@@ -81,11 +138,7 @@ class QuantumState(DensityOperator):
 
     __slots__ = ()
 
-    def __init__(self, entries):
-        super().__init__(entries)
-        tr = self.trace
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"quantum state must have trace 1, got {tr!r}")
+    _UNIT_TRACE = True
 
 
 class PureState:
@@ -152,6 +205,11 @@ def _ginibre(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def _unitarity_defect(u: np.ndarray) -> float:
+    """Trace norm of U U* - 1."""
+    return float(trace_norm_entries(u @ u.conj().T - np.eye(u.shape[0])))
+
+
 def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary.
 
@@ -165,7 +223,7 @@ def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    defect = float(trace_norm_entries(q @ q.conj().T - np.eye(n)))
+    defect = _unitarity_defect(q)
     if defect > 1e-10 * n:
         raise NumericalBreakdown(f"unitarity defect {defect:.3e} exceeds 1e-10*n")
     return q
@@ -195,6 +253,13 @@ def random_density(
         raise InvalidParameter("trace_target must be positive")
     gen = generator_of(rng)
     out = DensityOperator(_wishart_entries(n, rank, trace_target, gen))
+    _check_sampled_density(out, rank, trace_target)
+    return out
+
+
+def _check_sampled_density(out: DensityOperator, rank: int, trace_target: float) -> None:
+    """Raise NumericalBreakdown unless a Wishart draw has the rank and trace
+    it was sampled with."""
     realized = int(np.count_nonzero(out.eigenvalues > 1e-10 * trace_target))
     if realized != rank:
         raise NumericalBreakdown(
@@ -202,7 +267,6 @@ def random_density(
         )
     if abs(out.trace - trace_target) > 1e-12 * max(1.0, trace_target):
         raise NumericalBreakdown("sampled density trace off target")
-    return out
 
 
 def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> QuantumState:

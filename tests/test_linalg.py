@@ -25,6 +25,10 @@ def random_psd(n, gen):
     return DensityOperator(g @ g.conj().T)
 
 
+def sqrt_of(op):
+    return _sqrt_entries(op.eigenvalues, op.eigenvectors)
+
+
 def parts(arr):
     return psd_clamp_entries(arr), psd_clamp_entries(-arr)
 
@@ -92,33 +96,33 @@ class TestEig:
 
 class TestMatrixSqrt:
     def test_diagonal(self):
-        root = _sqrt_entries(DensityOperator(np.diag([4.0, 9.0])))
+        root = sqrt_of(DensityOperator(np.diag([4.0, 9.0])))
         assert np.allclose(root, np.diag([2.0, 3.0]))
 
     def test_zero(self):
-        assert np.allclose(_sqrt_entries(zero_density(3)), 0.0)
+        assert np.allclose(sqrt_of(zero_density(3)), 0.0)
 
     def test_projection_fixed_point(self):
         p = DensityOperator(np.array([[1.0, 1.0], [1.0, 1.0]]) / 2.0)
-        assert np.allclose(_sqrt_entries(p), p.entries, atol=1e-12)
+        assert np.allclose(sqrt_of(p), p.entries, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_square_recovers_input(self, n):
         gen = np.random.default_rng(7 + n)
         for _ in range(10):
             op = random_psd(n, gen)
-            root = _sqrt_entries(op)
+            root = sqrt_of(op)
             err = float(trace_norm_entries(root @ root - op.entries))
             assert err <= 1e-9 * (1.0 + op.trace)
             assert np.linalg.eigvalsh(root)[0] >= -1e-12
 
     def test_rejects_not_psd(self):
         with pytest.raises(NotPositiveSemidefinite) as info:
-            _sqrt_entries(DensityOperator(np.diag([1.0, -0.5])))
+            sqrt_of(DensityOperator(np.diag([1.0, -0.5])))
         assert info.value.eigenvalue == pytest.approx(-0.5)
 
     def test_clamps_within_tolerance(self):
-        root = _sqrt_entries(DensityOperator(np.diag([1.0, -1e-12])))
+        root = sqrt_of(DensityOperator(np.diag([1.0, -1e-12])))
         assert np.allclose(root, np.diag([1.0, 0.0]), atol=1e-6)
 
 
@@ -142,7 +146,7 @@ class TestAbsAndParts:
         gen = np.random.default_rng(n)
         for _ in range(10):
             op = random_hermitian(n, gen)
-            via_sqrt = _sqrt_entries(DensityOperator(op @ op))
+            via_sqrt = sqrt_of(DensityOperator(op @ op))
             norm = float(trace_norm_entries(op))
             err = float(trace_norm_entries(abs_entries(op) - via_sqrt))
             assert err <= 1e-9 * (1.0 + norm**2)

@@ -1,0 +1,423 @@
+"""The blocked sample loops of qsm.maps against the one-sample-at-a-time loops
+they replaced: same reports, same reconstructions, the same operators handed
+to an oracle in the same order, and the same generator state, bit for bit."""
+
+import numpy as np
+import pytest
+
+import qsm.maps
+
+from qsm.errors import InvalidParameter, NotImplementable, NotIsometryEvidence
+from qsm.linalg import trace_norm_entries
+from qsm.maps import (
+    PHASE_CONVENTION,
+    TOL_ACCEPT,
+    IsometryReport,
+    MapDomain,
+    MapKind,
+    PreservationReport,
+    ReconstructionResult,
+    RoundtripReport,
+    _fix_phase,
+    _pure_image_vector,
+    antiunitary_conjugation,
+    apply_map,
+    check_isometry,
+    isometry_roundtrip,
+    named_nonisometry,
+    oracle_map,
+    preservation_suite,
+    reconstruct_implementer,
+    trace_preservation_check,
+    unitary_conjugation,
+)
+from qsm.metrics import MetricKind, are_orthogonal, distance, product_trace_norm, trace_distance
+from qsm.states import (
+    DensityOperator,
+    PureState,
+    QuantumState,
+    RngStream,
+    _unitarity_defect,
+    basis_projection,
+    generator_of,
+    random_density,
+    random_state,
+    random_unitary,
+    zero_density,
+)
+
+# --- reference oracles: the serial loops, kept verbatim ----------------------
+
+
+def _sample_in_domain(n, gen, domain):
+    rank = int(gen.integers(1, n + 1))
+    if domain is MapDomain.STATES_ONLY:
+        return random_state(n, rank, gen)
+    return random_density(n, rank, float(gen.uniform(0.2, 2.0)), gen)
+
+
+def serial_check_isometry(m, metric, rng, pairs):
+    if pairs < 1:
+        raise InvalidParameter("need at least one pair")
+    seed = rng.seed if isinstance(rng, RngStream) else 0
+    gen = generator_of(rng)
+    worst = 0.0
+    worst_pair = None
+    for _ in range(pairs):
+        a = _sample_in_domain(m.dim, gen, m.domain)
+        b = _sample_in_domain(m.dim, gen, m.domain)
+        deviation = abs(distance(metric, apply_map(m, a), apply_map(m, b)) - distance(metric, a, b))
+        if worst_pair is None or deviation > worst:
+            worst, worst_pair = deviation, (a, b)
+    return IsometryReport(metric, pairs, worst, worst_pair, seed)
+
+
+def serial_trace_preservation_check(m, rng, samples=100, tol=1e-9):
+    gen = generator_of(rng)
+    worst = 0.0
+    for _ in range(samples):
+        a = _sample_in_domain(m.dim, gen, m.domain)
+        worst = max(worst, abs(apply_map(m, a).trace - a.trace))
+    return worst <= tol
+
+
+def _orthogonal_pair(n, gen, domain):
+    v = random_unitary(n, gen)
+    k = int(gen.integers(1, n))
+    left, right = v[:, :k], v[:, k:]
+    tr_x = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
+    tr_y = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
+    x = random_density(k, int(gen.integers(1, k + 1)), tr_x, gen)
+    y = random_density(n - k, int(gen.integers(1, n - k + 1)), tr_y, gen)
+    build = QuantumState if domain is MapDomain.STATES_ONLY else DensityOperator
+    return (
+        build(left @ x.entries @ left.conj().T),
+        build(right @ y.entries @ right.conj().T),
+    )
+
+
+def serial_preservation_suite(m, rng, samples=100):
+    gen = generator_of(rng)
+    n = m.dim
+    build = QuantumState if m.domain is MapDomain.STATES_ONLY else DensityOperator
+    fwd_max, fwd_bad = 0.0, 0
+    bwd_min, bwd_bad = np.inf, 0
+    rank_bad = 0
+    affinity_max = 0.0
+    for _ in range(samples):
+        if n >= 2:
+            x, y = _orthogonal_pair(n, gen, m.domain)
+            fx, fy = apply_map(m, x), apply_map(m, y)
+            fwd_max = max(fwd_max, product_trace_norm(fx, fy))
+            if not are_orthogonal(fx, fy):
+                fwd_bad += 1
+            a = _sample_in_domain(n, gen, m.domain)
+            b = _sample_in_domain(n, gen, m.domain)
+            overlapping = build((a.entries + b.entries) / 2.0)
+            fa, fo = apply_map(m, a), apply_map(m, overlapping)
+            bwd_min = min(bwd_min, product_trace_norm(fa, fo))
+            if are_orthogonal(fa, fo):
+                bwd_bad += 1
+        sample = _sample_in_domain(n, gen, m.domain)
+        if apply_map(m, sample).rank() != sample.rank():
+            rank_bad += 1
+        lam = float(gen.uniform())
+        a = _sample_in_domain(n, gen, m.domain)
+        b = _sample_in_domain(n, gen, m.domain)
+        mixed = lam * a.entries + (1.0 - lam) * b.entries
+        image_of_mix = apply_map(m, build(mixed)).entries
+        mix_of_images = lam * apply_map(m, a).entries + (1.0 - lam) * apply_map(m, b).entries
+        affinity_max = max(
+            affinity_max,
+            float(trace_norm_entries(image_of_mix - mix_of_images)),
+        )
+    if not np.isfinite(bwd_min):
+        bwd_min = 0.0
+    return PreservationReport(
+        samples=samples,
+        orthogonal_pairs_max_product=fwd_max,
+        forward_orthogonality_violations=fwd_bad,
+        overlapping_pairs_min_product=float(bwd_min),
+        backward_orthogonality_violations=bwd_bad,
+        rank_mismatches=rank_bad,
+        affinity_max_violation=affinity_max,
+    )
+
+
+def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=100):
+    gen = generator_of(rng)
+    if oracle.domain is MapDomain.FULL_DENSITY:
+        zero_image = apply_map(oracle, zero_density(n))
+        if zero_image.trace > 1e-8:
+            raise NotImplementable(
+                "map does not fix the zero operator",
+                residual=zero_image.trace,
+                probe="zero",
+            )
+        if not serial_trace_preservation_check(oracle, gen, samples=25, tol=1e-8):
+            raise NotImplementable(
+                "map does not preserve the trace", residual=np.inf, probe="trace"
+            )
+
+    columns = [
+        _pure_image_vector(oracle, basis_projection(n, i), tol, f"basis:{i}")
+        for i in range(n)
+    ]
+    first = _fix_phase(columns[0])
+    assembled = [first]
+    for i in range(1, n):
+        vec = np.zeros(n, dtype=np.complex128)
+        vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
+        w = _pure_image_vector(
+            oracle, PureState(vec).as_projection(), tol, f"superposition:{i}"
+        )
+        a = np.vdot(first, w)
+        b = np.vdot(columns[i], w)
+        if min(abs(a), abs(b)) < 1e-3:
+            raise NotImplementable(
+                f"superposition probe {i} overlaps are incompatible with an isometry",
+                residual=float(min(abs(a), abs(b))),
+                probe=f"superposition:{i}",
+            )
+        phase = b / a
+        assembled.append(columns[i] * (phase / abs(phase)))
+
+    kind = MapKind.UNITARY_CONJ
+    if n >= 2:
+        vec = np.zeros(n, dtype=np.complex128)
+        vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+        z = _pure_image_vector(oracle, PureState(vec).as_projection(), tol, "imaginary")
+        plus = (assembled[0] + 1j * assembled[1]) / np.sqrt(2.0)
+        minus = (assembled[0] - 1j * assembled[1]) / np.sqrt(2.0)
+        if abs(np.vdot(minus, z)) > abs(np.vdot(plus, z)):
+            kind = MapKind.ANTIUNITARY_CONJ
+
+    u = np.column_stack(assembled)
+    defect = _unitarity_defect(u)
+    if defect > 1e-10 * n:
+        raise NotImplementable(
+            f"assembled columns are not unitary (defect {defect:.3e})",
+            residual=defect,
+            probe="assembly",
+        )
+    recon = (
+        antiunitary_conjugation(u) if kind is MapKind.ANTIUNITARY_CONJ else unitary_conjugation(u)
+    )
+    residual = 0.0
+    for _ in range(validation_samples):
+        state = random_state(n, int(gen.integers(1, n + 1)), gen)
+        residual = max(
+            residual, trace_distance(apply_map(oracle, state), apply_map(recon, state))
+        )
+    if residual > TOL_ACCEPT:
+        raise NotImplementable(
+            f"validation residual {residual:.3e} exceeds {TOL_ACCEPT:.1e}",
+            residual=residual,
+            probe="validation",
+        )
+    return ReconstructionResult(u, kind, residual, PHASE_CONVENTION, validation_samples)
+
+
+def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
+                              preservation_samples):
+    gen = generator_of(rng)
+    u_true = random_unitary(n, gen)
+    hidden = (
+        unitary_conjugation(u_true, domain)
+        if kind is MapKind.UNITARY_CONJ
+        else antiunitary_conjugation(u_true, domain)
+    )
+    oracle = oracle_map(lambda a: apply_map(hidden, a), n, domain)
+    bures_dev = serial_check_isometry(oracle, MetricKind.BURES, gen, pairs).max_deviation
+    trace_dev = serial_check_isometry(oracle, MetricKind.TRACE_NORM, gen, pairs).max_deviation
+    preserved = serial_preservation_suite(
+        oracle, gen, samples=preservation_samples
+    ).all_preserved()
+    recon = serial_reconstruct_implementer(
+        oracle, n, gen, validation_samples=validation_samples
+    )
+    overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
+    recon_map = recon.as_map(domain)
+    validation_max = 0.0
+    for _ in range(validation_samples):
+        state = random_state(n, int(gen.integers(1, n + 1)), gen)
+        validation_max = max(
+            validation_max,
+            trace_distance(apply_map(oracle, state), apply_map(recon_map, state)),
+        )
+    expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
+    passed = (
+        recon.kind is expected_kind
+        and bures_dev <= 1e-8
+        and trace_dev <= 1e-8
+        and overlap >= 1.0 - 1e-8
+        and validation_max <= TOL_ACCEPT
+        and preserved
+    )
+    return RoundtripReport(
+        dim=n,
+        kind_requested=kind,
+        kind_recovered=recon.kind,
+        bures_deviation=bures_dev,
+        trace_deviation=trace_dev,
+        overlap=overlap,
+        residual=recon.residual,
+        validation_max=validation_max,
+        properties_preserved=preserved,
+        passed=passed,
+    )
+
+
+# --- the comparisons -----------------------------------------------------------
+
+#: n = 12 and 16 are where the entry cap shrinks a block to a few samples
+DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16]
+DOMAINS = [MapDomain.FULL_DENSITY, MapDomain.STATES_ONLY]
+MAP_NAMES = ["unitary", "antiunitary", "oracle", "depolarizing", "pinching"]
+
+#: a smaller entry cap for the per-loop tests, so that every dimension runs
+#: several blocks in few samples; the roundtrip test keeps the real cap
+SMALL_CAP = 100
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", SMALL_CAP)
+
+
+def _count(n, per_sample):
+    """Two full blocks plus one sample: never a multiple of the block."""
+    return 2 * max(1, SMALL_CAP // (per_sample * n * n)) + 1
+
+
+class RecordingOracle:
+    """An oracle hiding an antiunitary conjugation that keeps every input."""
+
+    def __init__(self, n, domain):
+        self.hidden = antiunitary_conjugation(random_unitary(n, RngStream(98, n)), domain)
+        self.seen = []
+
+    def __call__(self, a):
+        self.seen.append(a.entries.copy())
+        return apply_map(self.hidden, a)
+
+
+def _map(name, n, domain):
+    """The map under test and, for an oracle, the recorder behind it."""
+    u = random_unitary(n, RngStream(99, n))
+    if name == "unitary":
+        return unitary_conjugation(u, domain), None
+    if name == "antiunitary":
+        return antiunitary_conjugation(u, domain), None
+    if name == "oracle":
+        recorder = RecordingOracle(n, domain)
+        return oracle_map(recorder, n, domain), recorder
+    if name == "depolarizing":
+        return named_nonisometry("depolarizing", n, p=0.3, domain=domain), None
+    if name == "pinching":
+        return named_nonisometry("pinching", n, basis=u, domain=domain), None
+    if name == "trace-rescale":
+        return named_nonisometry("trace-rescale", n, c=2.0, domain=domain), None
+    raise ValueError(name)
+
+
+def _run_both(name, n, domain, call):
+    """Run ``call(map, generator)`` on the serial reference's side and the
+    blocked side with twin generators; hand back both results after checking
+    the generators and what any oracle saw."""
+    results, gens, seen = [], [], []
+    for side in (0, 1):
+        m, recorder = _map(name, n, domain)
+        gen = RngStream(7, 100 + n).generator()
+        try:
+            results.append(call(side, m, gen))
+        except (NotImplementable, NotIsometryEvidence) as exc:
+            results.append((type(exc), str(exc), vars(exc)))
+        gens.append(gen)
+        seen.append(recorder.seen if recorder else [])
+    assert gens[1].bit_generator.state == gens[0].bit_generator.state
+    assert len(seen[1]) == len(seen[0])
+    assert all(np.array_equal(x, y) for x, y in zip(seen[0], seen[1]))
+    return results
+
+
+@pytest.mark.parametrize("metric", [MetricKind.BURES, MetricKind.TRACE_NORM])
+@pytest.mark.parametrize("name", MAP_NAMES)
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.usefixtures("small_blocks")
+def test_check_isometry_matches_serial_loop(n, domain, name, metric):
+    pairs = _count(n, 2)
+    serial, blocked = _run_both(
+        name, n, domain,
+        lambda side, m, gen: (check_isometry if side else serial_check_isometry)(
+            m, metric, gen, pairs),
+    )
+    assert blocked.pairs_tested == serial.pairs_tested == pairs
+    assert blocked.max_deviation == serial.max_deviation
+    for got, want in zip(blocked.worst_pair, serial.worst_pair):
+        assert type(got) is type(want)
+        assert np.array_equal(got.entries, want.entries)
+
+
+@pytest.mark.parametrize("name", MAP_NAMES + ["trace-rescale"])
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.usefixtures("small_blocks")
+def test_trace_preservation_matches_serial_loop(n, name):
+    samples = _count(n, 1)
+    serial, blocked = _run_both(
+        name, n, MapDomain.FULL_DENSITY,
+        lambda side, m, gen: (trace_preservation_check if side
+                              else serial_trace_preservation_check)(m, gen, samples),
+    )
+    assert blocked is serial is (name != "trace-rescale")
+
+
+@pytest.mark.parametrize("name", MAP_NAMES)
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.usefixtures("small_blocks")
+def test_preservation_suite_matches_serial_loop(n, domain, name):
+    samples = _count(n, 8 if n >= 2 else 4)
+    serial, blocked = _run_both(
+        name, n, domain,
+        lambda side, m, gen: (preservation_suite if side else serial_preservation_suite)(
+            m, gen, samples),
+    )
+    assert blocked == serial
+    assert blocked.samples == samples
+
+
+@pytest.mark.parametrize("name", MAP_NAMES)
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.usefixtures("small_blocks")
+def test_reconstruction_matches_serial_loop(n, domain, name):
+    samples = _count(n, 1)
+    serial, blocked = _run_both(
+        name, n, domain,
+        lambda side, m, gen: (reconstruct_implementer if side
+                              else serial_reconstruct_implementer)(
+            m, n, gen, validation_samples=samples),
+    )
+    if isinstance(serial, tuple):
+        assert blocked == serial
+        return
+    assert np.array_equal(blocked.unitary, serial.unitary)
+    assert blocked.kind is serial.kind
+    assert blocked.residual == serial.residual
+    assert blocked.validation_samples == serial.validation_samples == samples
+
+
+@pytest.mark.parametrize("kind", [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ])
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", DIMS)
+def test_roundtrip_matches_serial_loop(n, domain, kind):
+    settings = dict(pairs=13, validation_samples=9, domain=domain, preservation_samples=5)
+    serial_gen = RngStream(11, n).generator()
+    blocked_gen = RngStream(11, n).generator()
+    serial = serial_isometry_roundtrip(kind, n, serial_gen, **settings)
+    blocked = isometry_roundtrip(kind, n, blocked_gen, **settings)
+    assert blocked == serial
+    assert blocked.passed
+    assert blocked_gen.bit_generator.state == serial_gen.bit_generator.state

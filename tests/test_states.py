@@ -43,6 +43,75 @@ class TestDensityOperator:
             QuantumState(np.diag([0.25, 0.8]))
 
 
+def _wishart(n, rank, gen):
+    g = gen.standard_normal((n, rank)) + 1j * gen.standard_normal((n, rank))
+    a = g @ g.conj().T
+    return a / np.trace(a).real
+
+
+class TestFromStack:
+    """Stacked construction against one constructor call per matrix."""
+
+    @staticmethod
+    def _assert_same(stacked, single):
+        assert type(stacked) is type(single)
+        assert np.array_equal(stacked.entries, single.entries)
+        assert np.array_equal(stacked.eigenvalues, single.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors, single.eigenvectors)
+        assert stacked.trace == single.trace == float(np.trace(single.entries).real)
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
+    def test_matches_per_matrix_construction(self, cls, n):
+        gen = np.random.default_rng(n)
+        mats = [_wishart(n, rank, gen) for rank in range(1, n + 1) for _ in range(3)]
+        mats.append(np.diag([1.0] + [-1e-12] * (n - 1)) if n > 1 else np.eye(1))
+        ops = cls.from_stack(np.stack(mats))
+        assert len(ops) == len(mats)
+        for op, mat in zip(ops, mats):
+            self._assert_same(op, cls(mat))
+        if n > 1:
+            clamped = [np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < 0.0 for m in mats]
+            assert any(clamped)
+            assert ops[-1].eigenvalues[0] == 0.0
+
+    def test_single_matrix_stack(self):
+        mat = _wishart(3, 2, np.random.default_rng(1))
+        (op,) = QuantumState.from_stack(mat[None])
+        self._assert_same(op, QuantumState(mat))
+
+    @staticmethod
+    def _message(cls, mat):
+        with pytest.raises((ValueError, NotPositiveSemidefinite)) as info:
+            cls(mat)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    def test_first_bad_matrix_raises_as_the_constructor(self, cls):
+        good = np.diag([0.5, 0.5])
+        below = np.diag([1.0 + 1e-3, -1e-3])
+        nonfinite = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        off_trace = np.diag([0.5, 0.6])
+        stacks = [[good, below, nonfinite], [good, nonfinite, below]]
+        if cls is QuantumState:
+            stacks += [[good, off_trace, below], [off_trace, nonfinite]]
+        for stack in stacks:
+            first_bad = next(m for m in stack[1:] if m is not good) if stack[0] is good else stack[0]
+            kind, message = self._message(cls, first_bad)
+            with pytest.raises(kind) as info:
+                cls.from_stack(np.stack(stack))
+            assert str(info.value) == message
+        with pytest.raises(NotPositiveSemidefinite) as info:
+            cls.from_stack(np.stack([good, below]))
+        assert info.value.eigenvalue == pytest.approx(-1e-3)
+
+    def test_rejects_a_matrix_where_a_stack_is_due(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityOperator.from_stack(np.eye(2))
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityOperator(np.zeros((1, 2, 2)))
+
+
 class TestPureState:
     def test_basis_vector(self):
         proj = PureState([1.0, 0.0]).as_projection()
