@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -31,26 +30,6 @@ from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
 from .suites import SUITE_IDS, TOLERANCE_NAMES, run_suite
 
 SCHEMA = "qsm-report/1"
-
-
-@dataclass
-class RunConfig:
-    """Everything needed to replay a verification run."""
-
-    dims: list[int]
-    seed: int
-    samples: int
-    budget: int
-    tolerances: dict[str, float] = field(default_factory=dict)
-
-    def as_json(self) -> dict:
-        return {
-            "dims": self.dims,
-            "seed": self.seed,
-            "samples": self.samples,
-            "budget": self.budget,
-            "tolerances": self.tolerances,
-        }
 
 
 def dim_cap() -> int:
@@ -175,22 +154,21 @@ def cmd_verify(suite_id, dims, seed, samples, budget, tol_entries, output_path):
         )
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
-    config = RunConfig(
-        dims=parse_dims(dims),
-        seed=seed,
-        samples=samples,
-        budget=budget,
-        tolerances=parse_tolerances(tol_entries),
-    )
-    reports = run_suite(
-        suite_id, config.dims, config.seed, config.samples, config.budget, config.tolerances
-    )
+    # everything needed to replay the run
+    config = {
+        "dims": parse_dims(dims),
+        "seed": seed,
+        "samples": samples,
+        "budget": budget,
+        "tolerances": parse_tolerances(tol_entries),
+    }
+    reports = run_suite(suite_id, config["dims"], seed, samples, budget, config["tolerances"])
     passed = all(r.passed for r in reports)
     payload = {
         "schema": SCHEMA,
         "command": "verify",
         "suite": suite_id,
-        "config": config.as_json(),
+        "config": config,
         "pass": passed,
         "reports": [r.to_json() for r in reports],
     }
@@ -246,7 +224,7 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
                 state_map = statemap_from_json(json.load(fh))
         except (ValueError, KeyError, QsmError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"could not load map file: {exc}") from exc
-        if state_map.dim != dim and state_map.dim > 0:
+        if state_map.dim != dim:
             dim = state_map.dim
             if dim > dim_cap():
                 raise click.UsageError(f"map dimension {dim} exceeds cap {dim_cap()}")

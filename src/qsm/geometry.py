@@ -71,7 +71,6 @@ class DiameterEstimate:
 
     lower_bound: float
     witness_pair: tuple[DensityOperator, DensityOperator]
-    samples_used: int
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def bures_ball_diameter(
             best, best_pair = d, (x, y)
     for member in best_pair:
         assert bures_distance(member, center) <= eps + BALL_SLACK
-    return DiameterEstimate(best, best_pair, len(pairs))
+    return DiameterEstimate(best, best_pair)
 
 
 def nonzero_center_witness(
@@ -406,25 +405,6 @@ def intersection_uniqueness_search(
         rejections=rejections,
         final_scale=scale,
     )
-
-
-def sample_in_trace_ball(
-    center: DensityOperator,
-    radius: float,
-    rng: RngStream | np.random.Generator,
-    max_tries: int = 200,
-) -> DensityOperator:
-    """Rejection-sample the trace-norm ball: Gaussian Hermitian steps clamped
-    to the PSD cone (no trace renormalization), accepted on membership."""
-    gen = generator_of(rng)
-    n = center.dim
-    for _ in range(max_tries):
-        sigma = float(gen.uniform(0.05, 1.0)) * radius
-        g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-        candidate = DensityOperator(psd_clamp_entries(center.entries + sigma * (g + g.conj().T) / 2.0))
-        if trace_distance(candidate, center) <= radius:
-            return candidate
-    return DensityOperator(center.entries)
 
 
 def orthocomplement_pool(

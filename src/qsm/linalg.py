@@ -68,23 +68,26 @@ def trace_norm_entries(arr: np.ndarray):
     return np.sum(np.abs(np.linalg.eigvalsh(arr)), axis=-1)
 
 
+def _spectral_rebuild(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """V diag(lam) V* of one matrix, or of each matrix of a stack, from
+    eigenvalues ``(..., n)`` and eigenvectors ``(..., n, n)``; callers pass
+    the eigenvalues already mapped (clamped, square-rooted)."""
+    return (vec * lam[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
 def psd_clamp_entries(arr: np.ndarray) -> np.ndarray:
     """Clamp negative eigenvalues to zero in a Hermitian matrix, or in each
     matrix of a ``(k, n, n)`` stack with one batched ``eigh``.
 
     The trace is not renormalized; it grows by exactly the clamped mass.
-    Matrices that are already PSD come back unchanged; a stack is copied
+    Matrices that are already PSD come back unchanged; the input is copied
     before the others are replaced.
     """
-    lam, vec = np.linalg.eigh(arr)
-    if arr.ndim == 2:
-        if lam[0] >= 0.0:
-            return arr
-        return (vec * np.maximum(lam, 0.0)) @ vec.conj().T
+    stack = arr.reshape(-1, *arr.shape[-2:])
+    lam, vec = np.linalg.eigh(stack)
     low = np.flatnonzero(lam[:, 0] < 0.0)
     if not low.size:
         return arr
-    v = vec[low]
-    out = arr.copy()
-    out[low] = (v * np.maximum(lam[low], 0.0)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return out
+    out = stack.copy()
+    out[low] = _spectral_rebuild(np.maximum(lam[low], 0.0), vec[low])
+    return out.reshape(arr.shape)

@@ -37,13 +37,13 @@ from .errors import (
 )
 from .linalg import trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
-from .serialize import matrix_to_json, unitary_from_json
+from .serialize import _decode_dim, matrix_to_json, unitary_from_json
 from .states import (
     DensityOperator,
     PureState,
     QuantumState,
     RngStream,
-    _check_sampled_density,
+    _sampled_stack,
     _unitarity_defect,
     _wishart_entries,
     basis_projection,
@@ -97,6 +97,8 @@ def _checked_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidParameter(f"unitary must be square, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidParameter("unitary entries must be finite")
     defect = _unitarity_defect(u)
     if defect > 1e-10 * u.shape[0]:
         raise InvalidParameter(f"matrix is not unitary: defect {defect:.3e}")
@@ -150,8 +152,8 @@ def named_nonisometry(
             MapKind.NAMED, dim, domain, name=name, params={"basis": basis_arr}
         )
     if name == "trace-rescale":
-        if c is None or not c > 0.0:
-            raise InvalidParameter("trace-rescale needs c > 0")
+        if c is None or not 0.0 < c < np.inf:
+            raise InvalidParameter("trace-rescale needs a finite c > 0")
         if domain is MapDomain.STATES_ONLY and c != 1.0:
             raise InvalidParameter("trace-rescale with c != 1 leaves the state space")
         return StateMap(MapKind.NAMED, dim, domain, name=name, params={"c": float(c)})
@@ -249,23 +251,14 @@ def _draw_sample(n: int, gen: np.random.Generator, domain: MapDomain):
     return _wishart_entries(n, rank, trace, gen), rank, trace
 
 
-def _build_samples(draws: list, domain: MapDomain) -> list[DensityOperator]:
-    """Build drawn operators as one stack and hold each density to the rank
-    and trace it was drawn with, as random_density does."""
-    ops = _domain_type(domain).from_stack(np.array([entries for entries, _, _ in draws]))
-    for op, (_, rank, trace) in zip(ops, draws):
-        if trace is not None:
-            _check_sampled_density(op, rank, trace)
-    return ops
-
-
 def _entries(ops: list[DensityOperator], start: int, step: int) -> np.ndarray:
     """Entries of ops[start::step] as one stack."""
     return np.array([op.entries for op in ops[start::step]])
 
 
 def _sample_block(n: int, gen: np.random.Generator, domain: MapDomain, count: int):
-    return _build_samples([_draw_sample(n, gen, domain) for _ in range(count)], domain)
+    draws = [_draw_sample(n, gen, domain) for _ in range(count)]
+    return _sampled_stack(_domain_type(domain), draws)
 
 
 def check_isometry(
@@ -392,7 +385,7 @@ def preservation_suite(
             draws.append(_draw_sample(n, gen, m.domain))
             lams.append(float(gen.uniform()))
             draws += [_draw_sample(n, gen, m.domain), _draw_sample(n, gen, m.domain)]
-        drawn = _build_samples(draws, m.domain)
+        drawn = _sampled_stack(_domain_type(m.domain), draws)
         lam = np.array(lams)[:, None, None]
         derived = (
             lam * _entries(drawn, drawn_per - 2, drawn_per)
@@ -658,17 +651,33 @@ def statemap_to_json(m: StateMap) -> dict:
     raise InvalidParameter("oracle maps have no wire format")
 
 
+#: the one parameter each named map reads from a map file
+_NAMED_PARAM = {"depolarizing": "p", "pinching": "basis", "trace-rescale": "c"}
+
+
 def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
+    """Decode a map file.  A named map needs an integer "dim" >= 1 and takes
+    only its own parameter: a number, or a matrix for the pinching basis."""
+    if not isinstance(obj, dict):
+        raise InvalidParameter("map JSON must be an object")
     kind = obj.get("kind")
-    dim = int(obj.get("dim", 0))
     if kind == "unitary":
         return unitary_conjugation(unitary_from_json(obj["U"]), domain)
     if kind == "antiunitary":
         return antiunitary_conjugation(unitary_from_json(obj["U"]), domain)
     if kind == "named":
-        params = dict(obj["params"])
-        name = params.pop("id")
-        if "basis" in params and isinstance(params["basis"], dict):
-            params["basis"] = unitary_from_json(params["basis"])
-        return named_nonisometry(name, dim, domain=domain, **params)
+        params = obj.get("params")
+        name = params.get("id") if isinstance(params, dict) else None
+        if name not in _NAMED_PARAM:
+            raise InvalidParameter(f"unknown non-isometry id {name!r}")
+        key = _NAMED_PARAM[name]
+        extra = sorted(set(params) - {"id", key})
+        if extra:
+            raise InvalidParameter(f"{name} takes no parameter {extra[0]!r}")
+        value = params.get(key)
+        if key == "basis":
+            value = None if value is None else unitary_from_json(value)
+        elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise InvalidParameter(f"{name} parameter {key!r} must be a number, got {value!r}")
+        return named_nonisometry(name, _decode_dim(obj.get("dim")), domain=domain, **{key: value})
     raise InvalidParameter(f"unknown map kind {kind!r}")

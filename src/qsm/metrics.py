@@ -7,8 +7,9 @@ square-rooting amplifies null-mode noise to O(sqrt(eps)), which is too coarse
 for the 1e-8 isometry-deviation checks downstream.
 
 ``distances`` and ``orthogonality`` evaluate whole lists of pairs with
-batched decompositions; they share their kernels with the per-pair functions,
-so each batched value is bit for bit the per-pair one.
+batched decompositions.  The per-pair functions are their k = 1 case (a list
+of one pair), so each metric has one code path and each batched value is bit
+for bit the per-pair one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .linalg import HermitianOperator, trace_norm_entries
+from .linalg import HermitianOperator, _spectral_rebuild, trace_norm_entries
 from .states import DensityOperator
 
 #: default relative tolerance for orthogonality of PSD operators.
@@ -34,11 +35,6 @@ class MetricKind(Enum):
     TRACE_NORM = "trace-norm"
 
 
-def _check_dims(a: HermitianOperator, b: HermitianOperator) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"operator dims {a.dim} and {b.dim} differ")
-
-
 def _sqrt_entries(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix, or of each matrix of a stack, from its
     eigenvalues ``(..., n)`` and eigenvectors ``(..., n, n)``."""
@@ -47,7 +43,7 @@ def _sqrt_entries(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     # to O(sqrt(eps)), so they are zeroed at the numerical-rank floor first.
     floor = 64.0 * lam.shape[-1] * np.finfo(np.float64).eps * np.maximum(lam[..., -1:], 0.0)
     root = np.sqrt(np.where(lam > floor, lam, 0.0))
-    return (vec * root[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    return _spectral_rebuild(root, vec)
 
 
 def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
@@ -56,8 +52,11 @@ def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(a @ b, compute_uv=False), axis=-1)
 
 
-def _fidelity_entries(lam_a, vec_a, lam_b, vec_b):
-    return _product_trace_norm_entries(_sqrt_entries(lam_a, vec_a), _sqrt_entries(lam_b, vec_b))
+def _fidelities(xs, ys) -> np.ndarray:
+    """fidelity of each pair (xs[i], ys[i]), batched."""
+    lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
+    vec_x, vec_y = _stacks(xs, ys, "eigenvectors")
+    return _product_trace_norm_entries(_sqrt_entries(lam_x, vec_x), _sqrt_entries(lam_y, vec_y))
 
 
 def _bures_entries(tr_a, tr_b, fid, n: int):
@@ -78,26 +77,22 @@ def _orthogonality_threshold(tr_x, tr_y, tol: float):
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity of two PSD operators (not squared, not normalized)."""
-    _check_dims(a, b)
-    return float(_fidelity_entries(a.eigenvalues, a.eigenvectors, b.eigenvalues, b.eigenvectors))
+    return float(_fidelities([a], [b])[0])
 
 
 def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Bures metric (tr A + tr B - 2 F(A,B))^{1/2} on the density cone."""
-    _check_dims(a, b)
     return float(_bures_entries(a.trace, b.trace, fidelity(a, b), a.dim))
 
 
 def trace_distance(a: HermitianOperator, b: HermitianOperator) -> float:
     """Trace-norm distance: sum of absolute eigenvalues of A - B."""
-    _check_dims(a, b)
-    return float(trace_norm_entries(a.entries - b.entries))
+    return float(distances(MetricKind.TRACE_NORM, [a], [b])[0])
 
 
 def product_trace_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     """Trace norm of the (generally non-Hermitian) product AB."""
-    _check_dims(a, b)
-    return float(_product_trace_norm_entries(a.entries, b.entries))
+    return float(_product_trace_norm_entries(*_stacks([a], [b], "entries"))[0])
 
 
 def are_orthogonal(
@@ -108,7 +103,7 @@ def are_orthogonal(
     For PSD operators the trace norm equals the trace, so the scale factor
     uses traces directly.
     """
-    return product_trace_norm(x, y) <= _orthogonality_threshold(x.trace, y.trace, tol)
+    return bool(orthogonality([x], [y], tol)[1][0])
 
 
 def _stacks(xs, ys, attr: str) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +130,10 @@ def orthogonality(xs, ys, tol: float = ORTHOGONALITY_TOL) -> tuple[np.ndarray, n
 
 
 def distances(kind: MetricKind, xs, ys) -> np.ndarray:
-    """distance(kind, xs[i], ys[i]) for each pair, batched; each value is
-    bit for bit the per-pair one."""
+    """distance(kind, xs[i], ys[i]) for each pair, batched; distance is its
+    k = 1 case."""
     if kind is MetricKind.BURES:
-        lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
-        vec_x, vec_y = _stacks(xs, ys, "eigenvectors")
-        fid = _fidelity_entries(lam_x, vec_x, lam_y, vec_y)
-        return _bures_entries(_traces(xs), _traces(ys), fid, xs[0].dim)
+        return _bures_entries(_traces(xs), _traces(ys), _fidelities(xs, ys), xs[0].dim)
     if kind is MetricKind.TRACE_NORM:
         x, y = _stacks(xs, ys, "entries")
         return trace_norm_entries(x - y)
@@ -154,21 +146,10 @@ def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
     Exposed separately from are_orthogonal so both sides of the equivalence
     (XY = 0 iff the two norms agree) can be checked against each other.
     """
-    _check_dims(x, y)
-    diff = float(trace_norm_entries(x.entries - y.entries))
-    total = float(trace_norm_entries(x.entries + y.entries))
-    return abs(diff - total)
-
-
-def additivity_gap(x: DensityOperator, y: DensityOperator) -> float:
-    """d1(X,0) + d1(Y,0) - d1(X,Y); zero exactly when X and Y are orthogonal."""
-    _check_dims(x, y)
-    return x.trace + y.trace - trace_distance(x, y)
+    x_e, y_e = _stacks([x], [y], "entries")
+    diff, total = trace_norm_entries(np.concatenate([x_e - y_e, x_e + y_e]))
+    return abs(float(diff) - float(total))
 
 
 def distance(kind: MetricKind, a: DensityOperator, b: DensityOperator) -> float:
-    if kind is MetricKind.BURES:
-        return bures_distance(a, b)
-    if kind is MetricKind.TRACE_NORM:
-        return trace_distance(a, b)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    return float(distances(kind, [a], [b])[0])

@@ -38,13 +38,17 @@ def matrix_to_json(op: HermitianOperator | np.ndarray) -> dict:
     return {"dim": int(arr.shape[0]), "entries": complex_matrix_to_lists(arr)}
 
 
+def _decode_dim(value) -> int:
+    """A JSON "dim": an integer >= 1 (a bool or a float is rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _decode_matrix_obj(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
-    dim = int(obj["dim"])
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return complex_matrix_from_lists(obj["entries"], dim)
+    return complex_matrix_from_lists(obj["entries"], _decode_dim(obj["dim"]))
 
 
 def hermitian_from_json(obj: dict) -> HermitianOperator:

@@ -23,6 +23,7 @@ from .linalg import (
     HermitianOperator,
     _as_complex_squares,
     _finite_prefix,
+    _spectral_rebuild,
     _symmetrized,
     trace_norm_entries,
 )
@@ -90,8 +91,7 @@ class DensityOperator(HermitianOperator):
             low = np.flatnonzero(lowest[:first_below] < 0.0)
             if low.size:
                 lam[low] = np.maximum(lam[low], 0.0)
-                v = vec[low]
-                arr[low] = _symmetrized((v * lam[low][:, None, :]) @ v.conj().swapaxes(-1, -2))
+                arr[low] = _symmetrized(_spectral_rebuild(lam[low], vec[low]))
                 tr[low] = arr[low].trace(axis1=1, axis2=2).real
         traces = tr.tolist()
         if cls._UNIT_TRACE:
@@ -252,21 +252,27 @@ def random_density(
     if not trace_target > 0.0:
         raise InvalidParameter("trace_target must be positive")
     gen = generator_of(rng)
-    out = DensityOperator(_wishart_entries(n, rank, trace_target, gen))
-    _check_sampled_density(out, rank, trace_target)
-    return out
+    draw = (_wishart_entries(n, rank, trace_target, gen), rank, trace_target)
+    return _sampled_stack(DensityOperator, [draw])[0]
 
 
-def _check_sampled_density(out: DensityOperator, rank: int, trace_target: float) -> None:
-    """Raise NumericalBreakdown unless a Wishart draw has the rank and trace
-    it was sampled with."""
-    realized = int(np.count_nonzero(out.eigenvalues > 1e-10 * trace_target))
-    if realized != rank:
-        raise NumericalBreakdown(
-            f"sampled density has numerical rank {realized}, wanted {rank}"
-        )
-    if abs(out.trace - trace_target) > 1e-12 * max(1.0, trace_target):
-        raise NumericalBreakdown("sampled density trace off target")
+def _sampled_stack(cls: type[DensityOperator], draws: list) -> list[DensityOperator]:
+    """Build Wishart draws ``(entries, rank, trace)`` as one stack of ``cls``
+    and hold each draw with a trace to the rank and trace it was sampled
+    with (NumericalBreakdown otherwise); a draw with trace None is built
+    unchecked, as random_state builds it."""
+    ops = cls.from_stack(np.array([entries for entries, _, _ in draws]))
+    for op, (_, rank, trace) in zip(ops, draws):
+        if trace is None:
+            continue
+        realized = int(np.count_nonzero(op.eigenvalues > 1e-10 * trace))
+        if realized != rank:
+            raise NumericalBreakdown(
+                f"sampled density has numerical rank {realized}, wanted {rank}"
+            )
+        if abs(op.trace - trace) > 1e-12 * max(1.0, trace):
+            raise NumericalBreakdown("sampled density trace off target")
+    return ops
 
 
 def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> QuantumState:

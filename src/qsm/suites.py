@@ -1,9 +1,15 @@
 """Verification suites: each runs one lemma/theorem property battery per
-dimension and emits an ExperimentReport with replayable provenance."""
+dimension and emits an ExperimentReport with replayable provenance.
+
+A suite is a per-dimension check that draws from the generator it is handed
+and returns (pass, witnesses, max violation, budget field).  One loop in
+run_suite runs every suite: it derives each dimension's RngStream, calls the
+check and builds the report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,20 +51,6 @@ from .states import (
     zero_density,
 )
 
-SUITE_IDS = (
-    "lemma1",
-    "lemma3",
-    "ortho-eq",
-    "thm-bures-D",
-    "thm-bures-S",
-    "thm-trace-D",
-    "thm-trace-S",
-)
-
-#: disjoint RngStream index bases, one block per suite, keyed before adding
-#: the dimension, so concurrent or reordered runs see identical draws.
-_STREAM_BASE = {suite: 1000 * (k + 1) for k, suite in enumerate(SUITE_IDS)}
-
 #: the tolerance overrides the suites read from their `tolerances` argument.
 TOLERANCE_NAMES = ("separation", "slack", "orthogonality", "isometry")
 
@@ -87,10 +79,6 @@ class ExperimentReport:
         }
 
 
-def _stream(suite: str, seed: int, dim: int) -> RngStream:
-    return RngStream(seed, _STREAM_BASE[suite] + dim)
-
-
 def _orthogonal_density_pair(n, gen, trace_x, trace_y):
     """Exactly supported on complementary subspaces of a random frame."""
     v = random_unitary(n, gen)
@@ -104,67 +92,58 @@ def _orthogonal_density_pair(n, gen, trace_x, trace_y):
     )
 
 
-def run_lemma1(dims, seed, samples, budget, tolerances) -> list[ExperimentReport]:
+def _lemma1(dim, gen, samples, budget, tolerances):
     """Bures characterization of 0: in-ball bound, sharpness witnesses at 0,
     and the (0, 4A) witness defeating every nonzero center."""
     radii = (0.5, 1.0, 2.0)
-    reports = []
-    for dim in sorted(dims):
-        stream = _stream("lemma1", seed, dim)
-        gen = stream.generator()
-        witnesses = []
-        violation = 0.0
-        passed = True
-        for eps in radii:
-            spec = BallSpec(MetricKind.BURES, zero_density(dim), eps)
-            estimate = bures_ball_diameter(spec, gen, samples)
-            bound = (np.sqrt(2.0) if dim >= 2 else 1.0) * eps
-            violation = max(violation, estimate.lower_bound - (bound + BALL_SLACK))
-            if dim >= 2:
-                sharp = estimate.lower_bound >= np.sqrt(2.0) * eps - BALL_SLACK
-            else:
-                sharp = abs(estimate.lower_bound - eps) <= BALL_SLACK
-            passed &= sharp and estimate.lower_bound <= bound + BALL_SLACK
+    witnesses = []
+    violation = 0.0
+    passed = True
+    for eps in radii:
+        spec = BallSpec(MetricKind.BURES, zero_density(dim), eps)
+        estimate = bures_ball_diameter(spec, gen, samples)
+        bound = (np.sqrt(2.0) if dim >= 2 else 1.0) * eps
+        violation = max(violation, estimate.lower_bound - (bound + BALL_SLACK))
+        if dim >= 2:
+            sharp = estimate.lower_bound >= np.sqrt(2.0) * eps - BALL_SLACK
+        else:
+            sharp = abs(estimate.lower_bound - eps) <= BALL_SLACK
+        passed &= sharp and estimate.lower_bound <= bound + BALL_SLACK
+        witnesses.append(
+            {"kind": "ball-at-zero", "radius": eps, "lower_bound": estimate.lower_bound}
+        )
+    passed &= zero_characterization_bures(
+        zero_density(dim), list(radii), gen, max(10, samples // 8)
+    )
+    for k in range(max(4, samples // 4)):
+        center = random_density(
+            dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 3.0)), gen
+        )
+        try:
+            eps_w, (low, high) = nonzero_center_witness(center)
+        except NumericalBreakdown:
+            passed = False
+            continue
+        pair_distance = bures_distance(low, high)
+        certified = 2.0 * np.sqrt(center.trace) - BALL_SLACK
+        violation = max(violation, certified - pair_distance)
+        passed &= pair_distance >= certified
+        if k < 2:
             witnesses.append(
-                {"kind": "ball-at-zero", "radius": eps, "lower_bound": estimate.lower_bound}
+                {
+                    "kind": "nonzero-center",
+                    "trace": center.trace,
+                    "radius": eps_w,
+                    "pair_distance": pair_distance,
+                }
             )
-        passed &= zero_characterization_bures(
-            zero_density(dim), list(radii), gen, max(10, samples // 8)
-        )
-        for k in range(max(4, samples // 4)):
-            center = random_density(
-                dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 3.0)), gen
+            passed &= not zero_characterization_bures(
+                center, list(radii), gen, max(10, samples // 8)
             )
-            try:
-                eps_w, (low, high) = nonzero_center_witness(center)
-            except NumericalBreakdown:
-                passed = False
-                continue
-            pair_distance = bures_distance(low, high)
-            certified = 2.0 * np.sqrt(center.trace) - BALL_SLACK
-            violation = max(violation, certified - pair_distance)
-            passed &= pair_distance >= certified
-            if k < 2:
-                witnesses.append(
-                    {
-                        "kind": "nonzero-center",
-                        "trace": center.trace,
-                        "radius": eps_w,
-                        "pair_distance": pair_distance,
-                    }
-                )
-                passed &= not zero_characterization_bures(
-                    center, list(radii), gen, max(10, samples // 8)
-                )
-        reports.append(
-            ExperimentReport(
-                "lemma1", dim, seed, bool(passed), witnesses, float(max(violation, 0.0)), samples
-            )
-        )
-    return reports
+    return passed, witnesses, float(max(violation, 0.0)), samples
 
 
-def run_lemma3(dims, seed, samples, budget, tolerances) -> list[ExperimentReport]:
+def _lemma3(dim, gen, samples, budget, tolerances):
     """Trace-norm characterization of 0: midpoint witnesses, strict
     containment at center 0, and uniqueness of pinch-ball intersections.
 
@@ -173,192 +152,167 @@ def run_lemma3(dims, seed, samples, budget, tolerances) -> list[ExperimentReport
     about a hundred configurations across the default dimension grid."""
     separation_factor = tolerances.get("separation", 1e-5)
     slack = tolerances.get("slack")
-    reports = []
-    for dim in sorted(dims):
-        stream = _stream("lemma3", seed, dim)
-        gen = stream.generator()
-        witnesses = []
-        worst_ratio = 0.0
-        passed = True
-        configs = max(2, samples // 10)
-        if dim >= 2:
-            for k in range(configs):
-                eps = float(gen.uniform(0.5, 1.5))
-                x, y = _orthogonal_density_pair(dim, gen, eps, eps)
-                mid = midpoint_witness(x, y)
-                in_balls = (
-                    trace_distance(x, mid) <= eps + BALL_SLACK
-                    and trace_distance(y, mid) <= eps + BALL_SLACK
-                )
-                passed &= in_balls and mid.trace >= eps / 2.0
-                if k < 3:
-                    control = intersection_uniqueness_search(
-                        x, y, zero_density(dim), eps, gen, min(2000, max(budget, 500)), slack
-                    )
-                    passed &= control.separation_from_center >= eps / 2.0
-                    if k == 0:
-                        witnesses.append(
-                            {
-                                "kind": "strict-containment",
-                                "radius": eps,
-                                "separation": control.separation_from_center,
-                            }
-                        )
+    witnesses = []
+    worst_ratio = 0.0
+    passed = True
+    configs = max(2, samples // 10)
+    if dim >= 2:
         for k in range(configs):
-            center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-            pinch = pinch_configuration(center, gen)
-            result = intersection_uniqueness_search(
-                pinch.upper, pinch.lower, center, pinch.epsilon, gen, budget, slack
+            eps = float(gen.uniform(0.5, 1.5))
+            x, y = _orthogonal_density_pair(dim, gen, eps, eps)
+            mid = midpoint_witness(x, y)
+            in_balls = (
+                trace_distance(x, mid) <= eps + BALL_SLACK
+                and trace_distance(y, mid) <= eps + BALL_SLACK
             )
-            ratio = result.separation_from_center / pinch.epsilon
-            worst_ratio = max(worst_ratio, ratio)
-            passed &= ratio <= separation_factor
-            # extreme-point rigidity: X - Z must collapse onto eps * projection
-            shift = (
-                pinch.upper.entries
-                - result.best_candidate.entries
-                - pinch.epsilon * pinch.projection.entries
-            )
-            rigidity = float(trace_norm_entries(shift))
-            passed &= rigidity <= separation_factor * pinch.epsilon
-            if k == 0:
-                witnesses.append(
-                    {
-                        "kind": "pinch-uniqueness",
-                        "epsilon": pinch.epsilon,
-                        "separation": result.separation_from_center,
-                        "ball_violation": result.max_ball_violation,
-                    }
+            passed &= in_balls and mid.trace >= eps / 2.0
+            if k < 3:
+                control = intersection_uniqueness_search(
+                    x, y, zero_density(dim), eps, gen, min(2000, max(budget, 500)), slack
                 )
-        reports.append(
-            ExperimentReport(
-                "lemma3", dim, seed, bool(passed), witnesses, worst_ratio, budget
-            )
+                passed &= control.separation_from_center >= eps / 2.0
+                if k == 0:
+                    witnesses.append(
+                        {
+                            "kind": "strict-containment",
+                            "radius": eps,
+                            "separation": control.separation_from_center,
+                        }
+                    )
+    for k in range(configs):
+        center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+        pinch = pinch_configuration(center, gen)
+        result = intersection_uniqueness_search(
+            pinch.upper, pinch.lower, center, pinch.epsilon, gen, budget, slack
         )
-    return reports
+        ratio = result.separation_from_center / pinch.epsilon
+        worst_ratio = max(worst_ratio, ratio)
+        passed &= ratio <= separation_factor
+        # extreme-point rigidity: X - Z must collapse onto eps * projection
+        shift = (
+            pinch.upper.entries
+            - result.best_candidate.entries
+            - pinch.epsilon * pinch.projection.entries
+        )
+        rigidity = float(trace_norm_entries(shift))
+        passed &= rigidity <= separation_factor * pinch.epsilon
+        if k == 0:
+            witnesses.append(
+                {
+                    "kind": "pinch-uniqueness",
+                    "epsilon": pinch.epsilon,
+                    "separation": result.separation_from_center,
+                    "ball_violation": result.max_ball_violation,
+                }
+            )
+    return passed, witnesses, worst_ratio, budget
 
 
-def run_ortho_eq(dims, seed, samples, budget, tolerances) -> list[ExperimentReport]:
+def _ortho_eq(dim, gen, samples, budget, tolerances):
     """Orthogonality equivalence: XY = 0 iff ||X-Y||_1 = ||X+Y||_1, over a mix
     of orthogonal-support, overlapping, independent, and zero pairs; for
     states, orthogonality iff trace distance 2."""
     tol = tolerances.get("orthogonality", ORTHOGONALITY_TOL)
-    reports = []
-    for dim in sorted(dims):
-        stream = _stream("ortho-eq", seed, dim)
-        gen = stream.generator()
-        misclassified = 0
-        state_gap = 0.0
-        passed = True
-        for k in range(samples):
-            style = k % 4
-            if style == 0 and dim >= 2:
-                x, y = _orthogonal_density_pair(
-                    dim, gen, float(gen.uniform(0.3, 2.0)), float(gen.uniform(0.3, 2.0))
-                )
-            elif style == 1:
-                a = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-                b = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-                x, y = a, DensityOperator((a.entries + b.entries) / 2.0)
-            elif style == 2:
-                x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-                y = zero_density(dim)
-            else:
-                x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-                y = random_density(dim, dim, float(gen.uniform(0.3, 2.0)), gen)
-            product_side = are_orthogonal(x, y, tol)
-            gap_side = norm_identity_gap(x, y) <= tol * (1.0 + x.trace * y.trace)
-            if product_side != gap_side:
-                misclassified += 1
-        if dim >= 2:
-            for _ in range(max(4, samples // 8)):
-                x, y = _orthogonal_density_pair(dim, gen, 1.0, 1.0)
-                xs, ys = QuantumState(x.entries), QuantumState(y.entries)
-                state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
-                passed &= are_orthogonal(xs, ys, tol)
-                a = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-                b = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-                mixed = QuantumState((a.entries + b.entries) / 2.0)
-                passed &= not are_orthogonal(a, mixed, tol)
-                passed &= trace_distance(a, mixed) < 2.0 - BALL_SLACK
-            passed &= state_gap <= BALL_SLACK
-        passed &= misclassified == 0
-        reports.append(
-            ExperimentReport(
-                "ortho-eq",
-                dim,
-                seed,
-                bool(passed),
-                [{"kind": "state-distance-gap", "value": state_gap}],
-                float(misclassified),
-                samples,
+    misclassified = 0
+    state_gap = 0.0
+    passed = True
+    for k in range(samples):
+        style = k % 4
+        if style == 0 and dim >= 2:
+            x, y = _orthogonal_density_pair(
+                dim, gen, float(gen.uniform(0.3, 2.0)), float(gen.uniform(0.3, 2.0))
             )
-        )
-    return reports
+        elif style == 1:
+            a = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
+            b = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
+            x, y = a, DensityOperator((a.entries + b.entries) / 2.0)
+        elif style == 2:
+            x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
+            y = zero_density(dim)
+        else:
+            x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
+            y = random_density(dim, dim, float(gen.uniform(0.3, 2.0)), gen)
+        product_side = are_orthogonal(x, y, tol)
+        gap_side = norm_identity_gap(x, y) <= tol * (1.0 + x.trace * y.trace)
+        if product_side != gap_side:
+            misclassified += 1
+    if dim >= 2:
+        for _ in range(max(4, samples // 8)):
+            x, y = _orthogonal_density_pair(dim, gen, 1.0, 1.0)
+            xs, ys = QuantumState(x.entries), QuantumState(y.entries)
+            state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
+            passed &= are_orthogonal(xs, ys, tol)
+            a = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+            b = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+            mixed = QuantumState((a.entries + b.entries) / 2.0)
+            passed &= not are_orthogonal(a, mixed, tol)
+            passed &= trace_distance(a, mixed) < 2.0 - BALL_SLACK
+        passed &= state_gap <= BALL_SLACK
+    passed &= misclassified == 0
+    return passed, [{"kind": "state-distance-gap", "value": state_gap}], float(misclassified), samples
 
 
-_THEOREM_SETTINGS = {
-    "thm-bures-D": (MetricKind.BURES, MapDomain.FULL_DENSITY),
-    "thm-bures-S": (MetricKind.BURES, MapDomain.STATES_ONLY),
-    "thm-trace-D": (MetricKind.TRACE_NORM, MapDomain.FULL_DENSITY),
-    "thm-trace-S": (MetricKind.TRACE_NORM, MapDomain.STATES_ONLY),
-}
-
-
-def _run_theorem(suite, dims, seed, samples, budget, tolerances) -> list[ExperimentReport]:
+def _theorem(metric, domain, dim, gen, samples, budget, tolerances):
     """Roundtrip verification for one metric/domain: hidden Haar conjugations
     must pass every check and be reconstructed; a depolarizing control must
     deviate and be rejected."""
-    metric, domain = _THEOREM_SETTINGS[suite]
     isometry_tol = tolerances.get("isometry", 1e-8)
-    reports = []
-    for dim in sorted(dims):
-        stream = _stream(suite, seed, dim)
-        gen = stream.generator()
-        witnesses = []
-        violation = 0.0
-        passed = True
-        kinds = [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ]
-        for kind in kinds:
-            trip = isometry_roundtrip(
-                kind,
-                dim,
-                gen,
-                pairs=max(10, samples),
-                validation_samples=100,
-                domain=domain,
-                preservation_samples=max(20, samples // 4),
-            )
-            deviation = (
-                trip.bures_deviation if metric is MetricKind.BURES else trip.trace_deviation
-            )
-            violation = max(violation, deviation)
-            passed &= trip.passed and deviation <= isometry_tol
-            witnesses.append(
-                {
-                    "kind": f"roundtrip-{kind.value}",
-                    "overlap": trip.overlap,
-                    "residual": trip.residual,
-                    "deviation": deviation,
-                }
-            )
-        if dim >= 2:
-            control = named_nonisometry("depolarizing", dim, p=0.5, domain=domain)
-            control_dev = check_isometry(control, metric, gen, max(10, samples)).max_deviation
-            passed &= control_dev >= 1e-5
-            try:
-                reconstruct_implementer(control, dim, gen)
-                passed = False
-                rejected = False
-            except (NotIsometryEvidence, NotImplementable):
-                rejected = True
-            witnesses.append(
-                {"kind": "control-depolarizing", "deviation": control_dev, "rejected": rejected}
-            )
-        reports.append(
-            ExperimentReport(suite, dim, seed, bool(passed), witnesses, violation, samples)
+    witnesses = []
+    violation = 0.0
+    passed = True
+    kinds = [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ]
+    for kind in kinds:
+        trip = isometry_roundtrip(
+            kind,
+            dim,
+            gen,
+            pairs=max(10, samples),
+            validation_samples=100,
+            domain=domain,
+            preservation_samples=max(20, samples // 4),
         )
-    return reports
+        deviation = (
+            trip.bures_deviation if metric is MetricKind.BURES else trip.trace_deviation
+        )
+        violation = max(violation, deviation)
+        passed &= trip.passed and deviation <= isometry_tol
+        witnesses.append(
+            {
+                "kind": f"roundtrip-{kind.value}",
+                "overlap": trip.overlap,
+                "residual": trip.residual,
+                "deviation": deviation,
+            }
+        )
+    if dim >= 2:
+        control = named_nonisometry("depolarizing", dim, p=0.5, domain=domain)
+        control_dev = check_isometry(control, metric, gen, max(10, samples)).max_deviation
+        passed &= control_dev >= 1e-5
+        try:
+            reconstruct_implementer(control, dim, gen)
+            passed = False
+            rejected = False
+        except (NotIsometryEvidence, NotImplementable):
+            rejected = True
+        witnesses.append(
+            {"kind": "control-depolarizing", "deviation": control_dev, "rejected": rejected}
+        )
+    return passed, witnesses, violation, samples
+
+
+#: the per-dimension check of each suite; the order is SUITE_IDS, whose
+#: indices key the suites' RngStream blocks, so it must not change.
+_CHECKS = {
+    "lemma1": _lemma1,
+    "lemma3": _lemma3,
+    "ortho-eq": _ortho_eq,
+    "thm-bures-D": partial(_theorem, MetricKind.BURES, MapDomain.FULL_DENSITY),
+    "thm-bures-S": partial(_theorem, MetricKind.BURES, MapDomain.STATES_ONLY),
+    "thm-trace-D": partial(_theorem, MetricKind.TRACE_NORM, MapDomain.FULL_DENSITY),
+    "thm-trace-S": partial(_theorem, MetricKind.TRACE_NORM, MapDomain.STATES_ONLY),
+}
+
+SUITE_IDS = tuple(_CHECKS)
 
 
 def run_suite(
@@ -369,13 +323,21 @@ def run_suite(
     budget: int,
     tolerances: dict | None = None,
 ) -> list[ExperimentReport]:
+    """One report per dimension, in increasing order.  Each dimension draws
+    from RngStream(seed, 1000 * (k + 1) + dim), k the suite's index in
+    SUITE_IDS: disjoint blocks keyed before adding the dimension, so
+    concurrent or reordered runs see identical draws."""
+    if suite not in _CHECKS:
+        raise ValueError(f"unknown suite id {suite!r}")
+    base = 1000 * (SUITE_IDS.index(suite) + 1)
     tolerances = tolerances or {}
-    if suite == "lemma1":
-        return run_lemma1(dims, seed, samples, budget, tolerances)
-    if suite == "lemma3":
-        return run_lemma3(dims, seed, samples, budget, tolerances)
-    if suite == "ortho-eq":
-        return run_ortho_eq(dims, seed, samples, budget, tolerances)
-    if suite in _THEOREM_SETTINGS:
-        return _run_theorem(suite, dims, seed, samples, budget, tolerances)
-    raise ValueError(f"unknown suite id {suite!r}")
+    reports = []
+    for dim in sorted(dims):
+        gen = RngStream(seed, base + dim).generator()
+        passed, witnesses, violation, budget_field = _CHECKS[suite](
+            dim, gen, samples, budget, tolerances
+        )
+        reports.append(
+            ExperimentReport(suite, dim, seed, bool(passed), witnesses, violation, budget_field)
+        )
+    return reports

@@ -80,6 +80,17 @@ class TestMetricCommand:
         result = runner.invoke(main, ["metric", str(path), str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "dim, entries",
+        [(None, [[[1.0, 0.0]]]), (2.5, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+         (True, [[[1.0, 0.0]]])],
+        ids=["dim-null", "dim-float", "dim-bool"],
+    )
+    def test_bad_dim_exits_2(self, runner, tmp_path, dim, entries):
+        path = tmp_path / "bad_dim.json"
+        path.write_text(json.dumps({"dim": dim, "entries": entries}))
+        assert_usage_error(runner.invoke(main, ["metric", str(path), str(path)]))
+
 
 class TestVerifyCommand:
     def test_lemma1_passes(self, runner, tmp_path):
@@ -184,8 +195,9 @@ class TestReconstructCommand:
             ["--builtin", "depolarizing:2"],
             ["--builtin", "depolarizing:abc"],
             ["--builtin", "identity", "--seed", "-1"],
+            ["--builtin", "trace-rescale:inf"],
         ],
-        ids=["depolarizing-2", "depolarizing-abc", "seed-negative"],
+        ids=["depolarizing-2", "depolarizing-abc", "seed-negative", "trace-rescale-inf"],
     )
     def test_bad_builtin_or_seed_exits_2(self, runner, args):
         assert_usage_error(runner.invoke(main, ["reconstruct", "--dim", "2"] + args))
@@ -202,6 +214,27 @@ class TestReconstructCommand:
         payload = json.loads(result.output)
         assert payload["kind"] == "unitary"
         assert payload["dim"] == 3
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "named", "params": {"id": "depolarizing", "p": 0.5}},
+            {"kind": "named", "dim": 2, "params": {"id": "depolarizing", "p": 0.5, "q": 1}},
+            {"kind": "named", "dim": 2, "params": {"id": "depolarizing", "p": "x"}},
+            [{"kind": "named", "dim": 2, "params": {"id": "depolarizing", "p": 0.5}}],
+            {"kind": "named", "dim": 2.5, "params": {"id": "depolarizing", "p": 0.5}},
+            {"kind": "named", "dim": True, "params": {"id": "depolarizing", "p": 0.5}},
+            {"kind": "unitary", "dim": 2,
+             "U": {"dim": 2, "entries": [[[float("nan"), 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [1.0, 0.0]]]}},
+        ],
+        ids=["named-no-dim", "unknown-param", "non-numeric-param", "top-level-array",
+             "dim-float", "dim-bool", "nan-unitary"],
+    )
+    def test_bad_map_file_exits_2(self, runner, tmp_path, obj):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        assert_usage_error(runner.invoke(main, ["reconstruct", "--map-file", str(path)]))
 
     def test_requires_exactly_one_source(self, runner):
         assert runner.invoke(main, ["reconstruct"]).exit_code == 2

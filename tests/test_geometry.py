@@ -22,7 +22,6 @@ from qsm.geometry import (
     pinch_configuration,
     sample_in_bures_ball,
     sample_in_bures_ball_at_zero,
-    sample_in_trace_ball,
     shifted_states_membership,
     zero_characterization_bures,
 )
@@ -226,13 +225,6 @@ class TestUniquenessSearch:
 
 
 class TestBallSamplers:
-    def test_trace_ball_membership(self):
-        center = random_state(3, 3, RngStream(30))
-        gen = RngStream(31).generator()
-        for _ in range(25):
-            draw = sample_in_trace_ball(center, 0.4, gen)
-            assert trace_distance(draw, center) <= 0.4 + 1e-9
-
     def test_bures_ball_membership_nonzero_center(self):
         center = random_density(3, 2, 1.4, RngStream(32))
         gen = RngStream(33).generator()

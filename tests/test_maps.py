@@ -72,6 +72,18 @@ class TestApplyMap:
         with pytest.raises(InvalidParameter):
             unitary_conjugation(np.diag([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unitary_rejected(self, bad):
+        # a NaN defect compares False against the unitarity tolerance
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = bad
+        with pytest.raises(InvalidParameter):
+            unitary_conjugation(u)
+        with pytest.raises(InvalidParameter):
+            antiunitary_conjugation(u)
+        with pytest.raises(InvalidParameter):
+            named_nonisometry("pinching", 2, basis=u)
+
     def test_oracle_output_of_wrong_dimension_rejected(self):
         m = oracle_map(lambda a: zero_density(3), 2)
         with pytest.raises(DomainError):
@@ -105,6 +117,8 @@ class TestNamedMaps:
             named_nonisometry("depolarizing", 2, p=1.5)
         with pytest.raises(InvalidParameter):
             named_nonisometry("trace-rescale", 2, c=0.0)
+        with pytest.raises(InvalidParameter):
+            named_nonisometry("trace-rescale", 2, c=np.inf)
         with pytest.raises(InvalidParameter):
             named_nonisometry("trace-rescale", 2, c=2.0, domain=MapDomain.STATES_ONLY)
         with pytest.raises(InvalidParameter):

@@ -6,7 +6,6 @@ import pytest
 from qsm.errors import DimensionMismatch
 from qsm.metrics import (
     MetricKind,
-    additivity_gap,
     are_orthogonal,
     bures_distance,
     distance,
@@ -156,15 +155,6 @@ class TestOrthogonality:
             b = DensityOperator((a.entries + sample_density(3, gen).entries) / 2.0)
             assert not are_orthogonal(a, b)
             assert norm_identity_gap(a, b) > 1e-8 * (1.0 + a.trace * b.trace)
-
-    def test_additivity_gap(self):
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
-        assert additivity_gap(p, q) == pytest.approx(0.0, abs=1e-9)
-        assert additivity_gap(p, p) == pytest.approx(2.0, abs=1e-12)
-        gen = RngStream(51).generator()
-        a = sample_density(3, gen)
-        b = DensityOperator((a.entries + sample_density(3, gen).entries) / 2.0)
-        assert additivity_gap(a, b) > 1e-8
 
     def test_equivalence_on_mixed_pairs(self):
         gen = RngStream(52).generator()
