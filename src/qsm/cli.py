@@ -15,6 +15,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .errors import NotImplementable, NotIsometryEvidence, QsmError
 from .maps import (
@@ -225,6 +226,11 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
         except (ValueError, KeyError, QsmError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"could not load map file: {exc}") from exc
         if state_map.dim != dim:
+            given = click.get_current_context().get_parameter_source("dim")
+            if given is not ParameterSource.DEFAULT:
+                raise click.UsageError(
+                    f"--dim {dim} disagrees with the map file's dim {state_map.dim}"
+                )
             dim = state_map.dim
             if dim > dim_cap():
                 raise click.UsageError(f"map dimension {dim} exceeds cap {dim_cap()}")

@@ -41,10 +41,6 @@ class ZeroCenter(QsmError):
     """An operation requiring a nonzero center received (numerically) zero."""
 
 
-class NotTraceZero(QsmError):
-    """An operator required to be trace-zero is not."""
-
-
 class InvalidPool(QsmError):
     """An orthocomplement pool is empty or unusable."""
 

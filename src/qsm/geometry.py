@@ -1,26 +1,23 @@
 """Metric characterizations of the zero operator and related geometry.
 
 Covers both characterizations of 0 (Bures ball diameters; trace-norm ball
-intersections), the pinch construction and its uniqueness search, rank via
-double orthocomplements in a finite pool, and the eigenvalue-interval test
-for the shifted state body.
+intersections), the pinch construction and its uniqueness search, and rank
+via double orthocomplements in a finite pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import (
     InvalidConfiguration,
     InvalidPool,
-    NotTraceZero,
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import HermitianOperator, psd_clamp_entries, trace_norm_entries
+from .linalg import psd_clamp_entries, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
@@ -96,12 +93,6 @@ class PinchConfiguration:
     projection: DensityOperator
     upper: DensityOperator
     lower: DensityOperator
-
-
-class Membership(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 def sample_in_bures_ball_at_zero(
@@ -452,21 +443,3 @@ def double_orthocomplement_rank(
         if all(are_orthogonal(candidate, member, tol) for member in family):
             family.append(candidate)
     return len(family)
-
-
-def shifted_states_membership(op: HermitianOperator, n: int | None = None) -> Membership:
-    """Classify a trace-zero Hermitian operator against the shifted state body
-    (states minus I/n): inside iff the spectrum lies in [-1/n, 1 - 1/n], with
-    a 1e-9 boundary band."""
-    if abs(float(np.trace(op.entries).real)) > 1e-10:
-        raise NotTraceZero("membership test needs |tr T| <= 1e-10")
-    if n is None:
-        n = op.dim
-    lam = np.linalg.eigvalsh(op.entries)
-    lo, hi = -1.0 / n, 1.0 - 1.0 / n
-    band = 1e-9
-    if lam[0] < lo - band or lam[-1] > hi + band:
-        return Membership.OUTSIDE
-    if lam[0] > lo + band and lam[-1] < hi - band:
-        return Membership.INTERIOR
-    return Membership.BOUNDARY

@@ -13,10 +13,12 @@ samples.  A block first makes all of its random draws, one sample after
 another in the order a one-sample-at-a-time loop makes them, so the
 generator stream, and with it every report, is that loop's.  The block's
 operators are then built, mapped and measured as ``(k, n, n)`` stacks with
-batched kernels.  An oracle stays a black box, called once per operator in
-that same order.  A block holds as many samples as keep each stacked operand
-within _BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.
-A failing sample raises once its whole block has been drawn.
+batched kernels.  An oracle stays a black box: it is handed each block's
+operators, in that same order, in one call, and must return their images in
+order.  A block holds as many samples as keep each stacked operand within
+_BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.  A
+failing sample raises once its whole block has been drawn.  The probes of a
+reconstruction are mapped in blocks of the same size.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class StateMap:
     unitary: np.ndarray | None = None
     name: str | None = None
     params: dict | None = None
-    evaluate: Callable[[DensityOperator], DensityOperator] | None = None
+    #: an oracle's block evaluator: the images of a list of operators, in order
+    evaluate: Callable[[list[DensityOperator]], list[DensityOperator]] | None = None
 
 
 def _checked_unitary(u) -> np.ndarray:
@@ -122,8 +125,9 @@ def oracle_map(
     dim: int,
     domain: MapDomain = MapDomain.FULL_DENSITY,
 ) -> StateMap:
-    """Wrap an opaque evaluation as a StateMap."""
-    return StateMap(MapKind.ORACLE, dim, domain, evaluate=evaluate)
+    """Wrap an opaque per-operator evaluation as a StateMap.  Each block of
+    operators is handed to ``evaluate`` one operator at a time, in order."""
+    return StateMap(MapKind.ORACLE, dim, domain, evaluate=lambda ops: [evaluate(a) for a in ops])
 
 
 def named_nonisometry(
@@ -184,15 +188,17 @@ def _domain_type(domain: MapDomain) -> type[DensityOperator]:
 
 def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]:
     """apply_map of each operator in order: inputs are checked first, an
-    oracle is then evaluated once per operator, and the outputs are checked
-    and built as one stack."""
+    oracle is then evaluated once on the whole block, and the outputs are
+    checked and built as one stack."""
     for a in ops:
         if a.dim != m.dim:
             raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
         if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
             raise DomainError("map is declared on states only; input has trace != 1")
     if m.kind is MapKind.ORACLE:
-        outs = [m.evaluate(a).entries for a in ops]
+        outs = [image.entries for image in m.evaluate(ops)]
+        if len(outs) != len(ops):
+            raise DomainError(f"oracle returned {len(outs)} images for {len(ops)} operators")
         for out in outs:
             if out.shape != (m.dim, m.dim):
                 raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
@@ -453,19 +459,37 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conjugate()
 
 
-def _pure_image_vector(
-    oracle: StateMap, probe: QuantumState, tol: float, label: str
-) -> np.ndarray:
-    image = apply_map(oracle, probe)
-    lam = image.eigenvalues
-    defect = float(lam[-2]) if image.dim >= 2 else 0.0
-    if defect > tol:
-        raise NotIsometryEvidence(
-            f"probe {label} has purity defect {defect:.3e} > {tol:.1e}",
-            purity_defect=defect,
-            probe=label,
-        )
-    return image.eigenvectors[:, -1]
+def _probe(n: int, j: int) -> tuple[str, QuantumState]:
+    """Label and operator of probe j of the reconstruction schedule."""
+    if j < n:
+        return f"basis:{j}", basis_projection(n, j)
+    vec = np.zeros(n, dtype=np.complex128)
+    if j < 2 * n - 1:
+        i = j - n + 1
+        vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
+        return f"superposition:{i}", PureState(vec).as_projection()
+    vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    return "imaginary", PureState(vec).as_projection()
+
+
+def _probe_vectors(oracle: StateMap, n: int, tol: float):
+    """Top eigenvector of each probe image, in schedule order.  Probes are
+    built and mapped one block at a time; an image that is not pure within
+    ``tol`` raises NotIsometryEvidence naming its probe."""
+    total = 2 * n if n >= 2 else 1
+    start = 0
+    for count in _blocks(total, n, 1):
+        labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
+        start += count
+        for label, image in zip(labels, _map_block(oracle, list(probes))):
+            defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
+            if defect > tol:
+                raise NotIsometryEvidence(
+                    f"probe {label} has purity defect {defect:.3e} > {tol:.1e}",
+                    purity_defect=defect,
+                    probe=label,
+                )
+            yield image.eigenvectors[:, -1]
 
 
 def _validation_residual(
@@ -490,7 +514,8 @@ def reconstruct_implementer(
 ) -> ReconstructionResult:
     """Recover the unitary/antiunitary conjugation implementing an isometry.
 
-    Probe schedule (fixed up front; 2n probes plus the validation set):
+    Probe schedule (fixed up front; 2n probes, one at n = 1, plus the
+    validation set):
       1. the n computational basis projections — images must be pure; their
          top eigenvectors are the candidate columns up to phase;
       2. the n-1 real superpositions (e_1 + e_i)/sqrt(2) — image overlaps fix
@@ -498,8 +523,11 @@ def reconstruct_implementer(
          set by the documented convention);
       3. the imaginary superposition (e_1 + i e_2)/sqrt(2) — its image decides
          unitary versus antiunitary.
-    The assembled map is validated on random states; a residual above
-    TOL_ACCEPT (or a non-pure probe image) rejects the oracle.
+    The probes are mapped in blocks of the sample loops' size (one probe a
+    block at large n) and each image is checked in schedule order, so the
+    first failing probe raises; an oracle sees a whole block before any of its
+    images is checked.  The assembled map is validated on random states; a
+    residual above TOL_ACCEPT (or a non-pure probe image) rejects the oracle.
     """
     if n != oracle.dim:
         raise DimensionMismatch(f"oracle dim {oracle.dim}, requested {n}")
@@ -517,38 +545,30 @@ def reconstruct_implementer(
                 "map does not preserve the trace", residual=np.inf, probe="trace"
             )
 
-    columns = [
-        _pure_image_vector(oracle, basis_projection(n, i), tol, f"basis:{i}")
-        for i in range(n)
-    ]
-    first = _fix_phase(columns[0])
-    assembled = [first]
-    for i in range(1, n):
-        vec = np.zeros(n, dtype=np.complex128)
-        vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
-        w = _pure_image_vector(
-            oracle, PureState(vec).as_projection(), tol, f"superposition:{i}"
-        )
-        a = np.vdot(first, w)
-        b = np.vdot(columns[i], w)
-        if min(abs(a), abs(b)) < 1e-3:
-            raise NotImplementable(
-                f"superposition probe {i} overlaps are incompatible with an isometry",
-                residual=float(min(abs(a), abs(b))),
-                probe=f"superposition:{i}",
-            )
-        phase = b / a
-        assembled.append(columns[i] * (phase / abs(phase)))
-
+    columns, assembled = [], []
     kind = MapKind.UNITARY_CONJ
-    if n >= 2:
-        vec = np.zeros(n, dtype=np.complex128)
-        vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-        z = _pure_image_vector(oracle, PureState(vec).as_projection(), tol, "imaginary")
-        plus = (assembled[0] + 1j * assembled[1]) / np.sqrt(2.0)
-        minus = (assembled[0] - 1j * assembled[1]) / np.sqrt(2.0)
-        if abs(np.vdot(minus, z)) > abs(np.vdot(plus, z)):
-            kind = MapKind.ANTIUNITARY_CONJ
+    for j, w in enumerate(_probe_vectors(oracle, n, tol)):
+        if j < n:
+            columns.append(w)
+            if j == 0:
+                assembled.append(_fix_phase(w))
+        elif j < 2 * n - 1:
+            i = j - n + 1
+            a = np.vdot(assembled[0], w)
+            b = np.vdot(columns[i], w)
+            if min(abs(a), abs(b)) < 1e-3:
+                raise NotImplementable(
+                    f"superposition probe {i} overlaps are incompatible with an isometry",
+                    residual=float(min(abs(a), abs(b))),
+                    probe=f"superposition:{i}",
+                )
+            phase = b / a
+            assembled.append(columns[i] * (phase / abs(phase)))
+        else:
+            plus = (assembled[0] + 1j * assembled[1]) / np.sqrt(2.0)
+            minus = (assembled[0] - 1j * assembled[1]) / np.sqrt(2.0)
+            if abs(np.vdot(minus, w)) > abs(np.vdot(plus, w)):
+                kind = MapKind.ANTIUNITARY_CONJ
 
     u = np.column_stack(assembled)
     defect = _unitarity_defect(u)
@@ -609,7 +629,7 @@ def isometry_roundtrip(
         if kind is MapKind.UNITARY_CONJ
         else antiunitary_conjugation(u_true, domain)
     )
-    oracle = oracle_map(lambda a: apply_map(hidden, a), n, domain)
+    oracle = StateMap(MapKind.ORACLE, n, domain, evaluate=lambda ops: _map_block(hidden, ops))
     bures_dev = check_isometry(oracle, MetricKind.BURES, gen, pairs).max_deviation
     trace_dev = check_isometry(oracle, MetricKind.TRACE_NORM, gen, pairs).max_deviation
     preserved = preservation_suite(oracle, gen, samples=preservation_samples).all_preserved()
@@ -656,15 +676,19 @@ _NAMED_PARAM = {"depolarizing": "p", "pinching": "basis", "trace-rescale": "c"}
 
 
 def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
-    """Decode a map file.  A named map needs an integer "dim" >= 1 and takes
-    only its own parameter: a number, or a matrix for the pinching basis."""
+    """Decode a map file.  Every map needs an integer "dim" >= 1, which a
+    conjugation's "U" must match.  A named map takes only its own parameter:
+    a number, or a matrix for the pinching basis."""
     if not isinstance(obj, dict):
         raise InvalidParameter("map JSON must be an object")
     kind = obj.get("kind")
-    if kind == "unitary":
-        return unitary_conjugation(unitary_from_json(obj["U"]), domain)
-    if kind == "antiunitary":
-        return antiunitary_conjugation(unitary_from_json(obj["U"]), domain)
+    if kind in ("unitary", "antiunitary"):
+        dim = _decode_dim(obj.get("dim"))
+        u = unitary_from_json(obj["U"])
+        if u.shape[0] != dim:
+            raise InvalidParameter(f"map dim {dim} disagrees with U of size {u.shape[0]}")
+        build = unitary_conjugation if kind == "unitary" else antiunitary_conjugation
+        return build(u, domain)
     if kind == "named":
         params = obj.get("params")
         name = params.get("id") if isinstance(params, dict) else None

@@ -227,14 +227,29 @@ class TestReconstructCommand:
             {"kind": "unitary", "dim": 2,
              "U": {"dim": 2, "entries": [[[float("nan"), 0.0], [0.0, 0.0]],
                                          [[0.0, 0.0], [1.0, 0.0]]]}},
+            {"kind": "unitary", "dim": 5, "U": matrix_to_json(np.eye(3))},
+            {"kind": "antiunitary", "dim": 2.5, "U": matrix_to_json(np.eye(2))},
+            {"kind": "unitary", "U": matrix_to_json(np.eye(2))},
         ],
         ids=["named-no-dim", "unknown-param", "non-numeric-param", "top-level-array",
-             "dim-float", "dim-bool", "nan-unitary"],
+             "dim-float", "dim-bool", "nan-unitary", "dim-disagrees-with-U",
+             "conjugation-dim-float", "conjugation-no-dim"],
     )
     def test_bad_map_file_exits_2(self, runner, tmp_path, obj):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(obj))
         assert_usage_error(runner.invoke(main, ["reconstruct", "--map-file", str(path)]))
+
+    def test_explicit_dim_must_match_map_file(self, runner, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"kind": "unitary", "dim": 4, "U": matrix_to_json(np.eye(4))}))
+        args = ["reconstruct", "--map-file", str(path)]
+        # an explicit --dim 3 disagrees even though 3 is the default
+        assert_usage_error(runner.invoke(main, args + ["--dim", "3"]))
+        for extra in ([], ["--dim", "4"]):
+            result = runner.invoke(main, args + extra)
+            assert result.exit_code == 0
+            assert json.loads(result.output)["dim"] == 4
 
     def test_requires_exactly_one_source(self, runner):
         assert runner.invoke(main, ["reconstruct"]).exit_code == 2

@@ -1,5 +1,5 @@
 """Geometry tests: ball diameters, zero characterizations, pinch and
-uniqueness search, orthocomplement rank, shifted-body membership."""
+uniqueness search, orthocomplement rank."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,10 @@ import pytest
 from qsm.errors import (
     InvalidConfiguration,
     InvalidPool,
-    NotTraceZero,
     ZeroCenter,
 )
 from qsm.geometry import (
     BallSpec,
-    Membership,
     bures_ball_diameter,
     double_orthocomplement_rank,
     intersection_uniqueness_search,
@@ -22,10 +20,8 @@ from qsm.geometry import (
     pinch_configuration,
     sample_in_bures_ball,
     sample_in_bures_ball_at_zero,
-    shifted_states_membership,
     zero_characterization_bures,
 )
-from qsm.linalg import HermitianOperator
 from qsm.metrics import MetricKind, bures_distance, trace_distance
 from qsm.states import (
     DensityOperator,
@@ -258,23 +254,3 @@ class TestDoubleOrthocomplementRank:
                 center = random_density(dim, rank, float(gen.uniform(0.5, 2.0)), gen)
             pool = orthocomplement_pool(center, gen)
             assert double_orthocomplement_rank(center, pool) == center.rank()
-
-
-class TestShiftedStatesMembership:
-    def test_interior(self):
-        rho = random_state(3, 3, RngStream(50))
-        op = HermitianOperator(rho.entries - np.eye(3) / 3.0)
-        assert shifted_states_membership(op, 3) is Membership.INTERIOR
-
-    def test_boundary(self):
-        op = HermitianOperator(basis_projection(3, 0).entries - np.eye(3) / 3.0)
-        assert shifted_states_membership(op, 3) is Membership.BOUNDARY
-
-    def test_outside(self):
-        # trace-zero operator with top eigenvalue 2 - 2/n > 1 - 1/n
-        op = HermitianOperator(2.0 * basis_projection(3, 0).entries - 2.0 * np.eye(3) / 3.0)
-        assert shifted_states_membership(op, 3) is Membership.OUTSIDE
-
-    def test_rejects_nonzero_trace(self):
-        with pytest.raises(NotTraceZero):
-            shifted_states_membership(HermitianOperator(np.eye(2)), 2)

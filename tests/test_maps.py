@@ -14,6 +14,7 @@ from qsm.errors import (
 from qsm.maps import (
     MapDomain,
     MapKind,
+    StateMap,
     antiunitary_conjugation,
     apply_map,
     check_isometry,
@@ -88,6 +89,20 @@ class TestApplyMap:
         m = oracle_map(lambda a: zero_density(3), 2)
         with pytest.raises(DomainError):
             apply_map(m, random_density(2, 1, 1.0, RngStream(6)))
+
+    @pytest.mark.parametrize("surplus", [-1, 1])
+    def test_block_oracle_image_count_must_match(self, surplus):
+        hidden = unitary_conjugation(random_unitary(2, RngStream(7)))
+
+        def evaluate(ops):
+            images = [apply_map(hidden, a) for a in ops]
+            return images[:surplus] if surplus < 0 else images + images[:surplus]
+
+        m = StateMap(MapKind.ORACLE, 2, MapDomain.FULL_DENSITY, evaluate=evaluate)
+        with pytest.raises(DomainError):
+            apply_map(m, random_density(2, 1, 1.0, RngStream(8)))
+        with pytest.raises(DomainError):
+            check_isometry(m, MetricKind.TRACE_NORM, RngStream(9), 5)
 
 
 class TestNamedMaps:
@@ -316,6 +331,13 @@ class TestSerialization:
         assert loaded.params["p"] == 0.25
         a = random_density(4, 2, 1.0, RngStream(51))
         assert np.allclose(apply_map(loaded, a).entries, apply_map(m, a).entries)
+
+    def test_conjugation_dim_must_match_unitary(self):
+        obj = statemap_to_json(antiunitary_conjugation(random_unitary(3, RngStream(52))))
+        for dim in (5, 2.5, True, None):
+            with pytest.raises((InvalidParameter, ValueError)):
+                statemap_from_json(dict(obj, dim=dim))
+        assert statemap_from_json(obj).dim == 3
 
     def test_oracles_have_no_wire_format(self):
         m = oracle_map(lambda a: a, 2)

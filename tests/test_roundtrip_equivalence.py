@@ -18,8 +18,8 @@ from qsm.maps import (
     PreservationReport,
     ReconstructionResult,
     RoundtripReport,
+    StateMap,
     _fix_phase,
-    _pure_image_vector,
     antiunitary_conjugation,
     apply_map,
     check_isometry,
@@ -144,6 +144,19 @@ def serial_preservation_suite(m, rng, samples=100):
     )
 
 
+def _pure_image_vector(oracle, probe, tol, label):
+    image = apply_map(oracle, probe)
+    lam = image.eigenvalues
+    defect = float(lam[-2]) if image.dim >= 2 else 0.0
+    if defect > tol:
+        raise NotIsometryEvidence(
+            f"probe {label} has purity defect {defect:.3e} > {tol:.1e}",
+            purity_defect=defect,
+            probe=label,
+        )
+    return image.eigenvectors[:, -1]
+
+
 def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=100):
     gen = generator_of(rng)
     if oracle.domain is MapDomain.FULL_DENSITY:
@@ -219,7 +232,9 @@ def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=
 
 
 def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
-                              preservation_samples):
+                              preservation_samples, seen=None):
+    """The serial roundtrip; ``seen``, if given, collects every operator its
+    per-operator oracle is handed."""
     gen = generator_of(rng)
     u_true = random_unitary(n, gen)
     hidden = (
@@ -227,7 +242,13 @@ def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
         if kind is MapKind.UNITARY_CONJ
         else antiunitary_conjugation(u_true, domain)
     )
-    oracle = oracle_map(lambda a: apply_map(hidden, a), n, domain)
+
+    def evaluate(a):
+        if seen is not None:
+            seen.append(a.entries.copy())
+        return apply_map(hidden, a)
+
+    oracle = oracle_map(evaluate, n, domain)
     bures_dev = serial_check_isometry(oracle, MetricKind.BURES, gen, pairs).max_deviation
     trace_dev = serial_check_isometry(oracle, MetricKind.TRACE_NORM, gen, pairs).max_deviation
     preserved = serial_preservation_suite(
@@ -302,6 +323,36 @@ class RecordingOracle:
         return apply_map(self.hidden, a)
 
 
+class BlockRecordingOracle(RecordingOracle):
+    """The same hidden conjugation as a block evaluator: it is handed whole
+    blocks, and keeps every input and the size of each block."""
+
+    def __init__(self, n, domain):
+        super().__init__(n, domain)
+        self.blocks = []
+
+    def __call__(self, ops):
+        self.blocks.append(len(ops))
+        self.seen += [a.entries.copy() for a in ops]
+        return qsm.maps._map_block(self.hidden, ops)
+
+
+class OffBasisSwapOracle:
+    """U A U* on diagonal inputs, U P A P U* on all others, with P swapping
+    e_1 and e_n: every probe image is pure and the trace is kept, but the
+    first superposition image is orthogonal to the first column (n >= 3)."""
+
+    def __init__(self, n):
+        self.u = random_unitary(n, RngStream(97, n))
+        self.swap = np.eye(n)[[n - 1] + list(range(1, n - 1)) + [0]]
+
+    def __call__(self, a):
+        x = a.entries
+        if np.count_nonzero(x - np.diag(np.diag(x))):
+            x = self.swap @ x @ self.swap
+        return type(a)(self.u @ x @ self.u.conj().T)
+
+
 def _map(name, n, domain):
     """The map under test and, for an oracle, the recorder behind it."""
     u = random_unitary(n, RngStream(99, n))
@@ -318,6 +369,15 @@ def _map(name, n, domain):
         return named_nonisometry("pinching", n, basis=u, domain=domain), None
     if name == "trace-rescale":
         return named_nonisometry("trace-rescale", n, c=2.0, domain=domain), None
+    # the controls as `qsm reconstruct --builtin` builds them
+    if name == "pinching:builtin":
+        return named_nonisometry("pinching", n, domain=domain), None
+    if name == "depolarizing:0.5":
+        return named_nonisometry("depolarizing", n, p=0.5, domain=domain), None
+    if name == "off-basis-swap":
+        recorder = RecordingOracle(n, domain)
+        recorder.hidden = oracle_map(OffBasisSwapOracle(n), n, domain)
+        return oracle_map(recorder, n, domain), recorder
     raise ValueError(name)
 
 
@@ -336,7 +396,12 @@ def _run_both(name, n, domain, call):
         gens.append(gen)
         seen.append(recorder.seen if recorder else [])
     assert gens[1].bit_generator.state == gens[0].bit_generator.state
-    assert len(seen[1]) == len(seen[0])
+    if isinstance(results[0], tuple):
+        # a rejection stops the serial side at the failing operator; the
+        # blocked side has mapped the rest of that block too
+        assert len(seen[1]) >= len(seen[0])
+    else:
+        assert len(seen[1]) == len(seen[0])
     assert all(np.array_equal(x, y) for x, y in zip(seen[0], seen[1]))
     return results
 
@@ -421,3 +486,105 @@ def test_roundtrip_matches_serial_loop(n, domain, kind):
     assert blocked == serial
     assert blocked.passed
     assert blocked_gen.bit_generator.state == serial_gen.bit_generator.state
+
+
+# --- block oracles against per-operator oracles ------------------------------
+
+#: probes per block in the lowered-cap runs: blocks end inside the basis
+#: probes and inside the superpositions
+PER_BLOCK = 3
+
+
+def _assert_same_reconstruction(got, want):
+    assert np.array_equal(got.unitary, want.unitary)
+    assert got.kind is want.kind
+    assert got.residual == want.residual
+    assert got.phase_convention == want.phase_convention
+    assert got.validation_samples == want.validation_samples
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["cap", "lowered-cap"])
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_block_oracle_reconstruction_matches_per_operator_oracle(n, domain, lowered, monkeypatch):
+    if lowered:
+        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+    single, block = RecordingOracle(n, domain), BlockRecordingOracle(n, domain)
+    gens = [RngStream(5, n).generator() for _ in range(2)]
+    want = reconstruct_implementer(oracle_map(single, n, domain), n, gens[0],
+                                   validation_samples=7)
+    got = reconstruct_implementer(StateMap(MapKind.ORACLE, n, domain, evaluate=block), n,
+                                  gens[1], validation_samples=7)
+    _assert_same_reconstruction(got, want)
+    assert gens[1].bit_generator.state == gens[0].bit_generator.state
+    assert len(block.seen) == len(single.seen)
+    assert all(np.array_equal(x, y) for x, y in zip(block.seen, single.seen))
+    if lowered and domain is MapDomain.STATES_ONLY:
+        # nothing comes before the probes on the states domain
+        probes = 2 * n if n >= 2 else 1
+        chunks = [min(PER_BLOCK, probes - start) for start in range(0, probes, PER_BLOCK)]
+        assert block.blocks[:len(chunks)] == chunks
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["cap", "lowered-cap"])
+@pytest.mark.parametrize("kind", [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ])
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_roundtrip_block_oracle_sees_per_operator_sequence(n, domain, kind, lowered,
+                                                           monkeypatch):
+    if lowered:
+        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+    settings = dict(pairs=7, validation_samples=5, domain=domain, preservation_samples=3)
+    serial_gen, blocked_gen = RngStream(13, n).generator(), RngStream(13, n).generator()
+    per_operator = []
+    serial = serial_isometry_roundtrip(kind, n, serial_gen, seen=per_operator, **settings)
+
+    blocks = []
+    map_block = qsm.maps._map_block
+
+    def recording(m, ops):
+        if m.kind is MapKind.ORACLE:
+            blocks.append([a.entries.copy() for a in ops])
+        return map_block(m, ops)
+
+    monkeypatch.setattr(qsm.maps, "_map_block", recording)
+    blocked = isometry_roundtrip(kind, n, blocked_gen, **settings)
+    seen = [x for block in blocks for x in block]
+    assert blocked == serial
+    assert blocked.passed
+    assert blocked_gen.bit_generator.state == serial_gen.bit_generator.state
+    assert len(seen) == len(per_operator)
+    assert all(np.array_equal(x, y) for x, y in zip(seen, per_operator))
+    assert len(blocks) < len(seen)
+
+
+#: (control, domain, dims): trace-rescale with c != 1 is no map of the state
+#: space, and at n = 2 every pure image overlaps one of two orthogonal columns
+REJECTED = [
+    (name, domain, n)
+    for name, domains, dims in [
+        ("pinching:builtin", DOMAINS, range(2, 10)),
+        ("depolarizing:0.5", DOMAINS, range(2, 10)),
+        ("trace-rescale", [MapDomain.FULL_DENSITY], range(2, 10)),
+        ("off-basis-swap", DOMAINS, range(3, 10)),
+    ]
+    for domain in domains
+    for n in dims
+]
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["cap", "lowered-cap"])
+@pytest.mark.parametrize("name, domain, n", REJECTED)
+def test_rejection_matches_serial_loop(n, name, domain, lowered, monkeypatch):
+    if lowered:
+        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+    serial, blocked = _run_both(
+        name, n, domain,
+        lambda side, m, gen: (reconstruct_implementer if side
+                              else serial_reconstruct_implementer)(
+            m, n, gen, validation_samples=5),
+    )
+    assert isinstance(serial, tuple)
+    assert blocked == serial
+    if name == "off-basis-swap":
+        assert serial[2]["probe"] == "superposition:1"
