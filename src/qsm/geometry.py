@@ -28,6 +28,7 @@ from .metrics import (
 from .states import (
     DensityOperator,
     RngStream,
+    _sampled_stack,
     generator_of,
     random_density,
     zero_density,
@@ -44,8 +45,9 @@ ZERO_TRACE = 1e-12
 _BLOCK = 100
 
 #: most matrix entries (proposals x n^2) in one batch of the uniqueness
-#: search, which bounds its buffers and temporaries; n <= 8 keeps blocks of
-#: _BLOCK proposals.
+#: search, which bounds its temporaries; n <= 8 keeps blocks of _BLOCK
+#: proposals.  With _BLOCK it fixes the blocks and so the draw order: a new
+#: value moves report bytes, not verdicts.
 _BLOCK_ENTRIES = 6400
 
 
@@ -318,18 +320,19 @@ def intersection_uniqueness_search(
     quadratically in those directions), which the search will find and report
     as a spurious uniqueness violation.
 
-    Proposals are evaluated in blocks: the PSD clamp and the three trace
-    norms of a block run as one batched decomposition each.  A block holds
-    at most 100 - rejections % 100 proposals, so the 100th rejection that
-    shrinks the scale can only be the block's last proposal, and every
-    proposal sees the scale a one-at-a-time loop would give it.  Blocks are
+    Proposals are drawn and evaluated in blocks.  A block of k proposals
+    draws k uniforms (a proposal with one below 0.2 is a convex move), then
+    the convex weights of its moves, then one ``(steps, 2, n, n)`` stack of
+    standard normals, the real and imaginary parts of its perturbations.
+    The PSD clamp and the three trace norms of a block run as one batched
+    decomposition each.  A block holds at most 100 - rejections % 100
+    proposals, so the 100th rejection that shrinks the scale can only be the
+    block's last proposal, and every proposal sees the scale a
+    one-at-a-time evaluation of the same draws would give it.  Blocks are
     also capped at _BLOCK_ENTRIES // n^2 proposals to bound memory at large
-    n; any smaller block keeps that property.
-    The random numbers are drawn proposal by proposal in that loop's order
-    (a uniform, then a uniform or two standard-normal matrices) and do not
-    depend on the scale, so the generator ends in the same state.  Batched
-    decompositions and trace norms equal the single-matrix ones bit for bit,
-    so the result does not depend on the blocking.
+    n.  The block sizes fix the draw order, so the result is a function of
+    _BLOCK, _BLOCK_ENTRIES and the generator; batched decompositions and
+    trace norms equal the single-matrix ones bit for bit.
     """
     if budget < 1:
         raise InvalidConfiguration("uniqueness search needs a budget of at least 1 proposal")
@@ -353,28 +356,16 @@ def intersection_uniqueness_search(
     rejections = 0
     left = int(budget)
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (n * n)))
-    size = min(left, cap)
-    convex = np.empty(size, dtype=bool)
-    t = np.empty(size)
-    g_re = np.empty((size, n, n))
-    g_im = np.empty((size, n, n))
     while left:
         k = min(left, cap, _BLOCK - rejections % _BLOCK)
         left -= k
-        for j in range(k):
-            convex[j] = gen.uniform() < 0.2
-            if convex[j]:
-                t[j] = gen.uniform()
-            else:
-                gen.standard_normal(out=g_re[j])
-                gen.standard_normal(out=g_im[j])
-        moves = convex[:k]
-        steps = ~moves
+        moves = gen.uniform(size=k) < 0.2
+        t = gen.uniform(size=int(np.count_nonzero(moves)))[:, None, None]
+        g = gen.standard_normal((k - len(t), 2, n, n))
+        g = g[:, 0] + 1j * g[:, 1]
         block = np.empty((k, n, n), dtype=np.complex128)
-        tm = t[:k][moves][:, None, None]
-        block[moves] = (1.0 - tm) * a_e + tm * mid
-        g = g_re[:k][steps] + 1j * g_im[:k][steps]
-        block[steps] = psd_clamp_entries(a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0)
+        block[moves] = (1.0 - t) * a_e + t * mid
+        block[~moves] = psd_clamp_entries(a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0)
         excess = ball_excess(block)
         rejected = excess > slack
         rejected_here = int(np.count_nonzero(rejected))
@@ -404,17 +395,17 @@ def orthocomplement_pool(
     randoms_per_dim: int = 10,
 ) -> list[DensityOperator]:
     """Standard pool for the double-orthocomplement rank: every eigenprojection
-    of the center followed by randoms_per_dim * dim random densities."""
+    of the center followed by randoms_per_dim * dim random densities, drawn
+    as all ranks, then all traces (in [0.5, 1.5]), then one Wishart stack."""
     gen = generator_of(rng)
     n = center.dim
     pool = []
     for k in range(n):
         vec = center.eigenvectors[:, k]
         pool.append(DensityOperator(np.outer(vec, vec.conj())))
-    for _ in range(randoms_per_dim * n):
-        rank = int(gen.integers(1, n + 1))
-        pool.append(random_density(n, rank, float(gen.uniform(0.5, 1.5)), gen))
-    return pool
+    count = randoms_per_dim * n
+    ranks = gen.integers(1, n + 1, size=count)
+    return pool + _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
 
 
 def double_orthocomplement_rank(

@@ -9,14 +9,17 @@ black-box isometry oracle via a fixed probe schedule.
 
 The sample loops (check_isometry, trace_preservation_check,
 preservation_suite and the validation of a reconstruction) run in blocks of
-samples.  A block first makes all of its random draws, one sample after
-another in the order a one-sample-at-a-time loop makes them, so the
-generator stream, and with it every report, is that loop's.  The block's
-operators are then built, mapped and measured as ``(k, n, n)`` stacks with
-batched kernels.  An oracle stays a black box: it is handed each block's
-operators, in that same order, in one call, and must return their images in
-order.  A block holds as many samples as keep each stacked operand within
-_BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.  A
+samples.  A block makes its random draws in bulk: its scalars (ranks,
+traces, splits, weights) as arrays first, then one Gaussian stack per kind
+of draw, through the stacked samplers of qsm.states.  Its operators are then
+built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
+group by group: all first members of the block's pairs, then all second
+members, and so on.  An oracle stays a black box: it is handed each block's
+operators, in that group order, in one call, and must return their images
+in order.  A block holds as many samples as keep each stacked operand within
+_BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.  Since
+the block sizes fix the draw order, changing _BLOCK_ENTRIES changes the
+samples drawn, and so the report bytes, but not what the checks mean.  A
 failing sample raises once its whole block has been drawn.  The probes of a
 reconstruction are mapped in blocks of the same size.
 """
@@ -45,12 +48,11 @@ from .states import (
     PureState,
     QuantumState,
     RngStream,
+    _orthogonal_pairs,
     _sampled_stack,
     _unitarity_defect,
-    _wishart_entries,
     basis_projection,
     generator_of,
-    random_density,
     random_unitary,
     zero_density,
 )
@@ -60,7 +62,8 @@ TOL_ACCEPT = 1e-6
 
 #: cap on the matrix entries of one stacked operand in a sample loop: a block
 #: holds as many samples as fit, at least one.  Larger blocks gained no speed
-#: and raised peak memory at large n.
+#: and raised peak memory at large n.  The block sizes fix the draw order, so
+#: a new cap moves report bytes, not verdicts.
 _BLOCK_ENTRIES = 800
 
 #: human-readable statement of the output gauge fixing.
@@ -204,7 +207,7 @@ def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]
                 raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
         out = np.array(outs)
     else:
-        arr = _entries(ops, 0, 1)
+        arr = _entries(ops)
         if m.kind is MapKind.UNITARY_CONJ:
             out = m.unitary @ arr @ m.unitary.conj().T
         elif m.kind is MapKind.ANTIUNITARY_CONJ:
@@ -245,26 +248,23 @@ def _blocks(total: int, n: int, per_sample: int):
         yield min(size, total - start)
 
 
-def _draw_sample(n: int, gen: np.random.Generator, domain: MapDomain):
-    """The draws of one random operator of the domain, in the order
-    random_density and random_state make them: rank, the trace (density cone
-    only), then the Ginibre matrix.  Returns (entries, rank, trace), with
-    trace None for a state, which random_state builds unchecked."""
-    rank = int(gen.integers(1, n + 1))
-    if domain is MapDomain.STATES_ONLY:
-        return _wishart_entries(n, rank, 1.0, gen), rank, None
-    trace = float(gen.uniform(0.2, 2.0))
-    return _wishart_entries(n, rank, trace, gen), rank, trace
+def _entries(ops: list[DensityOperator]) -> np.ndarray:
+    """Entries of ops as one stack."""
+    return np.array([op.entries for op in ops])
 
 
-def _entries(ops: list[DensityOperator], start: int, step: int) -> np.ndarray:
-    """Entries of ops[start::step] as one stack."""
-    return np.array([op.entries for op in ops[start::step]])
+def _groups(ops: list, count: int) -> list[list]:
+    """Consecutive runs of ``count`` items."""
+    return [ops[i:i + count] for i in range(0, len(ops), count)]
 
 
 def _sample_block(n: int, gen: np.random.Generator, domain: MapDomain, count: int):
-    draws = [_draw_sample(n, gen, domain) for _ in range(count)]
-    return _sampled_stack(_domain_type(domain), draws)
+    """``count`` random operators of the domain: all ranks, then all traces
+    (in [0.2, 2], density cone only; states are built unchecked, as
+    random_state builds them), then one Wishart stack."""
+    ranks = gen.integers(1, n + 1, size=count)
+    traces = gen.uniform(0.2, 2.0, size=count) if domain is MapDomain.FULL_DENSITY else None
+    return _sampled_stack(_domain_type(domain), n, gen, ranks, traces)
 
 
 def check_isometry(
@@ -274,7 +274,8 @@ def check_isometry(
     pairs: int,
 ) -> IsometryReport:
     """Max |d(phi(A), phi(B)) - d(A, B)| over sampled pairs from the map's
-    domain; the worst pair is the first to reach the maximum."""
+    domain; the worst pair is the first to reach the maximum.  A block of k
+    pairs draws 2k operators and pairs the first k with the last k."""
     if pairs < 1:
         raise InvalidParameter("need at least one pair")
     seed = rng.seed if isinstance(rng, RngStream) else 0
@@ -283,13 +284,12 @@ def check_isometry(
     worst_pair = None
     for count in _blocks(pairs, m.dim, 2):
         ops = _sample_block(m.dim, gen, m.domain, 2 * count)
-        images = _map_block(m, ops)
-        deviation = np.abs(
-            distances(metric, images[0::2], images[1::2]) - distances(metric, ops[0::2], ops[1::2])
-        )
+        a, b = _groups(ops, count)
+        fa, fb = _groups(_map_block(m, ops), count)
+        deviation = np.abs(distances(metric, fa, fb) - distances(metric, a, b))
         i = int(np.argmax(deviation))
         if worst_pair is None or deviation[i] > worst:
-            worst, worst_pair = float(deviation[i]), (ops[2 * i], ops[2 * i + 1])
+            worst, worst_pair = float(deviation[i]), (a[i], b[i])
     return IsometryReport(metric, pairs, worst, worst_pair, seed)
 
 
@@ -346,21 +346,6 @@ class PreservationReport:
         )
 
 
-def _orthogonal_pair_entries(
-    n: int, gen: np.random.Generator, domain: MapDomain
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of two random operators supported on complementary subspaces
-    of a random frame."""
-    v = random_unitary(n, gen)
-    k = int(gen.integers(1, n))
-    left, right = v[:, :k], v[:, k:]
-    tr_x = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
-    tr_y = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
-    x = random_density(k, int(gen.integers(1, k + 1)), tr_x, gen)
-    y = random_density(n - k, int(gen.integers(1, n - k + 1)), tr_y, gen)
-    return left @ x.entries @ left.conj().T, right @ y.entries @ right.conj().T
-
-
 def preservation_suite(
     m: StateMap,
     rng: RngStream | np.random.Generator,
@@ -368,61 +353,51 @@ def preservation_suite(
 ) -> PreservationReport:
     """Check orthogonality (both directions), rank, and affinity preservation.
 
-    Each sample maps, in this order: an orthogonal pair x, y and an
-    overlapping pair a, (a+b)/2 (from n = 2 on), a rank probe, then a
-    mixture lam*c + (1-lam)*d and its ends c and d."""
+    A sample is an orthogonal pair x, y and an overlapping pair a, (a+b)/2
+    (from n = 2 on), a rank probe, and a mixture lam*c + (1-lam)*d with its
+    ends c and d.  A block of k samples draws its k orthogonal pairs (traces
+    in [0.2, 2] on the density cone, 1 on states), then a, b, probe, c and d
+    as one stack of 5k operators (3k at n = 1), then the k weights lam.  It
+    maps the groups x, y, a, (a+b)/2, probe, mixture, c, d in that order."""
     gen = generator_of(rng)
     n = m.dim
+    cls = _domain_type(m.domain)
     pairs = n >= 2
-    # drawn per sample: [x, y, a, b,] probe, c, d
-    drawn_per, mapped_per = (7, 8) if pairs else (3, 4)
-    probe = mapped_per - 4
     fwd_max, fwd_bad = 0.0, 0
     bwd_min, bwd_bad = np.inf, 0
     rank_bad = 0
     affinity_max = 0.0
-    for count in _blocks(samples, n, mapped_per):
-        draws, lams = [], []
-        for _ in range(count):
-            if pairs:
-                x, y = _orthogonal_pair_entries(n, gen, m.domain)
-                draws += [(x, 0, None), (y, 0, None)]
-                draws += [_draw_sample(n, gen, m.domain), _draw_sample(n, gen, m.domain)]
-            draws.append(_draw_sample(n, gen, m.domain))
-            lams.append(float(gen.uniform()))
-            draws += [_draw_sample(n, gen, m.domain), _draw_sample(n, gen, m.domain)]
-        drawn = _sampled_stack(_domain_type(m.domain), draws)
-        lam = np.array(lams)[:, None, None]
-        derived = (
-            lam * _entries(drawn, drawn_per - 2, drawn_per)
-            + (1.0 - lam) * _entries(drawn, drawn_per - 1, drawn_per)
-        )
+    for count in _blocks(samples, n, 8 if pairs else 4):
         if pairs:
-            overlaps = (_entries(drawn, 2, drawn_per) + _entries(drawn, 3, drawn_per)) / 2.0
-            derived = np.concatenate([overlaps, derived])
-        derived = _domain_type(m.domain).from_stack(derived)
-        mapped = []
-        for i in range(count):
-            own = drawn[i * drawn_per:(i + 1) * drawn_per]
-            if pairs:
-                mapped += own[:3] + [derived[i]]
-            mapped += [own[-3], derived[i - count], own[-2], own[-1]]
-        images = _map_block(m, mapped)
+            if m.domain is MapDomain.FULL_DENSITY:
+                traces = gen.uniform(0.2, 2.0, size=(2, count))
+            else:
+                traces = np.ones((2, count))
+            x, y = _orthogonal_pairs(cls, n, gen, *traces)
+            a, b, probe, c, d = _groups(_sample_block(n, gen, m.domain, 5 * count), count)
+        else:
+            probe, c, d = _groups(_sample_block(n, gen, m.domain, 3 * count), count)
+        lam = gen.uniform(size=count)[:, None, None]
+        mixed = lam * _entries(c) + (1.0 - lam) * _entries(d)
         if pairs:
-            norms, orthogonal = orthogonality(images[0::mapped_per], images[1::mapped_per])
+            halfway = (_entries(a) + _entries(b)) / 2.0
+            overlap, mixture = _groups(cls.from_stack(np.concatenate([halfway, mixed])), count)
+            groups = [x, y, a, overlap]
+        else:
+            groups, mixture = [], cls.from_stack(mixed)
+        groups += [probe, mixture, c, d]
+        images = _groups(_map_block(m, [op for group in groups for op in group]), count)
+        if pairs:
+            norms, orthogonal = orthogonality(images[0], images[1])
             fwd_max = max(fwd_max, float(norms.max()))
             fwd_bad += int(np.count_nonzero(~orthogonal))
-            norms, orthogonal = orthogonality(images[2::mapped_per], images[3::mapped_per])
+            norms, orthogonal = orthogonality(images[2], images[3])
             bwd_min = min(bwd_min, float(norms.min()))
             bwd_bad += int(np.count_nonzero(orthogonal))
-        for a, image in zip(mapped[probe::mapped_per], images[probe::mapped_per]):
-            if image.rank() != a.rank():
-                rank_bad += 1
-        mix_of_images = (
-            lam * _entries(images, probe + 2, mapped_per)
-            + (1.0 - lam) * _entries(images, probe + 3, mapped_per)
-        )
-        violation = trace_norm_entries(_entries(images, probe + 1, mapped_per) - mix_of_images)
+        f_probe, f_mixture, f_c, f_d = images[-4:]
+        rank_bad += sum(image.rank() != op.rank() for op, image in zip(probe, f_probe))
+        mix_of_images = lam * _entries(f_c) + (1.0 - lam) * _entries(f_d)
+        violation = trace_norm_entries(_entries(f_mixture) - mix_of_images)
         affinity_max = max(affinity_max, float(violation.max()))
     if not np.isfinite(bwd_min):
         bwd_min = 0.0
@@ -489,7 +464,8 @@ def _probe_vectors(oracle: StateMap, n: int, tol: float):
                     purity_defect=defect,
                     probe=label,
                 )
-            yield image.eigenvectors[:, -1]
+            # a copy, so the column does not keep the n x n eigenvectors alive
+            yield image.eigenvectors[:, -1].copy()
 
 
 def _validation_residual(

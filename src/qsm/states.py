@@ -201,38 +201,99 @@ def generator_of(rng: RngStream | np.random.Generator) -> np.random.Generator:
     return rng
 
 
-def _ginibre(gen: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _ginibre(gen: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
+    """``count`` complex Gaussian rows x cols matrices, entries of variance 1,
+    drawn one matrix after another (real part, then imaginary part), so a
+    stack of one is the single-matrix draw."""
+    g = gen.standard_normal((count, 2, rows, cols))
+    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    """Trace norm of U U* - 1."""
-    return float(trace_norm_entries(u @ u.conj().T - np.eye(u.shape[0])))
+def _unitarity_defect(u: np.ndarray):
+    """Trace norm of U U* - 1, of one matrix or of each matrix of a stack."""
+    return trace_norm_entries(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
 
 
-def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary.
+def _haar_unitaries(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed n x n unitaries as a ``(count, n, n)`` stack.
 
-    Construction: complex Gaussian matrix, QR orthonormalization, then phase
-    correction so the triangular factor has positive real diagonal.
+    Construction: complex Gaussian matrices, QR orthonormalization, then phase
+    correction so each triangular factor has positive real diagonal
+    (Mezzadri, Notices AMS 54 (2007) 592).
     """
-    if n < 1:
-        raise InvalidParameter("dimension must be >= 1")
-    gen = generator_of(rng)
-    z = _ginibre(gen, n, n)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    defect = _unitarity_defect(q)
+    q, r = np.linalg.qr(_ginibre(gen, count, n, n))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    defect = float(_unitarity_defect(q).max())
     if defect > 1e-10 * n:
         raise NumericalBreakdown(f"unitarity defect {defect:.3e} exceeds 1e-10*n")
     return q
 
 
-def _wishart_entries(n: int, rank: int, trace_target: float, gen: np.random.Generator) -> np.ndarray:
-    g = _ginibre(gen, n, rank)
-    a = g @ g.conj().T
-    return a * (trace_target / float(np.trace(a).real))
+def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary: the one-matrix case of _haar_unitaries."""
+    if n < 1:
+        raise InvalidParameter("dimension must be >= 1")
+    return _haar_unitaries(n, 1, generator_of(rng))[0]
+
+
+def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[DensityOperator]:
+    """G G* of each matrix G of a ``(k, n, m)`` Gaussian stack, keeping the
+    first ranks[i] columns of the i-th (the others are zeroed in place),
+    rescaled to traces[i] (to 1 if traces is None) and built as one stack of
+    ``cls``.  Each operator with a target trace is held to that rank and
+    trace (NumericalBreakdown otherwise); with traces None the stack is built
+    unchecked, as random_state builds it."""
+    ranks = np.asarray(ranks)
+    g.swapaxes(1, 2)[np.arange(g.shape[2]) >= ranks[:, None]] = 0.0
+    a = g @ g.conj().swapaxes(1, 2)
+    target = 1.0 if traces is None else np.asarray(traces, dtype=float)
+    ops = cls.from_stack(a * (target / a.trace(axis1=1, axis2=2).real)[:, None, None])
+    if traces is None:
+        return ops
+    for op, rank, trace in zip(ops, ranks.tolist(), target.tolist()):
+        realized = int(np.count_nonzero(op.eigenvalues > 1e-10 * trace))
+        if realized != rank:
+            raise NumericalBreakdown(
+                f"sampled density has numerical rank {realized}, wanted {rank}"
+            )
+        if abs(op.trace - trace) > 1e-12 * max(1.0, trace):
+            raise NumericalBreakdown("sampled density trace off target")
+    return ops
+
+
+def _sampled_stack(
+    cls: type[DensityOperator], n: int, gen: np.random.Generator, ranks, traces
+) -> list[DensityOperator]:
+    """One Wishart operator of ``cls`` per entry of ``ranks``: the
+    normalized Wishart construction of random_density, drawn as one Gaussian
+    stack of max(ranks) columns per matrix of which the i-th keeps its first
+    ranks[i] (the same measure; a one-matrix stack draws exactly n x rank)."""
+    ranks = np.asarray(ranks)
+    return _wishart(cls, _ginibre(gen, len(ranks), n, int(ranks.max(initial=1))), ranks, traces)
+
+
+def _orthogonal_pairs(
+    cls: type[DensityOperator], n: int, gen: np.random.Generator, traces_x, traces_y
+) -> tuple[list[DensityOperator], list[DensityOperator]]:
+    """Pairs x, y of Wishart operators of ``cls`` (n >= 2) with the given
+    traces, supported on complementary subspaces of a Haar frame V.
+
+    Pair i draws a uniform split k in [1, n), a uniform rank of x in [1, k]
+    and one of y in [1, n - k]; all splits, then all ranks, then the frames,
+    then one Gaussian stack.  x = V G G* V* keeps the rows of G below k and
+    y the rows from k up, so x y vanishes up to the roundoff of V* V = 1."""
+    count = len(traces_x)
+    splits = gen.integers(1, n, size=count)
+    ranks = np.concatenate([gen.integers(1, splits + 1), gen.integers(1, n - splits + 1)])
+    frames = _haar_unitaries(n, count, gen)
+    g = _ginibre(gen, 2 * count, n, int(ranks.max()))
+    below = np.arange(n) < splits[:, None]
+    g[np.concatenate([~below, below])] = 0.0
+    ops = _wishart(
+        cls, np.concatenate([frames, frames]) @ g, ranks, np.concatenate([traces_x, traces_y])
+    )
+    return ops[:count], ops[count:]
 
 
 def random_density(
@@ -245,42 +306,20 @@ def random_density(
 
     Normalized Wishart construction: G G* for an n x rank complex Gaussian G,
     rescaled to the target trace (Hilbert-Schmidt-induced measure at full
-    rank).
+    rank; Zyczkowski & Sommers, J. Phys. A 34 (2001) 7111).
     """
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
     if not trace_target > 0.0:
         raise InvalidParameter("trace_target must be positive")
-    gen = generator_of(rng)
-    draw = (_wishart_entries(n, rank, trace_target, gen), rank, trace_target)
-    return _sampled_stack(DensityOperator, [draw])[0]
-
-
-def _sampled_stack(cls: type[DensityOperator], draws: list) -> list[DensityOperator]:
-    """Build Wishart draws ``(entries, rank, trace)`` as one stack of ``cls``
-    and hold each draw with a trace to the rank and trace it was sampled
-    with (NumericalBreakdown otherwise); a draw with trace None is built
-    unchecked, as random_state builds it."""
-    ops = cls.from_stack(np.array([entries for entries, _, _ in draws]))
-    for op, (_, rank, trace) in zip(ops, draws):
-        if trace is None:
-            continue
-        realized = int(np.count_nonzero(op.eigenvalues > 1e-10 * trace))
-        if realized != rank:
-            raise NumericalBreakdown(
-                f"sampled density has numerical rank {realized}, wanted {rank}"
-            )
-        if abs(op.trace - trace) > 1e-12 * max(1.0, trace):
-            raise NumericalBreakdown("sampled density trace off target")
-    return ops
+    return _sampled_stack(DensityOperator, n, generator_of(rng), [rank], [trace_target])[0]
 
 
 def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> QuantumState:
     """Random trace-1 density operator of prescribed rank."""
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
-    gen = generator_of(rng)
-    return QuantumState(_wishart_entries(n, rank, 1.0, gen))
+    return _sampled_stack(QuantumState, n, generator_of(rng), [rank], None)[0]
 
 
 def zero_density(n: int) -> DensityOperator:

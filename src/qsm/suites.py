@@ -45,9 +45,9 @@ from .states import (
     DensityOperator,
     QuantumState,
     RngStream,
+    _orthogonal_pairs,
     random_density,
     random_state,
-    random_unitary,
     zero_density,
 )
 
@@ -80,16 +80,9 @@ class ExperimentReport:
 
 
 def _orthogonal_density_pair(n, gen, trace_x, trace_y):
-    """Exactly supported on complementary subspaces of a random frame."""
-    v = random_unitary(n, gen)
-    k = int(gen.integers(1, n))
-    left, right = v[:, :k], v[:, k:]
-    x = random_density(k, int(gen.integers(1, k + 1)), trace_x, gen)
-    y = random_density(n - k, int(gen.integers(1, n - k + 1)), trace_y, gen)
-    return (
-        DensityOperator(left @ x.entries @ left.conj().T),
-        DensityOperator(right @ y.entries @ right.conj().T),
-    )
+    """One pair of _orthogonal_pairs: densities on complementary subspaces."""
+    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, gen, [trace_x], [trace_y])
+    return x, y
 
 
 def _lemma1(dim, gen, samples, budget, tolerances):
@@ -203,6 +196,9 @@ def _lemma3(dim, gen, samples, budget, tolerances):
                     "epsilon": pinch.epsilon,
                     "separation": result.separation_from_center,
                     "ball_violation": result.max_ball_violation,
+                    "proposals": result.proposals,
+                    "rejections": result.rejections,
+                    "final_scale": result.final_scale,
                 }
             )
     return passed, witnesses, worst_ratio, budget
@@ -238,8 +234,7 @@ def _ortho_eq(dim, gen, samples, budget, tolerances):
             misclassified += 1
     if dim >= 2:
         for _ in range(max(4, samples // 8)):
-            x, y = _orthogonal_density_pair(dim, gen, 1.0, 1.0)
-            xs, ys = QuantumState(x.entries), QuantumState(y.entries)
+            (xs,), (ys,) = _orthogonal_pairs(QuantumState, dim, gen, [1.0], [1.0])
             state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
             passed &= are_orthogonal(xs, ys, tol)
             a = random_state(dim, int(gen.integers(1, dim + 1)), gen)

@@ -1,6 +1,9 @@
-"""The blocked sample loops of qsm.maps against the one-sample-at-a-time loops
-they replaced: same reports, same reconstructions, the same operators handed
-to an oracle in the same order, and the same generator state, bit for bit."""
+"""The blocked sample loops of qsm.maps against one-item-at-a-time
+references: each reference draws every block exactly as the library does,
+then maps and measures its items one at a time with apply_map and the
+per-pair metrics.  Same reports, same reconstructions, the same operators
+handed to an oracle in the same order, and the same generator state, bit for
+bit."""
 
 import numpy as np
 import pytest
@@ -37,23 +40,31 @@ from qsm.states import (
     PureState,
     QuantumState,
     RngStream,
+    _orthogonal_pairs,
+    _sampled_stack,
     _unitarity_defect,
     basis_projection,
     generator_of,
-    random_density,
-    random_state,
     random_unitary,
     zero_density,
 )
 
-# --- reference oracles: the serial loops, kept verbatim ----------------------
+# --- reference oracles: the library's block draws, one item at a time -------
 
 
-def _sample_in_domain(n, gen, domain):
-    rank = int(gen.integers(1, n + 1))
+def _block_sizes(total, n, per_sample):
+    """Sample counts of the library's blocks under the current entry cap."""
+    size = max(1, qsm.maps._BLOCK_ENTRIES // (per_sample * n * n))
+    return [min(size, total - start) for start in range(0, total, size)]
+
+
+def _draw(n, gen, domain, count):
+    """A block's random operators: all ranks, then all traces (density cone
+    only), then one Wishart stack."""
+    ranks = gen.integers(1, n + 1, size=count)
     if domain is MapDomain.STATES_ONLY:
-        return random_state(n, rank, gen)
-    return random_density(n, rank, float(gen.uniform(0.2, 2.0)), gen)
+        return _sampled_stack(QuantumState, n, gen, ranks, None)
+    return _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.2, 2.0, size=count))
 
 
 def serial_check_isometry(m, metric, rng, pairs):
@@ -63,37 +74,26 @@ def serial_check_isometry(m, metric, rng, pairs):
     gen = generator_of(rng)
     worst = 0.0
     worst_pair = None
-    for _ in range(pairs):
-        a = _sample_in_domain(m.dim, gen, m.domain)
-        b = _sample_in_domain(m.dim, gen, m.domain)
-        deviation = abs(distance(metric, apply_map(m, a), apply_map(m, b)) - distance(metric, a, b))
-        if worst_pair is None or deviation > worst:
-            worst, worst_pair = deviation, (a, b)
+    for count in _block_sizes(pairs, m.dim, 2):
+        ops = _draw(m.dim, gen, m.domain, 2 * count)
+        images = [apply_map(m, a) for a in ops]
+        for i in range(count):
+            j = count + i
+            deviation = abs(
+                distance(metric, images[i], images[j]) - distance(metric, ops[i], ops[j])
+            )
+            if worst_pair is None or deviation > worst:
+                worst, worst_pair = deviation, (ops[i], ops[j])
     return IsometryReport(metric, pairs, worst, worst_pair, seed)
 
 
 def serial_trace_preservation_check(m, rng, samples=100, tol=1e-9):
     gen = generator_of(rng)
     worst = 0.0
-    for _ in range(samples):
-        a = _sample_in_domain(m.dim, gen, m.domain)
-        worst = max(worst, abs(apply_map(m, a).trace - a.trace))
+    for count in _block_sizes(samples, m.dim, 1):
+        for a in _draw(m.dim, gen, m.domain, count):
+            worst = max(worst, abs(apply_map(m, a).trace - a.trace))
     return worst <= tol
-
-
-def _orthogonal_pair(n, gen, domain):
-    v = random_unitary(n, gen)
-    k = int(gen.integers(1, n))
-    left, right = v[:, :k], v[:, k:]
-    tr_x = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
-    tr_y = 1.0 if domain is MapDomain.STATES_ONLY else float(gen.uniform(0.2, 2.0))
-    x = random_density(k, int(gen.integers(1, k + 1)), tr_x, gen)
-    y = random_density(n - k, int(gen.integers(1, n - k + 1)), tr_y, gen)
-    build = QuantumState if domain is MapDomain.STATES_ONLY else DensityOperator
-    return (
-        build(left @ x.entries @ left.conj().T),
-        build(right @ y.entries @ right.conj().T),
-    )
 
 
 def serial_preservation_suite(m, rng, samples=100):
@@ -104,33 +104,43 @@ def serial_preservation_suite(m, rng, samples=100):
     bwd_min, bwd_bad = np.inf, 0
     rank_bad = 0
     affinity_max = 0.0
-    for _ in range(samples):
+    for count in _block_sizes(samples, n, 8 if n >= 2 else 4):
+        groups = []
         if n >= 2:
-            x, y = _orthogonal_pair(n, gen, m.domain)
-            fx, fy = apply_map(m, x), apply_map(m, y)
-            fwd_max = max(fwd_max, product_trace_norm(fx, fy))
-            if not are_orthogonal(fx, fy):
-                fwd_bad += 1
-            a = _sample_in_domain(n, gen, m.domain)
-            b = _sample_in_domain(n, gen, m.domain)
-            overlapping = build((a.entries + b.entries) / 2.0)
-            fa, fo = apply_map(m, a), apply_map(m, overlapping)
-            bwd_min = min(bwd_min, product_trace_norm(fa, fo))
-            if are_orthogonal(fa, fo):
-                bwd_bad += 1
-        sample = _sample_in_domain(n, gen, m.domain)
-        if apply_map(m, sample).rank() != sample.rank():
-            rank_bad += 1
-        lam = float(gen.uniform())
-        a = _sample_in_domain(n, gen, m.domain)
-        b = _sample_in_domain(n, gen, m.domain)
-        mixed = lam * a.entries + (1.0 - lam) * b.entries
-        image_of_mix = apply_map(m, build(mixed)).entries
-        mix_of_images = lam * apply_map(m, a).entries + (1.0 - lam) * apply_map(m, b).entries
-        affinity_max = max(
-            affinity_max,
-            float(trace_norm_entries(image_of_mix - mix_of_images)),
-        )
+            if build is QuantumState:
+                traces = np.ones((2, count))
+            else:
+                traces = gen.uniform(0.2, 2.0, size=(2, count))
+            groups += _orthogonal_pairs(build, n, gen, *traces)
+        drawn = _draw(n, gen, m.domain, (5 if n >= 2 else 3) * count)
+        drawn = [drawn[i:i + count] for i in range(0, len(drawn), count)]
+        lams = gen.uniform(size=count)
+        probes, c, d = drawn[-3:]
+        if n >= 2:
+            a, b = drawn[:2]
+            groups += [a, [build((x.entries + y.entries) / 2.0) for x, y in zip(a, b)]]
+        mixtures = [
+            build(lam * x.entries + (1.0 - lam) * y.entries) for lam, x, y in zip(lams, c, d)
+        ]
+        groups += [probes, mixtures, c, d]
+        images = [[apply_map(m, op) for op in group] for group in groups]
+        for i in range(count):
+            if n >= 2:
+                fx, fy, fa, fo = (group[i] for group in images[:4])
+                fwd_max = max(fwd_max, product_trace_norm(fx, fy))
+                if not are_orthogonal(fx, fy):
+                    fwd_bad += 1
+                bwd_min = min(bwd_min, product_trace_norm(fa, fo))
+                if are_orthogonal(fa, fo):
+                    bwd_bad += 1
+            f_probe, f_mix, fc, fd = (group[i] for group in images[-4:])
+            if f_probe.rank() != probes[i].rank():
+                rank_bad += 1
+            mix_of_images = lams[i] * fc.entries + (1.0 - lams[i]) * fd.entries
+            affinity_max = max(
+                affinity_max,
+                float(trace_norm_entries(f_mix.entries - mix_of_images)),
+            )
     if not np.isfinite(bwd_min):
         bwd_min = 0.0
     return PreservationReport(
@@ -144,6 +154,16 @@ def serial_preservation_suite(m, rng, samples=100):
     )
 
 
+def serial_validation_residual(oracle, recon, n, gen, samples):
+    residual = 0.0
+    for count in _block_sizes(samples, n, 1):
+        for state in _draw(n, gen, MapDomain.STATES_ONLY, count):
+            residual = max(
+                residual, trace_distance(apply_map(oracle, state), apply_map(recon, state))
+            )
+    return residual
+
+
 def _pure_image_vector(oracle, probe, tol, label):
     image = apply_map(oracle, probe)
     lam = image.eigenvalues
@@ -154,7 +174,7 @@ def _pure_image_vector(oracle, probe, tol, label):
             purity_defect=defect,
             probe=label,
         )
-    return image.eigenvectors[:, -1]
+    return image.eigenvectors[:, -1].copy()
 
 
 def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=100):
@@ -216,12 +236,7 @@ def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=
     recon = (
         antiunitary_conjugation(u) if kind is MapKind.ANTIUNITARY_CONJ else unitary_conjugation(u)
     )
-    residual = 0.0
-    for _ in range(validation_samples):
-        state = random_state(n, int(gen.integers(1, n + 1)), gen)
-        residual = max(
-            residual, trace_distance(apply_map(oracle, state), apply_map(recon, state))
-        )
+    residual = serial_validation_residual(oracle, recon, n, gen, validation_samples)
     if residual > TOL_ACCEPT:
         raise NotImplementable(
             f"validation residual {residual:.3e} exceeds {TOL_ACCEPT:.1e}",
@@ -258,14 +273,9 @@ def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
         oracle, n, gen, validation_samples=validation_samples
     )
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
-    recon_map = recon.as_map(domain)
-    validation_max = 0.0
-    for _ in range(validation_samples):
-        state = random_state(n, int(gen.integers(1, n + 1)), gen)
-        validation_max = max(
-            validation_max,
-            trace_distance(apply_map(oracle, state), apply_map(recon_map, state)),
-        )
+    validation_max = serial_validation_residual(
+        oracle, recon.as_map(domain), n, gen, validation_samples
+    )
     expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
     passed = (
         recon.kind is expected_kind

@@ -9,11 +9,15 @@ from qsm.errors import (
     InvalidVector,
     NotPositiveSemidefinite,
 )
+from qsm.metrics import are_orthogonal, product_trace_norm
 from qsm.states import (
     DensityOperator,
     QuantumState,
     PureState,
     RngStream,
+    _ginibre,
+    _orthogonal_pairs,
+    _sampled_stack,
     basis_projection,
     random_density,
     random_state,
@@ -236,3 +240,76 @@ class TestRankOf:
         assert zero_density(3).rank() == 0
         assert basis_projection(3, 1).rank() == 1
         assert DensityOperator(np.diag([0.5, 0.5, 0.0])).rank() == 2
+
+
+class TestStackedSamplers:
+    """The stacked samplers against one-matrix draws and against the
+    single-matrix constructions they replaced."""
+
+    @staticmethod
+    def _ginibre_one(gen, rows, cols):
+        """The single-matrix complex Gaussian draw, real part first."""
+        real, imag = gen.standard_normal((rows, cols)), gen.standard_normal((rows, cols))
+        return (real + 1j * imag) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 1), (5, 3), (8, 8)])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_ginibre_stack_is_one_matrix_after_another(self, count, shape):
+        stacked_gen, single_gen = np.random.default_rng(count), np.random.default_rng(count)
+        stack = _ginibre(stacked_gen, count, *shape)
+        assert stack.shape == (count, *shape)
+        for matrix in stack:
+            assert np.array_equal(matrix, self._ginibre_one(single_gen, *shape))
+        assert stacked_gen.bit_generator.state == single_gen.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+    def test_random_unitary_is_the_single_matrix_construction(self, n):
+        gen = RngStream(21, n).generator()
+        q, r = np.linalg.qr(self._ginibre_one(gen, n, n))
+        d = np.diagonal(r)
+        assert np.array_equal(random_unitary(n, RngStream(21, n)), q * (d / np.abs(d)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+    def test_random_density_is_the_single_matrix_construction(self, n):
+        for rank in sorted({1, (n + 1) // 2, n}):
+            stream = RngStream(22, 100 * n + rank)
+            gen = stream.generator()
+            g = self._ginibre_one(gen, n, rank)
+            a = g @ g.conj().T
+            want = DensityOperator(a * (1.7 / float(np.trace(a).real)))
+            got = random_density(n, rank, 1.7, stream)
+            assert np.array_equal(got.entries, want.entries)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            want = QuantumState(a * (1.0 / float(np.trace(a).real)))
+            assert np.array_equal(random_state(n, rank, stream).entries, want.entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_sampled_stack_keeps_ranks_and_traces(self, n):
+        gen = np.random.default_rng(n)
+        ranks = gen.integers(1, n + 1, size=12)
+        traces = gen.uniform(0.2, 2.0, size=12)
+        ops = _sampled_stack(DensityOperator, n, gen, ranks, traces)
+        assert [op.rank() for op in ops] == ranks.tolist()
+        for op, trace in zip(ops, traces):
+            assert op.trace == pytest.approx(trace, abs=1e-12 * max(1.0, trace))
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 64])
+    def test_orthogonal_pairs(self, n, cls):
+        count = 3 if n == 64 else 10
+        gen, twin = RngStream(23, n).generator(), RngStream(23, n).generator()
+        if cls is QuantumState:
+            traces = np.ones((2, count))
+        else:
+            traces = gen.uniform(0.2, 2.0, size=(2, count))
+            twin.uniform(0.2, 2.0, size=(2, count))
+        xs, ys = _orthogonal_pairs(cls, n, gen, *traces)
+        splits = twin.integers(1, n, size=count)
+        ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
+        for x, y, tx, ty, rx, ry in zip(xs, ys, *traces, ranks_x, ranks_y):
+            assert type(x) is type(y) is cls
+            assert are_orthogonal(x, y)
+            assert product_trace_norm(x, y) <= 1e-13 * (1.0 + tx * ty)
+            assert abs(x.trace - tx) <= 1e-12 * max(1.0, tx)
+            assert abs(y.trace - ty) <= 1e-12 * max(1.0, ty)
+            assert (x.rank(), y.rank()) == (rx, ry)
