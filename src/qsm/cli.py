@@ -242,7 +242,7 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
         "probes": 2 * dim if dim >= 2 else 1,
     }
     try:
-        result = reconstruct_implementer(state_map, dim, RngStream(seed, 7))
+        result = reconstruct_implementer(state_map, RngStream(seed, 7))
     except NotIsometryEvidence as exc:
         payload.update(
             {"pass": False, "error": str(exc), "purity_defect": exc.purity_defect,

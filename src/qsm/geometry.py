@@ -37,6 +37,12 @@ from .states import (
 #: additive tolerance on ball membership and witness distances.
 BALL_SLACK = 1e-9
 
+#: proposals sample_in_bures_ball tries before it falls back to the center.
+_BURES_TRIES = 200
+
+#: random densities per dimension in an orthocomplement_pool.
+_POOL_RANDOMS_PER_DIM = 10
+
 #: traces at or below this are treated as the zero operator.
 ZERO_TRACE = 1e-12
 
@@ -115,20 +121,19 @@ def sample_in_bures_ball(
     center: DensityOperator,
     radius: float,
     rng: RngStream | np.random.Generator,
-    max_tries: int = 200,
 ) -> DensityOperator:
     """Draw from a Bures ball with arbitrary center.
 
     Mixes two proposal families: scalar multiples of the center (exact
     membership by the trace formula) and PSD-clamped Gaussian perturbations
-    accepted by rejection.  Falls back to the center after max_tries.
+    accepted by rejection.  Falls back to the center after _BURES_TRIES.
     """
     gen = generator_of(rng)
     tr = center.trace
     if tr <= ZERO_TRACE:
         return sample_in_bures_ball_at_zero(center.dim, radius, gen)
     root = float(np.sqrt(tr))
-    for _ in range(max_tries):
+    for _ in range(_BURES_TRIES):
         if gen.uniform() < 0.5:
             # c * center with |sqrt(c) - 1| * sqrt(tr) <= radius, membership exact
             u = float(gen.uniform(-1.0, 1.0))
@@ -149,9 +154,10 @@ def bures_ball_diameter(
 
     Around 0 the analytic sharpness witnesses are always included
     (radius^2 * orthogonal rank-one projections for dim >= 2, the scalar pair
-    (radius^2, 0) for dim 1) and every sampled pair is asserted against the
+    (radius^2, 0) for dim 1) and every sampled pair is held to the
     sqrt(2) * radius upper bound.  Around a nonzero center the pair
-    (0, 4 * center) is included whenever it lies in the ball.
+    (0, 4 * center) is included whenever it lies in the ball.  A pair over
+    the bound, or a best pair outside the ball, raises NumericalBreakdown.
     """
     if spec.metric is not MetricKind.BURES:
         raise ValueError("bures_ball_diameter needs a Bures ball")
@@ -191,12 +197,13 @@ def bures_ball_diameter(
     best_pair = pairs[0]
     for x, y in pairs:
         d = bures_distance(x, y)
-        if at_zero:
-            assert d <= bound, f"pair distance {d} violates the diameter bound {bound}"
+        if at_zero and d > bound:
+            raise NumericalBreakdown(f"pair distance {d} violates the diameter bound {bound}")
         if d > best:
             best, best_pair = d, (x, y)
     for member in best_pair:
-        assert bures_distance(member, center) <= eps + BALL_SLACK
+        if bures_distance(member, center) > eps + BALL_SLACK:
+            raise NumericalBreakdown("a witness fell outside its Bures ball")
     return DiameterEstimate(best, best_pair)
 
 
@@ -259,9 +266,10 @@ def midpoint_witness(x: DensityOperator, y: DensityOperator) -> DensityOperator:
             "midpoint witness needs ||X||_1 = ||Y||_1 = eps and ||X-Y||_1 = 2*eps"
         )
     z = DensityOperator((x.entries + y.entries) / 2.0)
-    assert abs(trace_distance(x, z) - eps) <= BALL_SLACK
-    assert abs(trace_distance(y, z) - eps) <= BALL_SLACK
-    assert z.trace >= eps / 2.0
+    if abs(trace_distance(x, z) - eps) > BALL_SLACK or abs(trace_distance(y, z) - eps) > BALL_SLACK:
+        raise NumericalBreakdown("the midpoint is not at distance eps from both ends")
+    if z.trace < eps / 2.0:
+        raise NumericalBreakdown("the midpoint has trace below eps/2")
     return z
 
 
@@ -288,9 +296,12 @@ def pinch_configuration(
     projection = DensityOperator(np.outer(vec, vec.conj()))
     upper = DensityOperator(center.entries + eps * projection.entries)
     lower = DensityOperator(center.entries - eps * projection.entries)
-    assert abs(trace_distance(upper, center) - eps) <= BALL_SLACK
-    assert abs(trace_distance(lower, center) - eps) <= BALL_SLACK
-    assert abs(trace_distance(upper, lower) - 2.0 * eps) <= BALL_SLACK
+    if (
+        abs(trace_distance(upper, center) - eps) > BALL_SLACK
+        or abs(trace_distance(lower, center) - eps) > BALL_SLACK
+        or abs(trace_distance(upper, lower) - 2.0 * eps) > BALL_SLACK
+    ):
+        raise NumericalBreakdown("the pinched pair is not at distances eps, eps, 2*eps")
     return PinchConfiguration(eps, projection, upper, lower)
 
 
@@ -392,10 +403,9 @@ def intersection_uniqueness_search(
 def orthocomplement_pool(
     center: DensityOperator,
     rng: RngStream | np.random.Generator,
-    randoms_per_dim: int = 10,
 ) -> list[DensityOperator]:
     """Standard pool for the double-orthocomplement rank: every eigenprojection
-    of the center followed by randoms_per_dim * dim random densities, drawn
+    of the center followed by _POOL_RANDOMS_PER_DIM * dim random densities, drawn
     as all ranks, then all traces (in [0.5, 1.5]), then one Wishart stack."""
     gen = generator_of(rng)
     n = center.dim
@@ -403,7 +413,7 @@ def orthocomplement_pool(
     for k in range(n):
         vec = center.eigenvectors[:, k]
         pool.append(DensityOperator(np.outer(vec, vec.conj())))
-    count = randoms_per_dim * n
+    count = _POOL_RANDOMS_PER_DIM * n
     ranks = gen.integers(1, n + 1, size=count)
     return pool + _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
 

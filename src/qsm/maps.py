@@ -1,11 +1,15 @@
 """Transformations of the density cone and state space.
 
-A StateMap is a unitary conjugation, an antiunitary conjugation (unitary
-composed with entrywise conjugation in the computational basis), a named
-non-isometry control, or an opaque oracle.  This module checks maps for
-isometry and for the preservation properties (trace, orthogonality, rank,
-affinity, fixing 0) and reconstructs the implementing operator from a
-black-box isometry oracle via a fixed probe schedule.
+A StateMap is its block evaluator: a function from a list of operators to
+their images, as n x n matrices, in order, together with the dimension and
+the domain (the density cone or the state space) it is declared on.  Unitary
+and antiunitary conjugations (the latter composed with entrywise conjugation
+in the computational basis), the named non-isometry controls and opaque
+oracles are all built this way, so every check sees a map only through what
+it returns.  This module checks maps for isometry and for the preservation
+properties (trace, orthogonality, rank, affinity, fixing 0) and reconstructs
+the implementing operator from a black-box isometry via a fixed probe
+schedule.
 
 The sample loops (check_isometry, trace_preservation_check,
 preservation_suite and the validation of a reconstruction) run in blocks of
@@ -14,9 +18,9 @@ traces, splits, weights) as arrays first, then one Gaussian stack per kind
 of draw, through the stacked samplers of qsm.states.  Its operators are then
 built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
 group by group: all first members of the block's pairs, then all second
-members, and so on.  An oracle stays a black box: it is handed each block's
-operators, in that group order, in one call, and must return their images
-in order.  A block holds as many samples as keep each stacked operand within
+members, and so on.  A map is handed each block's operators, in that group
+order, in one call, and its images are checked and built as one stack.  A
+block holds as many samples as keep each stacked operand within
 _BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.  Since
 the block sizes fix the draw order, changing _BLOCK_ENTRIES changes the
 samples drawn, and so the report bytes, but not what the checks mean.  A
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .linalg import trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
-from .serialize import _decode_dim, matrix_to_json, unitary_from_json
+from .serialize import _decode_dim, unitary_from_json
 from .states import (
     DensityOperator,
     PureState,
@@ -60,6 +64,12 @@ from .states import (
 #: residual above which a reconstruction is rejected as not implementable.
 TOL_ACCEPT = 1e-6
 
+#: largest second eigenvalue of a pure probe image in a reconstruction.
+_PURITY_TOL = 1e-8
+
+#: largest distance of the image of 0 from 0 that counts as fixing 0.
+_ZERO_TOL = 1e-8
+
 #: cap on the matrix entries of one stacked operand in a sample loop: a block
 #: holds as many samples as fit, at least one.  Larger blocks gained no speed
 #: and raised peak memory at large n.  The block sizes fix the draw order, so
@@ -74,10 +84,10 @@ PHASE_CONVENTION = (
 
 
 class MapKind(Enum):
+    """The kinds of conjugation a reconstruction recovers."""
+
     UNITARY_CONJ = "unitary"
     ANTIUNITARY_CONJ = "antiunitary"
-    NAMED = "named"
-    ORACLE = "oracle"
 
 
 class MapDomain(Enum):
@@ -87,16 +97,13 @@ class MapDomain(Enum):
 
 @dataclass(frozen=True)
 class StateMap:
-    """Tagged transformation of the density cone or the state space."""
+    """A transformation of the density cone or the state space, seen only
+    through its block evaluator."""
 
-    kind: MapKind
     dim: int
     domain: MapDomain
-    unitary: np.ndarray | None = None
-    name: str | None = None
-    params: dict | None = None
-    #: an oracle's block evaluator: the images of a list of operators, in order
-    evaluate: Callable[[list[DensityOperator]], list[DensityOperator]] | None = None
+    #: the images of a list of operators, as n x n matrices, in order
+    evaluate: Callable[[list[DensityOperator]], Sequence[np.ndarray]]
 
 
 def _checked_unitary(u) -> np.ndarray:
@@ -111,16 +118,31 @@ def _checked_unitary(u) -> np.ndarray:
     return u
 
 
+def _entries(ops: list[DensityOperator]) -> np.ndarray:
+    """Entries of ops as one stack."""
+    return np.array([op.entries for op in ops])
+
+
+def _stack_map(dim: int, domain: MapDomain, action) -> StateMap:
+    """The map that applies ``action`` to the ``(k, n, n)`` stack of a block."""
+    return StateMap(dim, domain, lambda ops: action(_entries(ops)))
+
+
+def _conjugation(u, domain: MapDomain, kind: MapKind) -> StateMap:
+    u = _checked_unitary(u)
+    if kind is MapKind.ANTIUNITARY_CONJ:
+        return _stack_map(u.shape[0], domain, lambda arr: u @ arr.conj() @ u.conj().T)
+    return _stack_map(u.shape[0], domain, lambda arr: u @ arr @ u.conj().T)
+
+
 def unitary_conjugation(u, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
     """The map A -> U A U*."""
-    u = _checked_unitary(u)
-    return StateMap(MapKind.UNITARY_CONJ, u.shape[0], domain, unitary=u)
+    return _conjugation(u, domain, MapKind.UNITARY_CONJ)
 
 
 def antiunitary_conjugation(u, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
     """The map A -> U conj(A) U*, conj taken in the computational basis."""
-    u = _checked_unitary(u)
-    return StateMap(MapKind.ANTIUNITARY_CONJ, u.shape[0], domain, unitary=u)
+    return _conjugation(u, domain, MapKind.ANTIUNITARY_CONJ)
 
 
 def oracle_map(
@@ -130,7 +152,7 @@ def oracle_map(
 ) -> StateMap:
     """Wrap an opaque per-operator evaluation as a StateMap.  Each block of
     operators is handed to ``evaluate`` one operator at a time, in order."""
-    return StateMap(MapKind.ORACLE, dim, domain, evaluate=lambda ops: [evaluate(a) for a in ops])
+    return StateMap(dim, domain, lambda ops: [evaluate(a).entries for a in ops])
 
 
 def named_nonisometry(
@@ -147,42 +169,37 @@ def named_nonisometry(
     if name == "depolarizing":
         if p is None or not 0.0 <= p <= 1.0:
             raise InvalidParameter("depolarizing needs p in [0, 1]")
-        return StateMap(MapKind.NAMED, dim, domain, name=name, params={"p": float(p)})
+        p = float(p)
+
+        def depolarize(arr):
+            tr = np.trace(arr, axis1=1, axis2=2).real
+            return (1.0 - p) * arr + (p * tr)[:, None, None] * np.eye(dim) / dim
+
+        return _stack_map(dim, domain, depolarize)
     if name == "pinching":
         if basis is None:
-            basis_arr = np.eye(dim, dtype=np.complex128)
+            v = np.eye(dim, dtype=np.complex128)
         else:
-            basis_arr = _checked_unitary(basis)
-            if basis_arr.shape[0] != dim:
+            v = _checked_unitary(basis)
+            if v.shape[0] != dim:
                 raise InvalidParameter("pinching basis has the wrong dimension")
-        return StateMap(
-            MapKind.NAMED, dim, domain, name=name, params={"basis": basis_arr}
-        )
+
+        def pinch(arr):
+            rotated = v.conj().T @ arr @ v
+            diagonal = np.zeros_like(rotated)
+            idx = np.arange(dim)
+            diagonal[:, idx, idx] = rotated[:, idx, idx]
+            return v @ diagonal @ v.conj().T
+
+        return _stack_map(dim, domain, pinch)
     if name == "trace-rescale":
         if c is None or not 0.0 < c < np.inf:
             raise InvalidParameter("trace-rescale needs a finite c > 0")
         if domain is MapDomain.STATES_ONLY and c != 1.0:
             raise InvalidParameter("trace-rescale with c != 1 leaves the state space")
-        return StateMap(MapKind.NAMED, dim, domain, name=name, params={"c": float(c)})
+        c = float(c)
+        return _stack_map(dim, domain, lambda arr: c * arr)
     raise InvalidParameter(f"unknown non-isometry id {name!r}")
-
-
-def _named_action(m: StateMap, arr: np.ndarray) -> np.ndarray:
-    """A named map on a ``(k, n, n)`` stack."""
-    if m.name == "depolarizing":
-        p = m.params["p"]
-        tr = np.trace(arr, axis1=1, axis2=2).real
-        return (1.0 - p) * arr + (p * tr)[:, None, None] * np.eye(m.dim) / m.dim
-    if m.name == "pinching":
-        v = m.params["basis"]
-        rotated = v.conj().T @ arr @ v
-        diagonal = np.zeros_like(rotated)
-        idx = np.arange(m.dim)
-        diagonal[:, idx, idx] = rotated[:, idx, idx]
-        return v @ diagonal @ v.conj().T
-    if m.name == "trace-rescale":
-        return m.params["c"] * arr
-    raise InvalidParameter(f"unknown non-isometry id {m.name!r}")
 
 
 def _domain_type(domain: MapDomain) -> type[DensityOperator]:
@@ -190,30 +207,24 @@ def _domain_type(domain: MapDomain) -> type[DensityOperator]:
 
 
 def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]:
-    """apply_map of each operator in order: inputs are checked first, an
-    oracle is then evaluated once on the whole block, and the outputs are
-    checked and built as one stack."""
+    """apply_map of each operator in order: the inputs are checked, the map
+    is evaluated once on the whole block, and its images are checked and
+    built as one stack."""
     for a in ops:
         if a.dim != m.dim:
             raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
         if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
             raise DomainError("map is declared on states only; input has trace != 1")
-    if m.kind is MapKind.ORACLE:
-        outs = [image.entries for image in m.evaluate(ops)]
-        if len(outs) != len(ops):
-            raise DomainError(f"oracle returned {len(outs)} images for {len(ops)} operators")
-        for out in outs:
-            if out.shape != (m.dim, m.dim):
-                raise DomainError(f"map output has shape {out.shape}, declared dim {m.dim}")
-        out = np.array(outs)
-    else:
-        arr = _entries(ops)
-        if m.kind is MapKind.UNITARY_CONJ:
-            out = m.unitary @ arr @ m.unitary.conj().T
-        elif m.kind is MapKind.ANTIUNITARY_CONJ:
-            out = m.unitary @ arr.conj() @ m.unitary.conj().T
-        else:
-            out = _named_action(m, arr)
+    images = m.evaluate(ops)
+    try:
+        out = np.asarray(images, dtype=np.complex128)
+    except ValueError as exc:
+        raise DomainError(f"map images are not one stack of matrices: {exc}") from exc
+    if out.shape != (len(ops), m.dim, m.dim):
+        raise DomainError(
+            f"map returned images of shape {out.shape} for {len(ops)} operators, "
+            f"declared dim {m.dim}"
+        )
     try:
         return _domain_type(m.domain).from_stack(out)
     except (ValueError, NotPositiveSemidefinite) as exc:
@@ -237,7 +248,6 @@ class IsometryReport:
     pairs_tested: int
     max_deviation: float
     worst_pair: tuple[DensityOperator, DensityOperator]
-    seed: int
 
 
 def _blocks(total: int, n: int, per_sample: int):
@@ -246,11 +256,6 @@ def _blocks(total: int, n: int, per_sample: int):
     size = max(1, _BLOCK_ENTRIES // (per_sample * n * n))
     for start in range(0, total, size):
         yield min(size, total - start)
-
-
-def _entries(ops: list[DensityOperator]) -> np.ndarray:
-    """Entries of ops as one stack."""
-    return np.array([op.entries for op in ops])
 
 
 def _groups(ops: list, count: int) -> list[list]:
@@ -278,7 +283,6 @@ def check_isometry(
     pairs draws 2k operators and pairs the first k with the last k."""
     if pairs < 1:
         raise InvalidParameter("need at least one pair")
-    seed = rng.seed if isinstance(rng, RngStream) else 0
     gen = generator_of(rng)
     worst = 0.0
     worst_pair = None
@@ -290,17 +294,22 @@ def check_isometry(
         i = int(np.argmax(deviation))
         if worst_pair is None or deviation[i] > worst:
             worst, worst_pair = float(deviation[i]), (a[i], b[i])
-    return IsometryReport(metric, pairs, worst, worst_pair, seed)
+    return IsometryReport(metric, pairs, worst, worst_pair)
+
+
+def _zero_residual(m: StateMap, metric: MetricKind) -> float:
+    """Distance of the map's image of the zero operator from zero."""
+    if m.domain is not MapDomain.FULL_DENSITY:
+        raise DomainError("zero_fixed_check needs a map on the full density cone")
+    zero = zero_density(m.dim)
+    return distance(metric, apply_map(m, zero), zero)
 
 
 def zero_fixed_check(
-    m: StateMap, metric: MetricKind = MetricKind.TRACE_NORM, tol: float = 1e-8
+    m: StateMap, metric: MetricKind = MetricKind.TRACE_NORM, tol: float = _ZERO_TOL
 ) -> bool:
     """Whether the map sends the zero operator to (metrically) zero."""
-    if m.domain is not MapDomain.FULL_DENSITY:
-        raise DomainError("zero_fixed_check needs a map on the full density cone")
-    image = apply_map(m, zero_density(m.dim))
-    return distance(metric, image, zero_density(m.dim)) <= tol
+    return _zero_residual(m, metric) <= tol
 
 
 def trace_preservation_check(
@@ -423,9 +432,7 @@ class ReconstructionResult:
     validation_samples: int
 
     def as_map(self, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
-        if self.kind is MapKind.ANTIUNITARY_CONJ:
-            return antiunitary_conjugation(self.unitary, domain)
-        return unitary_conjugation(self.unitary, domain)
+        return _conjugation(self.unitary, domain, self.kind)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -447,10 +454,10 @@ def _probe(n: int, j: int) -> tuple[str, QuantumState]:
     return "imaginary", PureState(vec).as_projection()
 
 
-def _probe_vectors(oracle: StateMap, n: int, tol: float):
+def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
     built and mapped one block at a time; an image that is not pure within
-    ``tol`` raises NotIsometryEvidence naming its probe."""
+    _PURITY_TOL raises NotIsometryEvidence naming its probe."""
     total = 2 * n if n >= 2 else 1
     start = 0
     for count in _blocks(total, n, 1):
@@ -458,9 +465,9 @@ def _probe_vectors(oracle: StateMap, n: int, tol: float):
         start += count
         for label, image in zip(labels, _map_block(oracle, list(probes))):
             defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
-            if defect > tol:
+            if defect > _PURITY_TOL:
                 raise NotIsometryEvidence(
-                    f"probe {label} has purity defect {defect:.3e} > {tol:.1e}",
+                    f"probe {label} has purity defect {defect:.3e} > {_PURITY_TOL:.1e}",
                     purity_defect=defect,
                     probe=label,
                 )
@@ -483,9 +490,7 @@ def _validation_residual(
 
 def reconstruct_implementer(
     oracle: StateMap,
-    n: int,
     rng: RngStream | np.random.Generator,
-    tol: float = 1e-8,
     validation_samples: int = 100,
 ) -> ReconstructionResult:
     """Recover the unitary/antiunitary conjugation implementing an isometry.
@@ -504,17 +509,16 @@ def reconstruct_implementer(
     first failing probe raises; an oracle sees a whole block before any of its
     images is checked.  The assembled map is validated on random states; a
     residual above TOL_ACCEPT (or a non-pure probe image) rejects the oracle.
+    On the density cone the oracle must first fix 0 (within _ZERO_TOL in
+    trace norm) and preserve the trace.
     """
-    if n != oracle.dim:
-        raise DimensionMismatch(f"oracle dim {oracle.dim}, requested {n}")
+    n = oracle.dim
     gen = generator_of(rng)
     if oracle.domain is MapDomain.FULL_DENSITY:
-        zero_image = apply_map(oracle, zero_density(n))
-        if zero_image.trace > 1e-8:
+        zero_residual = _zero_residual(oracle, MetricKind.TRACE_NORM)
+        if zero_residual > _ZERO_TOL:
             raise NotImplementable(
-                "map does not fix the zero operator",
-                residual=zero_image.trace,
-                probe="zero",
+                "map does not fix the zero operator", residual=zero_residual, probe="zero"
             )
         if not trace_preservation_check(oracle, gen, samples=25, tol=1e-8):
             raise NotImplementable(
@@ -523,7 +527,7 @@ def reconstruct_implementer(
 
     columns, assembled = [], []
     kind = MapKind.UNITARY_CONJ
-    for j, w in enumerate(_probe_vectors(oracle, n, tol)):
+    for j, w in enumerate(_probe_vectors(oracle, n)):
         if j < n:
             columns.append(w)
             if j == 0:
@@ -554,9 +558,7 @@ def reconstruct_implementer(
             residual=defect,
             probe="assembly",
         )
-    recon = (
-        antiunitary_conjugation(u) if kind is MapKind.ANTIUNITARY_CONJ else unitary_conjugation(u)
-    )
+    recon = _conjugation(u, MapDomain.FULL_DENSITY, kind)
     residual = _validation_residual(oracle, recon, n, gen, validation_samples)
     if residual > TOL_ACCEPT:
         raise NotImplementable(
@@ -569,7 +571,7 @@ def reconstruct_implementer(
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Outcome of hiding a conjugation behind an oracle and recovering it."""
+    """Outcome of checking a hidden conjugation and recovering it."""
 
     dim: int
     kind_requested: MapKind
@@ -592,26 +594,21 @@ def isometry_roundtrip(
     domain: MapDomain = MapDomain.FULL_DENSITY,
     preservation_samples: int = 100,
 ) -> RoundtripReport:
-    """Sample a Haar conjugation of the given kind, wrap it as an opaque
-    oracle, and verify: isometry under both metrics, the preservation suite,
-    and reconstruction of the kind and of the induced map on fresh
-    validation states."""
-    if kind not in (MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ):
+    """Sample a Haar conjugation of the given kind, hand it to the checks,
+    which see it only through its evaluator, and verify: isometry under both
+    metrics, the preservation suite, and reconstruction of the kind and of
+    the induced map on fresh validation states."""
+    if not isinstance(kind, MapKind):
         raise InvalidParameter("roundtrip needs a conjugation kind")
     gen = generator_of(rng)
     u_true = random_unitary(n, gen)
-    hidden = (
-        unitary_conjugation(u_true, domain)
-        if kind is MapKind.UNITARY_CONJ
-        else antiunitary_conjugation(u_true, domain)
-    )
-    oracle = StateMap(MapKind.ORACLE, n, domain, evaluate=lambda ops: _map_block(hidden, ops))
-    bures_dev = check_isometry(oracle, MetricKind.BURES, gen, pairs).max_deviation
-    trace_dev = check_isometry(oracle, MetricKind.TRACE_NORM, gen, pairs).max_deviation
-    preserved = preservation_suite(oracle, gen, samples=preservation_samples).all_preserved()
-    recon = reconstruct_implementer(oracle, n, gen, validation_samples=validation_samples)
+    hidden = _conjugation(u_true, domain, kind)
+    bures_dev = check_isometry(hidden, MetricKind.BURES, gen, pairs).max_deviation
+    trace_dev = check_isometry(hidden, MetricKind.TRACE_NORM, gen, pairs).max_deviation
+    preserved = preservation_suite(hidden, gen, samples=preservation_samples).all_preserved()
+    recon = reconstruct_implementer(hidden, gen, validation_samples=validation_samples)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
-    validation_max = _validation_residual(oracle, recon.as_map(domain), n, gen, validation_samples)
+    validation_max = _validation_residual(hidden, recon.as_map(domain), n, gen, validation_samples)
     expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
     passed = (
         recon.kind is expected_kind
@@ -635,18 +632,6 @@ def isometry_roundtrip(
     )
 
 
-def statemap_to_json(m: StateMap) -> dict:
-    """Serialize conjugations and named maps (oracles are in-process only)."""
-    if m.kind in (MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ):
-        return {"kind": m.kind.value, "dim": m.dim, "U": matrix_to_json(m.unitary)}
-    if m.kind is MapKind.NAMED:
-        params = {"id": m.name}
-        for key, value in m.params.items():
-            params[key] = matrix_to_json(value) if isinstance(value, np.ndarray) else value
-        return {"kind": "named", "dim": m.dim, "params": params}
-    raise InvalidParameter("oracle maps have no wire format")
-
-
 #: the one parameter each named map reads from a map file
 _NAMED_PARAM = {"depolarizing": "p", "pinching": "basis", "trace-rescale": "c"}
 
@@ -663,8 +648,7 @@ def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) ->
         u = unitary_from_json(obj["U"])
         if u.shape[0] != dim:
             raise InvalidParameter(f"map dim {dim} disagrees with U of size {u.shape[0]}")
-        build = unitary_conjugation if kind == "unitary" else antiunitary_conjugation
-        return build(u, domain)
+        return _conjugation(u, domain, MapKind(kind))
     if kind == "named":
         params = obj.get("params")
         name = params.get("id") if isinstance(params, dict) else None

@@ -32,6 +32,9 @@ from .linalg import (
 #: are clamped to zero, anything lower is rejected.
 PSD_TOL = 1e-9
 
+#: relative floor of rank(): eigenvalues above RANK_TOL*(1+trace) count.
+RANK_TOL = 1e-10
+
 #: largest admitted Hilbert-space dimension unless overridden by the caller.
 DEFAULT_DIM_CAP = 64
 
@@ -128,9 +131,9 @@ class DensityOperator(HermitianOperator):
     def trace(self) -> float:
         return self._trace
 
-    def rank(self, tol: float = 1e-10) -> int:
-        """Number of eigenvalues above tol*(1+trace)."""
-        return int(np.count_nonzero(self._eigenvalues > tol * (1.0 + self._trace)))
+    def rank(self) -> int:
+        """Number of eigenvalues above RANK_TOL*(1+trace)."""
+        return int(np.count_nonzero(self._eigenvalues > RANK_TOL * (1.0 + self._trace)))
 
 
 class QuantumState(DensityOperator):

@@ -284,7 +284,7 @@ def _theorem(metric, domain, dim, gen, samples, budget, tolerances):
         control_dev = check_isometry(control, metric, gen, max(10, samples)).max_deviation
         passed &= control_dev >= 1e-5
         try:
-            reconstruct_implementer(control, dim, gen)
+            reconstruct_implementer(control, gen)
             passed = False
             rejected = False
         except (NotIsometryEvidence, NotImplementable):

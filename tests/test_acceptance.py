@@ -263,7 +263,7 @@ def test_criterion_6_negative_controls():
     rejected = 0
     for control in (depol2, pinch3, rescale, shifted):
         try:
-            reconstruct_implementer(control, control.dim, gen)
+            reconstruct_implementer(control, gen)
         except (NotIsometryEvidence, NotImplementable):
             rejected += 1
     ok = deviation_ok and rank_ok and reduction_ok and rejected == 4

@@ -203,12 +203,12 @@ class TestReconstructCommand:
         assert_usage_error(runner.invoke(main, ["reconstruct", "--dim", "2"] + args))
 
     def test_map_file(self, runner, tmp_path):
-        from qsm.maps import statemap_to_json, unitary_conjugation
+        from qsm.serialize import matrix_to_json
         from qsm.states import random_unitary
 
         u = random_unitary(3, RngStream(77))
         path = tmp_path / "map.json"
-        save_json(path, statemap_to_json(unitary_conjugation(u)))
+        save_json(path, {"kind": "unitary", "dim": 3, "U": matrix_to_json(u)})
         result = runner.invoke(main, ["reconstruct", "--map-file", str(path)])
         assert result.exit_code == 0
         payload = json.loads(result.output)

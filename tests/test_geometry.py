@@ -4,9 +4,11 @@ uniqueness search, orthocomplement rank."""
 import numpy as np
 import pytest
 
+import qsm.geometry
 from qsm.errors import (
     InvalidConfiguration,
     InvalidPool,
+    NumericalBreakdown,
     ZeroCenter,
 )
 from qsm.geometry import (
@@ -168,6 +170,38 @@ class TestPinchConfiguration:
     def test_zero_center_rejected(self):
         with pytest.raises(ZeroCenter):
             pinch_configuration(zero_density(2), RngStream(0))
+
+
+class TestPostConditions:
+    """A broken bound raises NumericalBreakdown, also under python -O."""
+
+    @staticmethod
+    def _break(monkeypatch, name, honest_calls):
+        # the first honest_calls distances are true, every later one is 1 too far
+        original, calls = getattr(qsm.geometry, name), []
+
+        def broken(a, b):
+            calls.append(None)
+            return original(a, b) + (len(calls) > honest_calls)
+
+        monkeypatch.setattr(qsm.geometry, name, broken)
+
+    def test_pinch_configuration(self, monkeypatch):
+        self._break(monkeypatch, "trace_distance", 0)
+        with pytest.raises(NumericalBreakdown):
+            pinch_configuration(random_state(3, 2, RngStream(24)), RngStream(25))
+
+    def test_midpoint_witness(self, monkeypatch):
+        # the first distance is the precondition on the pair
+        self._break(monkeypatch, "trace_distance", 1)
+        with pytest.raises(NumericalBreakdown):
+            midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
+
+    @pytest.mark.parametrize("center", [zero_density(2), basis_projection(2, 0)])
+    def test_bures_ball_diameter(self, monkeypatch, center):
+        self._break(monkeypatch, "bures_distance", 0)
+        with pytest.raises(NumericalBreakdown):
+            bures_ball_diameter(BallSpec(MetricKind.BURES, center, 0.5), RngStream(26), 3)
 
 
 class TestUniquenessSearch:

@@ -70,7 +70,6 @@ def _draw(n, gen, domain, count):
 def serial_check_isometry(m, metric, rng, pairs):
     if pairs < 1:
         raise InvalidParameter("need at least one pair")
-    seed = rng.seed if isinstance(rng, RngStream) else 0
     gen = generator_of(rng)
     worst = 0.0
     worst_pair = None
@@ -84,7 +83,7 @@ def serial_check_isometry(m, metric, rng, pairs):
             )
             if worst_pair is None or deviation > worst:
                 worst, worst_pair = deviation, (ops[i], ops[j])
-    return IsometryReport(metric, pairs, worst, worst_pair, seed)
+    return IsometryReport(metric, pairs, worst, worst_pair)
 
 
 def serial_trace_preservation_check(m, rng, samples=100, tol=1e-9):
@@ -177,14 +176,16 @@ def _pure_image_vector(oracle, probe, tol, label):
     return image.eigenvectors[:, -1].copy()
 
 
-def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=100):
+def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8):
+    n = oracle.dim
     gen = generator_of(rng)
     if oracle.domain is MapDomain.FULL_DENSITY:
-        zero_image = apply_map(oracle, zero_density(n))
-        if zero_image.trace > 1e-8:
+        zero = zero_density(n)
+        zero_residual = distance(MetricKind.TRACE_NORM, apply_map(oracle, zero), zero)
+        if zero_residual > 1e-8:
             raise NotImplementable(
                 "map does not fix the zero operator",
-                residual=zero_image.trace,
+                residual=zero_residual,
                 probe="zero",
             )
         if not serial_trace_preservation_check(oracle, gen, samples=25, tol=1e-8):
@@ -248,8 +249,9 @@ def serial_reconstruct_implementer(oracle, n, rng, tol=1e-8, validation_samples=
 
 def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
                               preservation_samples, seen=None):
-    """The serial roundtrip; ``seen``, if given, collects every operator its
-    per-operator oracle is handed."""
+    """The serial roundtrip, which maps one operator at a time through the
+    hidden conjugation itself; ``seen``, if given, collects every operator
+    the hidden map is handed."""
     gen = generator_of(rng)
     u_true = random_unitary(n, gen)
     hidden = (
@@ -258,20 +260,18 @@ def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
         else antiunitary_conjugation(u_true, domain)
     )
 
-    def evaluate(a):
+    def evaluate(ops):
         if seen is not None:
-            seen.append(a.entries.copy())
-        return apply_map(hidden, a)
+            seen.extend(a.entries.copy() for a in ops)
+        return hidden.evaluate(ops)
 
-    oracle = oracle_map(evaluate, n, domain)
+    oracle = StateMap(n, domain, evaluate)
     bures_dev = serial_check_isometry(oracle, MetricKind.BURES, gen, pairs).max_deviation
     trace_dev = serial_check_isometry(oracle, MetricKind.TRACE_NORM, gen, pairs).max_deviation
     preserved = serial_preservation_suite(
         oracle, gen, samples=preservation_samples
     ).all_preserved()
-    recon = serial_reconstruct_implementer(
-        oracle, n, gen, validation_samples=validation_samples
-    )
+    recon = serial_reconstruct_implementer(oracle, gen, validation_samples=validation_samples)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
     validation_max = serial_validation_residual(
         oracle, recon.as_map(domain), n, gen, validation_samples
@@ -334,8 +334,10 @@ class RecordingOracle:
 
 
 class BlockRecordingOracle(RecordingOracle):
-    """The same hidden conjugation as a block evaluator: it is handed whole
-    blocks, and keeps every input and the size of each block."""
+    """The same oracle as a block evaluator: it is handed whole blocks,
+    keeps every input and the size of each block, and returns the entries of
+    the operators the hidden conjugation builds, as the per-operator oracle
+    does."""
 
     def __init__(self, n, domain):
         super().__init__(n, domain)
@@ -344,7 +346,7 @@ class BlockRecordingOracle(RecordingOracle):
     def __call__(self, ops):
         self.blocks.append(len(ops))
         self.seen += [a.entries.copy() for a in ops]
-        return qsm.maps._map_block(self.hidden, ops)
+        return [image.entries for image in qsm.maps._map_block(self.hidden, ops)]
 
 
 class OffBasisSwapOracle:
@@ -473,7 +475,7 @@ def test_reconstruction_matches_serial_loop(n, domain, name):
         name, n, domain,
         lambda side, m, gen: (reconstruct_implementer if side
                               else serial_reconstruct_implementer)(
-            m, n, gen, validation_samples=samples),
+            m, gen, validation_samples=samples),
     )
     if isinstance(serial, tuple):
         assert blocked == serial
@@ -521,10 +523,8 @@ def test_block_oracle_reconstruction_matches_per_operator_oracle(n, domain, lowe
         monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
     single, block = RecordingOracle(n, domain), BlockRecordingOracle(n, domain)
     gens = [RngStream(5, n).generator() for _ in range(2)]
-    want = reconstruct_implementer(oracle_map(single, n, domain), n, gens[0],
-                                   validation_samples=7)
-    got = reconstruct_implementer(StateMap(MapKind.ORACLE, n, domain, evaluate=block), n,
-                                  gens[1], validation_samples=7)
+    want = reconstruct_implementer(oracle_map(single, n, domain), gens[0], validation_samples=7)
+    got = reconstruct_implementer(StateMap(n, domain, block), gens[1], validation_samples=7)
     _assert_same_reconstruction(got, want)
     assert gens[1].bit_generator.state == gens[0].bit_generator.state
     assert len(block.seen) == len(single.seen)
@@ -549,14 +549,20 @@ def test_roundtrip_block_oracle_sees_per_operator_sequence(n, domain, kind, lowe
     per_operator = []
     serial = serial_isometry_roundtrip(kind, n, serial_gen, seen=per_operator, **settings)
 
-    blocks = []
-    map_block = qsm.maps._map_block
+    # the roundtrip's first map is its hidden conjugation; pick it out by identity
+    built, blocks = [], []
+    conjugation, map_block = qsm.maps._conjugation, qsm.maps._map_block
+
+    def building(*args):
+        built.append(conjugation(*args))
+        return built[-1]
 
     def recording(m, ops):
-        if m.kind is MapKind.ORACLE:
+        if m is built[0]:
             blocks.append([a.entries.copy() for a in ops])
         return map_block(m, ops)
 
+    monkeypatch.setattr(qsm.maps, "_conjugation", building)
     monkeypatch.setattr(qsm.maps, "_map_block", recording)
     blocked = isometry_roundtrip(kind, n, blocked_gen, **settings)
     seen = [x for block in blocks for x in block]
@@ -592,7 +598,7 @@ def test_rejection_matches_serial_loop(n, name, domain, lowered, monkeypatch):
         name, n, domain,
         lambda side, m, gen: (reconstruct_implementer if side
                               else serial_reconstruct_implementer)(
-            m, n, gen, validation_samples=5),
+            m, gen, validation_samples=5),
     )
     assert isinstance(serial, tuple)
     assert blocked == serial
