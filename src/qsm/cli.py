@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -19,14 +20,17 @@ from click.core import ParameterSource
 
 from .errors import NotImplementable, NotIsometryEvidence, QsmError
 from .maps import (
+    PHASE_CONVENTION,
+    VALIDATION_SAMPLES,
     antiunitary_conjugation,
     named_nonisometry,
+    probe_count,
     reconstruct_implementer,
     statemap_from_json,
     unitary_conjugation,
 )
-from .metrics import are_orthogonal, bures_distance, fidelity, trace_distance
-from .serialize import canonical_dumps, load_density, matrix_to_json, save_json
+from .metrics import _bures_entries, are_orthogonal, fidelity, trace_distance
+from .serialize import canonical_dumps, load_density, matrix_to_json
 from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
 from .suites import SUITE_IDS, TOLERANCE_NAMES, run_suite
 
@@ -92,7 +96,7 @@ def parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
 def _emit(payload: dict, output_path: str | None) -> None:
     text = canonical_dumps(payload)
     if output_path:
-        save_json(output_path, payload)
+        Path(output_path).write_text(text, encoding="utf-8")
     click.echo(text, nl=False)
 
 
@@ -119,17 +123,19 @@ def cmd_metric(file_a, file_b, which, output_path):
         raise click.UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim > dim_cap():
         raise click.UsageError(f"dimension {a.dim} exceeds cap {dim_cap()}")
+    fid = fidelity(a, b)
     payload = {
         "schema": SCHEMA,
         "command": "metric",
         "dim": a.dim,
         "trace_a": a.trace,
         "trace_b": b.trace,
-        "fidelity": fidelity(a, b),
+        "fidelity": fid,
         "orthogonal": are_orthogonal(a, b),
     }
     if which in ("both", "bures"):
-        payload["bures_distance"] = bures_distance(a, b)
+        # bures_distance(a, b), from the fidelity already computed
+        payload["bures_distance"] = float(_bures_entries(a.trace, b.trace, fid, a.dim))
     if which in ("both", "trace-norm"):
         payload["trace_distance"] = trace_distance(a, b)
     _emit(payload, output_path)
@@ -239,7 +245,7 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
         "command": "reconstruct",
         "map": source,
         "dim": dim,
-        "probes": 2 * dim if dim >= 2 else 1,
+        "probes": probe_count(dim),
     }
     try:
         result = reconstruct_implementer(state_map, RngStream(seed, 7))
@@ -262,8 +268,8 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
             "pass": True,
             "kind": result.kind.value,
             "residual": result.residual,
-            "validation_samples": result.validation_samples,
-            "phase_convention": result.phase_convention,
+            "validation_samples": VALIDATION_SAMPLES,
+            "phase_convention": PHASE_CONVENTION,
             "unitary": matrix_to_json(result.unitary),
         }
     )

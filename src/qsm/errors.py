@@ -17,10 +17,6 @@ class NotPositiveSemidefinite(QsmError):
         self.eigenvalue = eigenvalue
 
 
-class InvalidVector(QsmError):
-    """A state vector is zero or non-finite."""
-
-
 class InvalidRank(QsmError):
     """A requested rank is outside [1, dim]."""
 

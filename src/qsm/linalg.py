@@ -1,5 +1,5 @@
-"""Dense complex Hermitian linear algebra: the operator type, trace norms and
-the PSD clamp.
+"""Dense complex Hermitian linear algebra: shape and finiteness checks,
+symmetrization, trace norms and the PSD clamp.
 
 Everything here is a pure function of immutable values; matrices are small
 (dimension capped elsewhere), so dense storage and full eigendecompositions
@@ -32,31 +32,6 @@ def _finite_prefix(arr: np.ndarray) -> int:
 def _symmetrized(arr: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a matrix, or of each matrix of a stack."""
     return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
-
-
-class HermitianOperator:
-    """Immutable dense n-by-n complex Hermitian matrix.
-
-    Construction symmetrizes via (A + A*)/2, so at most one triangle of the
-    input is authoritative.  Entries must be finite.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        arr = _as_complex_squares(entries)
-        if not _finite_prefix(arr[None]):
-            raise ValueError(NONFINITE_MESSAGE)
-        arr = _symmetrized(arr)
-        arr.setflags(write=False)
-        self.entries = arr
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def trace_norm_entries(arr: np.ndarray):

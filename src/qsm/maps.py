@@ -46,13 +46,13 @@ from .errors import (
 )
 from .linalg import trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
-from .serialize import _decode_dim, unitary_from_json
+from .serialize import _decode_dim, matrix_from_json
 from .states import (
     DensityOperator,
-    PureState,
     QuantumState,
     RngStream,
     _orthogonal_pairs,
+    _projection,
     _sampled_stack,
     _unitarity_defect,
     basis_projection,
@@ -75,6 +75,10 @@ _ZERO_TOL = 1e-8
 #: and raised peak memory at large n.  The block sizes fix the draw order, so
 #: a new cap moves report bytes, not verdicts.
 _BLOCK_ENTRIES = 800
+
+#: random states on which a reconstruction, and a roundtrip's recovered map,
+#: are validated.
+VALIDATION_SAMPLES = 100
 
 #: human-readable statement of the output gauge fixing.
 PHASE_CONVENTION = (
@@ -428,8 +432,6 @@ class ReconstructionResult:
     unitary: np.ndarray
     kind: MapKind
     residual: float
-    phase_convention: str
-    validation_samples: int
 
     def as_map(self, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
         return _conjugation(self.unitary, domain, self.kind)
@@ -449,18 +451,22 @@ def _probe(n: int, j: int) -> tuple[str, QuantumState]:
     if j < 2 * n - 1:
         i = j - n + 1
         vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
-        return f"superposition:{i}", PureState(vec).as_projection()
+        return f"superposition:{i}", _projection(vec)
     vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-    return "imaginary", PureState(vec).as_projection()
+    return "imaginary", _projection(vec)
+
+
+def probe_count(n: int) -> int:
+    """Number of probes in the reconstruction schedule at dimension n."""
+    return 2 * n if n >= 2 else 1
 
 
 def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
     built and mapped one block at a time; an image that is not pure within
     _PURITY_TOL raises NotIsometryEvidence naming its probe."""
-    total = 2 * n if n >= 2 else 1
     start = 0
-    for count in _blocks(total, n, 1):
+    for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
         start += count
         for label, image in zip(labels, _map_block(oracle, list(probes))):
@@ -491,12 +497,11 @@ def _validation_residual(
 def reconstruct_implementer(
     oracle: StateMap,
     rng: RngStream | np.random.Generator,
-    validation_samples: int = 100,
 ) -> ReconstructionResult:
     """Recover the unitary/antiunitary conjugation implementing an isometry.
 
-    Probe schedule (fixed up front; 2n probes, one at n = 1, plus the
-    validation set):
+    Probe schedule (fixed up front; probe_count(n) probes, plus the
+    VALIDATION_SAMPLES validation states):
       1. the n computational basis projections — images must be pure; their
          top eigenvectors are the candidate columns up to phase;
       2. the n-1 real superpositions (e_1 + e_i)/sqrt(2) — image overlaps fix
@@ -559,14 +564,14 @@ def reconstruct_implementer(
             probe="assembly",
         )
     recon = _conjugation(u, MapDomain.FULL_DENSITY, kind)
-    residual = _validation_residual(oracle, recon, n, gen, validation_samples)
+    residual = _validation_residual(oracle, recon, n, gen, VALIDATION_SAMPLES)
     if residual > TOL_ACCEPT:
         raise NotImplementable(
             f"validation residual {residual:.3e} exceeds {TOL_ACCEPT:.1e}",
             residual=residual,
             probe="validation",
         )
-    return ReconstructionResult(u, kind, residual, PHASE_CONVENTION, validation_samples)
+    return ReconstructionResult(u, kind, residual)
 
 
 @dataclass(frozen=True)
@@ -590,7 +595,6 @@ def isometry_roundtrip(
     n: int,
     rng: RngStream | np.random.Generator,
     pairs: int = 300,
-    validation_samples: int = 100,
     domain: MapDomain = MapDomain.FULL_DENSITY,
     preservation_samples: int = 100,
 ) -> RoundtripReport:
@@ -606,9 +610,11 @@ def isometry_roundtrip(
     bures_dev = check_isometry(hidden, MetricKind.BURES, gen, pairs).max_deviation
     trace_dev = check_isometry(hidden, MetricKind.TRACE_NORM, gen, pairs).max_deviation
     preserved = preservation_suite(hidden, gen, samples=preservation_samples).all_preserved()
-    recon = reconstruct_implementer(hidden, gen, validation_samples=validation_samples)
+    recon = reconstruct_implementer(hidden, gen)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
-    validation_max = _validation_residual(hidden, recon.as_map(domain), n, gen, validation_samples)
+    validation_max = _validation_residual(
+        hidden, recon.as_map(domain), n, gen, VALIDATION_SAMPLES
+    )
     expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
     passed = (
         recon.kind is expected_kind
@@ -645,7 +651,7 @@ def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) ->
     kind = obj.get("kind")
     if kind in ("unitary", "antiunitary"):
         dim = _decode_dim(obj.get("dim"))
-        u = unitary_from_json(obj["U"])
+        u = matrix_from_json(obj["U"])
         if u.shape[0] != dim:
             raise InvalidParameter(f"map dim {dim} disagrees with U of size {u.shape[0]}")
         return _conjugation(u, domain, MapKind(kind))
@@ -660,7 +666,7 @@ def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) ->
             raise InvalidParameter(f"{name} takes no parameter {extra[0]!r}")
         value = params.get(key)
         if key == "basis":
-            value = None if value is None else unitary_from_json(value)
+            value = None if value is None else matrix_from_json(value)
         elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise InvalidParameter(f"{name} parameter {key!r} must be a number, got {value!r}")
         return named_nonisometry(name, _decode_dim(obj.get("dim")), domain=domain, **{key: value})

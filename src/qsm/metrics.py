@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
-from .linalg import HermitianOperator, _spectral_rebuild, trace_norm_entries
+from .linalg import _spectral_rebuild, trace_norm_entries
 from .states import DensityOperator
 
 #: default relative tolerance for orthogonality of PSD operators.
@@ -85,12 +85,12 @@ def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
     return float(_bures_entries(a.trace, b.trace, fidelity(a, b), a.dim))
 
 
-def trace_distance(a: HermitianOperator, b: HermitianOperator) -> float:
+def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Trace-norm distance: sum of absolute eigenvalues of A - B."""
     return float(distances(MetricKind.TRACE_NORM, [a], [b])[0])
 
 
-def product_trace_norm(a: HermitianOperator, b: HermitianOperator) -> float:
+def product_trace_norm(a: DensityOperator, b: DensityOperator) -> float:
     """Trace norm of the (generally non-Hermitian) product AB."""
     return float(_product_trace_norm_entries(*_stacks([a], [b], "entries"))[0])
 

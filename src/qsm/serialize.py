@@ -2,8 +2,9 @@
 
 Matrix literal format (repo-wide):
     { "dim": n, "entries": [[[re, im], ...], ...] }
-with full n x n entries.  The Hermitian loader validates symmetry to 1e-12
-absolute, then symmetrizes.
+with full n x n entries.  matrix_from_json decodes any complex matrix; the
+density loader also validates Hermitian symmetry to 1e-12 absolute, then
+builds a DensityOperator, which symmetrizes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import HermitianOperator
 from .states import DensityOperator
 
 HERMITIAN_SYMMETRY_TOL = 1e-12
@@ -33,8 +33,8 @@ def complex_matrix_from_lists(rows, dim: int) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def matrix_to_json(op: HermitianOperator | np.ndarray) -> dict:
-    arr = op.entries if isinstance(op, HermitianOperator) else np.asarray(op)
+def matrix_to_json(op: DensityOperator | np.ndarray) -> dict:
+    arr = op.entries if isinstance(op, DensityOperator) else np.asarray(op)
     return {"dim": int(arr.shape[0]), "entries": complex_matrix_to_lists(arr)}
 
 
@@ -45,29 +45,21 @@ def _decode_dim(value) -> int:
     return value
 
 
-def _decode_matrix_obj(obj: dict) -> np.ndarray:
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Decode a (generally non-Hermitian) complex matrix; no symmetry check."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
     return complex_matrix_from_lists(obj["entries"], _decode_dim(obj["dim"]))
 
 
-def hermitian_from_json(obj: dict) -> HermitianOperator:
-    arr = _decode_matrix_obj(obj)
+def density_from_json(obj: dict) -> DensityOperator:
+    arr = matrix_from_json(obj)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > HERMITIAN_SYMMETRY_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max |A - A*| = {defect:.3e} > {HERMITIAN_SYMMETRY_TOL:.0e}"
         )
-    return HermitianOperator(arr)
-
-
-def density_from_json(obj: dict) -> DensityOperator:
-    return DensityOperator(hermitian_from_json(obj).entries)
-
-
-def unitary_from_json(obj: dict) -> np.ndarray:
-    """Decode a (generally non-Hermitian) complex matrix; no symmetry check."""
-    return _decode_matrix_obj(obj)
+    return DensityOperator(arr)
 
 
 def load_density(path: str | Path) -> DensityOperator:
@@ -78,7 +70,3 @@ def load_density(path: str | Path) -> DensityOperator:
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed layout, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def save_json(path: str | Path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Density operators, quantum states, pure states, and reproducible sampling.
+"""Density operators, quantum states, and reproducible sampling.
 
 Random draws go through RngStream, a value type (seed, stream_index): the
 same stream always yields the same operators, and concurrent experiments use
@@ -14,13 +14,11 @@ import numpy as np
 from .errors import (
     InvalidParameter,
     InvalidRank,
-    InvalidVector,
     NotPositiveSemidefinite,
     NumericalBreakdown,
 )
 from .linalg import (
     NONFINITE_MESSAGE,
-    HermitianOperator,
     _as_complex_squares,
     _finite_prefix,
     _spectral_rebuild,
@@ -39,17 +37,18 @@ RANK_TOL = 1e-10
 DEFAULT_DIM_CAP = 64
 
 
-class DensityOperator(HermitianOperator):
+class DensityOperator:
     """Positive semidefinite Hermitian operator (finite, not trace-normalized).
 
-    Construction eigendecomposes once: eigenvalues within -1e-9*(1+trace) of
-    zero are clamped to exactly zero, more negative ones raise
-    NotPositiveSemidefinite.  The spectrum and the trace are cached for
+    Construction symmetrizes via (A + A*)/2, so at most one triangle of the
+    input is authoritative, and eigendecomposes once: eigenvalues within
+    -1e-9*(1+trace) of zero are clamped to exactly zero, more negative ones
+    raise NotPositiveSemidefinite.  The spectrum and the trace are cached for
     downstream use.  ``from_stack`` builds a whole ``(k, n, n)`` stack with
     the same checks and one batched decomposition.
     """
 
-    __slots__ = ("_eigenvalues", "_eigenvectors", "_trace")
+    __slots__ = ("entries", "_eigenvalues", "_eigenvectors", "_trace")
 
     #: whether construction also holds the trace to 1 (QuantumState)
     _UNIT_TRACE = False
@@ -120,6 +119,10 @@ class DensityOperator(HermitianOperator):
         self._trace = trace
 
     @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         return self._eigenvalues
 
@@ -135,6 +138,9 @@ class DensityOperator(HermitianOperator):
         """Number of eigenvalues above RANK_TOL*(1+trace)."""
         return int(np.count_nonzero(self._eigenvalues > RANK_TOL * (1.0 + self._trace)))
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
+
 
 class QuantumState(DensityOperator):
     """Density operator with trace 1 (within 1e-10)."""
@@ -142,34 +148,6 @@ class QuantumState(DensityOperator):
     __slots__ = ()
 
     _UNIT_TRACE = True
-
-
-class PureState:
-    """Unit vector representing a rank-one state."""
-
-    __slots__ = ("vector",)
-
-    def __init__(self, vector):
-        vec = np.array(vector, dtype=np.complex128).reshape(-1)
-        if vec.size < 1 or not np.all(np.isfinite(vec)):
-            raise InvalidVector("pure state vector must be nonempty and finite")
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise InvalidVector("pure state vector must be nonzero")
-        vec = vec / norm
-        vec.setflags(write=False)
-        self.vector = vec
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
-    def as_projection(self) -> QuantumState:
-        """Rank-one projection |v><v| as a trace-1 state."""
-        return QuantumState(np.outer(self.vector, self.vector.conj()))
-
-    def __repr__(self) -> str:
-        return f"PureState(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -191,10 +169,6 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
         )
-
-    def shifted(self, offset: int) -> "RngStream":
-        """Stream with the same seed and a disjoint index."""
-        return RngStream(self.seed, self.stream_index + offset)
 
 
 def generator_of(rng: RngStream | np.random.Generator) -> np.random.Generator:
@@ -329,8 +303,15 @@ def zero_density(n: int) -> DensityOperator:
     return DensityOperator(np.zeros((n, n), dtype=np.complex128))
 
 
+def _projection(vec) -> QuantumState:
+    """Rank-one projection |v><v| onto the nonzero vector v, normalized."""
+    vec = np.asarray(vec, dtype=np.complex128)
+    vec = vec / float(np.linalg.norm(vec))
+    return QuantumState(np.outer(vec, vec.conj()))
+
+
 def basis_projection(n: int, k: int) -> QuantumState:
     """Projection onto the k-th computational basis vector."""
     vec = np.zeros(n, dtype=np.complex128)
     vec[k] = 1.0
-    return PureState(vec).as_projection()
+    return _projection(vec)

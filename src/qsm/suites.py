@@ -262,7 +262,6 @@ def _theorem(metric, domain, dim, gen, samples, budget, tolerances):
             dim,
             gen,
             pairs=max(10, samples),
-            validation_samples=100,
             domain=domain,
             preservation_samples=max(20, samples // 4),
         )

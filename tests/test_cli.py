@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qsm.metrics
 from qsm.cli import main, parse_dims
-from qsm.serialize import matrix_to_json, save_json
+from qsm.serialize import canonical_dumps, matrix_to_json
 from qsm.states import RngStream
 
 
@@ -29,7 +30,7 @@ def matrix_files(tmp_path):
     }
     for name, diag in entries.items():
         path = tmp_path / f"{name}.json"
-        save_json(path, matrix_to_json(diag.astype(complex)))
+        path.write_text(canonical_dumps(matrix_to_json(diag.astype(complex))))
         paths[name] = str(path)
     return paths
 
@@ -64,6 +65,19 @@ class TestMetricCommand:
         assert payload["fidelity"] == pytest.approx(0.9855985596534888, abs=1e-12)
         assert payload["trace_distance"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_fidelity_evaluated_once(self, runner, matrix_files, monkeypatch):
+        calls = []
+        fidelities = qsm.metrics._fidelities
+
+        def counting(xs, ys):
+            calls.append(len(xs))
+            return fidelities(xs, ys)
+
+        monkeypatch.setattr(qsm.metrics, "_fidelities", counting)
+        result = runner.invoke(main, ["metric", matrix_files["half"], matrix_files["thirds"]])
+        assert result.exit_code == 0
+        assert calls == [1]
+
     def test_dimension_mismatch_exits_2(self, runner, matrix_files):
         result = runner.invoke(main, ["metric", matrix_files["p"], matrix_files["dim3"]])
         assert result.exit_code == 2
@@ -76,7 +90,7 @@ class TestMetricCommand:
 
     def test_non_density_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "neg.json"
-        save_json(path, matrix_to_json(np.diag([1.0, -0.5]).astype(complex)))
+        path.write_text(canonical_dumps(matrix_to_json(np.diag([1.0, -0.5]).astype(complex))))
         result = runner.invoke(main, ["metric", str(path), str(path)])
         assert result.exit_code == 2
 
@@ -129,6 +143,7 @@ class TestVerifyCommand:
         assert first.exit_code == second.exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert first.output == second.output
+        assert (tmp_path / "a.json").read_bytes() == first.stdout_bytes
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_empty_search_budget_exits_2(self, runner, budget):
@@ -208,7 +223,7 @@ class TestReconstructCommand:
 
         u = random_unitary(3, RngStream(77))
         path = tmp_path / "map.json"
-        save_json(path, {"kind": "unitary", "dim": 3, "U": matrix_to_json(u)})
+        path.write_text(canonical_dumps({"kind": "unitary", "dim": 3, "U": matrix_to_json(u)}))
         result = runner.invoke(main, ["reconstruct", "--map-file", str(path)])
         assert result.exit_code == 0
         payload = json.loads(result.output)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsm.errors import NotPositiveSemidefinite
-from qsm.linalg import HermitianOperator, psd_clamp_entries, trace_norm_entries
+from qsm.linalg import psd_clamp_entries, trace_norm_entries
 from qsm.metrics import _sqrt_entries
 from qsm.states import DensityOperator, zero_density
 
@@ -45,19 +45,19 @@ def reconstruct(op):
 
 class TestConstruction:
     def test_symmetrizes_input(self):
-        op = HermitianOperator([[1.0, 2.0], [0.0, 3.0]])
+        op = DensityOperator([[1.0, 2.0], [0.0, 3.0]])
         assert np.allclose(op.entries, [[1.0, 1.0], [1.0, 3.0]])
         assert np.array_equal(op.entries, op.entries.conj().T)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            HermitianOperator(np.zeros((2, 3)))
+            DensityOperator(np.zeros((2, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            HermitianOperator([[np.nan, 0.0], [0.0, 1.0]])
+            DensityOperator([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            HermitianOperator([[np.inf, 0.0], [0.0, 1.0]])
+            DensityOperator([[np.inf, 0.0], [0.0, 1.0]])
 
 
 class TestEig:

@@ -340,8 +340,9 @@ class TestRoundtrip:
 
         monkeypatch.setattr(qsm.maps, "_map_block", counting_map_block)
         monkeypatch.setattr(DensityOperator, "from_stack", classmethod(counting_from_stack))
+        monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 10)
         report = isometry_roundtrip(MapKind.UNITARY_CONJ, 2, RngStream(8), pairs=20,
-                                    validation_samples=10, preservation_samples=10)
+                                    preservation_samples=10)
         assert report.passed
         assert sum(built) == sum(handed) > 0
 

@@ -13,7 +13,6 @@ import qsm.maps
 from qsm.errors import InvalidParameter, NotImplementable, NotIsometryEvidence
 from qsm.linalg import trace_norm_entries
 from qsm.maps import (
-    PHASE_CONVENTION,
     TOL_ACCEPT,
     IsometryReport,
     MapDomain,
@@ -37,10 +36,10 @@ from qsm.maps import (
 from qsm.metrics import MetricKind, are_orthogonal, distance, product_trace_norm, trace_distance
 from qsm.states import (
     DensityOperator,
-    PureState,
     QuantumState,
     RngStream,
     _orthogonal_pairs,
+    _projection,
     _sampled_stack,
     _unitarity_defect,
     basis_projection,
@@ -202,9 +201,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
     for i in range(1, n):
         vec = np.zeros(n, dtype=np.complex128)
         vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
-        w = _pure_image_vector(
-            oracle, PureState(vec).as_projection(), tol, f"superposition:{i}"
-        )
+        w = _pure_image_vector(oracle, _projection(vec), tol, f"superposition:{i}")
         a = np.vdot(first, w)
         b = np.vdot(columns[i], w)
         if min(abs(a), abs(b)) < 1e-3:
@@ -220,7 +217,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
     if n >= 2:
         vec = np.zeros(n, dtype=np.complex128)
         vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-        z = _pure_image_vector(oracle, PureState(vec).as_projection(), tol, "imaginary")
+        z = _pure_image_vector(oracle, _projection(vec), tol, "imaginary")
         plus = (assembled[0] + 1j * assembled[1]) / np.sqrt(2.0)
         minus = (assembled[0] - 1j * assembled[1]) / np.sqrt(2.0)
         if abs(np.vdot(minus, z)) > abs(np.vdot(plus, z)):
@@ -244,7 +241,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
             residual=residual,
             probe="validation",
         )
-    return ReconstructionResult(u, kind, residual, PHASE_CONVENTION, validation_samples)
+    return ReconstructionResult(u, kind, residual)
 
 
 def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
@@ -469,13 +466,13 @@ def test_preservation_suite_matches_serial_loop(n, domain, name):
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.usefixtures("small_blocks")
-def test_reconstruction_matches_serial_loop(n, domain, name):
+def test_reconstruction_matches_serial_loop(n, domain, name, monkeypatch):
     samples = _count(n, 1)
+    monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", samples)
     serial, blocked = _run_both(
         name, n, domain,
-        lambda side, m, gen: (reconstruct_implementer if side
-                              else serial_reconstruct_implementer)(
-            m, gen, validation_samples=samples),
+        lambda side, m, gen: (reconstruct_implementer(m, gen) if side
+                              else serial_reconstruct_implementer(m, gen, samples)),
     )
     if isinstance(serial, tuple):
         assert blocked == serial
@@ -483,17 +480,17 @@ def test_reconstruction_matches_serial_loop(n, domain, name):
     assert np.array_equal(blocked.unitary, serial.unitary)
     assert blocked.kind is serial.kind
     assert blocked.residual == serial.residual
-    assert blocked.validation_samples == serial.validation_samples == samples
 
 
 @pytest.mark.parametrize("kind", [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ])
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("n", DIMS)
-def test_roundtrip_matches_serial_loop(n, domain, kind):
-    settings = dict(pairs=13, validation_samples=9, domain=domain, preservation_samples=5)
+def test_roundtrip_matches_serial_loop(n, domain, kind, monkeypatch):
+    monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 9)
+    settings = dict(pairs=13, domain=domain, preservation_samples=5)
     serial_gen = RngStream(11, n).generator()
     blocked_gen = RngStream(11, n).generator()
-    serial = serial_isometry_roundtrip(kind, n, serial_gen, **settings)
+    serial = serial_isometry_roundtrip(kind, n, serial_gen, validation_samples=9, **settings)
     blocked = isometry_roundtrip(kind, n, blocked_gen, **settings)
     assert blocked == serial
     assert blocked.passed
@@ -511,8 +508,6 @@ def _assert_same_reconstruction(got, want):
     assert np.array_equal(got.unitary, want.unitary)
     assert got.kind is want.kind
     assert got.residual == want.residual
-    assert got.phase_convention == want.phase_convention
-    assert got.validation_samples == want.validation_samples
 
 
 @pytest.mark.parametrize("lowered", [False, True], ids=["cap", "lowered-cap"])
@@ -521,10 +516,11 @@ def _assert_same_reconstruction(got, want):
 def test_block_oracle_reconstruction_matches_per_operator_oracle(n, domain, lowered, monkeypatch):
     if lowered:
         monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+    monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 7)
     single, block = RecordingOracle(n, domain), BlockRecordingOracle(n, domain)
     gens = [RngStream(5, n).generator() for _ in range(2)]
-    want = reconstruct_implementer(oracle_map(single, n, domain), gens[0], validation_samples=7)
-    got = reconstruct_implementer(StateMap(n, domain, block), gens[1], validation_samples=7)
+    want = reconstruct_implementer(oracle_map(single, n, domain), gens[0])
+    got = reconstruct_implementer(StateMap(n, domain, block), gens[1])
     _assert_same_reconstruction(got, want)
     assert gens[1].bit_generator.state == gens[0].bit_generator.state
     assert len(block.seen) == len(single.seen)
@@ -544,10 +540,12 @@ def test_roundtrip_block_oracle_sees_per_operator_sequence(n, domain, kind, lowe
                                                            monkeypatch):
     if lowered:
         monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
-    settings = dict(pairs=7, validation_samples=5, domain=domain, preservation_samples=3)
+    monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 5)
+    settings = dict(pairs=7, domain=domain, preservation_samples=3)
     serial_gen, blocked_gen = RngStream(13, n).generator(), RngStream(13, n).generator()
     per_operator = []
-    serial = serial_isometry_roundtrip(kind, n, serial_gen, seen=per_operator, **settings)
+    serial = serial_isometry_roundtrip(kind, n, serial_gen, validation_samples=5,
+                                       seen=per_operator, **settings)
 
     # the roundtrip's first map is its hidden conjugation; pick it out by identity
     built, blocks = [], []
@@ -594,11 +592,11 @@ REJECTED = [
 def test_rejection_matches_serial_loop(n, name, domain, lowered, monkeypatch):
     if lowered:
         monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+    monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 5)
     serial, blocked = _run_both(
         name, n, domain,
-        lambda side, m, gen: (reconstruct_implementer if side
-                              else serial_reconstruct_implementer)(
-            m, gen, validation_samples=5),
+        lambda side, m, gen: (reconstruct_implementer(m, gen) if side
+                              else serial_reconstruct_implementer(m, gen, 5)),
     )
     assert isinstance(serial, tuple)
     assert blocked == serial

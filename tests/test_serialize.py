@@ -9,11 +9,9 @@ from qsm.errors import NotPositiveSemidefinite
 from qsm.serialize import (
     canonical_dumps,
     density_from_json,
-    hermitian_from_json,
     load_density,
+    matrix_from_json,
     matrix_to_json,
-    save_json,
-    unitary_from_json,
 )
 from qsm.states import RngStream, random_density, random_unitary
 
@@ -29,7 +27,7 @@ def test_matrix_roundtrip_bitwise():
 def test_hermitian_loader_validates_symmetry():
     obj = {"dim": 2, "entries": [[[1.0, 0.0], [0.5, 0.0]], [[0.2, 0.0], [1.0, 0.0]]]}
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_from_json(obj)
+        density_from_json(obj)
 
 
 def test_hermitian_loader_symmetrizes_within_tolerance():
@@ -37,7 +35,7 @@ def test_hermitian_loader_symmetrizes_within_tolerance():
         "dim": 2,
         "entries": [[[1.0, 0.0], [0.5, 1e-13]], [[0.5, 1e-13], [1.0, 0.0]]],
     }
-    op = hermitian_from_json(obj)
+    op = density_from_json(obj)
     assert np.array_equal(op.entries, op.entries.conj().T)
 
 
@@ -48,24 +46,25 @@ def test_density_loader_rejects_negative():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        hermitian_from_json({"dim": 2, "entries": [[[1.0, 0.0]]]})
-    with pytest.raises(ValueError):
-        hermitian_from_json({"dim": 0, "entries": []})
-    with pytest.raises(ValueError):
-        hermitian_from_json({"entries": []})
+    for load in (density_from_json, matrix_from_json):
+        with pytest.raises(ValueError):
+            load({"dim": 2, "entries": [[[1.0, 0.0]]]})
+        with pytest.raises(ValueError):
+            load({"dim": 0, "entries": []})
+        with pytest.raises(ValueError):
+            load({"entries": []})
 
 
 def test_unitary_roundtrip_skips_symmetry_check():
     u = random_unitary(3, RngStream(2))
-    back = unitary_from_json(matrix_to_json(u))
+    back = matrix_from_json(matrix_to_json(u))
     assert np.array_equal(back, u)
 
 
 def test_file_io_and_canonical_text(tmp_path):
     op = random_density(2, 2, 1.0, RngStream(3))
     path = tmp_path / "density.json"
-    save_json(path, matrix_to_json(op))
+    path.write_text(canonical_dumps(matrix_to_json(op)), encoding="utf-8")
     assert np.array_equal(load_density(path).entries, op.entries)
     text = path.read_text()
     assert text == canonical_dumps(matrix_to_json(op))

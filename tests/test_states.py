@@ -6,17 +6,16 @@ import pytest
 from qsm.errors import (
     InvalidParameter,
     InvalidRank,
-    InvalidVector,
     NotPositiveSemidefinite,
 )
 from qsm.metrics import are_orthogonal, product_trace_norm
 from qsm.states import (
     DensityOperator,
     QuantumState,
-    PureState,
     RngStream,
     _ginibre,
     _orthogonal_pairs,
+    _projection,
     _sampled_stack,
     basis_projection,
     random_density,
@@ -118,32 +117,29 @@ class TestFromStack:
 
 class TestPureState:
     def test_basis_vector(self):
-        proj = PureState([1.0, 0.0]).as_projection()
+        proj = _projection([1.0, 0.0])
         assert np.allclose(proj.entries, np.diag([1.0, 0.0]))
 
     def test_real_superposition(self):
-        proj = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)).as_projection()
+        proj = _projection(np.array([1.0, 1.0]) / np.sqrt(2.0))
         assert np.allclose(proj.entries, np.full((2, 2), 0.5))
 
     def test_imaginary_superposition(self):
         # outer product by hand: v v* = [[1, -i], [i, 1]] / 2
-        proj = PureState(np.array([1.0, 1j]) / np.sqrt(2.0)).as_projection()
+        proj = _projection(np.array([1.0, 1j]) / np.sqrt(2.0))
         expected = np.array([[1.0, -1j], [1j, 1.0]]) / 2.0
         assert np.allclose(proj.entries, expected)
 
     def test_normalizes(self):
-        ps = PureState([3.0, 4.0])
-        assert np.linalg.norm(ps.vector) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidVector):
-            PureState([0.0, 0.0])
+        proj = _projection([3.0, 4.0])
+        assert proj.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(proj.entries, [[0.36, 0.48], [0.48, 0.64]], atol=1e-12)
 
     def test_projection_invariants(self):
         gen = np.random.default_rng(5)
         for _ in range(20):
             vec = gen.standard_normal(4) + 1j * gen.standard_normal(4)
-            proj = PureState(vec).as_projection()
+            proj = _projection(vec)
             assert proj.trace == pytest.approx(1.0, abs=1e-12)
             idem = proj.entries @ proj.entries - proj.entries
             assert np.max(np.abs(idem)) <= 1e-10
@@ -162,7 +158,7 @@ class TestRngStream:
 
     def test_shifted_streams_differ(self):
         a = RngStream(42, 0).generator().standard_normal(8)
-        b = RngStream(42, 0).shifted(1).generator().standard_normal(8)
+        b = RngStream(42, 1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
 
