@@ -135,7 +135,7 @@ def cmd_metric(file_a, file_b, which, output_path):
     }
     if which in ("both", "bures"):
         # bures_distance(a, b), from the fidelity already computed
-        payload["bures_distance"] = float(_bures_entries(a.trace, b.trace, fid, a.dim))
+        payload["bures_distance"] = float(_bures_entries(a.eigenvalues, b.eigenvalues, fid, a.dim))
     if which in ("both", "trace-norm"):
         payload["trace_distance"] = trace_distance(a, b)
     _emit(payload, output_path)

@@ -239,8 +239,8 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
     """Evaluate a StateMap.
 
     The output is built as a DensityOperator (a QuantumState on the states
-    domain), whose constructor symmetrizes it and clamps eigenvalues within
-    -1e-9*(1+trace) of zero; one decomposition serves both.  Inputs and
+    domain), whose constructor symmetrizes it and rejects an eigenvalue
+    below -1e-9*(1+trace) without decomposing it.  Inputs and
     outputs must respect the declared dimension and domain (states stay
     trace-1 within 1e-10); an output that does not raises DomainError."""
     return _map_block(m, [a])[0]

@@ -59,9 +59,13 @@ def _fidelities(xs, ys) -> np.ndarray:
     return _product_trace_norm_entries(_sqrt_entries(lam_x, vec_x), _sqrt_entries(lam_y, vec_y))
 
 
-def _bures_entries(tr_a, tr_b, fid, n: int):
-    """Bures distances from traces and fidelities (scalars or arrays); the
-    first radicand below the clamp window raises."""
+def _bures_entries(lam_a, lam_b, fid, n: int):
+    """Bures distances from the clamped spectra ``(..., n)`` of both sides and
+    their fidelities; the first radicand below the clamp window raises."""
+    # the traces come from the same clamped spectra the fidelity reads: an
+    # accepted operator may keep an eigenvalue down to -PSD_TOL*(1+trace) in
+    # its entries, and tr A + tr A - 2 F(A, A) would then read that twice.
+    tr_a, tr_b = lam_a.sum(axis=-1), lam_b.sum(axis=-1)
     radicand = tr_a + tr_b - 2.0 * fid
     low = np.flatnonzero(radicand < -1e-9 * (tr_a + tr_b + 1.0))
     if low.size:
@@ -82,7 +86,7 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
 
 def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Bures metric (tr A + tr B - 2 F(A,B))^{1/2} on the density cone."""
-    return float(_bures_entries(a.trace, b.trace, fidelity(a, b), a.dim))
+    return float(_bures_entries(a.eigenvalues, b.eigenvalues, fidelity(a, b), a.dim))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -133,7 +137,8 @@ def distances(kind: MetricKind, xs, ys) -> np.ndarray:
     """distance(kind, xs[i], ys[i]) for each pair, batched; distance is its
     k = 1 case."""
     if kind is MetricKind.BURES:
-        return _bures_entries(_traces(xs), _traces(ys), _fidelities(xs, ys), xs[0].dim)
+        lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
+        return _bures_entries(lam_x, lam_y, _fidelities(xs, ys), xs[0].dim)
     if kind is MetricKind.TRACE_NORM:
         x, y = _stacks(xs, ys, "entries")
         return trace_norm_entries(x - y)

@@ -19,23 +19,10 @@ from .states import DensityOperator
 HERMITIAN_SYMMETRY_TOL = 1e-12
 
 
-def complex_matrix_to_lists(arr: np.ndarray) -> list:
-    out = []
-    for row in np.asarray(arr, dtype=np.complex128):
-        out.append([[float(z.real), float(z.imag)] for z in row])
-    return out
-
-
-def complex_matrix_from_lists(rows, dim: int) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (dim, dim, 2):
-        raise ValueError(f"entries must be {dim}x{dim} [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def matrix_to_json(op: DensityOperator | np.ndarray) -> dict:
-    arr = op.entries if isinstance(op, DensityOperator) else np.asarray(op)
-    return {"dim": int(arr.shape[0]), "entries": complex_matrix_to_lists(arr)}
+def matrix_to_json(arr: np.ndarray) -> dict:
+    arr = np.asarray(arr, dtype=np.complex128)
+    entries = [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return {"dim": int(arr.shape[0]), "entries": entries}
 
 
 def _decode_dim(value) -> int:
@@ -49,7 +36,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode a (generally non-Hermitian) complex matrix; no symmetry check."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
-    return complex_matrix_from_lists(obj["entries"], _decode_dim(obj["dim"]))
+    dim = _decode_dim(obj["dim"])
+    arr = np.asarray(obj["entries"], dtype=np.float64)
+    if arr.shape != (dim, dim, 2):
+        raise ValueError(f"entries must be {dim}x{dim} [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def density_from_json(obj: dict) -> DensityOperator:

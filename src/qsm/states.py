@@ -21,13 +21,13 @@ from .linalg import (
     NONFINITE_MESSAGE,
     _as_complex_squares,
     _finite_prefix,
-    _spectral_rebuild,
     _symmetrized,
     trace_norm_entries,
 )
 
-#: relative floor for "numerically PSD": eigenvalues above -PSD_TOL*(1+trace)
-#: are clamped to zero, anything lower is rejected.
+#: relative floor for "numerically PSD": an operator is accepted when every
+#: eigenvalue is above -PSD_TOL*(1+trace); its entries are kept as given and
+#: only the spectrum read back clamps the eigenvalues to zero.
 PSD_TOL = 1e-9
 
 #: relative floor of rank(): eigenvalues above RANK_TOL*(1+trace) count.
@@ -41,11 +41,14 @@ class DensityOperator:
     """Positive semidefinite Hermitian operator (finite, not trace-normalized).
 
     Construction symmetrizes via (A + A*)/2, so at most one triangle of the
-    input is authoritative, and eigendecomposes once: eigenvalues within
-    -1e-9*(1+trace) of zero are clamped to exactly zero, more negative ones
-    raise NotPositiveSemidefinite.  The spectrum and the trace are cached for
-    downstream use.  ``from_stack`` builds a whole ``(k, n, n)`` stack with
-    the same checks and one batched decomposition.
+    input is authoritative, keeps the symmetrized matrix as ``entries`` and
+    caches the trace.  The PSD floor is checked without a decomposition, by a
+    Cholesky factorization of A + 1e-9*(1+trace)*I; an operator with an
+    eigenvalue below -1e-9*(1+trace) raises NotPositiveSemidefinite.  The
+    spectrum is computed by one ``eigh`` on the first read of
+    ``eigenvalues``, ``eigenvectors`` or ``rank()``, with eigenvalues clamped
+    to max(lambda, 0), and cached.  ``from_stack`` builds a whole
+    ``(k, n, n)`` stack with the same checks, batched.
     """
 
     __slots__ = ("entries", "_eigenvalues", "_eigenvectors", "_trace")
@@ -54,47 +57,45 @@ class DensityOperator:
     _UNIT_TRACE = False
 
     def __init__(self, entries):
-        ent, lam, vec, tr = self._validated(entries, stacked=False)
-        self._fill(ent[0], lam[0], vec[0], tr[0])
+        ent, tr = self._validated(entries, stacked=False)
+        self._fill(ent[0], tr[0])
 
     @classmethod
     def from_stack(cls, entries) -> list:
         """One operator per matrix of a ``(k, n, n)`` stack, each bit for bit
         what the constructor makes of that matrix; the first matrix in order
         that the constructor would reject raises its exception."""
-        ent, lam, vec, tr = cls._validated(entries, stacked=True)
+        ent, tr = cls._validated(entries, stacked=True)
         ops = []
         for i, trace in enumerate(tr):
             op = cls.__new__(cls)
-            op._fill(ent[i], lam[i], vec[i], trace)
+            op._fill(ent[i], trace)
             ops.append(op)
         return ops
 
     @classmethod
     def _validated(cls, entries, stacked: bool):
-        """Entries, eigenvalues, eigenvectors and traces of a stack, with
-        every construction check applied in the order a loop over the
-        matrices would meet them."""
+        """Entries and traces of a stack, with every construction check
+        applied in the order a loop over the matrices would meet them."""
         arr = _as_complex_squares(entries, 3 if stacked else 2)
         if not stacked:
             arr = arr[None]
         count = len(arr)
         finite = _finite_prefix(arr)
         arr = _symmetrized(arr[:finite])
-        lam, vec = np.linalg.eigh(arr)
         tr = arr.trace(axis1=1, axis2=2).real
         tol = PSD_TOL * (1.0 + tr)
-        lowest = lam[:, 0]
         first_below = finite
-        if lowest.min(initial=0.0) < 0.0:
+        # A + tol*I factors exactly when every eigenvalue of A is above -tol
+        # (up to Cholesky's O(n*eps*|A|) backward error); only a stack that
+        # fails pays for eigvalsh, which finds the first matrix below -tol.
+        try:
+            np.linalg.cholesky(arr + tol[:, None, None] * np.eye(arr.shape[-1]))
+        except np.linalg.LinAlgError:
+            lowest = np.linalg.eigvalsh(arr)[:, 0]
             below = np.flatnonzero(lowest < -tol)
             if below.size:
                 first_below = int(below[0])
-            low = np.flatnonzero(lowest[:first_below] < 0.0)
-            if low.size:
-                lam[low] = np.maximum(lam[low], 0.0)
-                arr[low] = _symmetrized(_spectral_rebuild(lam[low], vec[low]))
-                tr[low] = arr[low].trace(axis1=1, axis2=2).real
         traces = tr.tolist()
         if cls._UNIT_TRACE:
             off = next((t for t in traces[:first_below] if abs(t - 1.0) > 1e-10), None)
@@ -108,15 +109,25 @@ class DensityOperator:
             )
         if finite < count:
             raise ValueError(NONFINITE_MESSAGE)
-        for a in (arr, lam, vec):
-            a.setflags(write=False)
-        return arr, lam, vec, traces
+        arr.setflags(write=False)
+        return arr, traces
 
-    def _fill(self, entries, eigenvalues, eigenvectors, trace: float) -> None:
+    def _fill(self, entries, trace: float) -> None:
         self.entries = entries
-        self._eigenvalues = eigenvalues
-        self._eigenvectors = eigenvectors
+        self._eigenvalues = None
+        self._eigenvectors = None
         self._trace = trace
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (clamped to max(lambda, 0)) and eigenvectors, read-only;
+        one ``eigh`` on the first call, cached for the later ones."""
+        if self._eigenvalues is None:
+            lam, vec = np.linalg.eigh(self.entries)
+            lam = np.maximum(lam, 0.0)
+            for a in (lam, vec):
+                a.setflags(write=False)
+            self._eigenvalues, self._eigenvectors = lam, vec
+        return self._eigenvalues, self._eigenvectors
 
     @property
     def dim(self) -> int:
@@ -124,11 +135,11 @@ class DensityOperator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigenvalues
+        return self._spectrum()[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._eigenvectors
+        return self._spectrum()[1]
 
     @property
     def trace(self) -> float:
@@ -136,7 +147,7 @@ class DensityOperator:
 
     def rank(self) -> int:
         """Number of eigenvalues above RANK_TOL*(1+trace)."""
-        return int(np.count_nonzero(self._eigenvalues > RANK_TOL * (1.0 + self._trace)))
+        return int(np.count_nonzero(self.eigenvalues > RANK_TOL * (1.0 + self._trace)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"

@@ -59,6 +59,17 @@ class TestMetricCommand:
         assert payload["bures_distance"] == 0.0
         assert payload["fidelity"] == pytest.approx(payload["trace_a"], abs=1e-12)
 
+    def test_same_file_twice_at_the_psd_floor(self, runner, tmp_path):
+        # -1.7e-9 is inside the floor -1e-9*(1 + trace) and is kept in the
+        # entries; the Bures radicand must not count it twice
+        path = tmp_path / "floor.json"
+        path.write_text(canonical_dumps(matrix_to_json(np.diag([1.0, -1.7e-9]).astype(complex))))
+        result = runner.invoke(main, ["metric", str(path), str(path)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["bures_distance"] == 0.0
+        assert payload["trace_distance"] == 0.0
+
     def test_diagonal_example(self, runner, matrix_files):
         result = runner.invoke(main, ["metric", matrix_files["half"], matrix_files["thirds"]])
         payload = json.loads(result.output)

@@ -8,8 +8,9 @@ from qsm.errors import (
     InvalidRank,
     NotPositiveSemidefinite,
 )
-from qsm.metrics import are_orthogonal, product_trace_norm
+from qsm.metrics import MetricKind, are_orthogonal, bures_distance, distances, product_trace_norm
 from qsm.states import (
+    PSD_TOL,
     DensityOperator,
     QuantumState,
     RngStream,
@@ -113,6 +114,90 @@ class TestFromStack:
             DensityOperator.from_stack(np.eye(2))
         with pytest.raises(ValueError, match="square matrix"):
             DensityOperator(np.zeros((1, 2, 2)))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.eigh while a test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _with_lowest(n, c, gen):
+    """An exactly Hermitian n x n matrix of trace about 1 whose lowest
+    eigenvalue is -c*PSD_TOL*(1+trace) (up to roundoff), the others
+    positive."""
+    top = gen.uniform(0.5, 1.5, n - 1)
+    top /= top.sum()
+    lowest = -c * PSD_TOL * (1.0 + top.sum()) / (1.0 + c * PSD_TOL)
+    v = random_unitary(n, gen)
+    a = (v * np.concatenate([[lowest], top])) @ v.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+class TestLazySpectrum:
+    """Construction checks the PSD floor without eigh; the spectrum is
+    decomposed once, on first read."""
+
+    READS = {
+        "eigenvalues": lambda op: op.eigenvalues,
+        "eigenvectors": lambda op: op.eigenvectors,
+        "rank": lambda op: op.rank(),
+    }
+
+    @pytest.mark.parametrize("first", READS)
+    def test_one_eigh_on_first_read(self, eigh_calls, first):
+        gen = np.random.default_rng(3)
+        mats = [_wishart(4, 2, gen), _with_lowest(4, 0.5, gen)]
+        ops = [QuantumState(mats[0]), DensityOperator(mats[1])]
+        ops += DensityOperator.from_stack(np.stack(mats))
+        assert eigh_calls == []
+        for i, op in enumerate(ops, start=1):
+            self.READS[first](op)
+            assert len(eigh_calls) == i
+            for read in self.READS.values():
+                read(op)
+            assert len(eigh_calls) == i
+            assert not op.eigenvalues.flags.writeable
+            assert not op.eigenvectors.flags.writeable
+
+    def test_entries_are_the_symmetrized_input(self):
+        gen = np.random.default_rng(4)
+        for mat in (_wishart(5, 3, gen) + 1e-13j * gen.standard_normal((5, 5)),
+                    _with_lowest(5, 0.5, gen)):
+            sym = (mat + mat.conj().T) / 2.0
+            assert np.array_equal(DensityOperator(mat).entries, sym)
+            (op,) = DensityOperator.from_stack(mat[None])
+            assert np.array_equal(op.entries, sym)
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_psd_floor(self, n):
+        gen = np.random.default_rng(n)
+        op = DensityOperator(_with_lowest(n, 0.5, gen))
+        assert op.eigenvalues[0] == 0.0
+        below = _with_lowest(n, 2.0, gen)
+        lowest = float(np.linalg.eigvalsh(below)[0])
+        tol = PSD_TOL * (1.0 + float(np.trace(below).real))
+        with pytest.raises(NotPositiveSemidefinite) as info:
+            DensityOperator(below)
+        assert str(info.value) == f"density operator has eigenvalue {lowest:.3e} < -{tol:.3e}"
+        assert info.value.eigenvalue == lowest
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_bures_self_distance_at_the_floor(self, n):
+        # the entries keep a lowest eigenvalue of -0.9*PSD_TOL*(1+trace);
+        # the Bures radicand reads the traces of the clamped spectrum that
+        # the fidelity reads, so it does not count that eigenvalue twice
+        op = DensityOperator(_with_lowest(n, 0.9, np.random.default_rng(n)))
+        assert bures_distance(op, op) == 0.0
+        assert distances(MetricKind.BURES, [op, op], [op, op]).tolist() == [0.0, 0.0]
 
 
 class TestPureState:

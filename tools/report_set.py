@@ -1,5 +1,5 @@
 """Run the fixed set of 82 qsm reports and print one line per report:
-``sha256 exit-code args``.
+``sha256 verdict exit-code args``.
 
 Usage:
     python3 tools/report_set.py [SRC_DIR]
@@ -9,6 +9,14 @@ SRC_DIR is the directory that holds the ``qsm`` package to run (default: the
 checkout and a byte-identity claim comes down to a ``diff`` of two outputs.
 Every report runs in-process through ``qsm.cli.main`` with the console
 script's exit codes; the hash covers the report written to stdout.
+
+The verdict column is the sha256 of the same report with every float value
+replaced by null: booleans, ints, strings, keys and list lengths stay in, so
+it moves only when a verdict, a counter or the report's shape moves (a
+report that is not JSON is hashed as it is).  A change that moves bytes at
+roundoff but no verdict shows as a clean ``diff`` of columns 2 and 3::
+
+    diff <(cut -d' ' -f2- a.txt) <(cut -d' ' -f2- b.txt)
 
 The set: every suite at ``--dims 1``; ``lemma1`` and ``ortho-eq`` at seeds 0
 and 7; ``lemma3 --seed 3`` and ``lemma3 --dims 2..6 --budget 10000 --samples
@@ -106,9 +114,35 @@ def report_args(files: dict[str, str]) -> list[list[str]]:
     return runs
 
 
-def run(entry, args: list[str]) -> tuple[str, str]:
-    """sha256 of the report written to stdout and the exit code, as the
-    console script would exit (an exception's name if the command raised)."""
+def _floats_dropped(value):
+    """A parsed JSON value with every float replaced by None."""
+    if isinstance(value, float):
+        return None
+    if isinstance(value, dict):
+        return {k: _floats_dropped(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_floats_dropped(v) for v in value]
+    return value
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def verdict_digest(report: str) -> str:
+    """sha256 of the report's JSON with its floats dropped (of the raw text
+    if it is not JSON)."""
+    try:
+        parsed = json.loads(report)
+    except ValueError:
+        return _sha256(report)
+    return _sha256(json.dumps(_floats_dropped(parsed), sort_keys=True))
+
+
+def run(entry, args: list[str]) -> tuple[str, str, str]:
+    """sha256 and verdict digest of the report written to stdout, and the
+    exit code, as the console script would exit (an exception's name if the
+    command raised)."""
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf):
@@ -118,7 +152,8 @@ def run(entry, args: list[str]) -> tuple[str, str]:
         code = str(0 if exc.code is None else exc.code)
     except Exception as exc:  # a report that crashes is recorded, the set goes on
         code = type(exc).__name__
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest(), code
+    report = buf.getvalue()
+    return _sha256(report), verdict_digest(report), code
 
 
 def main(argv: list[str]) -> int:
@@ -131,8 +166,7 @@ def main(argv: list[str]) -> int:
     from qsm.cli import main as cli
 
     for args in report_args(write_inputs(INPUT_DIR)):
-        digest, code = run(cli.main, args)
-        print(digest, code, " ".join(args), flush=True)
+        print(*run(cli.main, args), " ".join(args), flush=True)
     return 0
 
 
