@@ -56,6 +56,12 @@ _BLOCK = 100
 #: value moves report bytes, not verdicts.
 _BLOCK_ENTRIES = 6400
 
+#: margin of the uniqueness search's trace bounds, relative to
+#: 1 + tr x + tr y.  It dominates the roundoff of a computed trace plus the
+#: backward error of eigvalsh, O(n^2 * u * (|W| + |z|)), up to n = 64, so a
+#: proposal a trace bound rejects is one its trace norms reject too.
+_TRACE_MARGIN = 1e-10
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -335,34 +341,51 @@ def intersection_uniqueness_search(
     draws k uniforms (a proposal with one below 0.2 is a convex move), then
     the convex weights of its moves, then one ``(steps, 2, n, n)`` stack of
     standard normals, the real and imaginary parts of its perturbations.
-    The PSD clamp and the three trace norms of a block run as one batched
-    decomposition each.  A block holds at most 100 - rejections % 100
-    proposals, so the 100th rejection that shrinks the scale can only be the
-    block's last proposal, and every proposal sees the scale a
-    one-at-a-time evaluation of the same draws would give it.  Blocks are
-    also capped at _BLOCK_ENTRIES // n^2 proposals to bound memory at large
-    n.  The block sizes fix the draw order, so the result is a function of
-    _BLOCK, _BLOCK_ENTRIES and the generator; batched decompositions and
-    trace norms equal the single-matrix ones bit for bit.
+    Each proposal stops at the first test that rejects it, and each test
+    runs as one batched call on the proposals still open:
+
+    1. a perturbation w with tr w - min(tr x, tr y) - epsilon above
+       slack + margin is rejected unclamped (the clamp only adds trace);
+    2. a clamped or convex proposal z with max(|tr x - tr z|, |tr y - tr z|)
+       - epsilon above slack + margin is rejected (|tr D| <= ||D||_1 for
+       Hermitian D);
+    3. the trace norm to x rejects the proposals outside ball x;
+    4. the trace norm to y, taken only inside ball x, rejects the rest;
+    5. the separation from the center is taken for the feasible ones.
+
+    The margin, _TRACE_MARGIN * (1 + tr x + tr y), covers the roundoff of
+    the computed traces and the backward error of eigvalsh (Weyl's bound),
+    so a proposal a trace bound rejects is one its trace norms would reject
+    too.  A rejected proposal's excess is never read, so the result is the
+    one the full evaluation of every proposal would give.  A block holds at
+    most 100 - rejections % 100 proposals, so the 100th rejection that
+    shrinks the scale can only be the block's last proposal, and every
+    proposal sees the scale a one-at-a-time evaluation of the same draws
+    would give it.  Blocks are also capped at _BLOCK_ENTRIES // n^2
+    proposals to bound memory at large n.  The block sizes fix the draw
+    order, so the result is a function of _BLOCK, _BLOCK_ENTRIES and the
+    generator; batched decompositions and trace norms equal the
+    single-matrix ones bit for bit.
     """
     if budget < 1:
         raise InvalidConfiguration("uniqueness search needs a budget of at least 1 proposal")
     gen = generator_of(rng)
     n = center.dim
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
+    tr_x, tr_y = upper.trace, lower.trace
     if slack is None:
         slack = max(
             1e-12 * epsilon,
-            64.0 * n * np.finfo(np.float64).eps * (1.0 + upper.trace + lower.trace),
+            64.0 * n * np.finfo(np.float64).eps * (1.0 + tr_x + tr_y),
         )
     mid = 0.5 * (x_e + y_e)
-
-    def ball_excess(z):
-        return np.maximum(trace_norm_entries(x_e - z), trace_norm_entries(y_e - z)) - epsilon
+    reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
 
     best = a_e
     best_sep = 0.0
-    best_excess = float(ball_excess(a_e))
+    best_excess = float(
+        np.maximum(trace_norm_entries(x_e - a_e), trace_norm_entries(y_e - a_e)) - epsilon
+    )
     scale = 0.1 * epsilon
     rejections = 0
     left = int(budget)
@@ -374,22 +397,41 @@ def intersection_uniqueness_search(
         t = gen.uniform(size=int(np.count_nonzero(moves)))[:, None, None]
         g = gen.standard_normal((k - len(t), 2, n, n))
         g = g[:, 0] + 1j * g[:, 1]
+        w = a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
         block = np.empty((k, n, n), dtype=np.complex128)
         block[moves] = (1.0 - t) * a_e + t * mid
-        block[~moves] = psd_clamp_entries(a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0)
-        excess = ball_excess(block)
-        rejected = excess > slack
-        rejected_here = int(np.count_nonzero(rejected))
+        # a test rejects where its comparison reads true, so a NaN never
+        # rejects, as with excess > slack in the full evaluation;
+        # (1) the clamp only adds trace, so tr w - min(tr x, tr y) bounds a
+        # ball distance from below before any decomposition
+        live = moves.copy()
+        live[~moves] = ~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)
+        clamped = live & ~moves
+        if clamped.any():
+            block[clamped] = psd_clamp_entries(w[live[~moves]])
+        live = np.flatnonzero(live)
+        # (2) |tr x - tr z| <= ||x - z||_1, and the same for y
+        tr_z = block[live].trace(axis1=1, axis2=2).real
+        live = live[~(np.maximum(abs(tr_x - tr_z), abs(tr_y - tr_z)) > reach)]
+        # (3) ball x, then (4) ball y only for the proposals inside ball x
+        if live.size:
+            norm_x = trace_norm_entries(x_e - block[live])
+            inside = ~(norm_x - epsilon > slack)
+            live, norm_x = live[inside], norm_x[inside]
+        if live.size:
+            excess = np.maximum(norm_x, trace_norm_entries(y_e - block[live])) - epsilon
+            inside = ~(excess > slack)
+            live, excess = live[inside], excess[inside]
+        rejected_here = k - live.size
         rejections += rejected_here
         if rejected_here and rejections % _BLOCK == 0:
             scale *= 0.9
-        feasible = np.flatnonzero(~rejected)
-        if feasible.size:
-            sep = trace_norm_entries(block[feasible] - a_e)
+        # (5) separation of the feasible proposals, the ones still live
+        if live.size:
+            sep = trace_norm_entries(block[live] - a_e)
             i = int(np.argmax(sep))
             if sep[i] > best_sep:
-                j = feasible[i]
-                best, best_sep, best_excess = block[j], float(sep[i]), float(excess[j])
+                best, best_sep, best_excess = block[live[i]], float(sep[i]), float(excess[i])
     return IntersectionSearchResult(
         best_candidate=DensityOperator(best),
         separation_from_center=best_sep,

@@ -37,6 +37,17 @@ from qsm.states import (
 SQRT2 = np.sqrt(2.0)
 
 
+class _CountingGenerator(np.random.Generator):
+    """Counts the matrices of the normal stacks drawn, one per perturbation
+    proposal of the uniqueness search."""
+
+    perturbations = 0
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.perturbations += size[0]
+        return super().standard_normal(size, *args, **kwargs)
+
+
 class TestBuresBallDiameter:
     def test_sharpness_at_zero_dim2(self):
         spec = BallSpec(MetricKind.BURES, zero_density(2), 1.0)
@@ -242,6 +253,26 @@ class TestUniquenessSearch:
         )
         rigidity = float(np.sum(np.abs(np.linalg.eigvalsh(shift))))
         assert rigidity <= 1e-5 * pinch.epsilon
+
+    def test_rejects_before_decomposing(self, monkeypatch):
+        """Trace bounds reject perturbations before the clamp, and only the
+        proposals inside ball x get the trace norm to y."""
+        center = random_state(4, 4, RngStream(13))
+        pinch = pinch_configuration(center, RngStream(14))
+        matrices = {"eigh": 0, "eigvalsh": 0}
+        for name in matrices:
+            def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                matrices[_name] += len(a) if np.ndim(a) == 3 else 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        gen = _CountingGenerator(np.random.PCG64(15))
+        result = intersection_uniqueness_search(
+            pinch.upper, pinch.lower, center, pinch.epsilon, gen, 2000
+        )
+        assert result.separation_from_center <= 1e-5 * pinch.epsilon
+        assert matrices["eigh"] < gen.perturbations
+        assert matrices["eigvalsh"] < 2 * 2000
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_empty_budget_rejected(self, budget):

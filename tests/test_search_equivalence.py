@@ -1,6 +1,8 @@
 """The blocked uniqueness search against a one-proposal-at-a-time evaluation
 of the same draws: same best candidate, separation, ball violation, counters
-and generator state, bit for bit."""
+and generator state, bit for bit.  The reference takes every trace norm of
+every proposal, so it also holds the search's trace bounds and early
+rejection to the full evaluation."""
 
 import numpy as np
 import pytest
@@ -87,14 +89,29 @@ def _zero_center_control(dim, seed):
     return x, y, zero_density(dim), eps
 
 
-def _assert_matches_serial(dim, config, budget):
+def _scaled(config, factor):
+    """A configuration with every operator and the radius times factor: the
+    pinch center then has trace factor."""
+
+    def scaled(dim, seed):
+        upper, lower, center, eps = config(dim, seed)
+        return (*(DensityOperator(factor * op.entries) for op in (upper, lower, center)),
+                factor * eps)
+
+    return scaled
+
+
+def _assert_matches_serial(dim, config, budget, slack_factor=None):
     upper, lower, center, eps = config(dim, 100 + dim)
+    slack = None if slack_factor is None else slack_factor * eps
     serial_gen = RngStream(7, dim).generator()
     blocked_gen = RngStream(7, dim).generator()
     best, sep, violation, rejections, scale = serial_search(
-        upper, lower, center, eps, serial_gen, budget
+        upper, lower, center, eps, serial_gen, budget, slack
     )
-    result = intersection_uniqueness_search(upper, lower, center, eps, blocked_gen, budget)
+    result = intersection_uniqueness_search(
+        upper, lower, center, eps, blocked_gen, budget, slack
+    )
     assert result.separation_from_center == sep
     assert result.max_ball_violation == violation
     assert np.array_equal(result.best_candidate.entries, best.entries)
@@ -113,8 +130,26 @@ def test_blocked_search_matches_serial_loop(dim, config, budget):
 
 
 @pytest.mark.parametrize("config", [_pinch, _zero_center_control])
-@pytest.mark.parametrize("dim", [12, 16])
+@pytest.mark.parametrize("dim", [12, 16, 32])
 def test_entry_capped_blocks_match_serial_loop(dim, config):
     """Above n = 8 the entry cap makes blocks shorter than 100 proposals."""
     assert _BLOCK_ENTRIES // dim**2 < 100
     _assert_matches_serial(dim, config, 300)
+
+
+@pytest.mark.parametrize("slack_factor", [1e-9, 1e-3])
+@pytest.mark.parametrize("config", [_pinch, _zero_center_control])
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_user_slack_matches_serial_loop(dim, config, slack_factor):
+    """A slack set by the user (``--tol slack=``, in units of epsilon here)
+    moves the trace bounds of the search along with its ball tests."""
+    _assert_matches_serial(dim, config, 2000, slack_factor)
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+@pytest.mark.parametrize("config", [_pinch, _zero_center_control])
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_scaled_configurations_match_serial_loop(dim, config, factor):
+    """The trace-bound margin is relative to 1 + tr x + tr y: small traces
+    exercise its constant term, large ones its relative term."""
+    _assert_matches_serial(dim, _scaled(config, factor), 2000)
