@@ -28,6 +28,7 @@ from .metrics import (
 from .states import (
     DensityOperator,
     RngStream,
+    _fill_spectra,
     _sampled_stack,
     generator_of,
     random_density,
@@ -477,6 +478,7 @@ def double_orthocomplement_rank(
         raise InvalidPool("orthocomplement pool must be nonempty")
     perp = [p for p in pool if are_orthogonal(center, p, tol)]
     perp_perp = [p for p in pool if all(are_orthogonal(p, q, tol) for q in perp)]
+    _fill_spectra(perp_perp)
     order = sorted(range(len(perp_perp)), key=lambda i: (perp_perp[i].rank(), i))
     family: list[DensityOperator] = []
     for i in order:

@@ -19,13 +19,15 @@ of draw, through the stacked samplers of qsm.states.  Its operators are then
 built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
 group by group: all first members of the block's pairs, then all second
 members, and so on.  A map is handed each block's operators, in that group
-order, in one call, and its images are checked and built as one stack.  A
-block holds as many samples as keep each stacked operand within
-_BLOCK_ENTRIES matrix entries, so at n = 48 or 64 it is one sample.  Since
-the block sizes fix the draw order, changing _BLOCK_ENTRIES changes the
-samples drawn, and so the report bytes, but not what the checks mean.  A
-failing sample raises once its whole block has been drawn.  The probes of a
-reconstruction are mapped in blocks of the same size.
+order, in one call, and its images are checked and built as one stack.  The
+spectra a block reads (ranks, probe purities, Bures fidelities) are
+decomposed as one stack too, by one batched ``eigh``.  A block holds as many
+samples as keep each stacked operand within _BLOCK_ENTRIES matrix entries,
+so at n = 48 or 64 it is one sample.  Since the block sizes fix the draw
+order, changing _BLOCK_ENTRIES changes the samples drawn, and so the report
+bytes, but not what the checks mean.  A failing sample raises once its whole
+block has been drawn.  The probes of a reconstruction are mapped in blocks
+of the same size.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .states import (
     DensityOperator,
     QuantumState,
     RngStream,
+    _fill_spectra,
     _orthogonal_pairs,
     _projection,
     _sampled_stack,
@@ -408,6 +411,7 @@ def preservation_suite(
             bwd_min = min(bwd_min, float(norms.min()))
             bwd_bad += int(np.count_nonzero(orthogonal))
         f_probe, f_mixture, f_c, f_d = images[-4:]
+        _fill_spectra([*probe, *f_probe])
         rank_bad += sum(image.rank() != op.rank() for op, image in zip(probe, f_probe))
         mix_of_images = lam * _entries(f_c) + (1.0 - lam) * _entries(f_d)
         violation = trace_norm_entries(_entries(f_mixture) - mix_of_images)
@@ -469,7 +473,9 @@ def _probe_vectors(oracle: StateMap, n: int):
     for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
         start += count
-        for label, image in zip(labels, _map_block(oracle, list(probes))):
+        images = _map_block(oracle, list(probes))
+        _fill_spectra(images)
+        for label, image in zip(labels, images):
             defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
             if defect > _PURITY_TOL:
                 raise NotIsometryEvidence(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalBreakdown
 from .linalg import _spectral_rebuild, trace_norm_entries
-from .states import DensityOperator
+from .states import DensityOperator, _fill_spectra
 
 #: default relative tolerance for orthogonality of PSD operators.
 ORTHOGONALITY_TOL = 1e-8
@@ -112,12 +112,15 @@ def are_orthogonal(
 
 def _stacks(xs, ys, attr: str) -> tuple[np.ndarray, np.ndarray]:
     """One attribute of two equally long operator lists of one dimension,
-    stacked."""
+    stacked; before a spectrum is stacked, the spectra of both lists not yet
+    computed are computed as one stack."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} operators paired with {len(ys)}")
     dims = {op.dim for op in xs} | {op.dim for op in ys}
     if len(dims) > 1:
         raise DimensionMismatch(f"operator dims {sorted(dims)} differ")
+    if attr != "entries":
+        _fill_spectra([*xs, *ys])
     return (np.array([getattr(op, attr) for op in xs]),
             np.array([getattr(op, attr) for op in ys]))
 

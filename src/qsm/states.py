@@ -45,10 +45,12 @@ class DensityOperator:
     caches the trace.  The PSD floor is checked without a decomposition, by a
     Cholesky factorization of A + 1e-9*(1+trace)*I; an operator with an
     eigenvalue below -1e-9*(1+trace) raises NotPositiveSemidefinite.  The
-    spectrum is computed by one ``eigh`` on the first read of
-    ``eigenvalues``, ``eigenvectors`` or ``rank()``, with eigenvalues clamped
-    to max(lambda, 0), and cached.  ``from_stack`` builds a whole
-    ``(k, n, n)`` stack with the same checks, batched.
+    spectrum, eigenvalues clamped to max(lambda, 0), is computed only when a
+    caller needs it and then cached.  Code that reads the spectra of a block
+    of operators first computes the missing ones as one stacked ``eigh``
+    (``_fill_spectra``); a lone first read of ``eigenvalues``,
+    ``eigenvectors`` or ``rank()`` is the stack of one.  ``from_stack``
+    builds a whole ``(k, n, n)`` stack with the construction checks, batched.
     """
 
     __slots__ = ("entries", "_eigenvalues", "_eigenvectors", "_trace")
@@ -120,13 +122,10 @@ class DensityOperator:
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (clamped to max(lambda, 0)) and eigenvectors, read-only;
-        one ``eigh`` on the first call, cached for the later ones."""
+        computed on the first call as a stack of one, cached for the later
+        ones."""
         if self._eigenvalues is None:
-            lam, vec = np.linalg.eigh(self.entries)
-            lam = np.maximum(lam, 0.0)
-            for a in (lam, vec):
-                a.setflags(write=False)
-            self._eigenvalues, self._eigenvectors = lam, vec
+            _fill_spectra([self])
         return self._eigenvalues, self._eigenvectors
 
     @property
@@ -159,6 +158,24 @@ class QuantumState(DensityOperator):
     __slots__ = ()
 
     _UNIT_TRACE = True
+
+
+def _fill_spectra(ops) -> None:
+    """Compute and cache the spectrum of each operator of ``ops`` (all of one
+    dimension) that has none yet, by one ``eigh`` of their stacked entries
+    (an operator listed twice is stacked once); eigenvalues are clamped to
+    max(lambda, 0) and each operator keeps its read-only rows.  A stacked
+    ``eigh`` runs the same LAPACK routine on each matrix, so every row is bit
+    for bit the spectrum of that matrix alone."""
+    todo = [op for op in dict.fromkeys(ops) if op._eigenvalues is None]
+    if not todo:
+        return
+    lam, vec = np.linalg.eigh(np.array([op.entries for op in todo]))
+    lam = np.maximum(lam, 0.0)
+    for a in (lam, vec):
+        a.setflags(write=False)
+    for op, lam_i, vec_i in zip(todo, lam, vec):
+        op._eigenvalues, op._eigenvectors = lam_i, vec_i
 
 
 @dataclass(frozen=True)
@@ -239,6 +256,7 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[D
     ops = cls.from_stack(a * (target / a.trace(axis1=1, axis2=2).real)[:, None, None])
     if traces is None:
         return ops
+    _fill_spectra(ops)
     for op, rank, trace in zip(ops, ranks.tolist(), target.tolist()):
         realized = int(np.count_nonzero(op.eigenvalues > 1e-10 * trace))
         if realized != rank:

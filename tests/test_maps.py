@@ -346,6 +346,25 @@ class TestRoundtrip:
         assert report.passed
         assert sum(built) == sum(handed) > 0
 
+    #: matrices the roundtrip below handed to np.linalg.eigh when each
+    #: operator's spectrum was decomposed on its own
+    ROUNDTRIP_EIGH_MATRICES = 2633
+
+    def test_roundtrip_decomposes_block_spectra_together(self, monkeypatch):
+        calls, matrices = [], []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        report = isometry_roundtrip(MapKind.UNITARY_CONJ, 4, RngStream(21), pairs=300)
+        assert report.passed
+        assert len(calls) < sum(matrices) / 4
+        assert sum(matrices) <= self.ROUNDTRIP_EIGH_MATRICES
+
     def test_depolarizing_cannot_roundtrip(self):
         control = named_nonisometry("depolarizing", 2, p=0.5)
         with pytest.raises((NotIsometryEvidence, NotImplementable)):

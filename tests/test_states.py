@@ -14,6 +14,7 @@ from qsm.states import (
     DensityOperator,
     QuantumState,
     RngStream,
+    _fill_spectra,
     _ginibre,
     _orthogonal_pairs,
     _projection,
@@ -198,6 +199,53 @@ class TestLazySpectrum:
         op = DensityOperator(_with_lowest(n, 0.9, np.random.default_rng(n)))
         assert bures_distance(op, op) == 0.0
         assert distances(MetricKind.BURES, [op, op], [op, op]).tolist() == [0.0, 0.0]
+
+
+class TestFillSpectra:
+    """The batched fill against a per-matrix eigh and clamp."""
+
+    @staticmethod
+    def _stack(cls, n, gen):
+        mats = [_wishart(n, rank, gen) for rank in range(1, n + 1) for _ in range(2)]
+        if n > 1:
+            low = _with_lowest(n, 0.5, gen)
+            mats.append(low / np.trace(low).real)
+        if cls is DensityOperator:
+            mats = [m * t for m, t in zip(mats, gen.uniform(0.2, 2.0, len(mats)))]
+        return cls.from_stack(np.stack(mats))
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_matches_per_matrix_eigh(self, eigh_calls, cls, n):
+        ops = self._stack(cls, n, np.random.default_rng(n))
+        expected = []
+        for op in ops:
+            lam, vec = np.linalg.eigh(op.entries)
+            expected.append((np.maximum(lam, 0.0), vec))
+        eigh_calls.clear()
+        _fill_spectra(ops)
+        assert eigh_calls == [(len(ops), n, n)]
+        for op, (lam, vec) in zip(ops, expected):
+            assert np.array_equal(op.eigenvalues, lam)
+            assert np.array_equal(op.eigenvectors, vec)
+            assert not op.eigenvalues.flags.writeable
+            assert not op.eigenvectors.flags.writeable
+        if n > 1:
+            assert ops[-1].eigenvalues[0] == 0.0
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    def test_decomposes_each_operator_once(self, eigh_calls, cls):
+        ops = self._stack(cls, 5, np.random.default_rng(20))
+        first = ops[0].eigenvalues
+        assert len(eigh_calls) == 1
+        _fill_spectra([ops[0], ops[1], ops[1], *ops[2:], ops[2]])
+        assert eigh_calls[1:] == [(len(ops) - 1, 5, 5)]
+        assert ops[0].eigenvalues is first
+        _fill_spectra(ops + ops)
+        for op in ops:
+            for read in TestLazySpectrum.READS.values():
+                read(op)
+        assert len(eigh_calls) == 2
 
 
 class TestPureState:
