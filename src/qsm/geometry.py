@@ -17,7 +17,7 @@ from .errors import (
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import psd_clamp_entries, trace_norm_entries
+from .linalg import _BLOCK_ENTRIES, psd_clamp_entries, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
@@ -50,12 +50,6 @@ ZERO_TRACE = 1e-12
 #: rejections per annealing step of the uniqueness search, and the most
 #: proposals it evaluates in one batch.
 _BLOCK = 100
-
-#: most matrix entries (proposals x n^2) in one batch of the uniqueness
-#: search, which bounds its temporaries; n <= 8 keeps blocks of _BLOCK
-#: proposals.  With _BLOCK it fixes the blocks and so the draw order: a new
-#: value moves report bytes, not verdicts.
-_BLOCK_ENTRIES = 6400
 
 #: margin of the uniqueness search's trace bounds, relative to
 #: 1 + tr x + tr y.  It dominates the roundoff of a computed trace plus the

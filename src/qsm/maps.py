@@ -22,12 +22,12 @@ members, and so on.  A map is handed each block's operators, in that group
 order, in one call, and its images are checked and built as one stack.  The
 spectra a block reads (ranks, probe purities, Bures fidelities) are
 decomposed as one stack too, by one batched ``eigh``.  A block holds as many
-samples as keep each stacked operand within _BLOCK_ENTRIES matrix entries,
-so at n = 48 or 64 it is one sample.  Since the block sizes fix the draw
-order, changing _BLOCK_ENTRIES changes the samples drawn, and so the report
-bytes, but not what the checks mean.  A failing sample raises once its whole
-block has been drawn.  The probes of a reconstruction are mapped in blocks
-of the same size.
+samples as keep each stacked operand within _BLOCK_ENTRIES (qsm.linalg)
+matrix entries: 50 pairs at n = 8, one sample at n = 64.  The block sizes
+fix the draw order, so a new cap changes the samples drawn, and so the
+report bytes, but not what the checks mean.  A failing sample raises once
+its whole block has been drawn.  The probes of a reconstruction are mapped
+in blocks of the same size.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     NotIsometryEvidence,
     NotPositiveSemidefinite,
 )
-from .linalg import trace_norm_entries
+from .linalg import _BLOCK_ENTRIES, trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
 from .serialize import _decode_dim, matrix_from_json
 from .states import (
@@ -57,6 +57,7 @@ from .states import (
     _orthogonal_pairs,
     _projection,
     _sampled_stack,
+    _stacked,
     _unitarity_defect,
     basis_projection,
     generator_of,
@@ -72,12 +73,6 @@ _PURITY_TOL = 1e-8
 
 #: largest distance of the image of 0 from 0 that counts as fixing 0.
 _ZERO_TOL = 1e-8
-
-#: cap on the matrix entries of one stacked operand in a sample loop: a block
-#: holds as many samples as fit, at least one.  Larger blocks gained no speed
-#: and raised peak memory at large n.  The block sizes fix the draw order, so
-#: a new cap moves report bytes, not verdicts.
-_BLOCK_ENTRIES = 800
 
 #: random states on which a reconstruction, and a roundtrip's recovered map,
 #: are validated.
@@ -125,14 +120,9 @@ def _checked_unitary(u) -> np.ndarray:
     return u
 
 
-def _entries(ops: list[DensityOperator]) -> np.ndarray:
-    """Entries of ops as one stack."""
-    return np.array([op.entries for op in ops])
-
-
 def _stack_map(dim: int, domain: MapDomain, action) -> StateMap:
     """The map that applies ``action`` to the ``(k, n, n)`` stack of a block."""
-    return StateMap(dim, domain, lambda ops: action(_entries(ops)))
+    return StateMap(dim, domain, lambda ops: action(_stacked(ops)))
 
 
 def _conjugation(u, domain: MapDomain, kind: MapKind) -> StateMap:
@@ -394,9 +384,9 @@ def preservation_suite(
         else:
             probe, c, d = _groups(_sample_block(n, gen, m.domain, 3 * count), count)
         lam = gen.uniform(size=count)[:, None, None]
-        mixed = lam * _entries(c) + (1.0 - lam) * _entries(d)
+        mixed = lam * _stacked(c) + (1.0 - lam) * _stacked(d)
         if pairs:
-            halfway = (_entries(a) + _entries(b)) / 2.0
+            halfway = (_stacked(a) + _stacked(b)) / 2.0
             overlap, mixture = _groups(cls.from_stack(np.concatenate([halfway, mixed])), count)
             groups = [x, y, a, overlap]
         else:
@@ -413,8 +403,8 @@ def preservation_suite(
         f_probe, f_mixture, f_c, f_d = images[-4:]
         _fill_spectra([*probe, *f_probe])
         rank_bad += sum(image.rank() != op.rank() for op, image in zip(probe, f_probe))
-        mix_of_images = lam * _entries(f_c) + (1.0 - lam) * _entries(f_d)
-        violation = trace_norm_entries(_entries(f_mixture) - mix_of_images)
+        mix_of_images = lam * _stacked(f_c) + (1.0 - lam) * _stacked(f_d)
+        violation = trace_norm_entries(_stacked(f_mixture) - mix_of_images)
         affinity_max = max(affinity_max, float(violation.max()))
     if not np.isfinite(bwd_min):
         bwd_min = 0.0

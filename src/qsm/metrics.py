@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .linalg import _spectral_rebuild, trace_norm_entries
-from .states import DensityOperator, _fill_spectra
+from .states import DensityOperator, _fill_spectra, _stacked
 
 #: default relative tolerance for orthogonality of PSD operators.
 ORTHOGONALITY_TOL = 1e-8
@@ -52,10 +52,8 @@ def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(a @ b, compute_uv=False), axis=-1)
 
 
-def _fidelities(xs, ys) -> np.ndarray:
-    """fidelity of each pair (xs[i], ys[i]), batched."""
-    lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
-    vec_x, vec_y = _stacks(xs, ys, "eigenvectors")
+def _fidelities(lam_x, vec_x, lam_y, vec_y) -> np.ndarray:
+    """fidelity of each pair of two stacked spectra (``_spectra``), batched."""
     return _product_trace_norm_entries(_sqrt_entries(lam_x, vec_x), _sqrt_entries(lam_y, vec_y))
 
 
@@ -81,12 +79,12 @@ def _orthogonality_threshold(tr_x, tr_y, tol: float):
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity of two PSD operators (not squared, not normalized)."""
-    return float(_fidelities([a], [b])[0])
+    return float(_fidelities(*_spectra([a], [b]))[0])
 
 
 def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Bures metric (tr A + tr B - 2 F(A,B))^{1/2} on the density cone."""
-    return float(_bures_entries(a.eigenvalues, b.eigenvalues, fidelity(a, b), a.dim))
+    return distance(MetricKind.BURES, a, b)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -96,7 +94,7 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def product_trace_norm(a: DensityOperator, b: DensityOperator) -> float:
     """Trace norm of the (generally non-Hermitian) product AB."""
-    return float(_product_trace_norm_entries(*_stacks([a], [b], "entries"))[0])
+    return float(_product_trace_norm_entries(*_stacks([a], [b]))[0])
 
 
 def are_orthogonal(
@@ -110,40 +108,38 @@ def are_orthogonal(
     return bool(orthogonality([x], [y], tol)[1][0])
 
 
-def _stacks(xs, ys, attr: str) -> tuple[np.ndarray, np.ndarray]:
-    """One attribute of two equally long operator lists of one dimension,
-    stacked; before a spectrum is stacked, the spectra of both lists not yet
-    computed are computed as one stack."""
+def _stacks(xs, ys, attr: str = "entries") -> tuple[np.ndarray, np.ndarray]:
+    """One attribute of two equally long operator lists of one dimension, as
+    two views of one stack (``_stacked`` checks the dimension)."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} operators paired with {len(ys)}")
-    dims = {op.dim for op in xs} | {op.dim for op in ys}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"operator dims {sorted(dims)} differ")
-    if attr != "entries":
-        _fill_spectra([*xs, *ys])
-    return (np.array([getattr(op, attr) for op in xs]),
-            np.array([getattr(op, attr) for op in ys]))
+    both = _stacked([*xs, *ys], attr)
+    return both[:len(xs)], both[len(xs):]
 
 
-def _traces(ops) -> np.ndarray:
-    return np.array([op.trace for op in ops])
+def _spectra(xs, ys) -> tuple[np.ndarray, ...]:
+    """``lam_x, vec_x, lam_y, vec_y``: the spectra of two lists as _stacks,
+    after those of both not yet computed are computed as one stack."""
+    _fill_spectra([*xs, *ys])
+    (lam_x, lam_y), (vec_x, vec_y) = _stacks(xs, ys, "eigenvalues"), _stacks(xs, ys, "eigenvectors")
+    return lam_x, vec_x, lam_y, vec_y
 
 
 def orthogonality(xs, ys, tol: float = ORTHOGONALITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """product_trace_norm of each pair (xs[i], ys[i]) and whether
     are_orthogonal holds for it, batched."""
-    norms = _product_trace_norm_entries(*_stacks(xs, ys, "entries"))
-    return norms, norms <= _orthogonality_threshold(_traces(xs), _traces(ys), tol)
+    norms = _product_trace_norm_entries(*_stacks(xs, ys))
+    return norms, norms <= _orthogonality_threshold(_stacked(xs, "trace"), _stacked(ys, "trace"), tol)
 
 
 def distances(kind: MetricKind, xs, ys) -> np.ndarray:
     """distance(kind, xs[i], ys[i]) for each pair, batched; distance is its
     k = 1 case."""
     if kind is MetricKind.BURES:
-        lam_x, lam_y = _stacks(xs, ys, "eigenvalues")
-        return _bures_entries(lam_x, lam_y, _fidelities(xs, ys), xs[0].dim)
+        lam_x, vec_x, lam_y, vec_y = _spectra(xs, ys)
+        return _bures_entries(lam_x, lam_y, _fidelities(lam_x, vec_x, lam_y, vec_y), lam_x.shape[-1])
     if kind is MetricKind.TRACE_NORM:
-        x, y = _stacks(xs, ys, "entries")
+        x, y = _stacks(xs, ys)
         return trace_norm_entries(x - y)
     raise ValueError(f"unknown metric kind {kind!r}")
 
@@ -154,7 +150,7 @@ def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
     Exposed separately from are_orthogonal so both sides of the equivalence
     (XY = 0 iff the two norms agree) can be checked against each other.
     """
-    x_e, y_e = _stacks([x], [y], "entries")
+    x_e, y_e = _stacks([x], [y])
     diff, total = trace_norm_entries(np.concatenate([x_e - y_e, x_e + y_e]))
     return abs(float(diff) - float(total))
 

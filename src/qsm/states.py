@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidParameter,
     InvalidRank,
     NotPositiveSemidefinite,
@@ -160,6 +161,16 @@ class QuantumState(DensityOperator):
     _UNIT_TRACE = True
 
 
+def _stacked(ops, attr: str = "entries") -> np.ndarray:
+    """One attribute of each operator of a list, stacked; operators of
+    different dimensions raise DimensionMismatch."""
+    arrays = [getattr(op, attr) for op in ops]
+    try:
+        return np.array(arrays)
+    except ValueError:
+        raise DimensionMismatch(f"operator dims {sorted({op.dim for op in ops})} differ") from None
+
+
 def _fill_spectra(ops) -> None:
     """Compute and cache the spectrum of each operator of ``ops`` (all of one
     dimension) that has none yet, by one ``eigh`` of their stacked entries
@@ -170,7 +181,7 @@ def _fill_spectra(ops) -> None:
     todo = [op for op in dict.fromkeys(ops) if op._eigenvalues is None]
     if not todo:
         return
-    lam, vec = np.linalg.eigh(np.array([op.entries for op in todo]))
+    lam, vec = np.linalg.eigh(_stacked(todo))
     lam = np.maximum(lam, 0.0)
     for a in (lam, vec):
         a.setflags(write=False)

@@ -80,9 +80,9 @@ class TestMetricCommand:
         calls = []
         fidelities = qsm.metrics._fidelities
 
-        def counting(xs, ys):
-            calls.append(len(xs))
-            return fidelities(xs, ys)
+        def counting(lam_x, *spectra):
+            calls.append(len(lam_x))
+            return fidelities(lam_x, *spectra)
 
         monkeypatch.setattr(qsm.metrics, "_fidelities", counting)
         result = runner.invoke(main, ["metric", matrix_files["half"], matrix_files["thirds"]])

@@ -4,6 +4,8 @@ preservation suite, reconstruction, roundtrips, serialization."""
 import numpy as np
 import pytest
 
+import qsm.geometry
+import qsm.linalg
 import qsm.maps
 from qsm.errors import (
     DimensionMismatch,
@@ -401,3 +403,20 @@ class TestSerialization:
     def test_oracles_have_no_wire_format(self):
         with pytest.raises(InvalidParameter):
             statemap_from_json({"kind": "oracle", "dim": 2})
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("per_sample", [1, 2, 8])
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_blocks_cover_total_within_cap(self, n, per_sample):
+        size = max(1, qsm.maps._BLOCK_ENTRIES // (per_sample * n * n))
+        for total in (0, 1, 7, 100, 201):
+            blocks = list(qsm.maps._blocks(total, n, per_sample))
+            assert sum(blocks) == total
+            assert all(1 <= count <= size for count in blocks)
+            assert all(count == size for count in blocks[:-1])
+            if n == 64:
+                assert set(blocks) <= {1}
+
+    def test_maps_and_geometry_share_one_cap(self):
+        assert qsm.maps._BLOCK_ENTRIES == qsm.geometry._BLOCK_ENTRIES == qsm.linalg._BLOCK_ENTRIES

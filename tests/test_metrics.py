@@ -9,6 +9,7 @@ from qsm.metrics import (
     are_orthogonal,
     bures_distance,
     distance,
+    distances,
     fidelity,
     norm_identity_gap,
     product_trace_norm,
@@ -65,6 +66,18 @@ class TestFidelity:
         with pytest.raises(DimensionMismatch):
             fidelity(zero_density(2), zero_density(3))
 
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_dimension_mismatch_in_a_batch(self, kind):
+        # across the two lists and within one, before and after the
+        # spectra are cached
+        a, b, c = zero_density(2), zero_density(2), zero_density(3)
+        for _ in range(2):
+            for xs, ys in (([a], [c]), ([a, c], [b, c])):
+                with pytest.raises(DimensionMismatch):
+                    distances(kind, xs, ys)
+            for op in (a, b, c):
+                op.eigenvalues
+
 
 class TestBures:
     def test_distance_to_zero_is_root_trace(self):
@@ -106,7 +119,7 @@ class TestBures:
         from qsm.errors import NumericalBreakdown
 
         a = random_state(2, 2, RngStream(34))
-        monkeypatch.setattr(metrics_module, "fidelity", lambda x, y: 10.0)
+        monkeypatch.setattr(metrics_module, "_fidelities", lambda *spectra: np.array([10.0]))
         with pytest.raises(NumericalBreakdown):
             metrics_module.bures_distance(a, a)
 
