@@ -18,7 +18,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .errors import NotImplementable, NotIsometryEvidence, QsmError
+from .errors import NotImplementable, QsmError
 from .maps import (
     PHASE_CONVENTION,
     VALIDATION_SAMPLES,
@@ -249,18 +249,8 @@ def cmd_reconstruct(builtin_id, map_file, dim, seed, output_path):
     }
     try:
         result = reconstruct_implementer(state_map, RngStream(seed, 7))
-    except NotIsometryEvidence as exc:
-        payload.update(
-            {"pass": False, "error": str(exc), "purity_defect": exc.purity_defect,
-             "probe": exc.probe}
-        )
-        _emit(payload, output_path)
-        sys.exit(1)
     except NotImplementable as exc:
-        payload.update(
-            {"pass": False, "error": str(exc), "residual": float(exc.residual),
-             "probe": exc.probe}
-        )
+        payload.update({"pass": False, "error": str(exc), "probe": exc.probe, **exc.evidence})
         _emit(payload, output_path)
         sys.exit(1)
     payload.update(

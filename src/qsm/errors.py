@@ -45,19 +45,14 @@ class DomainError(QsmError):
     """A map was evaluated outside its declared domain, or left it."""
 
 
-class NotIsometryEvidence(QsmError):
-    """A probe result is incompatible with the map being an isometry."""
-
-    def __init__(self, message: str, purity_defect: float, probe: str):
-        super().__init__(message)
-        self.purity_defect = purity_defect
-        self.probe = probe
-
-
 class NotImplementable(QsmError):
-    """No unitary/antiunitary conjugation reproduces the oracle within tolerance."""
+    """No unitary/antiunitary conjugation reproduces the oracle within
+    tolerance.  ``probe`` names the probe or check that rejected the oracle,
+    and ``evidence`` holds the number behind the rejection under its report
+    key: ``purity_defect`` for a probe image that is not pure, ``residual``
+    for every other rejection."""
 
-    def __init__(self, message: str, residual: float, probe: str = ""):
+    def __init__(self, message: str, probe: str, **evidence: float):
         super().__init__(message)
-        self.residual = residual
         self.probe = probe
+        self.evidence = {key: float(value) for key, value in evidence.items()}

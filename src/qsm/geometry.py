@@ -17,12 +17,13 @@ from .errors import (
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import _BLOCK_ENTRIES, psd_clamp_entries, trace_norm_entries
+from .linalg import _BLOCK_ENTRIES, _blocks, psd_clamp_entries, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
     are_orthogonal,
     bures_distance,
+    distances,
     trace_distance,
 )
 from .states import (
@@ -31,7 +32,6 @@ from .states import (
     _fill_spectra,
     _sampled_stack,
     generator_of,
-    random_density,
     zero_density,
 )
 
@@ -56,19 +56,6 @@ _BLOCK = 100
 #: backward error of eigvalsh, O(n^2 * u * (|W| + |z|)), up to n = 64, so a
 #: proposal a trace bound rejects is one its trace norms reject too.
 _TRACE_MARGIN = 1e-10
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Closed metric ball in the density cone."""
-
-    metric: MetricKind
-    center: DensityOperator
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,18 +91,21 @@ class PinchConfiguration:
     lower: DensityOperator
 
 
-def sample_in_bures_ball_at_zero(
-    dim: int, radius: float, rng: RngStream | np.random.Generator
-) -> DensityOperator:
-    """Draw from the Bures ball around 0: membership is the trace condition
-    tr X <= radius^2, so a random density rescaled into [0, radius^2] lies in
-    the ball exactly, without rejection."""
-    gen = generator_of(rng)
-    target = float(gen.uniform(0.0, 1.0)) * radius * radius
-    if target <= ZERO_TRACE:
-        return zero_density(dim)
-    rank = int(gen.integers(1, dim + 1))
-    return random_density(dim, rank, target, gen)
+def _in_ball_at_zero(
+    n: int, radius: float, gen: np.random.Generator, count: int
+) -> list[DensityOperator]:
+    """``count`` draws from the Bures ball around 0, where membership is the
+    trace condition tr X <= radius^2: all target traces, uniform in
+    [0, radius^2], then all ranks, then one Wishart stack of the operators
+    whose target is above ZERO_TRACE.  A target at or below ZERO_TRACE draws
+    the zero operator.  Every draw lies in the ball exactly, without
+    rejection."""
+    targets = gen.uniform(0.0, 1.0, size=count) * radius * radius
+    ranks = gen.integers(1, n + 1, size=count)
+    live = targets > ZERO_TRACE
+    drawn = iter(_sampled_stack(DensityOperator, n, gen, ranks[live], targets[live]))
+    zero = zero_density(n)
+    return [next(drawn) if keep else zero for keep in live]
 
 
 def sample_in_bures_ball(
@@ -132,7 +122,7 @@ def sample_in_bures_ball(
     gen = generator_of(rng)
     tr = center.trace
     if tr <= ZERO_TRACE:
-        return sample_in_bures_ball_at_zero(center.dim, radius, gen)
+        return _in_ball_at_zero(center.dim, radius, gen, 1)[0]
     root = float(np.sqrt(tr))
     for _ in range(_BURES_TRIES):
         if gen.uniform() < 0.5:
@@ -149,9 +139,13 @@ def sample_in_bures_ball(
 
 
 def bures_ball_diameter(
-    spec: BallSpec, rng: RngStream | np.random.Generator, samples: int
+    center: DensityOperator,
+    radius: float,
+    rng: RngStream | np.random.Generator,
+    samples: int,
 ) -> DiameterEstimate:
-    """Witnessed lower bound on the diameter of a Bures ball.
+    """Witnessed lower bound on the diameter of the Bures ball of the given
+    radius around the center.
 
     Around 0 the analytic sharpness witnesses are always included
     (radius^2 * orthogonal rank-one projections for dim >= 2, the scalar pair
@@ -159,52 +153,56 @@ def bures_ball_diameter(
     sqrt(2) * radius upper bound.  Around a nonzero center the pair
     (0, 4 * center) is included whenever it lies in the ball.  A pair over
     the bound, or a best pair outside the ball, raises NumericalBreakdown.
+
+    The analytic pair is measured first, as a block of one.  The samples
+    follow in blocks (``_blocks``, two operators a pair): around 0 a block of
+    k pairs draws its 2k operators with _in_ball_at_zero and pairs the first
+    k with the last k; around a nonzero center sample_in_bures_ball draws
+    each pair's x, then its y.  Each block's distances are one batched call,
+    and the best pair is the first to reach the maximum.
     """
-    if spec.metric is not MetricKind.BURES:
-        raise ValueError("bures_ball_diameter needs a Bures ball")
+    if not radius > 0.0:
+        raise ValueError("ball radius must be positive")
     gen = generator_of(rng)
-    center, eps = spec.center, spec.radius
     n = center.dim
     at_zero = center.trace <= ZERO_TRACE
 
-    pairs: list[tuple[DensityOperator, DensityOperator]] = []
-    if at_zero:
-        first = np.zeros((n, n), dtype=np.complex128)
-        first[0, 0] = eps * eps
-        if n >= 2:
-            second = np.zeros((n, n), dtype=np.complex128)
-            second[1, 1] = eps * eps
-            pairs.append((DensityOperator(first), DensityOperator(second)))
-        else:
-            pairs.append((DensityOperator(first), zero_density(1)))
-    elif eps >= np.sqrt(center.trace) * (1.0 - 1e-12):
-        pairs.append((zero_density(n), DensityOperator(4.0 * center.entries)))
-
-    for _ in range(samples):
+    def pair_blocks():
         if at_zero:
-            pair = (
-                sample_in_bures_ball_at_zero(n, eps, gen),
-                sample_in_bures_ball_at_zero(n, eps, gen),
-            )
-        else:
-            pair = (
-                sample_in_bures_ball(center, eps, gen),
-                sample_in_bures_ball(center, eps, gen),
-            )
-        pairs.append(pair)
+            first, second = np.zeros((2, n, n), dtype=np.complex128)
+            first[0, 0] = radius * radius
+            if n >= 2:
+                second[1, 1] = radius * radius
+            yield [DensityOperator(first)], [DensityOperator(second)]
+        elif radius >= np.sqrt(center.trace) * (1.0 - 1e-12):
+            yield [zero_density(n)], [DensityOperator(4.0 * center.entries)]
+        for count in _blocks(samples, n, 2):
+            if at_zero:
+                ops = _in_ball_at_zero(n, radius, gen, 2 * count)
+                yield ops[:count], ops[count:]
+            else:
+                pairs = [
+                    [sample_in_bures_ball(center, radius, gen) for _ in range(2)]
+                    for _ in range(count)
+                ]
+                xs, ys = zip(*pairs)
+                yield xs, ys
 
-    bound = (np.sqrt(2.0) * eps if n >= 2 else eps) + BALL_SLACK
+    bound = (np.sqrt(2.0) * radius if n >= 2 else radius) + BALL_SLACK
     best = -1.0
-    best_pair = pairs[0]
-    for x, y in pairs:
-        d = bures_distance(x, y)
-        if at_zero and d > bound:
-            raise NumericalBreakdown(f"pair distance {d} violates the diameter bound {bound}")
-        if d > best:
-            best, best_pair = d, (x, y)
-    for member in best_pair:
-        if bures_distance(member, center) > eps + BALL_SLACK:
-            raise NumericalBreakdown("a witness fell outside its Bures ball")
+    best_pair = None
+    for xs, ys in pair_blocks():
+        d = distances(MetricKind.BURES, xs, ys)
+        if at_zero and (d > bound).any():
+            raise NumericalBreakdown(
+                f"pair distance {float(d[d > bound][0])} violates the diameter bound {bound}"
+            )
+        i = int(np.argmax(d))
+        if d[i] > best:
+            best, best_pair = float(d[i]), (xs[i], ys[i])
+    in_ball = distances(MetricKind.BURES, list(best_pair), [center, center])
+    if (in_ball > radius + BALL_SLACK).any():
+        raise NumericalBreakdown("a witness fell outside its Bures ball")
     return DiameterEstimate(best, best_pair)
 
 
@@ -251,7 +249,7 @@ def zero_characterization_bures(
             tested.append(root)
             tested.sort()
     for eps in tested:
-        estimate = bures_ball_diameter(BallSpec(MetricKind.BURES, center, eps), gen, samples)
+        estimate = bures_ball_diameter(center, eps, gen, samples)
         if estimate.lower_bound > np.sqrt(2.0) * eps + BALL_SLACK:
             return False
     return True

@@ -1,5 +1,6 @@
 """Dense complex Hermitian linear algebra: shape and finiteness checks,
-symmetrization, trace norms and the PSD clamp.
+symmetrization, trace norms and the PSD clamp, and the block sizes of the
+sample loops.
 
 Everything here is a pure function of immutable values; matrices are small
 (dimension capped elsewhere), so dense storage and full eigendecompositions
@@ -12,13 +13,21 @@ import numpy as np
 
 NONFINITE_MESSAGE = "matrix entries must be finite (no NaN/Inf)"
 
-#: cap on the matrix entries of one stacked operand in the sample loops of
-#: qsm.maps and the uniqueness search of qsm.geometry: a block holds as many
-#: samples as fit, at least one (one at n = 64).  Against 800, it cut the
-#: kernel calls of the roundtrip-small benchmark 5x and its wall time by a
-#: third, for 2.4% more peak memory.  Block sizes fix the draw order: a new
-#: cap moves report bytes, not verdicts.
+#: cap on the matrix entries of one stacked operand in the sample loops
+#: (``_blocks``) and in the uniqueness search of qsm.geometry: a block holds
+#: as many samples as fit, at least one (one at n = 64).  Against 800, it
+#: cut the kernel calls of the roundtrip-small benchmark 5x and its wall
+#: time by a third, for 2.4% more peak memory.  Block sizes fix the draw
+#: order: a new cap moves report bytes, not verdicts.
 _BLOCK_ENTRIES = 6400
+
+
+def _blocks(total: int, n: int, per_sample: int):
+    """Sample counts of the consecutive blocks that cover ``total`` samples
+    when each sample stacks ``per_sample`` n x n operators."""
+    size = max(1, _BLOCK_ENTRIES // (per_sample * n * n))
+    for start in range(0, total, size):
+        yield min(size, total - start)
 
 
 def _as_complex_squares(entries, ndim: int = 2) -> np.ndarray:

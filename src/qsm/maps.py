@@ -43,10 +43,9 @@ from .errors import (
     DomainError,
     InvalidParameter,
     NotImplementable,
-    NotIsometryEvidence,
     NotPositiveSemidefinite,
 )
-from .linalg import _BLOCK_ENTRIES, trace_norm_entries
+from .linalg import _blocks, trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
 from .serialize import _decode_dim, matrix_from_json
 from .states import (
@@ -245,14 +244,6 @@ class IsometryReport:
     pairs_tested: int
     max_deviation: float
     worst_pair: tuple[DensityOperator, DensityOperator]
-
-
-def _blocks(total: int, n: int, per_sample: int):
-    """Sample counts of the consecutive blocks that cover ``total`` samples
-    when each sample stacks ``per_sample`` n x n operators."""
-    size = max(1, _BLOCK_ENTRIES // (per_sample * n * n))
-    for start in range(0, total, size):
-        yield min(size, total - start)
 
 
 def _groups(ops: list, count: int) -> list[list]:
@@ -458,7 +449,7 @@ def probe_count(n: int) -> int:
 def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
     built and mapped one block at a time; an image that is not pure within
-    _PURITY_TOL raises NotIsometryEvidence naming its probe."""
+    _PURITY_TOL raises NotImplementable naming its probe."""
     start = 0
     for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
@@ -468,7 +459,7 @@ def _probe_vectors(oracle: StateMap, n: int):
         for label, image in zip(labels, images):
             defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
             if defect > _PURITY_TOL:
-                raise NotIsometryEvidence(
+                raise NotImplementable(
                     f"probe {label} has purity defect {defect:.3e} > {_PURITY_TOL:.1e}",
                     purity_defect=defect,
                     probe=label,
@@ -540,7 +531,7 @@ def reconstruct_implementer(
             if min(abs(a), abs(b)) < 1e-3:
                 raise NotImplementable(
                     f"superposition probe {i} overlaps are incompatible with an isometry",
-                    residual=float(min(abs(a), abs(b))),
+                    residual=min(abs(a), abs(b)),
                     probe=f"superposition:{i}",
                 )
             phase = b / a

@@ -6,10 +6,10 @@ linear O(eps) error on null modes, whereas eigendecomposing the sandwich and
 square-rooting amplifies null-mode noise to O(sqrt(eps)), which is too coarse
 for the 1e-8 isometry-deviation checks downstream.
 
-``distances`` and ``orthogonality`` evaluate whole lists of pairs with
-batched decompositions.  The per-pair functions are their k = 1 case (a list
-of one pair), so each metric has one code path and each batched value is bit
-for bit the per-pair one.
+``distances``, ``orthogonality`` and ``norm_identity_gaps`` evaluate whole
+lists of pairs with batched decompositions.  The per-pair functions are
+their k = 1 case (a list of one pair), so each metric has one code path and
+each batched value is bit for bit the per-pair one.
 """
 
 from __future__ import annotations
@@ -150,9 +150,15 @@ def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
     Exposed separately from are_orthogonal so both sides of the equivalence
     (XY = 0 iff the two norms agree) can be checked against each other.
     """
-    x_e, y_e = _stacks([x], [y])
-    diff, total = trace_norm_entries(np.concatenate([x_e - y_e, x_e + y_e]))
-    return abs(float(diff) - float(total))
+    return float(norm_identity_gaps([x], [y])[0])
+
+
+def norm_identity_gaps(xs, ys) -> np.ndarray:
+    """norm_identity_gap of each pair (xs[i], ys[i]), batched: the trace
+    norms of all differences and all sums are one stack."""
+    x, y = _stacks(xs, ys)
+    diff, total = np.split(trace_norm_entries(np.concatenate([x - y, x + y])), 2)
+    return np.abs(diff - total)
 
 
 def distance(kind: MetricKind, a: DensityOperator, b: DensityOperator) -> float:

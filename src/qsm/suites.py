@@ -13,10 +13,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NotImplementable, NotIsometryEvidence, NumericalBreakdown
+from .errors import NotImplementable, NumericalBreakdown
 from .geometry import (
     BALL_SLACK,
-    BallSpec,
     bures_ball_diameter,
     intersection_uniqueness_search,
     midpoint_witness,
@@ -24,7 +23,7 @@ from .geometry import (
     pinch_configuration,
     zero_characterization_bures,
 )
-from .linalg import trace_norm_entries
+from .linalg import _blocks, trace_norm_entries
 from .maps import (
     MapDomain,
     MapKind,
@@ -36,9 +35,10 @@ from .maps import (
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
-    are_orthogonal,
     bures_distance,
-    norm_identity_gap,
+    distances,
+    norm_identity_gaps,
+    orthogonality,
     trace_distance,
 )
 from .states import (
@@ -46,7 +46,8 @@ from .states import (
     QuantumState,
     RngStream,
     _orthogonal_pairs,
-    random_density,
+    _sampled_stack,
+    _stacked,
     random_state,
     zero_density,
 )
@@ -79,22 +80,17 @@ class ExperimentReport:
         }
 
 
-def _orthogonal_density_pair(n, gen, trace_x, trace_y):
-    """One pair of _orthogonal_pairs: densities on complementary subspaces."""
-    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, gen, [trace_x], [trace_y])
-    return x, y
-
-
 def _lemma1(dim, gen, samples, budget, tolerances):
     """Bures characterization of 0: in-ball bound, sharpness witnesses at 0,
-    and the (0, 4A) witness defeating every nonzero center."""
+    and the (0, 4A) witness defeating every nonzero center.  The nonzero
+    centers are drawn in blocks (``_blocks``): all ranks, then all traces,
+    then one Wishart stack."""
     radii = (0.5, 1.0, 2.0)
     witnesses = []
     violation = 0.0
     passed = True
     for eps in radii:
-        spec = BallSpec(MetricKind.BURES, zero_density(dim), eps)
-        estimate = bures_ball_diameter(spec, gen, samples)
+        estimate = bures_ball_diameter(zero_density(dim), eps, gen, samples)
         bound = (np.sqrt(2.0) if dim >= 2 else 1.0) * eps
         violation = max(violation, estimate.lower_bound - (bound + BALL_SLACK))
         if dim >= 2:
@@ -108,10 +104,15 @@ def _lemma1(dim, gen, samples, budget, tolerances):
     passed &= zero_characterization_bures(
         zero_density(dim), list(radii), gen, max(10, samples // 8)
     )
-    for k in range(max(4, samples // 4)):
-        center = random_density(
-            dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 3.0)), gen
-        )
+
+    def centers():
+        for count in _blocks(max(4, samples // 4), dim, 1):
+            ranks = gen.integers(1, dim + 1, size=count)
+            yield from _sampled_stack(
+                DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count)
+            )
+
+    for k, center in enumerate(centers()):
         try:
             eps_w, (low, high) = nonzero_center_witness(center)
         except NumericalBreakdown:
@@ -152,7 +153,7 @@ def _lemma3(dim, gen, samples, budget, tolerances):
     if dim >= 2:
         for k in range(configs):
             eps = float(gen.uniform(0.5, 1.5))
-            x, y = _orthogonal_density_pair(dim, gen, eps, eps)
+            (x,), (y,) = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
             mid = midpoint_witness(x, y)
             in_balls = (
                 trace_distance(x, mid) <= eps + BALL_SLACK
@@ -204,44 +205,67 @@ def _lemma3(dim, gen, samples, budget, tolerances):
     return passed, witnesses, worst_ratio, budget
 
 
+def _style_pairs(style, dim, gen, count):
+    """``count`` pairs of one _ortho_eq style, as two lists: orthogonal
+    supports (0), (a, (a + b)/2) (1), (x, 0) (2), and x against a full-rank
+    y (3).  Traces are uniform in [0.3, 2]; every operator but a style-0 one
+    draws a uniform rank (full for the y of style 3), and the pairs' ranks,
+    then their traces, then one Wishart stack are drawn in that order."""
+    if style == 0:
+        return _orthogonal_pairs(DensityOperator, dim, gen, *gen.uniform(0.3, 2.0, size=(2, count)))
+    if style == 1:
+        ranks = gen.integers(1, dim + 1, size=2 * count)
+    elif style == 2:
+        ranks = gen.integers(1, dim + 1, size=count)
+    else:
+        ranks = np.concatenate([gen.integers(1, dim + 1, size=count), np.full(count, dim)])
+    ops = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 2.0, size=len(ranks)))
+    if style == 2:
+        return ops, [zero_density(dim)] * count
+    xs, ys = ops[:count], ops[count:]
+    if style == 1:
+        ys = DensityOperator.from_stack((_stacked(xs) + _stacked(ys)) / 2.0)
+    return xs, ys
+
+
 def _ortho_eq(dim, gen, samples, budget, tolerances):
     """Orthogonality equivalence: XY = 0 iff ||X-Y||_1 = ||X+Y||_1, over a mix
     of orthogonal-support, overlapping, independent, and zero pairs; for
-    states, orthogonality iff trace distance 2."""
+    states, orthogonality iff trace distance 2.
+
+    Sample k has style k % 4 (_style_pairs; at n = 1, style 0 is drawn as
+    style 3).  Each style's pairs are drawn in blocks (``_blocks``), style
+    by style, and each block is classified with one orthogonality call and
+    one norm_identity_gaps call.  From n = 2 on, the state checks draw their
+    blocks as the orthogonal pairs, then the ranks of a and b, then one
+    stack of both, and measure each block with one distances call and one
+    orthogonality call."""
     tol = tolerances.get("orthogonality", ORTHOGONALITY_TOL)
     misclassified = 0
     state_gap = 0.0
     passed = True
-    for k in range(samples):
-        style = k % 4
-        if style == 0 and dim >= 2:
-            x, y = _orthogonal_density_pair(
-                dim, gen, float(gen.uniform(0.3, 2.0)), float(gen.uniform(0.3, 2.0))
-            )
-        elif style == 1:
-            a = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-            b = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-            x, y = a, DensityOperator((a.entries + b.entries) / 2.0)
-        elif style == 2:
-            x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-            y = zero_density(dim)
-        else:
-            x = random_density(dim, int(gen.integers(1, dim + 1)), float(gen.uniform(0.3, 2.0)), gen)
-            y = random_density(dim, dim, float(gen.uniform(0.3, 2.0)), gen)
-        product_side = are_orthogonal(x, y, tol)
-        gap_side = norm_identity_gap(x, y) <= tol * (1.0 + x.trace * y.trace)
-        if product_side != gap_side:
-            misclassified += 1
+    totals = [len(range(style, samples, 4)) for style in range(4)]
+    if dim < 2:
+        totals = [0, totals[1], totals[2], totals[3] + totals[0]]
+    for style, total in enumerate(totals):
+        for count in _blocks(total, dim, 2):
+            xs, ys = _style_pairs(style, dim, gen, count)
+            _, product_side = orthogonality(xs, ys, tol)
+            threshold = tol * (1.0 + _stacked(xs, "trace") * _stacked(ys, "trace"))
+            gap_side = norm_identity_gaps(xs, ys) <= threshold
+            misclassified += int(np.count_nonzero(product_side != gap_side))
     if dim >= 2:
-        for _ in range(max(4, samples // 8)):
-            (xs,), (ys,) = _orthogonal_pairs(QuantumState, dim, gen, [1.0], [1.0])
-            state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
-            passed &= are_orthogonal(xs, ys, tol)
-            a = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-            b = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-            mixed = QuantumState((a.entries + b.entries) / 2.0)
-            passed &= not are_orthogonal(a, mixed, tol)
-            passed &= trace_distance(a, mixed) < 2.0 - BALL_SLACK
+        for count in _blocks(max(4, samples // 8), dim, 4):
+            xs, ys = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
+            ranks = gen.integers(1, dim + 1, size=2 * count)
+            ab = _sampled_stack(QuantumState, dim, gen, ranks, None)
+            a = ab[:count]
+            mixed = QuantumState.from_stack((_stacked(a) + _stacked(ab[count:])) / 2.0)
+            found = distances(MetricKind.TRACE_NORM, [*xs, *a], [*ys, *mixed])
+            _, orthogonal = orthogonality([*xs, *a], [*ys, *mixed], tol)
+            state_gap = max(state_gap, float(np.abs(found[:count] - 2.0).max()))
+            passed &= bool(orthogonal[:count].all() and not orthogonal[count:].any())
+            passed &= bool((found[count:] < 2.0 - BALL_SLACK).all())
         passed &= state_gap <= BALL_SLACK
     passed &= misclassified == 0
     return passed, [{"kind": "state-distance-gap", "value": state_gap}], float(misclassified), samples
@@ -286,7 +310,7 @@ def _theorem(metric, domain, dim, gen, samples, budget, tolerances):
             reconstruct_implementer(control, gen)
             passed = False
             rejected = False
-        except (NotIsometryEvidence, NotImplementable):
+        except NotImplementable:
             rejected = True
         witnesses.append(
             {"kind": "control-depolarizing", "deviation": control_dev, "rejected": rejected}

@@ -9,9 +9,8 @@ import numpy as np
 from click.testing import CliRunner
 
 from qsm.cli import main as cli_main
-from qsm.errors import NotImplementable, NotIsometryEvidence
+from qsm.errors import NotImplementable
 from qsm.geometry import (
-    BallSpec,
     bures_ball_diameter,
     double_orthocomplement_rank,
     intersection_uniqueness_search,
@@ -45,11 +44,12 @@ from qsm.serialize import canonical_dumps
 from qsm.states import (
     DensityOperator,
     RngStream,
+    _orthogonal_pairs,
     random_density,
     random_state,
     zero_density,
 )
-from qsm.suites import _orthogonal_density_pair, run_suite
+from qsm.suites import run_suite
 
 SQRT2 = np.sqrt(2.0)
 
@@ -95,9 +95,7 @@ def test_criterion_2_lemma1_suite():
     for dim in dims:
         gen = RngStream(102, dim).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(
-                BallSpec(MetricKind.BURES, zero_density(dim), eps), gen, 334
-            )
+            estimate = bures_ball_diameter(zero_density(dim), eps, gen, 334)
             bound = (SQRT2 if dim >= 2 else 1.0) * eps
             worst_over = max(worst_over, estimate.lower_bound - bound)
             ok &= estimate.lower_bound <= bound + 1e-9
@@ -132,8 +130,8 @@ def test_criterion_3_orthogonality_equivalence():
         for k in range(200):
             pairs += 1
             if k % 2 == 0:
-                x, y = _orthogonal_density_pair(
-                    dim, gen, float(gen.uniform(0.3, 2.0)), float(gen.uniform(0.3, 2.0))
+                (x,), (y,) = _orthogonal_pairs(
+                    DensityOperator, dim, gen, [gen.uniform(0.3, 2.0)], [gen.uniform(0.3, 2.0)]
                 )
             else:
                 x = _sample(dim, gen)
@@ -144,7 +142,7 @@ def test_criterion_3_orthogonality_equivalence():
             if product_side != gap_side or product_side != (k % 2 == 0):
                 misclassified += 1
         for _ in range(20):
-            xs, ys = _orthogonal_density_pair(dim, gen, 1.0, 1.0)
+            (xs,), (ys,) = _orthogonal_pairs(DensityOperator, dim, gen, [1.0], [1.0])
             state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
             ok &= are_orthogonal(xs, ys)
             a = random_state(dim, int(gen.integers(1, dim + 1)), gen)
@@ -169,7 +167,7 @@ def test_criterion_4_lemma3_suite():
         gen = RngStream(104, dim).generator()
         for k in range(20):
             eps = float(gen.uniform(0.5, 1.5))
-            x, y = _orthogonal_density_pair(dim, gen, eps, eps)
+            (x,), (y,) = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
             mid = midpoint_witness(x, y)
             midpoint_ok &= (
                 trace_distance(x, mid) <= eps + 1e-9
@@ -264,7 +262,7 @@ def test_criterion_6_negative_controls():
     for control in (depol2, pinch3, rescale, shifted):
         try:
             reconstruct_implementer(control, gen)
-        except (NotIsometryEvidence, NotImplementable):
+        except NotImplementable:
             rejected += 1
     ok = deviation_ok and rank_ok and reduction_ok and rejected == 4
     _report(

@@ -12,7 +12,8 @@ from qsm.errors import (
     ZeroCenter,
 )
 from qsm.geometry import (
-    BallSpec,
+    ZERO_TRACE,
+    _in_ball_at_zero,
     bures_ball_diameter,
     double_orthocomplement_rank,
     intersection_uniqueness_search,
@@ -21,10 +22,9 @@ from qsm.geometry import (
     orthocomplement_pool,
     pinch_configuration,
     sample_in_bures_ball,
-    sample_in_bures_ball_at_zero,
     zero_characterization_bures,
 )
-from qsm.metrics import MetricKind, bures_distance, trace_distance
+from qsm.metrics import bures_distance, trace_distance
 from qsm.states import (
     DensityOperator,
     RngStream,
@@ -50,40 +50,58 @@ class _CountingGenerator(np.random.Generator):
 
 class TestBuresBallDiameter:
     def test_sharpness_at_zero_dim2(self):
-        spec = BallSpec(MetricKind.BURES, zero_density(2), 1.0)
-        estimate = bures_ball_diameter(spec, RngStream(1), 50)
+        estimate = bures_ball_diameter(zero_density(2), 1.0, RngStream(1), 50)
         assert estimate.lower_bound == pytest.approx(SQRT2, abs=1e-9)
 
     def test_dim_one_diameter_is_radius(self):
-        spec = BallSpec(MetricKind.BURES, zero_density(1), 1.0)
-        estimate = bures_ball_diameter(spec, RngStream(2), 50)
+        estimate = bures_ball_diameter(zero_density(1), 1.0, RngStream(2), 50)
         assert estimate.lower_bound == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim,eps", [(2, 0.5), (3, 1.0), (6, 2.0)])
     def test_inball_pairs_obey_bound(self, dim, eps):
-        gen = RngStream(3).generator()
-        for _ in range(100):
-            x = sample_in_bures_ball_at_zero(dim, eps, gen)
-            y = sample_in_bures_ball_at_zero(dim, eps, gen)
+        draws = _in_ball_at_zero(dim, eps, RngStream(3).generator(), 200)
+        for x, y in zip(draws[:100], draws[100:]):
             # proof chain: d^2 = tr X + tr Y - 2F <= tr X + tr Y <= 2 eps^2
             assert x.trace + y.trace <= 2.0 * eps**2 + 1e-9
             assert bures_distance(x, y) <= SQRT2 * eps + 1e-9
 
     def test_witnesses_lie_in_ball(self):
-        spec = BallSpec(MetricKind.BURES, zero_density(3), 0.8)
-        estimate = bures_ball_diameter(spec, RngStream(4), 30)
+        center = zero_density(3)
+        estimate = bures_ball_diameter(center, 0.8, RngStream(4), 30)
         for member in estimate.witness_pair:
-            assert bures_distance(member, spec.center) <= spec.radius + 1e-9
+            assert bures_distance(member, center) <= 0.8 + 1e-9
 
-    def test_rejects_wrong_metric(self):
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_radius(self, radius):
         with pytest.raises(ValueError):
-            bures_ball_diameter(
-                BallSpec(MetricKind.TRACE_NORM, zero_density(2), 1.0), RngStream(0), 5
-            )
+            bures_ball_diameter(zero_density(2), radius, RngStream(0), 5)
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            BallSpec(MetricKind.BURES, zero_density(2), 0.0)
+
+class TestInBallAtZero:
+    """The stacked draw from the Bures ball around 0."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_draws_targets_then_ranks_then_one_stack(self, dim):
+        gen, twin = RngStream(5, dim).generator(), RngStream(5, dim).generator()
+        draws = _in_ball_at_zero(dim, 1.3, gen, 40)
+        targets = twin.uniform(0.0, 1.0, size=40) * 1.3 * 1.3
+        ranks = twin.integers(1, dim + 1, size=40)
+        assert [op.trace for op in draws] == pytest.approx(targets, rel=1e-12)
+        assert [op.rank() for op in draws] == ranks.tolist()
+        twin.standard_normal((40, 2, dim, int(ranks.max())))
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_targets_at_the_zero_floor_draw_the_zero_operator(self):
+        # targets are uniform in [0, 2e-12]: about half fall at or below ZERO_TRACE
+        draws = _in_ball_at_zero(3, np.sqrt(2e-12), RngStream(6).generator(), 40)
+        zero = [op for op in draws if op.trace <= ZERO_TRACE]
+        assert 0 < len(zero) < len(draws)
+        assert all(not op.entries.any() for op in zero)
+        assert all(op.entries.any() for op in draws if op.trace > ZERO_TRACE)
+
+    def test_all_targets_at_the_floor(self):
+        draws = _in_ball_at_zero(2, 1e-7, RngStream(7).generator(), 5)
+        assert len(draws) == 5 and all(not op.entries.any() for op in draws)
 
 
 class TestNonzeroCenterWitness:
@@ -188,12 +206,12 @@ class TestPostConditions:
 
     @staticmethod
     def _break(monkeypatch, name, honest_calls):
-        # the first honest_calls distances are true, every later one is 1 too far
+        # the first honest_calls calls are true, every later one reads 1 too far
         original, calls = getattr(qsm.geometry, name), []
 
-        def broken(a, b):
+        def broken(*args):
             calls.append(None)
-            return original(a, b) + (len(calls) > honest_calls)
+            return original(*args) + (len(calls) > honest_calls)
 
         monkeypatch.setattr(qsm.geometry, name, broken)
 
@@ -208,11 +226,18 @@ class TestPostConditions:
         with pytest.raises(NumericalBreakdown):
             midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
 
-    @pytest.mark.parametrize("center", [zero_density(2), basis_projection(2, 0)])
-    def test_bures_ball_diameter(self, monkeypatch, center):
-        self._break(monkeypatch, "bures_distance", 0)
+    # at 0 the analytic pair and the one block of samples are measured
+    # before the witness check; around the projection (radius 0.5 < 1, no
+    # analytic pair) the block alone is
+    @pytest.mark.parametrize(
+        "center,honest_calls",
+        [(zero_density(2), 0), (zero_density(2), 2), (basis_projection(2, 0), 0),
+         (basis_projection(2, 0), 1)],
+    )
+    def test_bures_ball_diameter(self, monkeypatch, center, honest_calls):
+        self._break(monkeypatch, "distances", honest_calls)
         with pytest.raises(NumericalBreakdown):
-            bures_ball_diameter(BallSpec(MetricKind.BURES, center, 0.5), RngStream(26), 3)
+            bures_ball_diameter(center, 0.5, RngStream(26), 3)
 
 
 class TestUniquenessSearch:

@@ -7,14 +7,15 @@ import pytest
 import qsm.geometry
 import qsm.linalg
 import qsm.maps
+import qsm.suites
 from qsm.errors import (
     DimensionMismatch,
     DomainError,
     InvalidParameter,
     NotImplementable,
-    NotIsometryEvidence,
 )
 from qsm.maps import (
+    TOL_ACCEPT,
     MapDomain,
     MapKind,
     StateMap,
@@ -262,13 +263,14 @@ class TestReconstruction:
         assert result.residual <= 1e-12
 
     def test_depolarizing_rejected(self):
-        with pytest.raises(NotIsometryEvidence) as info:
+        with pytest.raises(NotImplementable) as info:
             reconstruct_implementer(named_nonisometry("depolarizing", 3, p=0.5), RngStream(38))
         # every non-top eigenvalue of a depolarized pure state equals p/n
-        assert info.value.purity_defect == pytest.approx(0.5 / 3, abs=1e-9)
+        assert info.value.probe == "basis:0"
+        assert info.value.evidence == {"purity_defect": pytest.approx(0.5 / 3, abs=1e-9)}
 
     def test_pinching_rejected_on_superposition_probe(self):
-        with pytest.raises(NotIsometryEvidence) as info:
+        with pytest.raises(NotImplementable) as info:
             reconstruct_implementer(named_nonisometry("pinching", 3), RngStream(39))
         assert info.value.probe.startswith("superposition")
 
@@ -290,7 +292,29 @@ class TestReconstruction:
         assert info.value.probe == "zero"
         # one evaluation of 0, rejected with the image's trace distance from 0
         assert len(seen) == 1 and not seen[0].entries.any()
-        assert info.value.residual == pytest.approx(trace_distance(shift, zero_density(2)))
+        assert info.value.evidence == {
+            "residual": pytest.approx(trace_distance(shift, zero_density(2)))
+        }
+
+    def test_sharpened_conjugation_rejected_at_validation(self):
+        """rho -> U((1 - d) rho + d tr(rho) rho^2 / tr(rho^2)) U* fixes 0, the
+        trace, the rank, orthogonality and every pure probe.  At d = 1e-5 only
+        the validation residual, about 4.8e-6, rejects it: an acceptance
+        threshold much looser than TOL_ACCEPT would let it through."""
+        delta = 1e-5
+        u = random_unitary(4, RngStream(1))
+
+        def sharpen(a):
+            if a.trace == 0.0:
+                return a
+            square = a.entries @ a.entries
+            mixed = (1.0 - delta) * a.entries + delta * a.trace * square / np.trace(square).real
+            return DensityOperator(u @ mixed @ u.conj().T)
+
+        with pytest.raises(NotImplementable) as info:
+            reconstruct_implementer(oracle_map(sharpen, 4), RngStream(2))
+        assert info.value.probe == "validation"
+        assert TOL_ACCEPT < info.value.evidence["residual"] < 1e-5
 
 
 class TestRoundtrip:
@@ -369,7 +393,7 @@ class TestRoundtrip:
 
     def test_depolarizing_cannot_roundtrip(self):
         control = named_nonisometry("depolarizing", 2, p=0.5)
-        with pytest.raises((NotIsometryEvidence, NotImplementable)):
+        with pytest.raises(NotImplementable):
             reconstruct_implementer(control, RngStream(15))
 
 
@@ -409,9 +433,9 @@ class TestBlocks:
     @pytest.mark.parametrize("per_sample", [1, 2, 8])
     @pytest.mark.parametrize("n", range(1, 65))
     def test_blocks_cover_total_within_cap(self, n, per_sample):
-        size = max(1, qsm.maps._BLOCK_ENTRIES // (per_sample * n * n))
+        size = max(1, qsm.linalg._BLOCK_ENTRIES // (per_sample * n * n))
         for total in (0, 1, 7, 100, 201):
-            blocks = list(qsm.maps._blocks(total, n, per_sample))
+            blocks = list(qsm.linalg._blocks(total, n, per_sample))
             assert sum(blocks) == total
             assert all(1 <= count <= size for count in blocks)
             assert all(count == size for count in blocks[:-1])
@@ -419,4 +443,6 @@ class TestBlocks:
                 assert set(blocks) <= {1}
 
     def test_maps_and_geometry_share_one_cap(self):
-        assert qsm.maps._BLOCK_ENTRIES == qsm.geometry._BLOCK_ENTRIES == qsm.linalg._BLOCK_ENTRIES
+        assert qsm.geometry._BLOCK_ENTRIES == qsm.linalg._BLOCK_ENTRIES
+        for module in (qsm.maps, qsm.geometry, qsm.suites):
+            assert module._blocks is qsm.linalg._blocks

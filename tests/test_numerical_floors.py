@@ -8,8 +8,7 @@ import pytest
 from qsm.errors import NotPositiveSemidefinite
 from qsm.maps import apply_map, unitary_conjugation
 from qsm.metrics import ORTHOGONALITY_TOL, are_orthogonal, bures_distance, norm_identity_gap
-from qsm.states import DensityOperator, RngStream, random_density, random_unitary
-from qsm.suites import _orthogonal_density_pair
+from qsm.states import DensityOperator, RngStream, _orthogonal_pairs, random_density, random_unitary
 
 CAP_DIMS = [48, 64]
 
@@ -46,7 +45,7 @@ def test_bures_radicand_floor_at_cap(n):
 @pytest.mark.parametrize("n", CAP_DIMS)
 def test_orthogonality_scale_at_cap(n):
     gen = RngStream(502, n).generator()
-    x, y = _orthogonal_density_pair(n, gen, 1.7, 0.6)
+    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, gen, [1.7], [0.6])
     assert are_orthogonal(x, y)
     assert norm_identity_gap(x, y) <= ORTHOGONALITY_TOL * (1.0 + x.trace * y.trace)
     b = random_density(n, n, 1.0, gen)

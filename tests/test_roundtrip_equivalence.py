@@ -8,9 +8,10 @@ bit."""
 import numpy as np
 import pytest
 
+import qsm.linalg
 import qsm.maps
 
-from qsm.errors import InvalidParameter, NotImplementable, NotIsometryEvidence
+from qsm.errors import InvalidParameter, NotImplementable
 from qsm.linalg import trace_norm_entries
 from qsm.maps import (
     TOL_ACCEPT,
@@ -53,7 +54,7 @@ from qsm.states import (
 
 def _block_sizes(total, n, per_sample):
     """Sample counts of the library's blocks under the current entry cap."""
-    size = max(1, qsm.maps._BLOCK_ENTRIES // (per_sample * n * n))
+    size = max(1, qsm.linalg._BLOCK_ENTRIES // (per_sample * n * n))
     return [min(size, total - start) for start in range(0, total, size)]
 
 
@@ -167,7 +168,7 @@ def _pure_image_vector(oracle, probe, tol, label):
     lam = image.eigenvalues
     defect = float(lam[-2]) if image.dim >= 2 else 0.0
     if defect > tol:
-        raise NotIsometryEvidence(
+        raise NotImplementable(
             f"probe {label} has purity defect {defect:.3e} > {tol:.1e}",
             purity_defect=defect,
             probe=label,
@@ -310,7 +311,7 @@ SMALL_CAP = 100
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", SMALL_CAP)
+    monkeypatch.setattr(qsm.linalg, "_BLOCK_ENTRIES", SMALL_CAP)
 
 
 def _count(n, per_sample):
@@ -400,7 +401,7 @@ def _run_both(name, n, domain, call):
         gen = RngStream(7, 100 + n).generator()
         try:
             results.append(call(side, m, gen))
-        except (NotImplementable, NotIsometryEvidence) as exc:
+        except NotImplementable as exc:
             results.append((type(exc), str(exc), vars(exc)))
         gens.append(gen)
         seen.append(recorder.seen if recorder else [])
@@ -515,7 +516,7 @@ def _assert_same_reconstruction(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_block_oracle_reconstruction_matches_per_operator_oracle(n, domain, lowered, monkeypatch):
     if lowered:
-        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+        monkeypatch.setattr(qsm.linalg, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
     monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 7)
     single, block = RecordingOracle(n, domain), BlockRecordingOracle(n, domain)
     gens = [RngStream(5, n).generator() for _ in range(2)]
@@ -539,7 +540,7 @@ def test_block_oracle_reconstruction_matches_per_operator_oracle(n, domain, lowe
 def test_roundtrip_block_oracle_sees_per_operator_sequence(n, domain, kind, lowered,
                                                            monkeypatch):
     if lowered:
-        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+        monkeypatch.setattr(qsm.linalg, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
     monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 5)
     settings = dict(pairs=7, domain=domain, preservation_samples=3)
     serial_gen, blocked_gen = RngStream(13, n).generator(), RngStream(13, n).generator()
@@ -591,7 +592,7 @@ REJECTED = [
 @pytest.mark.parametrize("name, domain, n", REJECTED)
 def test_rejection_matches_serial_loop(n, name, domain, lowered, monkeypatch):
     if lowered:
-        monkeypatch.setattr(qsm.maps, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
+        monkeypatch.setattr(qsm.linalg, "_BLOCK_ENTRIES", PER_BLOCK * n * n)
     monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 5)
     serial, blocked = _run_both(
         name, n, domain,
