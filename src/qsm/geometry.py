@@ -152,7 +152,9 @@ def bures_ball_diameter(
     (radius^2, 0) for dim 1) and every sampled pair is held to the
     sqrt(2) * radius upper bound.  Around a nonzero center the pair
     (0, 4 * center) is included whenever it lies in the ball.  A pair over
-    the bound, or a best pair outside the ball, raises NumericalBreakdown.
+    the bound, or a best pair outside the ball, raises NumericalBreakdown;
+    a nonzero center without that pair and without samples has no pair to
+    measure and raises InvalidConfiguration.
 
     The analytic pair is measured first, as a block of one.  The samples
     follow in blocks (``_blocks``, two operators a pair): around 0 a block of
@@ -200,6 +202,8 @@ def bures_ball_diameter(
         i = int(np.argmax(d))
         if d[i] > best:
             best, best_pair = float(d[i]), (xs[i], ys[i])
+    if best_pair is None:
+        raise InvalidConfiguration("no pair to measure: no analytic pair and no samples")
     in_ball = distances(MetricKind.BURES, list(best_pair), [center, center])
     if (in_ball > radius + BALL_SLACK).any():
         raise NumericalBreakdown("a witness fell outside its Bures ball")
@@ -339,6 +343,9 @@ def intersection_uniqueness_search(
 
     1. a perturbation w with tr w - min(tr x, tr y) - epsilon above
        slack + margin is rejected unclamped (the clamp only adds trace);
+    2'. bound (2) below is applied to the trace of w's clamp, the positive
+       mass sum max(lam_i, 0) of its eigvalsh spectrum, so only the
+       perturbations it keeps pay the clamp's eigh;
     2. a clamped or convex proposal z with max(|tr x - tr z|, |tr y - tr z|)
        - epsilon above slack + margin is rejected (|tr D| <= ||D||_1 for
        Hermitian D);
@@ -349,12 +356,19 @@ def intersection_uniqueness_search(
     The margin, _TRACE_MARGIN * (1 + tr x + tr y), covers the roundoff of
     the computed traces and the backward error of eigvalsh (Weyl's bound),
     so a proposal a trace bound rejects is one its trace norms would reject
-    too.  A rejected proposal's excess is never read, so the result is the
-    one the full evaluation of every proposal would give.  A block holds at
-    most 100 - rejections % 100 proposals, so the 100th rejection that
-    shrinks the scale can only be the block's last proposal, and every
-    proposal sees the scale a one-at-a-time evaluation of the same draws
-    would give it.  Blocks are also capped at _BLOCK_ENTRIES // n^2
+    too.  In (2') it also covers the gap between the two eigensolvers:
+    eigvalsh and eigh each return the exact spectrum of some w + E with
+    ||E||_2 = O(n u ||w||_2), so by Weyl's inequality each eigenvalue moves
+    by that much from one solver to the other and the clamped mass by at
+    most n times that, O(n^2 u ||w||_2), as does the trace of the clamp
+    rebuilt from eigh's eigenvectors.  A rejected proposal's excess is
+    never read, so the result is the one the full evaluation of every
+    proposal would give.
+
+    A block holds at most 100 - rejections % 100 proposals, so the 100th
+    rejection that shrinks the scale can only be the block's last proposal,
+    and every proposal sees the scale a one-at-a-time evaluation of the same
+    draws would give it.  Blocks are also capped at _BLOCK_ENTRIES // n^2
     proposals to bound memory at large n.  The block sizes fix the draw
     order, so the result is a function of _BLOCK, _BLOCK_ENTRIES and the
     generator; batched decompositions and trace norms equal the
@@ -397,11 +411,16 @@ def intersection_uniqueness_search(
         # rejects, as with excess > slack in the full evaluation;
         # (1) the clamp only adds trace, so tr w - min(tr x, tr y) bounds a
         # ball distance from below before any decomposition
+        kept = ~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)
+        # (2') the clamped trace is the positive mass of the spectrum, so
+        # eigvalsh applies bound (2) before the clamp's eigh
+        if kept.any():
+            tr_c = np.maximum(np.linalg.eigvalsh(w[kept]), 0.0).sum(axis=-1)
+            kept[kept] = ~(np.maximum(abs(tr_x - tr_c), abs(tr_y - tr_c)) > reach)
         live = moves.copy()
-        live[~moves] = ~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)
-        clamped = live & ~moves
-        if clamped.any():
-            block[clamped] = psd_clamp_entries(w[live[~moves]])
+        live[~moves] = kept
+        if kept.any():
+            block[live & ~moves] = psd_clamp_entries(w[kept])
         live = np.flatnonzero(live)
         # (2) |tr x - tr z| <= ||x - z||_1, and the same for y
         tr_z = block[live].trace(axis1=1, axis2=2).real

@@ -300,13 +300,8 @@ def zero_fixed_check(
     return _zero_residual(m, metric) <= tol
 
 
-def trace_preservation_check(
-    m: StateMap,
-    rng: RngStream | np.random.Generator,
-    samples: int = 100,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether tr phi(A) = tr A over sampled densities."""
+def _trace_defect(m: StateMap, rng: RngStream | np.random.Generator, samples: int) -> float:
+    """Worst |tr phi(A) - tr A| over sampled densities."""
     if m.domain is not MapDomain.FULL_DENSITY:
         raise DomainError("trace_preservation_check needs the full density cone")
     gen = generator_of(rng)
@@ -315,7 +310,17 @@ def trace_preservation_check(
         ops = _sample_block(m.dim, gen, m.domain, count)
         images = _map_block(m, ops)
         worst = max(worst, max(abs(image.trace - a.trace) for image, a in zip(images, ops)))
-    return worst <= tol
+    return worst
+
+
+def trace_preservation_check(
+    m: StateMap,
+    rng: RngStream | np.random.Generator,
+    samples: int = 100,
+    tol: float = 1e-9,
+) -> bool:
+    """Whether tr phi(A) = tr A over sampled densities."""
+    return _trace_defect(m, rng, samples) <= tol
 
 
 @dataclass(frozen=True)
@@ -512,9 +517,10 @@ def reconstruct_implementer(
             raise NotImplementable(
                 "map does not fix the zero operator", residual=zero_residual, probe="zero"
             )
-        if not trace_preservation_check(oracle, gen, samples=25, tol=1e-8):
+        trace_defect = _trace_defect(oracle, gen, samples=25)
+        if trace_defect > 1e-8:
             raise NotImplementable(
-                "map does not preserve the trace", residual=np.inf, probe="trace"
+                "map does not preserve the trace", residual=trace_defect, probe="trace"
             )
 
     columns, assembled = [], []

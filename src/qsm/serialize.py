@@ -59,5 +59,7 @@ def load_density(path: str | Path) -> DensityOperator:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic strict JSON text: sorted keys, fixed layout, trailing
+    newline.  A NaN or an infinity raises ValueError; RFC 8259 has no
+    spelling for them."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -11,6 +11,7 @@ import qsm.metrics
 from qsm.cli import main, parse_dims
 from qsm.serialize import canonical_dumps, matrix_to_json
 from qsm.states import RngStream
+from qsm.suites import SUITE_IDS
 
 
 @pytest.fixture()
@@ -290,6 +291,43 @@ class TestReconstructCommand:
         b = runner.invoke(main, args + ["--out", str(tmp_path / "b.json")])
         assert a.exit_code == b.exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def _strict_loads(text):
+    """json.loads that rejects NaN and the infinities, as RFC 8259 does."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_BUILTINS = ("identity", "transpose", "haar", "depolarizing:0.5", "pinching", "trace-rescale:2")
+
+
+class TestStrictJson:
+    """Every kind of report, passing or rejecting, parses as strict JSON."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", suite, "--dims", "1,2", "--samples", "10", "--budget", "200"]
+         for suite in SUITE_IDS]
+        + [["reconstruct", "--builtin", builtin, "--dim", "2"] for builtin in _BUILTINS],
+        ids=[*SUITE_IDS, *_BUILTINS],
+    )
+    def test_report_is_strict_json(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 1), result.output
+        assert isinstance(_strict_loads(result.output), dict)
+
+    def test_metric_and_map_file_reports(self, runner, matrix_files, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"kind": "unitary", "dim": 2, "U": matrix_to_json(np.eye(2))}))
+        for args in (["metric", matrix_files["p"], matrix_files["half"]],
+                     ["reconstruct", "--map-file", str(path)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert isinstance(_strict_loads(result.output), dict)
 
 
 def test_parse_dims():

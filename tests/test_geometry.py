@@ -76,6 +76,14 @@ class TestBuresBallDiameter:
         with pytest.raises(ValueError):
             bures_ball_diameter(zero_density(2), radius, RngStream(0), 5)
 
+    def test_nothing_to_measure_rejected(self):
+        # radius 0.5 < sqrt(tr) = 1 leaves out the (0, 4 * center) pair
+        with pytest.raises(InvalidConfiguration):
+            bures_ball_diameter(basis_projection(2, 0), 0.5, RngStream(0), 0)
+        assert bures_ball_diameter(basis_projection(2, 0), 1.0, RngStream(0), 0).lower_bound == (
+            pytest.approx(2.0, abs=1e-9)
+        )
+
 
 class TestInBallAtZero:
     """The stacked draw from the Bures ball around 0."""
@@ -298,6 +306,9 @@ class TestUniquenessSearch:
         assert result.separation_from_center <= 1e-5 * pinch.epsilon
         assert matrices["eigh"] < gen.perturbations
         assert matrices["eigvalsh"] < 2 * 2000
+        # eigvalsh's clamped trace rejects before the clamp, so eigh sees
+        # only the perturbations that pass both trace bounds
+        assert matrices["eigh"] < gen.perturbations / 10
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_empty_budget_rejected(self, budget):

@@ -278,6 +278,8 @@ class TestReconstruction:
         with pytest.raises(NotImplementable) as info:
             reconstruct_implementer(named_nonisometry("trace-rescale", 3, c=2.0), RngStream(40))
         assert info.value.probe == "trace"
+        # the worst |tr 2A - tr A| = tr A over samples with traces in [0.2, 2]
+        assert 0.2 < info.value.evidence["residual"] <= 2.0
 
     def test_shifted_map_rejected(self):
         shift = random_state(2, 2, RngStream(41))

@@ -3,9 +3,11 @@ theorem rests on, over random states and densities of every rank up to n = 8:
 the metric axioms, Fuchs-van de Graaf in this code's normalisation, the
 fidelity bound, invariance under unitary and antiunitary conjugation, the
 batched distances against the per-pair ones, and the trace bounds that let the
-uniqueness search reject a proposal before its trace norms."""
+uniqueness search reject a proposal before its trace norms and before its
+clamp."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,3 +145,66 @@ def test_trace_bounds_hold_for_computed_trace_norms(
     tr_w, tr_big_w, tr_z = (float(np.trace(a).real) for a in (w, big_w, z))
     assert norm >= tr_w - tr_big_w - margin
     assert norm >= abs(tr_big_w - tr_z) - margin
+
+
+#: matrix sizes of the clamped-trace property, from n = 2 to the default cap
+clamp_dims = st.sampled_from([2, 3, 4, 5, 6, 8, 16, 32, 64])
+
+
+def _search_perturbation(n, seed, exponent):
+    """A perturbation as the uniqueness search draws it: a random state of
+    random rank plus 10^exponent times a Hermitian Gaussian direction."""
+    gen = RngStream(seed).generator()
+    a = random_state(n, int(gen.integers(1, n + 1)), gen).entries
+    g = gen.standard_normal((2, n, n))
+    g = g[0] + 1j * g[1]
+    return a + 10.0**exponent * (g + g.conj().T) / 2.0
+
+
+@PROPERTY
+@given(n=clamp_dims, seed=seeds, exponent=st.integers(-12, 0))
+def test_clamped_trace_from_eigvalsh(n, seed, exponent):
+    """The search's test (2') reads the clamped trace as the positive mass of
+    eigvalsh's spectrum; it differs from the trace of the computed clamp
+    (eigh, then the rebuild) by less than the margin, scaled as in the
+    search, so (2') rejects only what bound (2) on the clamp rejects."""
+    w = _search_perturbation(n, seed, exponent)
+    mass = float(np.maximum(np.linalg.eigvalsh(w), 0.0).sum())
+    clamped = float(np.trace(psd_clamp_entries(w)).real)
+    assert abs(mass - clamped) < _TRACE_MARGIN * (1.0 + np.linalg.norm(w, 2))
+
+
+def _mass_over_the_clamp():
+    """The first seeded perturbation, n = 2..4, whose eigvalsh mass exceeds
+    both the trace and the trace norm of its computed clamp while its own
+    trace does not, or None.  Whether, and where, eigvalsh sums a spectrum
+    above the clamp is up to the LAPACK build: with OpenBLAS about one seed
+    in ten does at n = 2."""
+    for n in (2, 3, 4):
+        for seed in range(100):
+            w = _search_perturbation(n, seed, -3)
+            mass = float(np.maximum(np.linalg.eigvalsh(w), 0.0).sum())
+            z = psd_clamp_entries(w)
+            epsilon = max(float(np.trace(z).real), float(trace_norm_entries(-z)))
+            if float(np.trace(w).real) <= epsilon < mass:
+                return w, z, mass, epsilon
+    return None
+
+
+def test_clamped_trace_needs_the_margin():
+    """A perturbation whose eigvalsh mass exceeds the clamp's trace and
+    trace norm.  Against x = y = 0 with epsilon at the larger of those two,
+    the full evaluation keeps the clamped proposal at every test, while
+    (2') with a zero margin would reject it; the margin keeps it.  The
+    property test above is the guard of the margin's size; this one shows
+    that the margin is needed, where the LAPACK build gives such a case."""
+    found = _mass_over_the_clamp()
+    if found is None:
+        pytest.skip("eigvalsh never sums above the clamp's trace on the seeds tried")
+    w, z, mass, epsilon = found
+    tr_z, norm = float(np.trace(z).real), float(trace_norm_entries(-z))
+    assert float(np.trace(w).real) <= epsilon  # (1)
+    assert tr_z <= epsilon  # (2)
+    assert norm <= epsilon  # (3) and (4)
+    assert mass > epsilon  # (2') at a zero margin
+    assert mass <= epsilon + _TRACE_MARGIN  # (2') at the search's margin

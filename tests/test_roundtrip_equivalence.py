@@ -86,13 +86,17 @@ def serial_check_isometry(m, metric, rng, pairs):
     return IsometryReport(metric, pairs, worst, worst_pair)
 
 
-def serial_trace_preservation_check(m, rng, samples=100, tol=1e-9):
+def serial_trace_defect(m, rng, samples):
     gen = generator_of(rng)
     worst = 0.0
     for count in _block_sizes(samples, m.dim, 1):
         for a in _draw(m.dim, gen, m.domain, count):
             worst = max(worst, abs(apply_map(m, a).trace - a.trace))
-    return worst <= tol
+    return worst
+
+
+def serial_trace_preservation_check(m, rng, samples=100, tol=1e-9):
+    return serial_trace_defect(m, rng, samples) <= tol
 
 
 def serial_preservation_suite(m, rng, samples=100):
@@ -188,9 +192,10 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
                 residual=zero_residual,
                 probe="zero",
             )
-        if not serial_trace_preservation_check(oracle, gen, samples=25, tol=1e-8):
+        trace_defect = serial_trace_defect(oracle, gen, samples=25)
+        if trace_defect > 1e-8:
             raise NotImplementable(
-                "map does not preserve the trace", residual=np.inf, probe="trace"
+                "map does not preserve the trace", residual=trace_defect, probe="trace"
             )
 
     columns = [

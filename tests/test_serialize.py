@@ -68,3 +68,10 @@ def test_file_io_and_canonical_text(tmp_path):
     path = tmp_path / "density.json"
     path.write_text(text, encoding="utf-8")
     assert np.array_equal(load_density(path).entries, op.entries)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_text_is_strict_json(value):
+    # RFC 8259 has no NaN or Infinity; a report carrying one is refused
+    with pytest.raises(ValueError):
+        canonical_dumps({"residual": value})
