@@ -97,7 +97,7 @@ def _emit(payload: dict, output_path: str | None) -> None:
     text = canonical_dumps(payload)
     if output_path:
         Path(output_path).write_text(text, encoding="utf-8")
-    click.echo(text, nl=False)
+    click.echo(text, nl=False, file=sys.stdout)
 
 
 @click.group()

@@ -20,8 +20,10 @@ built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
 group by group: all first members of the block's pairs, then all second
 members, and so on.  A map is handed each block's operators, in that group
 order, in one call, and its images are checked and built as one stack.  The
-spectra a block reads (ranks, probe purities, Bures fidelities) are
-decomposed as one stack too, by one batched ``eigh``.  A block holds as many
+spectra a block reads (ranks, Bures fidelities) are decomposed as one stack
+too, by one batched ``eigh``; a probe image is first tested for purity
+without a decomposition (_pure_columns), and only the images that test
+leaves open are decomposed, as one stack.  A block holds as many
 samples as keep each stacked operand within _BLOCK_ENTRIES (qsm.linalg)
 matrix entries: 50 pairs at n = 8, one sample at n = 64.  The block sizes
 fix the draw order, so a new cap changes the samples drawn, and so the
@@ -451,17 +453,44 @@ def probe_count(n: int) -> int:
     return 2 * n if n >= 2 else 1
 
 
+def _pure_columns(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Purity certificates of a ``(k, n, n)`` stack of images: for each
+    image rho, v is its column at its largest diagonal entry, normalized,
+    and rho is certified pure when r = |rho - lam v v*|_F <= _PURITY_TOL/2,
+    lam = v* rho v.  Weyl's inequality gives lambda_2(rho) <= |rho - lam v
+    v*|_2 <= r, so a certified image is one whose ``eigh`` second eigenvalue,
+    computed to O(n*eps*|rho|), is within _PURITY_TOL; v is then its top
+    eigenvector up to phase, to within r.  Returns the vectors and the mask of
+    certified images; an image whose column is zero is never certified."""
+    k, n = arr.shape[:2]
+    cols = arr[np.arange(k), :, np.argmax(arr.diagonal(axis1=1, axis2=2).real, axis=1)]
+    norms = np.linalg.norm(cols, axis=1)
+    vecs = cols / np.where(norms > 0.0, norms, 1.0)[:, None]
+    lam = np.sum(vecs.conj() * (arr @ vecs[:, :, None])[:, :, 0], axis=1).real
+    residual = arr - lam[:, None, None] * (vecs[:, :, None] * vecs.conj()[:, None, :])
+    r = np.linalg.norm(residual.reshape(k, n * n), axis=1)
+    return vecs, (norms > 0.0) & (r <= _PURITY_TOL / 2.0)
+
+
 def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
-    built and mapped one block at a time; an image that is not pure within
-    _PURITY_TOL raises NotImplementable naming its probe."""
+    built and mapped one block at a time.  An image certified pure by
+    _pure_columns yields its column v; only the others are decomposed, as
+    one stack, and one whose second eigenvalue exceeds _PURITY_TOL raises
+    NotImplementable naming its probe (the rest yield their top
+    eigenvector).  Every image that ``eigh`` would reject is rejected, with
+    the same defect."""
     start = 0
     for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
         start += count
         images = _map_block(oracle, list(probes))
-        _fill_spectra(images)
-        for label, image in zip(labels, images):
+        vecs, certified = _pure_columns(_stacked(images))
+        _fill_spectra([image for image, ok in zip(images, certified) if not ok])
+        for label, image, vec, ok in zip(labels, images, vecs, certified):
+            if ok:
+                yield vec
+                continue
             defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
             if defect > _PURITY_TOL:
                 raise NotImplementable(
@@ -504,9 +533,16 @@ def reconstruct_implementer(
     The probes are mapped in blocks of the sample loops' size (one probe a
     block at large n) and each image is checked in schedule order, so the
     first failing probe raises; an oracle sees a whole block before any of its
-    images is checked.  The assembled map is validated on random states; a
-    residual above TOL_ACCEPT (or a non-pure probe image) rejects the oracle.
-    On the density cone the oracle must first fix 0 (within _ZERO_TOL in
+    images is checked.  An image rho is pure when its second eigenvalue is
+    within _PURITY_TOL.  Its column v at its largest diagonal entry,
+    normalized, certifies that without ``eigh``: with lam = v* rho v, Weyl's
+    inequality bounds lambda_2(rho) by |rho - lam v v*|_F, and a bound
+    within _PURITY_TOL/2 leaves room for eigh's own O(n*eps) error.  Such an
+    image gives v as its column; any other image is decomposed and judged
+    by eigh's second eigenvalue, as the defect a rejection reports.  The
+    assembled map is validated on random states; a residual above
+    TOL_ACCEPT (or a non-pure probe image) rejects the oracle.  On the
+    density cone the oracle must first fix 0 (within _ZERO_TOL in
     trace norm) and preserve the trace.
     """
     n = oracle.dim

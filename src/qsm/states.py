@@ -50,8 +50,11 @@ class DensityOperator:
     caller needs it and then cached.  Code that reads the spectra of a block
     of operators first computes the missing ones as one stacked ``eigh``
     (``_fill_spectra``); a lone first read of ``eigenvalues``,
-    ``eigenvectors`` or ``rank()`` is the stack of one.  ``from_stack``
-    builds a whole ``(k, n, n)`` stack with the construction checks, batched.
+    ``eigenvectors`` or ``rank()`` is the stack of one.  The checks that
+    only need a spectral fact do without the spectrum: a sampled density's
+    rank is counted on its Gram spectrum (``_wishart``) and a probe image's
+    purity is certified from one column (qsm.maps).  ``from_stack`` builds a
+    whole ``(k, n, n)`` stack with the construction checks, batched.
     """
 
     __slots__ = ("entries", "_eigenvalues", "_eigenvectors", "_trace")
@@ -258,24 +261,36 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[D
     first ranks[i] columns of the i-th (the others are zeroed in place),
     rescaled to traces[i] (to 1 if traces is None) and built as one stack of
     ``cls``.  Each operator with a target trace is held to that rank and
-    trace (NumericalBreakdown otherwise); with traces None the stack is built
-    unchecked, as random_state builds it."""
+    trace (NumericalBreakdown otherwise, for the first failing one in order);
+    with traces None the stack is built unchecked, as random_state builds it.
+
+    The rank is counted without decomposing an operator: G G* and the m x m
+    Gram matrix G* G have the same nonzero eigenvalues, so the eigenvalues
+    above 1e-10*trace of one batched ``eigvalsh`` of the Gram stack, scaled
+    as the operators are, count rank(G G*).  Both spectra are computed to
+    O(n*eps*trace), four decades below the threshold at n = 64, so the two
+    counts can differ only on an eigenvalue within that error of it.  The
+    operators' own spectra are left for the callers that read them."""
     ranks = np.asarray(ranks)
     g.swapaxes(1, 2)[np.arange(g.shape[2]) >= ranks[:, None]] = 0.0
     a = g @ g.conj().swapaxes(1, 2)
     target = 1.0 if traces is None else np.asarray(traces, dtype=float)
-    ops = cls.from_stack(a * (target / a.trace(axis1=1, axis2=2).real)[:, None, None])
+    scale = target / a.trace(axis1=1, axis2=2).real
+    ops = cls.from_stack(a * scale[:, None, None])
     if traces is None:
         return ops
-    _fill_spectra(ops)
-    for op, rank, trace in zip(ops, ranks.tolist(), target.tolist()):
-        realized = int(np.count_nonzero(op.eigenvalues > 1e-10 * trace))
-        if realized != rank:
+    gram = np.linalg.eigvalsh(g.conj().swapaxes(1, 2) @ g) * scale[:, None]
+    realized = np.count_nonzero(gram > 1e-10 * target[:, None], axis=1)
+    off_rank = realized != ranks
+    off_trace = np.abs([op.trace for op in ops] - target) > 1e-12 * np.maximum(1.0, target)
+    failing = np.flatnonzero(off_rank | off_trace)
+    if failing.size:
+        i = failing[0]
+        if off_rank[i]:
             raise NumericalBreakdown(
-                f"sampled density has numerical rank {realized}, wanted {rank}"
+                f"sampled density has numerical rank {realized[i]}, wanted {ranks[i]}"
             )
-        if abs(op.trace - trace) > 1e-12 * max(1.0, trace):
-            raise NumericalBreakdown("sampled density trace off target")
+        raise NumericalBreakdown("sampled density trace off target")
     return ops
 
 

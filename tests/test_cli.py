@@ -1,6 +1,10 @@
 """CLI tests: commands, exit codes, determinism, the dimension cap."""
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import click
 import numpy as np
@@ -328,6 +332,22 @@ class TestStrictJson:
             result = runner.invoke(main, args)
             assert result.exit_code == 0, result.output
             assert isinstance(_strict_loads(result.output), dict)
+
+
+def test_in_process_runs_release_their_stdout():
+    """A report written to a redirected stdout is not kept once the run is
+    over: each earlier buffer, and the report in it, can be collected."""
+    refs = []
+    for seed in range(3):
+        buf = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(buf):
+            main(["verify", "ortho-eq", "--dims", "2", "--seed", str(seed)],
+                 standalone_mode=False)
+        assert _strict_loads(buf.getvalue())["suite"] == "ortho-eq"
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_parse_dims():

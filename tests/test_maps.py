@@ -269,6 +269,35 @@ class TestReconstruction:
         assert info.value.probe == "basis:0"
         assert info.value.evidence == {"purity_defect": pytest.approx(0.5 / 3, abs=1e-9)}
 
+    def test_purity_defect_just_above_tolerance_rejected(self):
+        """Depolarizing at p = 3e-8, n = 2: each pure probe's image has
+        second eigenvalue p/2 = 1.5e-8, just above _PURITY_TOL, and a
+        certificate residual of p/2 too, above the certified bound
+        _PURITY_TOL/2.  So it is decomposed and rejected at its first probe,
+        which certifying up to 2*_PURITY_TOL would let through."""
+        with pytest.raises(NotImplementable) as info:
+            reconstruct_implementer(named_nonisometry("depolarizing", 2, p=3e-8), RngStream(38))
+        assert info.value.probe == "basis:0"
+        assert info.value.evidence == {"purity_defect": pytest.approx(1.5e-8, rel=1e-6)}
+
+    @pytest.mark.parametrize("n", [2, 9, 33])
+    @pytest.mark.parametrize("build", [unitary_conjugation, antiunitary_conjugation])
+    def test_conjugation_probes_certified_without_eigh(self, monkeypatch, build, n):
+        """Every probe image of a conjugation is certified pure, so a
+        reconstruction decomposes none of them; its trace and validation
+        samples decompose nothing either."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        result = reconstruct_implementer(build(random_unitary(n, RngStream(n))), RngStream(43))
+        assert result.residual <= 1e-12
+        assert calls == []
+
     def test_pinching_rejected_on_superposition_probe(self):
         with pytest.raises(NotImplementable) as info:
             reconstruct_implementer(named_nonisometry("pinching", 3), RngStream(39))
@@ -374,9 +403,11 @@ class TestRoundtrip:
         assert report.passed
         assert sum(built) == sum(handed) > 0
 
-    #: matrices the roundtrip below handed to np.linalg.eigh when each
-    #: operator's spectrum was decomposed on its own
-    ROUNDTRIP_EIGH_MATRICES = 2633
+    #: matrices the roundtrip below hands to np.linalg.eigh: the spectra it
+    #: reads (Bures fidelities, preservation ranks); sampled densities are
+    #: rank-checked from their Gram spectrum and the probe images certified
+    #: pure, so neither is decomposed
+    ROUNDTRIP_EIGH_MATRICES = 1400
 
     def test_roundtrip_decomposes_block_spectra_together(self, monkeypatch):
         calls, matrices = [], []

@@ -4,16 +4,27 @@ the metric axioms, Fuchs-van de Graaf in this code's normalisation, the
 fidelity bound, invariance under unitary and antiunitary conjugation, the
 batched distances against the per-pair ones, and the trace bounds that let the
 uniqueness search reject a proposal before its trace norms and before its
-clamp."""
+clamp; the rank that the Wishart sampler reads off the Gram spectrum, and
+the purity certificate of a probe image, against eigh."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsm.geometry import _TRACE_MARGIN
 from qsm.linalg import psd_clamp_entries, trace_norm_entries
-from qsm.maps import MapDomain, antiunitary_conjugation, apply_map, unitary_conjugation
+from qsm.errors import NumericalBreakdown
+from qsm.maps import (
+    _PURITY_TOL,
+    MapDomain,
+    _pure_columns,
+    antiunitary_conjugation,
+    apply_map,
+    unitary_conjugation,
+)
 from qsm.metrics import (
     MetricKind,
     are_orthogonal,
@@ -24,7 +35,17 @@ from qsm.metrics import (
     product_trace_norm,
     trace_distance,
 )
-from qsm.states import RngStream, random_density, random_state, random_unitary
+from qsm.states import (
+    DensityOperator,
+    QuantumState,
+    RngStream,
+    _ginibre,
+    _orthogonal_pairs,
+    _wishart,
+    random_density,
+    random_state,
+    random_unitary,
+)
 
 #: tier-1 stays fast: few examples, no per-example deadline, and the same
 #: examples on every run
@@ -208,3 +229,106 @@ def test_clamped_trace_needs_the_margin():
     assert norm <= epsilon  # (3) and (4)
     assert mass > epsilon  # (2') at a zero margin
     assert mass <= epsilon + _TRACE_MARGIN  # (2') at the search's margin
+
+
+#: dimensions of the Wishart and probe-image properties, up to the default cap
+large_dims = st.sampled_from([1, 2, 3, 4, 5, 8, 16, 32, 48, 64])
+
+
+def _eigh_rank(entries, trace):
+    """The eigenvalues of eigh above the sampler's floor 1e-10*trace."""
+    return int(np.count_nonzero(np.linalg.eigh(entries)[0] > 1e-10 * trace))
+
+
+@PROPERTY
+@given(n=large_dims, seed=seeds, rank_share=st.floats(0.0, 1.0),
+       log_trace=st.floats(-3.0, 1.0), collapse=st.booleans())
+def test_wishart_rank_from_the_gram_spectrum(n, seed, rank_share, log_trace, collapse):
+    """The sampler counts each rank on the Gram spectrum of its factors; the
+    count is eigh's on the built operator.  The first of three samples has
+    the rank rank_share picks (every rank of n comes up) and the given
+    trace.  With ``collapse`` its last kept column is twice its first plus
+    10^-5.5 times a Gaussian column, which leaves one eigenvalue near
+    1e-13..1e-12 of the trace: below the floor, far above roundoff, so its
+    count is one short.  The stack is accepted exactly when every eigh count
+    is the rank asked for, and otherwise refused naming the first eigh count
+    that is not."""
+    gen = RngStream(seed).generator()
+    ranks = gen.integers(1, n + 1, size=3)
+    ranks[0] = 1 + int(rank_share * (n - 1))
+    traces = 10.0 ** gen.uniform(-3.0, 1.0, size=3)
+    traces[0] = 10.0**log_trace
+    g = _ginibre(gen, 3, n, int(ranks.max()))
+    if collapse and ranks[0] >= 2:
+        g[0, :, ranks[0] - 1] = 2.0 * g[0, :, 0] + 10.0**-5.5 * _ginibre(gen, 1, n, 1)[0, :, 0]
+    kept = g * (np.arange(g.shape[2]) < ranks[:, None])[:, None, :]
+    a = kept @ kept.conj().swapaxes(1, 2)
+    ops = DensityOperator.from_stack(a * (traces / a.trace(axis1=1, axis2=2).real)[:, None, None])
+    found = [_eigh_rank(op.entries, t) for op, t in zip(ops, traces)]
+    assert found[0] == ranks[0] - (collapse and ranks[0] >= 2)
+    wrong = [i for i in range(3) if found[i] != ranks[i]]
+    if not wrong:
+        built = _wishart(DensityOperator, g, ranks, traces)
+        assert all(np.array_equal(x.entries, y.entries) for x, y in zip(built, ops))
+    else:
+        i = wrong[0]
+        message = f"numerical rank {found[i]}, wanted {ranks[i]}"
+        with pytest.raises(NumericalBreakdown, match=message):
+            _wishart(DensityOperator, g, ranks, traces)
+
+
+@PROPERTY
+@given(n=large_dims.filter(lambda n: n >= 2), seed=seeds, log_trace=st.floats(-3.0, 1.0),
+       states=st.booleans())
+def test_orthogonal_pair_ranks_from_the_gram_spectrum(n, seed, log_trace, states):
+    """The rotated factors V G of an orthogonal pair: every pair the sampler
+    accepts has eigh's count at the ranks it drew."""
+    count = 3
+    gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
+    trace = 1.0 if states else 10.0**log_trace
+    xs, ys = _orthogonal_pairs(QuantumState if states else DensityOperator, n, gen,
+                               np.full(count, trace), np.full(count, trace))
+    splits = twin.integers(1, n, size=count)
+    ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
+    for x, y, rx, ry in zip(xs, ys, ranks_x, ranks_y):
+        assert (_eigh_rank(x.entries, trace), _eigh_rank(y.entries, trace)) == (rx, ry)
+
+
+def _probe_image(n, seed, delta, rank):
+    """(1 - delta) psi psi* + delta sigma for a Haar frame V with psi = V e_1
+    and sigma a random state of the given rank on psi's complement: the
+    second eigenvalue is delta times sigma's largest.  rank 0 gives a random
+    state of rank 2..n, far from pure."""
+    gen = RngStream(seed).generator()
+    if rank == 0:
+        return DensityOperator(random_state(n, int(gen.integers(2, n + 1)), gen).entries)
+    v = random_unitary(n, gen)
+    psi, rest = v[:, :1], v[:, 1:]
+    sigma = random_state(n - 1, min(rank, n - 1), gen).entries
+    return DensityOperator(
+        (1.0 - delta) * psi @ psi.conj().T + delta * rest @ sigma @ rest.conj().T
+    )
+
+
+@PROPERTY
+@given(n=large_dims.filter(lambda n: n >= 2), seed=seeds, exponent=st.floats(-12.0, -2.0),
+       rank=st.integers(0, 4))
+@example(n=2, seed=0, exponent=math.log10(1.2e-8), rank=1)
+@example(n=4, seed=2, exponent=math.log10(1.1e-8), rank=1)
+def test_certified_probe_images_pass_eigh(n, seed, exponent, rank):
+    """Whenever a probe image is certified pure, eigh's second eigenvalue is
+    within _PURITY_TOL and its top eigenvector is the certificate's column
+    up to phase.  Images within 1e-10 of pure are certified; images of rank
+    2 or more by a wide margin never are.  The examples have a second
+    eigenvalue just above _PURITY_TOL and a residual below 2*_PURITY_TOL."""
+    delta = 10.0**exponent
+    image = _probe_image(n, seed, delta, rank)
+    vecs, certified = _pure_columns(image.entries[None])
+    lam, vec = np.linalg.eigh(image.entries)
+    if certified[0]:
+        assert lam[-2] <= _PURITY_TOL
+        assert abs(np.vdot(vec[:, -1], vecs[0])) >= 1.0 - 1e-12
+    if rank and delta <= 1e-10:
+        assert certified[0]
+    if rank == 0:
+        assert not certified[0]

@@ -23,6 +23,7 @@ from qsm.maps import (
     RoundtripReport,
     StateMap,
     _fix_phase,
+    _pure_columns,
     antiunitary_conjugation,
     apply_map,
     check_isometry,
@@ -169,6 +170,9 @@ def serial_validation_residual(oracle, recon, n, gen, samples):
 
 def _pure_image_vector(oracle, probe, tol, label):
     image = apply_map(oracle, probe)
+    vecs, certified = _pure_columns(image.entries[None])
+    if certified[0]:
+        return vecs[0]
     lam = image.eigenvalues
     defect = float(lam[-2]) if image.dim >= 2 else 0.0
     if defect > tol:

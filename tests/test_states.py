@@ -422,6 +422,20 @@ class TestStackedSamplers:
         for op, trace in zip(ops, traces):
             assert op.trace == pytest.approx(trace, abs=1e-12 * max(1.0, trace))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 64])
+    def test_target_traces_decompose_nothing(self, eigh_calls, n):
+        """Ranks are checked on the Gram spectrum, so sampling with target
+        traces hands no matrix to eigh, and the spectra stay uncomputed."""
+        gen = RngStream(24, n).generator()
+        ops = [random_density(n, n, 1.3, gen)]
+        ops += _sampled_stack(DensityOperator, n, gen, gen.integers(1, n + 1, size=4),
+                              gen.uniform(0.2, 2.0, size=4))
+        if n >= 2:
+            for pairs in _orthogonal_pairs(QuantumState, n, gen, np.ones(3), np.ones(3)):
+                ops += pairs
+        assert eigh_calls == []
+        assert all(op._eigenvalues is None for op in ops)
+
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 64])
     def test_orthogonal_pairs(self, n, cls):
