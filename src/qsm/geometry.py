@@ -1,8 +1,9 @@
 """Metric characterizations of the zero operator and related geometry.
 
-Covers both characterizations of 0 (Bures ball diameters; trace-norm ball
-intersections), the pinch construction and its uniqueness search, and rank
-via double orthocomplements in a finite pool.
+Covers both characterizations of 0 (Bures ball diameters around 0 and the
+(0, 4A) witness for nonzero centers; trace-norm ball intersections), the
+pinch construction and its uniqueness search, and rank via double
+orthocomplements in a finite pool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
     are_orthogonal,
-    bures_distance,
     distances,
     trace_distance,
 )
@@ -31,15 +31,13 @@ from .states import (
     RngStream,
     _fill_spectra,
     _sampled_stack,
+    _stacked,
     generator_of,
     zero_density,
 )
 
 #: additive tolerance on ball membership and witness distances.
 BALL_SLACK = 1e-9
-
-#: proposals sample_in_bures_ball tries before it falls back to the center.
-_BURES_TRIES = 200
 
 #: random densities per dimension in an orthocomplement_pool.
 _POOL_RANDOMS_PER_DIM = 10
@@ -108,155 +106,89 @@ def _in_ball_at_zero(
     return [next(drawn) if keep else zero for keep in live]
 
 
-def sample_in_bures_ball(
-    center: DensityOperator,
-    radius: float,
-    rng: RngStream | np.random.Generator,
-) -> DensityOperator:
-    """Draw from a Bures ball with arbitrary center.
-
-    Mixes two proposal families: scalar multiples of the center (exact
-    membership by the trace formula) and PSD-clamped Gaussian perturbations
-    accepted by rejection.  Falls back to the center after _BURES_TRIES.
-    """
-    gen = generator_of(rng)
-    tr = center.trace
-    if tr <= ZERO_TRACE:
-        return _in_ball_at_zero(center.dim, radius, gen, 1)[0]
-    root = float(np.sqrt(tr))
-    for _ in range(_BURES_TRIES):
-        if gen.uniform() < 0.5:
-            # c * center with |sqrt(c) - 1| * sqrt(tr) <= radius, membership exact
-            u = float(gen.uniform(-1.0, 1.0))
-            factor = max(0.0, 1.0 + u * radius / root) ** 2
-            return DensityOperator(center.entries * factor)
-        sigma = float(gen.uniform(0.05, 1.0)) * radius * (1.0 + root) / 2.0
-        g = (gen.standard_normal((center.dim,) * 2) + 1j * gen.standard_normal((center.dim,) * 2)) / 2.0
-        candidate = DensityOperator(psd_clamp_entries(center.entries + sigma * (g + g.conj().T)))
-        if bures_distance(candidate, center) <= radius:
-            return candidate
-    return DensityOperator(center.entries)
-
-
 def bures_ball_diameter(
-    center: DensityOperator,
+    dim: int,
     radius: float,
     rng: RngStream | np.random.Generator,
     samples: int,
 ) -> DiameterEstimate:
     """Witnessed lower bound on the diameter of the Bures ball of the given
-    radius around the center.
+    radius around 0 in dimension ``dim``: Lemma 1's side for the zero
+    operator, whose balls have diameter at most sqrt(2) * radius (radius
+    at dim 1).
 
-    Around 0 the analytic sharpness witnesses are always included
-    (radius^2 * orthogonal rank-one projections for dim >= 2, the scalar pair
-    (radius^2, 0) for dim 1) and every sampled pair is held to the
-    sqrt(2) * radius upper bound.  Around a nonzero center the pair
-    (0, 4 * center) is included whenever it lies in the ball.  A pair over
-    the bound, or a best pair outside the ball, raises NumericalBreakdown;
-    a nonzero center without that pair and without samples has no pair to
-    measure and raises InvalidConfiguration.
+    The analytic sharpness witnesses are always included (radius^2 *
+    orthogonal rank-one projections for dim >= 2, the scalar pair
+    (radius^2, 0) for dim 1) and every sampled pair is held to the bound.
+    A pair over the bound, or a best pair outside the ball, raises
+    NumericalBreakdown.
 
     The analytic pair is measured first, as a block of one.  The samples
-    follow in blocks (``_blocks``, two operators a pair): around 0 a block of
-    k pairs draws its 2k operators with _in_ball_at_zero and pairs the first
-    k with the last k; around a nonzero center sample_in_bures_ball draws
-    each pair's x, then its y.  Each block's distances are one batched call,
-    and the best pair is the first to reach the maximum.
+    follow in blocks (``_blocks``, two operators a pair): a block of k pairs
+    draws its 2k operators with _in_ball_at_zero and pairs the first k with
+    the last k.  Each block's distances are one batched call, and the best
+    pair is the first to reach the maximum.
     """
     if not radius > 0.0:
         raise ValueError("ball radius must be positive")
     gen = generator_of(rng)
-    n = center.dim
-    at_zero = center.trace <= ZERO_TRACE
+    center = zero_density(dim)
 
     def pair_blocks():
-        if at_zero:
-            first, second = np.zeros((2, n, n), dtype=np.complex128)
-            first[0, 0] = radius * radius
-            if n >= 2:
-                second[1, 1] = radius * radius
-            yield [DensityOperator(first)], [DensityOperator(second)]
-        elif radius >= np.sqrt(center.trace) * (1.0 - 1e-12):
-            yield [zero_density(n)], [DensityOperator(4.0 * center.entries)]
-        for count in _blocks(samples, n, 2):
-            if at_zero:
-                ops = _in_ball_at_zero(n, radius, gen, 2 * count)
-                yield ops[:count], ops[count:]
-            else:
-                pairs = [
-                    [sample_in_bures_ball(center, radius, gen) for _ in range(2)]
-                    for _ in range(count)
-                ]
-                xs, ys = zip(*pairs)
-                yield xs, ys
+        first, second = np.zeros((2, dim, dim), dtype=np.complex128)
+        first[0, 0] = radius * radius
+        if dim >= 2:
+            second[1, 1] = radius * radius
+        yield [DensityOperator(first)], [DensityOperator(second)]
+        for count in _blocks(samples, dim, 2):
+            ops = _in_ball_at_zero(dim, radius, gen, 2 * count)
+            yield ops[:count], ops[count:]
 
-    bound = (np.sqrt(2.0) * radius if n >= 2 else radius) + BALL_SLACK
+    bound = (np.sqrt(2.0) * radius if dim >= 2 else radius) + BALL_SLACK
     best = -1.0
-    best_pair = None
     for xs, ys in pair_blocks():
         d = distances(MetricKind.BURES, xs, ys)
-        if at_zero and (d > bound).any():
+        if (d > bound).any():
             raise NumericalBreakdown(
                 f"pair distance {float(d[d > bound][0])} violates the diameter bound {bound}"
             )
         i = int(np.argmax(d))
         if d[i] > best:
             best, best_pair = float(d[i]), (xs[i], ys[i])
-    if best_pair is None:
-        raise InvalidConfiguration("no pair to measure: no analytic pair and no samples")
     in_ball = distances(MetricKind.BURES, list(best_pair), [center, center])
     if (in_ball > radius + BALL_SLACK).any():
         raise NumericalBreakdown("a witness fell outside its Bures ball")
     return DiameterEstimate(best, best_pair)
 
 
-def nonzero_center_witness(
-    center: DensityOperator,
-) -> tuple[float, tuple[DensityOperator, DensityOperator]]:
-    """The pair (0, 4*center) witnessing diameter >= 2*sqrt(tr) at radius
-    sqrt(tr), which exceeds sqrt(2)*radius and so flags a nonzero center."""
-    tr = center.trace
-    if tr <= ZERO_TRACE:
-        raise ZeroCenter("witness construction needs tr(center) > 1e-12")
-    eps = float(np.sqrt(tr))
-    low = zero_density(center.dim)
-    high = DensityOperator(4.0 * center.entries)
-    if bures_distance(center, low) > eps + BALL_SLACK:
-        raise NumericalBreakdown("0 fell outside the witness ball")
-    if bures_distance(center, high) > eps + BALL_SLACK:
-        raise NumericalBreakdown("4*center fell outside the witness ball")
-    if abs(bures_distance(low, high) - 2.0 * eps) > BALL_SLACK:
-        raise NumericalBreakdown("witness pair distance is not 2*radius")
-    return eps, (low, high)
+def nonzero_center_witnesses(
+    centers: list[DensityOperator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lemma 1's side for nonzero centers: the pair (0, 4A) lies in the Bures
+    ball of radius sqrt(tr A) around A at distance 2 * sqrt(tr A), above the
+    sqrt(2) * radius that every ball around 0 obeys.
 
-
-def zero_characterization_bures(
-    center: DensityOperator,
-    radii: list[float],
-    rng: RngStream | np.random.Generator,
-    samples: int,
-) -> bool:
-    """True iff every tested ball around the center has witnessed diameter
-    <= sqrt(2) * radius (the metric test for being the zero operator).
-
-    For a nonzero center the radius sqrt(tr) is added whenever it lies within
-    the tested range, so the (0, 4*center) witness guarantees detection.
+    Returns the radii sqrt(tr A), the pair distances d(0, 4A) and the mask
+    of the witnesses that held: d(A, 0) and d(A, 4A) within the radius and
+    d(0, 4A) within BALL_SLACK of twice the radius.  The 3k distances of the
+    k centers, d(A, 0), then d(A, 4A), then d(0, 4A), are one batched call.
+    A center with trace at or below ZERO_TRACE raises ZeroCenter.
     """
-    if not radii or any(r <= 0.0 for r in radii):
-        raise ValueError("radii must be a nonempty list of positive reals")
-    gen = generator_of(rng)
-    tested = sorted(float(r) for r in radii)
-    tr = center.trace
-    if tr > ZERO_TRACE:
-        root = float(np.sqrt(tr))
-        if tested[0] <= root <= tested[-1] and root not in tested:
-            tested.append(root)
-            tested.sort()
-    for eps in tested:
-        estimate = bures_ball_diameter(center, eps, gen, samples)
-        if estimate.lower_bound > np.sqrt(2.0) * eps + BALL_SLACK:
-            return False
-    return True
+    traces = _stacked(centers, "trace")
+    if (traces <= ZERO_TRACE).any():
+        raise ZeroCenter(f"witness construction needs tr(center) > {ZERO_TRACE}")
+    radii = np.sqrt(traces)
+    zeros = [zero_density(centers[0].dim)] * len(centers)
+    highs = DensityOperator.from_stack(4.0 * _stacked(centers))
+    to_zero, to_high, pair = np.split(
+        distances(MetricKind.BURES, [*centers, *centers, *zeros], [*zeros, *highs, *highs]), 3
+    )
+    held = (
+        (to_zero <= radii + BALL_SLACK)
+        & (to_high <= radii + BALL_SLACK)
+        & (np.abs(pair - 2.0 * radii) <= BALL_SLACK)
+    )
+    return radii, pair, held
 
 
 def midpoint_witness(x: DensityOperator, y: DensityOperator) -> DensityOperator:

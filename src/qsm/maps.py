@@ -51,6 +51,8 @@ from .linalg import _blocks, trace_norm_entries
 from .metrics import MetricKind, distance, distances, orthogonality
 from .serialize import _decode_dim, matrix_from_json
 from .states import (
+    UNITARITY_TOL,
+    UNIT_TRACE_TOL,
     DensityOperator,
     QuantumState,
     RngStream,
@@ -116,7 +118,7 @@ def _checked_unitary(u) -> np.ndarray:
     if not np.isfinite(u).all():
         raise InvalidParameter("unitary entries must be finite")
     defect = _unitarity_defect(u)
-    if defect > 1e-10 * u.shape[0]:
+    if defect > UNITARITY_TOL * u.shape[0]:
         raise InvalidParameter(f"matrix is not unitary: defect {defect:.3e}")
     return u
 
@@ -211,7 +213,7 @@ def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]
     for a in ops:
         if a.dim != m.dim:
             raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
-        if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > 1e-10:
+        if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > UNIT_TRACE_TOL:
             raise DomainError("map is declared on states only; input has trace != 1")
     images = m.evaluate(ops)
     try:
@@ -306,6 +308,8 @@ def _trace_defect(m: StateMap, rng: RngStream | np.random.Generator, samples: in
     """Worst |tr phi(A) - tr A| over sampled densities."""
     if m.domain is not MapDomain.FULL_DENSITY:
         raise DomainError("trace_preservation_check needs the full density cone")
+    if samples < 1:
+        raise InvalidParameter("need at least one sample")
     gen = generator_of(rng)
     worst = 0.0
     for count in _blocks(samples, m.dim, 1):
@@ -363,6 +367,8 @@ def preservation_suite(
     in [0.2, 2] on the density cone, 1 on states), then a, b, probe, c and d
     as one stack of 5k operators (3k at n = 1), then the k weights lam.  It
     maps the groups x, y, a, (a+b)/2, probe, mixture, c, d in that order."""
+    if samples < 1:
+        raise InvalidParameter("need at least one sample")
     gen = generator_of(rng)
     n = m.dim
     cls = _domain_type(m.domain)
@@ -586,7 +592,7 @@ def reconstruct_implementer(
 
     u = np.column_stack(assembled)
     defect = _unitarity_defect(u)
-    if defect > 1e-10 * n:
+    if defect > UNITARITY_TOL * n:
         raise NotImplementable(
             f"assembled columns are not unitary (defect {defect:.3e})",
             residual=defect,

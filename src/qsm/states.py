@@ -34,6 +34,14 @@ PSD_TOL = 1e-9
 #: relative floor of rank(): eigenvalues above RANK_TOL*(1+trace) count.
 RANK_TOL = 1e-10
 
+#: a QuantumState, and an input to a map on states, has |tr - 1| at most
+#: UNIT_TRACE_TOL.
+UNIT_TRACE_TOL = 1e-10
+
+#: an n x n matrix is unitary when the trace norm of U U* - 1 is at most
+#: UNITARITY_TOL * n.
+UNITARITY_TOL = 1e-10
+
 #: largest admitted Hilbert-space dimension unless overridden by the caller.
 DEFAULT_DIM_CAP = 64
 
@@ -104,7 +112,7 @@ class DensityOperator:
                 first_below = int(below[0])
         traces = tr.tolist()
         if cls._UNIT_TRACE:
-            off = next((t for t in traces[:first_below] if abs(t - 1.0) > 1e-10), None)
+            off = next((t for t in traces[:first_below] if abs(t - 1.0) > UNIT_TRACE_TOL), None)
             if off is not None:
                 raise ValueError(f"quantum state must have trace 1, got {off!r}")
         if first_below < finite:
@@ -244,7 +252,7 @@ def _haar_unitaries(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r, axis1=1, axis2=2)
     q = q * (d / np.abs(d))[:, None, :]
     defect = float(_unitarity_defect(q).max())
-    if defect > 1e-10 * n:
+    if defect > UNITARITY_TOL * n:
         raise NumericalBreakdown(f"unitarity defect {defect:.3e} exceeds 1e-10*n")
     return q
 

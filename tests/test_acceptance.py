@@ -15,7 +15,7 @@ from qsm.geometry import (
     double_orthocomplement_rank,
     intersection_uniqueness_search,
     midpoint_witness,
-    nonzero_center_witness,
+    nonzero_center_witnesses,
     orthocomplement_pool,
     pinch_configuration,
 )
@@ -95,7 +95,7 @@ def test_criterion_2_lemma1_suite():
     for dim in dims:
         gen = RngStream(102, dim).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(zero_density(dim), eps, gen, 334)
+            estimate = bures_ball_diameter(dim, eps, gen, 334)
             bound = (SQRT2 if dim >= 2 else 1.0) * eps
             worst_over = max(worst_over, estimate.lower_bound - bound)
             ok &= estimate.lower_bound <= bound + 1e-9
@@ -104,13 +104,10 @@ def test_criterion_2_lemma1_suite():
                 ok &= estimate.lower_bound >= SQRT2 * eps - 1e-9
             else:
                 ok &= abs(estimate.lower_bound - eps) <= 1e-9
-        for _ in range(20):
-            center = _sample(dim, gen, trace_hi=3.0)
-            if center.trace <= 1e-12:
-                continue
-            _, (low, high) = nonzero_center_witness(center)
-            certified = 2.0 * np.sqrt(center.trace) - 1e-9
-            ok &= bures_distance(low, high) >= certified
+        radii, pair, held = nonzero_center_witnesses(
+            [_sample(dim, gen, trace_hi=3.0) for _ in range(20)]
+        )
+        ok &= bool(held.all() and (pair >= 2.0 * radii - 1e-9).all())
     _report(
         2,
         "Bures characterization of zero",

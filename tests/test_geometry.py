@@ -1,4 +1,4 @@
-"""Geometry tests: ball diameters, zero characterizations, pinch and
+"""Geometry tests: ball diameters, nonzero-center witnesses, pinch and
 uniqueness search, orthocomplement rank."""
 
 import numpy as np
@@ -18,11 +18,9 @@ from qsm.geometry import (
     double_orthocomplement_rank,
     intersection_uniqueness_search,
     midpoint_witness,
-    nonzero_center_witness,
+    nonzero_center_witnesses,
     orthocomplement_pool,
     pinch_configuration,
-    sample_in_bures_ball,
-    zero_characterization_bures,
 )
 from qsm.metrics import bures_distance, trace_distance
 from qsm.states import (
@@ -33,6 +31,7 @@ from qsm.states import (
     random_state,
     zero_density,
 )
+from qsm.suites import run_suite
 
 SQRT2 = np.sqrt(2.0)
 
@@ -50,11 +49,11 @@ class _CountingGenerator(np.random.Generator):
 
 class TestBuresBallDiameter:
     def test_sharpness_at_zero_dim2(self):
-        estimate = bures_ball_diameter(zero_density(2), 1.0, RngStream(1), 50)
+        estimate = bures_ball_diameter(2, 1.0, RngStream(1), 50)
         assert estimate.lower_bound == pytest.approx(SQRT2, abs=1e-9)
 
     def test_dim_one_diameter_is_radius(self):
-        estimate = bures_ball_diameter(zero_density(1), 1.0, RngStream(2), 50)
+        estimate = bures_ball_diameter(1, 1.0, RngStream(2), 50)
         assert estimate.lower_bound == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim,eps", [(2, 0.5), (3, 1.0), (6, 2.0)])
@@ -66,23 +65,22 @@ class TestBuresBallDiameter:
             assert bures_distance(x, y) <= SQRT2 * eps + 1e-9
 
     def test_witnesses_lie_in_ball(self):
-        center = zero_density(3)
-        estimate = bures_ball_diameter(center, 0.8, RngStream(4), 30)
+        estimate = bures_ball_diameter(3, 0.8, RngStream(4), 30)
         for member in estimate.witness_pair:
-            assert bures_distance(member, center) <= 0.8 + 1e-9
+            assert bures_distance(member, zero_density(3)) <= 0.8 + 1e-9
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_radius(self, radius):
         with pytest.raises(ValueError):
-            bures_ball_diameter(zero_density(2), radius, RngStream(0), 5)
+            bures_ball_diameter(2, radius, RngStream(0), 5)
 
-    def test_nothing_to_measure_rejected(self):
-        # radius 0.5 < sqrt(tr) = 1 leaves out the (0, 4 * center) pair
-        with pytest.raises(InvalidConfiguration):
-            bures_ball_diameter(basis_projection(2, 0), 0.5, RngStream(0), 0)
-        assert bures_ball_diameter(basis_projection(2, 0), 1.0, RngStream(0), 0).lower_bound == (
-            pytest.approx(2.0, abs=1e-9)
+    def test_no_samples_measure_the_analytic_pair(self):
+        gen = RngStream(0).generator()
+        state = gen.bit_generator.state
+        assert bures_ball_diameter(2, 0.5, gen, 0).lower_bound == pytest.approx(
+            SQRT2 * 0.5, abs=1e-9
         )
+        assert gen.bit_generator.state == state
 
 
 class TestInBallAtZero:
@@ -112,43 +110,56 @@ class TestInBallAtZero:
         assert len(draws) == 5 and all(not op.entries.any() for op in draws)
 
 
-class TestNonzeroCenterWitness:
+class TestNonzeroCenterWitnesses:
     def test_half_projection(self):
         center = DensityOperator(0.5 * basis_projection(2, 0).entries)
-        eps, (low, high) = nonzero_center_witness(center)
+        (eps,), (pair,), (held,) = nonzero_center_witnesses([center])
         assert eps == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        assert bures_distance(low, high) == pytest.approx(1.4142135623730951, abs=1e-9)
+        assert pair == pytest.approx(1.4142135623730951, abs=1e-9)
+        assert held
 
     def test_state_center(self):
         center = random_state(3, 3, RngStream(5))
-        eps, (low, high) = nonzero_center_witness(center)
+        (eps,), (pair,), (held,) = nonzero_center_witnesses([center])
         assert eps == pytest.approx(1.0, abs=1e-10)
-        assert bures_distance(low, high) == pytest.approx(2.0, abs=1e-9)
+        assert pair == pytest.approx(2.0, abs=1e-9)
+        assert held
 
     def test_inner_distance(self):
         center = random_density(3, 2, 1.7, RngStream(6))
-        eps, (_, high) = nonzero_center_witness(center)
+        (eps,), _, _ = nonzero_center_witnesses([center])
+        high = DensityOperator(4.0 * center.entries)
         assert bures_distance(center, high) == pytest.approx(eps, abs=1e-9)
+        assert bures_distance(center, zero_density(3)) == pytest.approx(eps, abs=1e-9)
+
+    def test_projection_pair_is_twice_the_radius(self):
+        (eps,), (pair,), (held,) = nonzero_center_witnesses([basis_projection(2, 0)])
+        assert (eps, held) == (1.0, True)
+        assert pair == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_center_rejected(self):
         with pytest.raises(ZeroCenter):
-            nonzero_center_witness(zero_density(2))
+            nonzero_center_witnesses([zero_density(2)])
+        # one zero center in a block rejects the block
+        with pytest.raises(ZeroCenter):
+            nonzero_center_witnesses([basis_projection(2, 0), zero_density(2)])
 
 
 class TestZeroCharacterization:
-    def test_zero_passes(self):
-        assert zero_characterization_bures(zero_density(3), [0.5, 1.0, 2.0], RngStream(7), 40)
+    """Lemma 1: every Bures ball around 0 has diameter at most sqrt(2) times
+    its radius; a nonzero center fails at radius sqrt(tr)."""
 
-    def test_zero_dim_one_passes(self):
-        assert zero_characterization_bures(zero_density(1), [1.0], RngStream(8), 40)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_zero_passes(self, dim):
+        gen = RngStream(7, dim).generator()
+        for eps in (0.5, 1.0, 2.0):
+            estimate = bures_ball_diameter(dim, eps, gen, 40)
+            assert estimate.lower_bound <= SQRT2 * eps + 1e-9
 
     def test_any_state_fails(self):
         rho = random_state(3, 2, RngStream(9))
-        assert not zero_characterization_bures(rho, [0.5, 1.0, 2.0], RngStream(10), 40)
-
-    def test_radii_validation(self):
-        with pytest.raises(ValueError):
-            zero_characterization_bures(zero_density(2), [], RngStream(0), 5)
+        (eps,), (pair,), (held,) = nonzero_center_witnesses([rho])
+        assert held and pair > SQRT2 * eps + 1e-9
 
 
 class TestMidpointWitness:
@@ -234,18 +245,27 @@ class TestPostConditions:
         with pytest.raises(NumericalBreakdown):
             midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
 
-    # at 0 the analytic pair and the one block of samples are measured
-    # before the witness check; around the projection (radius 0.5 < 1, no
-    # analytic pair) the block alone is
-    @pytest.mark.parametrize(
-        "center,honest_calls",
-        [(zero_density(2), 0), (zero_density(2), 2), (basis_projection(2, 0), 0),
-         (basis_projection(2, 0), 1)],
-    )
-    def test_bures_ball_diameter(self, monkeypatch, center, honest_calls):
+    # the analytic pair and the one block of samples are measured before
+    # the witness check
+    @pytest.mark.parametrize("honest_calls", [0, 2])
+    def test_bures_ball_diameter(self, monkeypatch, honest_calls):
         self._break(monkeypatch, "distances", honest_calls)
         with pytest.raises(NumericalBreakdown):
-            bures_ball_diameter(center, 0.5, RngStream(26), 3)
+            bures_ball_diameter(2, 0.5, RngStream(26), 3)
+
+    def test_nonzero_center_witnesses(self, monkeypatch):
+        self._break(monkeypatch, "distances", 0)
+        _, _, held = nonzero_center_witnesses([random_state(3, 2, RngStream(27))])
+        assert not held.any()
+
+    # each of lemma1's three diameters at samples = 3 makes three distances
+    # calls (the analytic pair, one sample block, the in-ball check), so the
+    # tenth call is the first block of nonzero-center witnesses
+    @pytest.mark.parametrize("honest_calls,passed", [(9, False), (10, True)])
+    def test_lemma1_reads_the_witness_mask(self, monkeypatch, honest_calls, passed):
+        self._break(monkeypatch, "distances", honest_calls)
+        report = run_suite("lemma1", [2], seed=28, samples=3, budget=0)[0]
+        assert report.passed is passed
 
 
 class TestUniquenessSearch:
@@ -319,15 +339,6 @@ class TestUniquenessSearch:
             intersection_uniqueness_search(
                 pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(12), budget
             )
-
-
-class TestBallSamplers:
-    def test_bures_ball_membership_nonzero_center(self):
-        center = random_density(3, 2, 1.4, RngStream(32))
-        gen = RngStream(33).generator()
-        for _ in range(25):
-            draw = sample_in_bures_ball(center, 0.6, gen)
-            assert bures_distance(draw, center) <= 0.6 + 1e-9
 
 
 class TestDoubleOrthocomplementRank:

@@ -196,6 +196,13 @@ class TestReductionChecks:
         depol = named_nonisometry("depolarizing", 3, p=0.5)
         assert trace_preservation_check(depol, RngStream(19))
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_trace_preservation_needs_a_sample(self, samples):
+        # no sample would pass any map, trace-rescale by 2 included
+        rescale = named_nonisometry("trace-rescale", 3, c=2.0)
+        with pytest.raises(InvalidParameter):
+            trace_preservation_check(rescale, RngStream(18), samples=samples)
+
     def test_states_domain_rejected(self):
         m = unitary_conjugation(np.eye(2), MapDomain.STATES_ONLY)
         with pytest.raises(DomainError):
@@ -222,6 +229,13 @@ class TestPreservationSuite:
         )
         assert report.rank_mismatches > 0
         assert report.affinity_max_violation <= 1e-10  # the channel is affine
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        # no sample would report every property of depolarizing preserved
+        depol = named_nonisometry("depolarizing", 3, p=0.5)
+        with pytest.raises(InvalidParameter):
+            preservation_suite(depol, RngStream(23), samples=samples)
 
 
 class TestReconstruction:

@@ -1,9 +1,10 @@
-"""The blocked Bures-diameter and orthogonality loops against pair-by-pair
-references: each reference draws every block exactly as the library does,
-then measures its pairs one at a time with bures_distance, are_orthogonal,
-norm_identity_gap and trace_distance, keeping the first maximum with a
-``d > best`` loop.  Same estimates, same reports, the same measured value
-for every pair and the same generator state, bit for bit."""
+"""The blocked Bures-diameter, nonzero-center witness and orthogonality
+loops against pair-by-pair references: each reference draws every block
+exactly as the library does, then measures its pairs one at a time with
+bures_distance, are_orthogonal, norm_identity_gap and trace_distance,
+keeping the first maximum with a ``d > best`` loop.  Same estimates, same
+witnesses, same reports, the same measured value for every pair and the
+same generator state, bit for bit."""
 
 from collections import defaultdict
 
@@ -13,14 +14,14 @@ import pytest
 import qsm.geometry
 import qsm.linalg
 import qsm.suites
-from qsm.errors import NumericalBreakdown
+from qsm.errors import NumericalBreakdown, ZeroCenter
 from qsm.geometry import (
     BALL_SLACK,
     ZERO_TRACE,
     DiameterEstimate,
     _in_ball_at_zero,
     bures_ball_diameter,
-    sample_in_bures_ball,
+    nonzero_center_witnesses,
 )
 from qsm.linalg import _blocks
 from qsm.metrics import (
@@ -38,51 +39,59 @@ from qsm.states import (
     _orthogonal_pairs,
     _sampled_stack,
     generator_of,
-    random_density,
     zero_density,
 )
 from qsm.suites import _ortho_eq, _style_pairs, run_suite
 
 
-def serial_bures_ball_diameter(center, radius, rng, samples, log=None):
+def serial_bures_ball_diameter(dim, radius, rng, samples, log=None):
     """The reference; ``log["distances"]`` gets every distance it measures,
     in order."""
     log = defaultdict(list) if log is None else log
     gen = generator_of(rng)
-    n = center.dim
-    at_zero = center.trace <= ZERO_TRACE
-    pairs = []
-    if at_zero:
-        first = np.zeros((n, n), dtype=np.complex128)
-        first[0, 0] = radius * radius
-        second = np.zeros((n, n), dtype=np.complex128)
-        if n >= 2:
-            second[1, 1] = radius * radius
-        pairs.append((DensityOperator(first), DensityOperator(second)))
-    elif radius >= np.sqrt(center.trace) * (1.0 - 1e-12):
-        pairs.append((zero_density(n), DensityOperator(4.0 * center.entries)))
-    for count in _blocks(samples, n, 2):
-        if at_zero:
-            ops = _in_ball_at_zero(n, radius, gen, 2 * count)
-            pairs += zip(ops[:count], ops[count:])
-        else:
-            for _ in range(count):
-                x = sample_in_bures_ball(center, radius, gen)
-                pairs.append((x, sample_in_bures_ball(center, radius, gen)))
-    bound = (np.sqrt(2.0) * radius if n >= 2 else radius) + BALL_SLACK
+    first = np.zeros((dim, dim), dtype=np.complex128)
+    first[0, 0] = radius * radius
+    second = np.zeros((dim, dim), dtype=np.complex128)
+    if dim >= 2:
+        second[1, 1] = radius * radius
+    pairs = [(DensityOperator(first), DensityOperator(second))]
+    for count in _blocks(samples, dim, 2):
+        ops = _in_ball_at_zero(dim, radius, gen, 2 * count)
+        pairs += zip(ops[:count], ops[count:])
+    bound = (np.sqrt(2.0) * radius if dim >= 2 else radius) + BALL_SLACK
     best, best_pair = -1.0, None
     for x, y in pairs:
         d = bures_distance(x, y)
         log["distances"].append(d)
-        if at_zero and d > bound:
+        if d > bound:
             raise NumericalBreakdown(f"pair distance {d} violates the diameter bound {bound}")
         if d > best:
             best, best_pair = d, (x, y)
     for member in best_pair:
-        log["distances"].append(bures_distance(member, center))
+        log["distances"].append(bures_distance(member, zero_density(dim)))
         if log["distances"][-1] > radius + BALL_SLACK:
             raise NumericalBreakdown("a witness fell outside its Bures ball")
     return DiameterEstimate(best, best_pair)
+
+
+def serial_nonzero_center_witnesses(centers, log=None):
+    """The reference; ``log["distances"]`` gets every distance it measures:
+    all d(A, 0), then all d(A, 4A), then all d(0, 4A)."""
+    log = defaultdict(list) if log is None else log
+    if any(a.trace <= ZERO_TRACE for a in centers):
+        raise ZeroCenter("witness construction needs tr(center) > 1e-12")
+    zero = zero_density(centers[0].dim)
+    highs = [DensityOperator(4.0 * a.entries) for a in centers]
+    to_zero = [bures_distance(a, zero) for a in centers]
+    to_high = [bures_distance(a, high) for a, high in zip(centers, highs)]
+    pair = [bures_distance(zero, high) for high in highs]
+    log["distances"] += to_zero + to_high + pair
+    radii = [float(np.sqrt(a.trace)) for a in centers]
+    held = [
+        z <= r + BALL_SLACK and h <= r + BALL_SLACK and abs(p - 2.0 * r) <= BALL_SLACK
+        for r, z, h, p in zip(radii, to_zero, to_high, pair)
+    ]
+    return np.array(radii), np.array(pair), np.array(held)
 
 
 def serial_ortho_eq(dim, gen, samples, budget, tolerances, log):
@@ -146,29 +155,37 @@ def _recording(monkeypatch, module, names):
     return log
 
 
-def _center(kind, dim):
-    if kind == "zero":
-        return zero_density(dim)
-    return random_density(dim, max(1, dim // 2), 1.3, RngStream(60, dim))
-
-
 @pytest.mark.usefixtures("block_cap")
 @pytest.mark.parametrize("samples", [1, 30])
 @pytest.mark.parametrize("radius", [0.4, float(np.sqrt(1.3))])
-@pytest.mark.parametrize("kind", ["zero", "nonzero"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
-def test_diameter_matches_serial(monkeypatch, dim, kind, radius, samples):
-    center = _center(kind, dim)
+def test_diameter_matches_serial(monkeypatch, dim, radius, samples):
     gen, serial_gen = RngStream(61, dim).generator(), RngStream(61, dim).generator()
     want_log = defaultdict(list)
-    want = serial_bures_ball_diameter(center, radius, serial_gen, samples, want_log)
+    want = serial_bures_ball_diameter(dim, radius, serial_gen, samples, want_log)
     got_log = _recording(monkeypatch, qsm.geometry, ["distances"])
-    got = bures_ball_diameter(center, radius, gen, samples)
+    got = bures_ball_diameter(dim, radius, gen, samples)
     assert got_log == want_log
     assert got.lower_bound == want.lower_bound
     for member, reference in zip(got.witness_pair, want.witness_pair):
         assert np.array_equal(member.entries, reference.entries)
     assert gen.bit_generator.state == serial_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+def test_witnesses_match_serial(monkeypatch, dim, count):
+    gen = RngStream(63, dim).generator()
+    ranks = gen.integers(1, dim + 1, size=count)
+    centers = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
+    want_log = defaultdict(list)
+    want = serial_nonzero_center_witnesses(centers, want_log)
+    got_log = _recording(monkeypatch, qsm.geometry, ["distances"])
+    got = nonzero_center_witnesses(centers)
+    assert got_log == want_log
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)
+    assert got[2].all()
 
 
 @pytest.mark.usefixtures("block_cap")
@@ -196,11 +213,13 @@ def test_large_tolerance_misclassifies():
 
 
 @pytest.mark.usefixtures("block_cap")
-@pytest.mark.parametrize("dims", [[1, 2, 3, 4, 6], [12]])
-def test_lemma1_matches_serial_diameters(monkeypatch, dims):
-    """The lemma1 report with every ball diameter taken pair by pair."""
+@pytest.mark.parametrize("dims", [[1, 2, 3, 4, 6], [12], [32]])
+def test_lemma1_matches_serial(monkeypatch, dims):
+    """The lemma1 report with every ball diameter and every nonzero-center
+    witness taken pair by pair."""
     blocked = canonical_dumps([r.to_json() for r in run_suite("lemma1", dims, 3, 40, 1)])
     for module in (qsm.geometry, qsm.suites):
         monkeypatch.setattr(module, "bures_ball_diameter", serial_bures_ball_diameter)
+    monkeypatch.setattr(qsm.suites, "nonzero_center_witnesses", serial_nonzero_center_witnesses)
     serial = canonical_dumps([r.to_json() for r in run_suite("lemma1", dims, 3, 40, 1)])
     assert blocked == serial

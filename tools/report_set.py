@@ -1,4 +1,4 @@
-"""Run the fixed set of 84 qsm reports and print one line per report:
+"""Run the fixed set of 85 qsm reports and print one line per report:
 ``sha256 verdict exit-code args``.
 
 Usage:
@@ -19,15 +19,17 @@ roundoff but no verdict shows as a clean ``diff`` of columns 2 and 3::
     diff <(cut -d' ' -f2- a.txt) <(cut -d' ' -f2- b.txt)
 
 The set: every suite at ``--dims 1``; ``lemma1`` and ``ortho-eq`` at seeds 0
-and 7; ``lemma3 --seed 3``, ``lemma3 --dims 2..6 --budget 10000 --samples 20
---seed 0``, ``lemma3 --tol slack=1e-6 --seed 2`` and ``lemma3 --dims 7,8
---budget 2000 --seed 1``; each theorem suite at its defaults, at ``--dims
-2..8 --samples 200 --seed 0``, ``--dims 1,2,3 --seed 5`` and ``--dims 48
---samples 10 --seed 1``; the seven pairings of the benchmark's
-``roundtrip-small`` workload (``THEOREMS[i % 4]`` at d = 2..8, ``--samples
-200 --seed 0``); ``qsm metric`` on a seeded pair of Wishart densities at n = 8
-and at n = 64; ``reconstruct --builtin`` for six maps at n = 1, 2, 4, 9, 16,
-33, 64; and a dim-5 antiunitary map file with and without ``--dim 5``.
+and 7; ``lemma1 --dims 32 --samples 40 --seed 1``, whose nonzero centers
+take two draw blocks; ``lemma3 --seed 3``, ``lemma3 --dims 2..6 --budget
+10000 --samples 20 --seed 0``, ``lemma3 --tol slack=1e-6 --seed 2`` and
+``lemma3 --dims 7,8 --budget 2000 --seed 1``; each theorem suite at its
+defaults, at ``--dims 2..8 --samples 200 --seed 0``, ``--dims 1,2,3 --seed
+5`` and ``--dims 48 --samples 10 --seed 1``; the seven pairings of the
+benchmark's ``roundtrip-small`` workload (``THEOREMS[i % 4]`` at d = 2..8,
+``--samples 200 --seed 0``); ``qsm metric`` on a seeded pair of Wishart
+densities at n = 8 and at n = 64; ``reconstruct --builtin`` for six maps at
+n = 1, 2, 4, 9, 16, 33, 64; and a dim-5 antiunitary map file with and
+without ``--dim 5``.
 
 The input files are generated with numpy alone from fixed seeds and written
 to INPUT_DIR.  Map-file reports echo the file's path, so that directory is
@@ -97,6 +99,7 @@ def report_args(files: dict[str, str]) -> list[list[str]]:
     """The arguments of each report of the set, in order."""
     runs = [["verify", s, "--dims", "1"] for s in SUITES]
     runs += [["verify", s, "--seed", seed] for s in ("lemma1", "ortho-eq") for seed in "07"]
+    runs += [["verify", "lemma1", "--dims", "32", "--samples", "40", "--seed", "1"]]
     runs += [["verify", "lemma3", "--seed", "3"],
              ["verify", "lemma3", "--dims", "2..6", "--budget", "10000", "--samples", "20",
               "--seed", "0"],
