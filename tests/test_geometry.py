@@ -149,12 +149,17 @@ class TestZeroCharacterization:
     """Lemma 1: every Bures ball around 0 has diameter at most sqrt(2) times
     its radius; a nonzero center fails at radius sqrt(tr)."""
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_zero_passes(self, dim):
-        gen = RngStream(7, dim).generator()
+    def test_zero_passes(self):
+        gen = RngStream(7).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(dim, eps, gen, 40)
+            estimate = bures_ball_diameter(3, eps, gen, 40)
             assert estimate.lower_bound <= SQRT2 * eps + 1e-9
+
+    def test_zero_dim_one_passes(self):
+        gen = RngStream(8).generator()
+        for eps in (0.5, 1.0, 2.0):
+            estimate = bures_ball_diameter(1, eps, gen, 40)
+            assert estimate.lower_bound <= eps + 1e-9
 
     def test_any_state_fails(self):
         rho = random_state(3, 2, RngStream(9))
@@ -245,9 +250,9 @@ class TestPostConditions:
         with pytest.raises(NumericalBreakdown):
             midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
 
-    # the analytic pair and the one block of samples are measured before
-    # the witness check
-    @pytest.mark.parametrize("honest_calls", [0, 2])
+    # the analytic pair (call 1), the one block of samples (call 2) and the
+    # in-ball check of the widest pair (call 3) each raise when read too far
+    @pytest.mark.parametrize("honest_calls", [0, 1, 2])
     def test_bures_ball_diameter(self, monkeypatch, honest_calls):
         self._break(monkeypatch, "distances", honest_calls)
         with pytest.raises(NumericalBreakdown):
@@ -257,6 +262,23 @@ class TestPostConditions:
         self._break(monkeypatch, "distances", 0)
         _, _, held = nonzero_center_witnesses([random_state(3, 2, RngStream(27))])
         assert not held.any()
+
+    # one distance of one center read 1 too far, d(A, 0), d(A, 4A) or
+    # d(0, 4A), breaks that center's witness and no other
+    @pytest.mark.parametrize("center", [0, 1, 2])
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_witness_mask_reads_each_distance(self, monkeypatch, part, center):
+        centers = [random_state(3, 2, RngStream(27, i)) for i in range(3)]
+        original = qsm.geometry.distances
+
+        def broken(*args):
+            out = original(*args)
+            out[part * len(centers) + center] += 1.0
+            return out
+
+        monkeypatch.setattr(qsm.geometry, "distances", broken)
+        _, _, held = nonzero_center_witnesses(centers)
+        assert held.tolist() == [i != center for i in range(3)]
 
     # each of lemma1's three diameters at samples = 3 makes three distances
     # calls (the analytic pair, one sample block, the in-ball check), so the

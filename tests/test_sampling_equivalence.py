@@ -172,11 +172,20 @@ def test_diameter_matches_serial(monkeypatch, dim, radius, samples):
     assert gen.bit_generator.state == serial_gen.bit_generator.state
 
 
+def _center_ranks(kind, dim, count, gen):
+    if kind == "one":
+        return np.ones(count, dtype=int)
+    if kind == "full":
+        return np.full(count, dim)
+    return gen.integers(1, dim + 1, size=count)
+
+
+@pytest.mark.parametrize("ranks", ["drawn", "one", "full"])
 @pytest.mark.parametrize("count", [1, 7])
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
-def test_witnesses_match_serial(monkeypatch, dim, count):
+def test_witnesses_match_serial(monkeypatch, dim, count, ranks):
     gen = RngStream(63, dim).generator()
-    ranks = gen.integers(1, dim + 1, size=count)
+    ranks = _center_ranks(ranks, dim, count, gen)
     centers = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
     want_log = defaultdict(list)
     want = serial_nonzero_center_witnesses(centers, want_log)
