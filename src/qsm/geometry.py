@@ -163,15 +163,15 @@ def bures_ball_diameter(
 
 def nonzero_center_witnesses(
     centers: list[DensityOperator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lemma 1's side for nonzero centers: the pair (0, 4A) lies in the Bures
     ball of radius sqrt(tr A) around A at distance 2 * sqrt(tr A), above the
     sqrt(2) * radius that every ball around 0 obeys.
 
-    Returns the radii sqrt(tr A), the pair distances d(0, 4A) and the mask
-    of the witnesses that held: d(A, 0) and d(A, 4A) within the radius and
-    d(0, 4A) within BALL_SLACK of twice the radius.  The 3k distances of the
-    k centers, d(A, 0), then d(A, 4A), then d(0, 4A), are one batched call.
+    Returns the radii sqrt(tr A), the distances d(A, 0), d(A, 4A) and
+    d(0, 4A), and the mask of the witnesses that held: d(A, 0) and d(A, 4A)
+    within the radius and d(0, 4A) within BALL_SLACK of twice the radius.
+    The 3k distances of the k centers, in that order, are one batched call.
     A center with trace at or below ZERO_TRACE raises ZeroCenter.
     """
     traces = _stacked(centers, "trace")
@@ -188,7 +188,7 @@ def nonzero_center_witnesses(
         & (to_high <= radii + BALL_SLACK)
         & (np.abs(pair - 2.0 * radii) <= BALL_SLACK)
     )
-    return radii, pair, held
+    return radii, to_zero, to_high, pair, held
 
 
 def midpoint_witness(x: DensityOperator, y: DensityOperator) -> DensityOperator:

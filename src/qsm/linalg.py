@@ -1,6 +1,6 @@
 """Dense complex Hermitian linear algebra: shape and finiteness checks,
-symmetrization, trace norms and the PSD clamp, and the block sizes of the
-sample loops.
+symmetrization, trace norms and their certified maximum, the PSD clamp, and
+the block sizes of the sample loops.
 
 Everything here is a pure function of immutable values; matrices are small
 (dimension capped elsewhere), so dense storage and full eigendecompositions
@@ -58,6 +58,33 @@ def trace_norm_entries(arr: np.ndarray):
     exactly as for that matrix alone, so results agree bit for bit.
     """
     return np.sum(np.abs(np.linalg.eigvalsh(arr)), axis=-1)
+
+
+def _max_trace_norm(stack: np.ndarray, floor: float) -> float:
+    """max(floor, largest trace norm of a ``(k, n, n)`` stack), bit for bit
+    that of ``trace_norm_entries``, decomposing only the matrices that can
+    exceed ``floor``.
+
+    ``eigvalsh`` reads the Hermitian H made of a matrix's lower triangle and
+    the real part of its diagonal, which for a computed U U* - 1 is not the
+    matrix itself.  Cauchy-Schwarz on the spectrum gives ||H||_1 <= sqrt(n)
+    ||H||_F.  The computed eigenvalues are those of H + E with ||E||_2 =
+    O(n * eps * ||H||_2), so the computed sum of their moduli, and the
+    rounded Frobenius norm, are within O(n^2 * eps * ||H||_F) of exact;
+    the margin 16 n^2 eps covers both.  A matrix is skipped only when
+    sqrt(n) ||H||_F (1 + margin) is at most ``floor`` (a NaN bound is
+    kept), so a skipped matrix cannot exceed it: an exactly zero difference
+    at floor 0 is not decomposed either.
+    """
+    n = stack.shape[-1]
+    diag = stack.diagonal(axis1=1, axis2=2).real
+    lower = np.tril(stack, -1).reshape(len(stack), -1)
+    fro = np.sqrt(np.sum(diag * diag, axis=1) + 2.0 * np.sum((lower * lower.conj()).real, axis=1))
+    bound = np.sqrt(n) * fro * (1.0 + 16.0 * n * n * np.finfo(np.float64).eps)
+    open_ = ~(bound <= floor)
+    if not open_.any():
+        return floor
+    return max(floor, float(trace_norm_entries(stack[open_]).max()))
 
 
 def _spectral_rebuild(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:

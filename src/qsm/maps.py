@@ -20,10 +20,13 @@ built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
 group by group: all first members of the block's pairs, then all second
 members, and so on.  A map is handed each block's operators, in that group
 order, in one call, and its images are checked and built as one stack.  The
-spectra a block reads (ranks, Bures fidelities) are decomposed as one stack
-too, by one batched ``eigh``; a probe image is first tested for purity
-without a decomposition (_pure_columns), and only the images that test
-leaves open are decomposed, as one stack.  A block holds as many
+spectra a block reads are decomposed as one stack too: Bures fidelities by
+one batched ``eigh``, preservation ranks by one ``eigvalsh``.  A probe image
+is first tested for purity without a decomposition (_pure_columns), and only
+the images that test leaves open are decomposed, as one stack.  A maximum of
+trace norms (validation residual, affinity violation, unitarity defect)
+decomposes only the matrices whose Frobenius bound exceeds the value read so
+far (_max_trace_norm in qsm.linalg).  A block holds as many
 samples as keep each stacked operand within _BLOCK_ENTRIES (qsm.linalg)
 matrix entries: 50 pairs at n = 8, one sample at n = 64.  The block sizes
 fix the draw order, so a new cap changes the samples drawn, and so the
@@ -47,7 +50,7 @@ from .errors import (
     NotImplementable,
     NotPositiveSemidefinite,
 )
-from .linalg import _blocks, trace_norm_entries
+from .linalg import _blocks, _max_trace_norm
 from .metrics import MetricKind, distance, distances, orthogonality
 from .serialize import _decode_dim, matrix_from_json
 from .states import (
@@ -59,6 +62,7 @@ from .states import (
     _fill_spectra,
     _orthogonal_pairs,
     _projection,
+    _ranks,
     _sampled_stack,
     _stacked,
     _unitarity_defect,
@@ -117,7 +121,7 @@ def _checked_unitary(u) -> np.ndarray:
         raise InvalidParameter(f"unitary must be square, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InvalidParameter("unitary entries must be finite")
-    defect = _unitarity_defect(u)
+    defect = _unitarity_defect(u, UNITARITY_TOL * u.shape[0])
     if defect > UNITARITY_TOL * u.shape[0]:
         raise InvalidParameter(f"matrix is not unitary: defect {defect:.3e}")
     return u
@@ -366,7 +370,11 @@ def preservation_suite(
     ends c and d.  A block of k samples draws its k orthogonal pairs (traces
     in [0.2, 2] on the density cone, 1 on states), then a, b, probe, c and d
     as one stack of 5k operators (3k at n = 1), then the k weights lam.  It
-    maps the groups x, y, a, (a+b)/2, probe, mixture, c, d in that order."""
+    maps the groups x, y, a, (a+b)/2, probe, mixture, c, d in that order.
+    The ranks of the probes and their images are counted on one batched
+    ``eigvalsh`` of the 2k stack, and the affinity maximum is kept by
+    _max_trace_norm, which decomposes only the violations whose Frobenius
+    bound exceeds it."""
     if samples < 1:
         raise InvalidParameter("need at least one sample")
     gen = generator_of(rng)
@@ -405,11 +413,11 @@ def preservation_suite(
             bwd_min = min(bwd_min, float(norms.min()))
             bwd_bad += int(np.count_nonzero(orthogonal))
         f_probe, f_mixture, f_c, f_d = images[-4:]
-        _fill_spectra([*probe, *f_probe])
-        rank_bad += sum(image.rank() != op.rank() for op, image in zip(probe, f_probe))
+        both = [*probe, *f_probe]
+        ranks = _ranks(np.linalg.eigvalsh(_stacked(both)), _stacked(both, "trace"))
+        rank_bad += int(np.count_nonzero(ranks[:count] != ranks[count:]))
         mix_of_images = lam * _stacked(f_c) + (1.0 - lam) * _stacked(f_d)
-        violation = trace_norm_entries(_stacked(f_mixture) - mix_of_images)
-        affinity_max = max(affinity_max, float(violation.max()))
+        affinity_max = _max_trace_norm(_stacked(f_mixture) - mix_of_images, affinity_max)
     if not np.isfinite(bwd_min):
         bwd_min = 0.0
     return PreservationReport(
@@ -512,12 +520,15 @@ def _validation_residual(
     oracle: StateMap, recon: StateMap, n: int, gen: np.random.Generator, samples: int
 ) -> float:
     """Largest trace distance between the oracle's and the reconstruction's
-    images of ``samples`` random states."""
+    images of ``samples`` random states.  Each block's differences go to
+    _max_trace_norm with the running maximum as floor, so only a difference
+    whose Frobenius bound exceeds it is decomposed; the result is bit for
+    bit the maximum over every sample."""
     residual = 0.0
     for count in _blocks(samples, n, 1):
         states = _sample_block(n, gen, MapDomain.STATES_ONLY, count)
-        found = distances(MetricKind.TRACE_NORM, _map_block(oracle, states), _map_block(recon, states))
-        residual = max(residual, float(found.max()))
+        diff = _stacked(_map_block(oracle, states)) - _stacked(_map_block(recon, states))
+        residual = _max_trace_norm(diff, residual)
     return residual
 
 
@@ -591,7 +602,7 @@ def reconstruct_implementer(
                 kind = MapKind.ANTIUNITARY_CONJ
 
     u = np.column_stack(assembled)
-    defect = _unitarity_defect(u)
+    defect = _unitarity_defect(u, UNITARITY_TOL * n)
     if defect > UNITARITY_TOL * n:
         raise NotImplementable(
             f"assembled columns are not unitary (defect {defect:.3e})",

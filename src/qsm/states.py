@@ -22,8 +22,8 @@ from .linalg import (
     NONFINITE_MESSAGE,
     _as_complex_squares,
     _finite_prefix,
+    _max_trace_norm,
     _symmetrized,
-    trace_norm_entries,
 )
 
 #: relative floor for "numerically PSD": an operator is accepted when every
@@ -158,7 +158,7 @@ class DensityOperator:
 
     def rank(self) -> int:
         """Number of eigenvalues above RANK_TOL*(1+trace)."""
-        return int(np.count_nonzero(self.eigenvalues > RANK_TOL * (1.0 + self._trace)))
+        return int(_ranks(self.eigenvalues, self._trace))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -170,6 +170,12 @@ class QuantumState(DensityOperator):
     __slots__ = ()
 
     _UNIT_TRACE = True
+
+
+def _ranks(lam: np.ndarray, traces):
+    """rank() from eigenvalues ``(..., n)`` and traces ``(...)``: the count
+    of eigenvalues above RANK_TOL*(1+trace)."""
+    return np.count_nonzero(lam > RANK_TOL * (1.0 + np.asarray(traces))[..., None], axis=-1)
 
 
 def _stacked(ops, attr: str = "entries") -> np.ndarray:
@@ -236,9 +242,13 @@ def _ginibre(gen: np.random.Generator, count: int, rows: int, cols: int) -> np.n
     return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
 
 
-def _unitarity_defect(u: np.ndarray):
-    """Trace norm of U U* - 1, of one matrix or of each matrix of a stack."""
-    return trace_norm_entries(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
+def _unitarity_defect(u: np.ndarray, floor: float) -> float:
+    """max(floor, largest trace norm of U U* - 1) over one matrix or a stack
+    of them: a U whose defect exceeds ``floor`` yields its exact defect, and
+    only the U that the Frobenius bound of _max_trace_norm leaves open are
+    decomposed."""
+    u = u.reshape(-1, *u.shape[-2:])
+    return _max_trace_norm(u @ u.conj().swapaxes(1, 2) - np.eye(u.shape[-1]), floor)
 
 
 def _haar_unitaries(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -251,7 +261,7 @@ def _haar_unitaries(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(gen, count, n, n))
     d = np.diagonal(r, axis1=1, axis2=2)
     q = q * (d / np.abs(d))[:, None, :]
-    defect = float(_unitarity_defect(q).max())
+    defect = _unitarity_defect(q, UNITARITY_TOL * n)
     if defect > UNITARITY_TOL * n:
         raise NumericalBreakdown(f"unitarity defect {defect:.3e} exceeds 1e-10*n")
     return q

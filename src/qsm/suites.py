@@ -86,8 +86,11 @@ def _lemma1(dim, gen, samples, budget, tolerances):
     sqrt(tr A), where the pair (0, 4A) lies in its ball at distance
     2 * sqrt(tr A) (nonzero_center_witnesses).  The centers are drawn in
     blocks (``_blocks``): all ranks, then all traces, then one Wishart
-    stack, and each block's witnesses are measured in one call.  The first
-    two centers whose witness held are reported."""
+    stack, and each block's witnesses are measured in one call.  Every
+    center's excess over the witness, max(d(A, 0) - sqrt(tr A), d(A, 4A) -
+    sqrt(tr A), |d(0, 4A) - 2 sqrt(tr A)|) - BALL_SLACK, is read into the
+    violation, so a failing witness reports by how much.  The first two
+    centers whose witness held are reported."""
     radii = (0.5, 1.0, 2.0)
     witnesses = []
     violation = 0.0
@@ -108,10 +111,10 @@ def _lemma1(dim, gen, samples, budget, tolerances):
     for count in _blocks(max(4, samples // 4), dim, 1):
         ranks = gen.integers(1, dim + 1, size=count)
         centers = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
-        radius, pair, held = nonzero_center_witnesses(centers)
-        shortfall = (2.0 * radius - BALL_SLACK - pair)[held]
-        violation = float(shortfall.max(initial=violation))
-        passed &= bool(held.all() and (shortfall <= 0.0).all())
+        radius, to_zero, to_high, pair, held = nonzero_center_witnesses(centers)
+        excess = np.max([to_zero - radius, to_high - radius, np.abs(pair - 2.0 * radius)], axis=0)
+        violation = max(violation, float((excess - BALL_SLACK).max()))
+        passed &= bool(held.all())
         shown += [
             {
                 "kind": "nonzero-center",

@@ -104,7 +104,7 @@ def test_criterion_2_lemma1_suite():
                 ok &= estimate.lower_bound >= SQRT2 * eps - 1e-9
             else:
                 ok &= abs(estimate.lower_bound - eps) <= 1e-9
-        radii, pair, held = nonzero_center_witnesses(
+        radii, _, _, pair, held = nonzero_center_witnesses(
             [_sample(dim, gen, trace_hi=3.0) for _ in range(20)]
         )
         ok &= bool(held.all() and (pair >= 2.0 * radii - 1e-9).all())

@@ -1,6 +1,11 @@
-"""The pair statistics of tools/bench_record.py, on made-up runs."""
+"""The pair statistics of tools/bench_record.py, on made-up runs, and the
+environment of its benchmark runs."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import types
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,30 @@ def test_gain_rule_needs_nine_tenths_and_a_gap_over_the_spread():
     summary = bench_record.summarize(_runs(parent, mixed))["wall_s"]
     assert (summary["pairs_won"], summary["pairs_lost"]) == (8, 1)
     assert not summary["gain_rule_met"]
+
+
+def test_each_run_gets_a_fresh_bytecode_cache_outside_both_trees(monkeypatch, tmp_path):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir())))
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "correct": True, "attempted": 1,
+                  "failed": 0}
+        stdout = json.dumps({"environment": {}}) + "\n" + json.dumps(result) + "\n"
+        return types.SimpleNamespace(returncode=0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    for tree in trees + trees:
+        record = bench_record.run_once(tree, "large-n", 1)
+        assert record["metrics"]["wall_s"] == 1.0
+    caches = [cache for cache, _ in seen]
+    assert all(empty for _, empty in seen)
+    assert len(set(caches)) == len(caches) == 4
+    for cache in caches:
+        assert not cache.exists()
+        for tree in trees:
+            assert not cache.resolve().is_relative_to(tree.resolve())
+    assert "PYTHONPYCACHEPREFIX" not in os.environ

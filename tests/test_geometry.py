@@ -113,27 +113,27 @@ class TestInBallAtZero:
 class TestNonzeroCenterWitnesses:
     def test_half_projection(self):
         center = DensityOperator(0.5 * basis_projection(2, 0).entries)
-        (eps,), (pair,), (held,) = nonzero_center_witnesses([center])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([center])
         assert eps == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert pair == pytest.approx(1.4142135623730951, abs=1e-9)
         assert held
 
     def test_state_center(self):
         center = random_state(3, 3, RngStream(5))
-        (eps,), (pair,), (held,) = nonzero_center_witnesses([center])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([center])
         assert eps == pytest.approx(1.0, abs=1e-10)
         assert pair == pytest.approx(2.0, abs=1e-9)
         assert held
 
     def test_inner_distance(self):
         center = random_density(3, 2, 1.7, RngStream(6))
-        (eps,), _, _ = nonzero_center_witnesses([center])
+        (eps,), *_ = nonzero_center_witnesses([center])
         high = DensityOperator(4.0 * center.entries)
         assert bures_distance(center, high) == pytest.approx(eps, abs=1e-9)
         assert bures_distance(center, zero_density(3)) == pytest.approx(eps, abs=1e-9)
 
     def test_projection_pair_is_twice_the_radius(self):
-        (eps,), (pair,), (held,) = nonzero_center_witnesses([basis_projection(2, 0)])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([basis_projection(2, 0)])
         assert (eps, held) == (1.0, True)
         assert pair == pytest.approx(2.0, abs=1e-9)
 
@@ -163,7 +163,7 @@ class TestZeroCharacterization:
 
     def test_any_state_fails(self):
         rho = random_state(3, 2, RngStream(9))
-        (eps,), (pair,), (held,) = nonzero_center_witnesses([rho])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([rho])
         assert held and pair > SQRT2 * eps + 1e-9
 
 
@@ -260,7 +260,7 @@ class TestPostConditions:
 
     def test_nonzero_center_witnesses(self, monkeypatch):
         self._break(monkeypatch, "distances", 0)
-        _, _, held = nonzero_center_witnesses([random_state(3, 2, RngStream(27))])
+        *_, held = nonzero_center_witnesses([random_state(3, 2, RngStream(27))])
         assert not held.any()
 
     # one distance of one center read 1 too far, d(A, 0), d(A, 4A) or
@@ -277,17 +277,22 @@ class TestPostConditions:
             return out
 
         monkeypatch.setattr(qsm.geometry, "distances", broken)
-        _, _, held = nonzero_center_witnesses(centers)
+        *_, held = nonzero_center_witnesses(centers)
         assert held.tolist() == [i != center for i in range(3)]
 
     # each of lemma1's three diameters at samples = 3 makes three distances
     # calls (the analytic pair, one sample block, the in-ball check), so the
-    # tenth call is the first block of nonzero-center witnesses
+    # tenth call is the first block of nonzero-center witnesses; a failing
+    # report says by how much (every distance is 1 too far, less BALL_SLACK)
     @pytest.mark.parametrize("honest_calls,passed", [(9, False), (10, True)])
     def test_lemma1_reads_the_witness_mask(self, monkeypatch, honest_calls, passed):
         self._break(monkeypatch, "distances", honest_calls)
         report = run_suite("lemma1", [2], seed=28, samples=3, budget=0)[0]
         assert report.passed is passed
+        if passed:
+            assert report.max_violation == 0.0
+        else:
+            assert report.max_violation >= 0.5
 
 
 class TestUniquenessSearch:

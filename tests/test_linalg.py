@@ -1,5 +1,6 @@
 """Operator-model kernel tests: construction, the spectrum a DensityOperator
-caches, its square root, traces, trace norms and the PSD clamp.
+caches, its square root, traces, trace norms, their certified maximum and
+the PSD clamp.
 
 The absolute value and the positive/negative parts are checked through the
 clamp: T+ = clamp(T), T- = clamp(-T) and |T| = T+ + T-."""
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qsm.errors import NotPositiveSemidefinite
-from qsm.linalg import psd_clamp_entries, trace_norm_entries
+from qsm.linalg import _max_trace_norm, psd_clamp_entries, trace_norm_entries
 from qsm.metrics import _sqrt_entries
 from qsm.states import DensityOperator, zero_density
 
@@ -236,3 +237,56 @@ def test_trace_norm_entries_stack_matches_each_matrix():
         assert norms.shape == (7,)
         for arr, norm in zip(stack, norms):
             assert trace_norm_entries(arr) == norm
+
+
+class TestMaxTraceNorm:
+    """_max_trace_norm is max(floor, the largest trace_norm_entries) bit for
+    bit, whichever matrices its Frobenius bound skips."""
+
+    @staticmethod
+    def _check(stack, floors):
+        for floor in floors:
+            want = max(floor, float(trace_norm_entries(stack).max()))
+            assert _max_trace_norm(stack, floor) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48])
+    def test_random_stacks(self, n):
+        gen = np.random.default_rng(91 + n)
+        stack = np.array([random_hermitian(n, gen, s) for s in (1.0, 1e-3, 2.0, 0.5, 2.0)])
+        norms = np.sort(trace_norm_entries(stack))
+        between = [(lo + hi) / 2.0 for lo, hi in zip(norms, norms[1:])]
+        self._check(stack, [0.0, norms[0] / 2.0, *between, *norms, 1.5 * norms[-1]])
+
+    def test_largest_last(self):
+        gen = np.random.default_rng(92)
+        stack = np.array([random_hermitian(6, gen, s) for s in (1e-6, 1e-3, 0.1, 1.0)])
+        norms = trace_norm_entries(stack)
+        assert norms.argmax() == 3
+        self._check(stack, [0.0, norms[0], norms[2], (norms[2] + norms[3]) / 2.0, 2.0 * norms[3]])
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_bound_carries_sqrt_n(self, n):
+        # s*1 has trace norm n*s = sqrt(n) * ||s*1||_F, above 1.5 * ||s*1||_F
+        # from n = 3 on: a bound without sqrt(n) would skip it
+        s = 0.3
+        stack = s * np.eye(n, dtype=np.complex128)[None]
+        floor = 1.5 * np.sqrt(n) * s
+        assert _max_trace_norm(stack, floor) == trace_norm_entries(stack)[0] > floor
+
+    def test_zero_stack_is_not_decomposed(self, monkeypatch):
+        # a map recovered exactly (U = 1 for the identity and the transpose)
+        # leaves zero validation differences, whose bound 0 reaches floor 0
+        def decomposed(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", decomposed)
+        assert _max_trace_norm(np.zeros((3, 4, 4), dtype=np.complex128), 0.0) == 0.0
+
+    def test_bound_reads_the_lower_triangle(self):
+        # eigvalsh reads the flip from a matrix whose upper triangle is zero,
+        # as it reads a Hermitian U U* - 1 from its lower triangle: trace norm
+        # 2 against sqrt(2) * ||X||_F = sqrt(2) for the matrix as stored
+        stack = np.array([[[0.0, 0.0], [1.0, 0.0]]], dtype=np.complex128)
+        assert trace_norm_entries(stack)[0] == 2.0
+        assert _max_trace_norm(stack, 1.7) == 2.0
+        assert _max_trace_norm(stack.conj().swapaxes(1, 2), 1.7) == 1.7

@@ -16,6 +16,7 @@ from qsm.errors import (
 )
 from qsm.maps import (
     TOL_ACCEPT,
+    VALIDATION_SAMPLES,
     MapDomain,
     MapKind,
     StateMap,
@@ -361,6 +362,26 @@ class TestReconstruction:
         assert info.value.probe == "validation"
         assert TOL_ACCEPT < info.value.evidence["residual"] < 1e-5
 
+    def test_validation_decomposes_few_samples(self, monkeypatch):
+        """At n = 48 a validation block holds two states; once a residual is
+        found, the Frobenius certificate of _max_trace_norm proves most later
+        differences cannot exceed it, and eigvalsh never sees them."""
+        n = 48
+        hidden = unitary_conjugation(random_unitary(n, RngStream(44)))
+        recon = reconstruct_implementer(hidden, RngStream(45)).as_map()
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            matrices.append(len(a) if np.ndim(a) == 3 else 1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        gen = RngStream(46).generator()
+        residual = qsm.maps._validation_residual(hidden, recon, n, gen, VALIDATION_SAMPLES)
+        assert 0.0 < residual <= 1e-12
+        assert 0 < sum(matrices) < VALIDATION_SAMPLES / 2
+
 
 class TestRoundtrip:
     def test_unitary_roundtrip(self):
@@ -417,11 +438,11 @@ class TestRoundtrip:
         assert report.passed
         assert sum(built) == sum(handed) > 0
 
-    #: matrices the roundtrip below hands to np.linalg.eigh: the spectra it
-    #: reads (Bures fidelities, preservation ranks); sampled densities are
-    #: rank-checked from their Gram spectrum and the probe images certified
-    #: pure, so neither is decomposed
-    ROUNDTRIP_EIGH_MATRICES = 1400
+    #: matrices the roundtrip below hands to np.linalg.eigh: the spectra of
+    #: its Bures fidelities; sampled densities are rank-checked from their
+    #: Gram spectrum, preservation ranks counted from eigvalsh and the probe
+    #: images certified pure, so none of those is decomposed with vectors
+    ROUNDTRIP_EIGH_MATRICES = 1200
 
     def test_roundtrip_decomposes_block_spectra_together(self, monkeypatch):
         calls, matrices = [], []

@@ -43,7 +43,6 @@ from qsm.states import (
     _orthogonal_pairs,
     _projection,
     _sampled_stack,
-    _unitarity_defect,
     basis_projection,
     generator_of,
     random_unitary,
@@ -234,7 +233,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
             kind = MapKind.ANTIUNITARY_CONJ
 
     u = np.column_stack(assembled)
-    defect = _unitarity_defect(u)
+    defect = float(trace_norm_entries(u @ u.conj().T - np.eye(n)))
     if defect > 1e-10 * n:
         raise NotImplementable(
             f"assembled columns are not unitary (defect {defect:.3e})",
@@ -372,6 +371,21 @@ class OffBasisSwapOracle:
         return type(a)(self.u @ x @ self.u.conj().T)
 
 
+def _sharpened(u, delta=1e-5):
+    """rho -> U((1 - d) rho + d tr(rho) rho^2 / tr(rho^2)) U*: it fixes 0,
+    the trace and every pure probe, so only the validation rejects it (the
+    oracle of test_maps' test_sharpened_conjugation_rejected_at_validation)."""
+
+    def sharpen(a):
+        if a.trace == 0.0:
+            return a
+        square = a.entries @ a.entries
+        mixed = (1.0 - delta) * a.entries + delta * a.trace * square / np.trace(square).real
+        return DensityOperator(u @ mixed @ u.conj().T)
+
+    return sharpen
+
+
 def _map(name, n, domain):
     """The map under test and, for an oracle, the recorder behind it."""
     u = random_unitary(n, RngStream(99, n))
@@ -393,6 +407,8 @@ def _map(name, n, domain):
         return named_nonisometry("pinching", n, domain=domain), None
     if name == "depolarizing:0.5":
         return named_nonisometry("depolarizing", n, p=0.5, domain=domain), None
+    if name == "sharpened":
+        return oracle_map(_sharpened(u), n, domain), None
     if name == "off-basis-swap":
         recorder = RecordingOracle(n, domain)
         recorder.hidden = oracle_map(OffBasisSwapOracle(n), n, domain)
@@ -612,3 +628,19 @@ def test_rejection_matches_serial_loop(n, name, domain, lowered, monkeypatch):
     assert blocked == serial
     if name == "off-basis-swap":
         assert serial[2]["probe"] == "superposition:1"
+
+
+def test_sharpened_rejection_matches_serial_loop_at_large_n():
+    """At n = 48 the validation states come in blocks of two and the
+    Frobenius certificate leaves most of them undecomposed; the rejection
+    still reports the residual of the serial loop over every state."""
+    n = 48
+    assert _block_sizes(qsm.maps.VALIDATION_SAMPLES, n, 1)[0] == 2
+    serial, blocked = _run_both(
+        "sharpened", n, MapDomain.FULL_DENSITY,
+        lambda side, m, gen: (reconstruct_implementer if side
+                              else serial_reconstruct_implementer)(m, gen),
+    )
+    assert blocked == serial
+    assert serial[2]["probe"] == "validation"
+    assert TOL_ACCEPT < serial[2]["evidence"]["residual"] < 1e-5

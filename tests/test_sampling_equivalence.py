@@ -91,7 +91,7 @@ def serial_nonzero_center_witnesses(centers, log=None):
         z <= r + BALL_SLACK and h <= r + BALL_SLACK and abs(p - 2.0 * r) <= BALL_SLACK
         for r, z, h, p in zip(radii, to_zero, to_high, pair)
     ]
-    return np.array(radii), np.array(pair), np.array(held)
+    return np.array(radii), np.array(to_zero), np.array(to_high), np.array(pair), np.array(held)
 
 
 def serial_ortho_eq(dim, gen, samples, budget, tolerances, log):
@@ -194,7 +194,7 @@ def test_witnesses_match_serial(monkeypatch, dim, count, ranks):
     assert got_log == want_log
     for got_part, want_part in zip(got, want):
         assert np.array_equal(got_part, want_part)
-    assert got[2].all()
+    assert got[-1].all()
 
 
 @pytest.mark.usefixtures("block_cap")

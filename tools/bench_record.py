@@ -11,7 +11,9 @@ parent first in even pairs and the change first in odd ones.  Each run is
 ``python3 perfbench/run.py --workload W --seed S+i --trace 0`` in its own
 tree, as a child process, so it lasts the benchmark's own default run
 length; its first stdout line is the environment record and its last the
-result object.  A run's CPU time is the growth of
+result object.  Each run gets its own empty ``PYTHONPYCACHEPREFIX``
+directory, removed after it, so both trees import qsm from source alike,
+whatever bytecode either checkout holds.  A run's CPU time is the growth of
 ``resource.getrusage(RUSAGE_CHILDREN)`` (user + system) across it, so it
 includes the fresh set-up interpreters the benchmark starts and waits for.
 
@@ -30,10 +32,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -57,9 +61,12 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     and CPU time."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
-    before = _children_cpu_s()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
-    cpu_s = _children_cpu_s() - before
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        before = _children_cpu_s()
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                              check=False)
+        cpu_s = _children_cpu_s() - before
     lines = proc.stdout.strip().splitlines()
     try:
         if proc.returncode != 0:
