@@ -627,8 +627,8 @@ class RoundtripReport:
     dim: int
     kind_requested: MapKind
     kind_recovered: MapKind
-    bures_deviation: float
-    trace_deviation: float
+    #: the largest isometry deviation under each metric the roundtrip measured
+    deviations: dict[MetricKind, float]
     overlap: float
     residual: float
     validation_max: float
@@ -643,18 +643,22 @@ def isometry_roundtrip(
     pairs: int = 300,
     domain: MapDomain = MapDomain.FULL_DENSITY,
     preservation_samples: int = 100,
+    metrics: tuple[MetricKind, ...] = (MetricKind.BURES, MetricKind.TRACE_NORM),
+    isometry_tol: float = 1e-8,
 ) -> RoundtripReport:
     """Sample a Haar conjugation of the given kind, hand it to the checks,
-    which see it only through its evaluator, and verify: isometry under both
-    metrics, the preservation suite, and reconstruction of the kind and of
-    the induced map on fresh validation states."""
+    which see it only through its evaluator, and verify: isometry within
+    ``isometry_tol`` under each of ``metrics``, in that order, the
+    preservation suite, and reconstruction of the kind and of the induced
+    map on fresh validation states."""
     if not isinstance(kind, MapKind):
         raise InvalidParameter("roundtrip needs a conjugation kind")
     gen = generator_of(rng)
     u_true = random_unitary(n, gen)
     hidden = _conjugation(u_true, domain, kind)
-    bures_dev = check_isometry(hidden, MetricKind.BURES, gen, pairs).max_deviation
-    trace_dev = check_isometry(hidden, MetricKind.TRACE_NORM, gen, pairs).max_deviation
+    deviations = {
+        metric: check_isometry(hidden, metric, gen, pairs).max_deviation for metric in metrics
+    }
     preserved = preservation_suite(hidden, gen, samples=preservation_samples).all_preserved()
     recon = reconstruct_implementer(hidden, gen)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
@@ -664,8 +668,7 @@ def isometry_roundtrip(
     expected_kind = kind if n >= 2 else MapKind.UNITARY_CONJ
     passed = (
         recon.kind is expected_kind
-        and bures_dev <= 1e-8
-        and trace_dev <= 1e-8
+        and all(dev <= isometry_tol for dev in deviations.values())
         and overlap >= 1.0 - 1e-8
         and validation_max <= TOL_ACCEPT
         and preserved
@@ -674,8 +677,7 @@ def isometry_roundtrip(
         dim=n,
         kind_requested=kind,
         kind_recovered=recon.kind,
-        bures_deviation=bures_dev,
-        trace_deviation=trace_dev,
+        deviations=deviations,
         overlap=overlap,
         residual=recon.residual,
         validation_max=validation_max,

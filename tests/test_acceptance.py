@@ -207,8 +207,8 @@ def test_criterion_5_theorem_roundtrips():
         trip = isometry_roundtrip(
             kind, n, RngStream(105, k), pairs=300, domain=domain, preservation_samples=40
         )
-        worst_bures = max(worst_bures, trip.bures_deviation)
-        worst_trace = max(worst_trace, trip.trace_deviation)
+        worst_bures = max(worst_bures, trip.deviations[MetricKind.BURES])
+        worst_trace = max(worst_trace, trip.deviations[MetricKind.TRACE_NORM])
         worst_overlap = min(worst_overlap, trip.overlap)
         worst_residual = max(worst_residual, trip.validation_max)
         kinds_ok &= trip.kind_recovered is kind and trip.passed

@@ -1,6 +1,7 @@
 """CLI tests: commands, exit codes, determinism, the dimension cap."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qsm.maps
 import qsm.metrics
 from qsm.cli import main, parse_dims
 from qsm.serialize import canonical_dumps, matrix_to_json
@@ -182,6 +184,27 @@ class TestVerifyCommand:
     def test_bad_option_exits_2(self, runner, option):
         result = runner.invoke(main, ["verify", "lemma1", "--dims", "2", "--samples", "5"] + option)
         assert_usage_error(result)
+
+    # the roundtrip's isometry check reads a fixed deviation; --tol isometry
+    # decides the verdict in either direction
+    @pytest.mark.parametrize(
+        "deviation,tol",
+        [(1e-6, "1e-5"), (1e-9, "1e-10")],
+        ids=["loosen", "tighten"],
+    )
+    def test_tol_isometry_sets_the_roundtrip_tolerance(self, runner, monkeypatch, deviation, tol):
+        check = qsm.maps.check_isometry
+        monkeypatch.setattr(
+            qsm.maps,
+            "check_isometry",
+            lambda *args: dataclasses.replace(check(*args), max_deviation=deviation),
+        )
+        args = ["verify", "thm-bures-D", "--dims", "2", "--samples", "10"]
+        default = runner.invoke(main, args)
+        overridden = runner.invoke(main, args + ["--tol", f"isometry={tol}"])
+        assert default.exit_code == (1 if deviation > 1e-8 else 0)
+        assert overridden.exit_code == 1 - default.exit_code
+        assert json.loads(overridden.output)["config"]["tolerances"] == {"isometry": float(tol)}
 
     def test_dim_cap_enforced(self, runner, monkeypatch):
         monkeypatch.setenv("QSM_DIM_CAP", "3")

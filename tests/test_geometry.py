@@ -229,13 +229,15 @@ class TestPostConditions:
     """A broken bound raises NumericalBreakdown, also under python -O."""
 
     @staticmethod
-    def _break(monkeypatch, name, honest_calls):
-        # the first honest_calls calls are true, every later one reads 1 too far
+    def _break(monkeypatch, name, honest_calls, too_far=lambda d: d + 1.0):
+        # the first honest_calls calls are true, every later one reads too far
+        # (by default 1 too far)
         original, calls = getattr(qsm.geometry, name), []
 
         def broken(*args):
             calls.append(None)
-            return original(*args) + (len(calls) > honest_calls)
+            d = original(*args)
+            return too_far(d) if len(calls) > honest_calls else d
 
         monkeypatch.setattr(qsm.geometry, name, broken)
 
@@ -293,6 +295,14 @@ class TestPostConditions:
             assert report.max_violation == 0.0
         else:
             assert report.max_violation >= 0.5
+
+    def test_lemma1_holds_the_witness_to_ball_slack(self, monkeypatch):
+        # every nonzero-center distance 1e-6 relative too far: far below any
+        # loose slack, far above BALL_SLACK
+        self._break(monkeypatch, "distances", 9, too_far=lambda d: d * (1.0 + 1e-6))
+        report = run_suite("lemma1", [2], seed=28, samples=3, budget=0)[0]
+        assert report.passed is False
+        assert 0.0 < report.max_violation < 1e-5
 
 
 class TestUniquenessSearch:

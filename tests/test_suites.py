@@ -1,8 +1,13 @@
 """Suite-level tests: every verify id runs, reports are well formed and
 byte-deterministic."""
 
+import dataclasses
+
 import pytest
 
+import qsm.maps
+import qsm.suites
+from qsm.metrics import MetricKind
 from qsm.serialize import canonical_dumps
 from qsm.suites import SUITE_IDS, run_suite
 
@@ -60,3 +65,43 @@ def test_lemma1_report_carries_sharpness_witness():
     kinds = {w["kind"] for w in reports[0].witnesses}
     assert "ball-at-zero" in kinds
     assert "nonzero-center" in kinds
+
+
+THEOREMS = {
+    "thm-bures-D": MetricKind.BURES,
+    "thm-bures-S": MetricKind.BURES,
+    "thm-trace-D": MetricKind.TRACE_NORM,
+    "thm-trace-S": MetricKind.TRACE_NORM,
+}
+
+
+@pytest.mark.parametrize("suite", THEOREMS)
+def test_theorem_suite_measures_only_its_metric(suite, monkeypatch):
+    # two roundtrips and the control, each under the suite's metric alone
+    measured = []
+    for module in (qsm.maps, qsm.suites):
+        def counting(m, metric, *args, _check=module.check_isometry):
+            measured.append(metric)
+            return _check(m, metric, *args)
+
+        monkeypatch.setattr(module, "check_isometry", counting)
+    report = run_suite(suite, [2], seed=4, samples=10, budget=0)[0]
+    assert report.passed
+    assert measured == [THEOREMS[suite]] * 3
+
+
+@pytest.mark.parametrize("suite", THEOREMS)
+def test_theorem_suite_fails_when_its_control_does_not_deviate(suite, monkeypatch):
+    # the control is still rejected by the reconstruction; only its deviation,
+    # read below 1e-5, fails the report
+    check = qsm.suites.check_isometry
+    monkeypatch.setattr(
+        qsm.suites,
+        "check_isometry",
+        lambda *args: dataclasses.replace(check(*args), max_deviation=1e-6),
+    )
+    report = run_suite(suite, [2], seed=4, samples=10, budget=0)[0]
+    assert report.passed is False
+    control = report.witnesses[-1]
+    assert control["kind"] == "control-depolarizing"
+    assert control["deviation"] == 1e-6 and control["rejected"] is True
