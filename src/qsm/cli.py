@@ -32,7 +32,7 @@ from .maps import (
 from .metrics import _bures_entries, are_orthogonal, fidelity, trace_distance
 from .serialize import canonical_dumps, load_density, matrix_to_json
 from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
-from .suites import SUITE_IDS, TOLERANCE_NAMES, run_suite
+from .suites import CONTROL_DEVIATION, SUITE_IDS, TOLERANCE_NAMES, run_suite
 
 SCHEMA = "qsm-report/1"
 
@@ -89,6 +89,10 @@ def parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
             raise click.UsageError(f"--tol value for {name!r} is not a number") from exc
         if not (math.isfinite(number) and number > 0.0):
             raise click.UsageError(f"--tol {name} must be finite and positive, got {value!r}")
+        if name == "isometry" and number >= CONTROL_DEVIATION:
+            raise click.UsageError(
+                f"--tol isometry must be below the control bound {CONTROL_DEVIATION:g}"
+            )
         overrides[name] = number
     return overrides
 

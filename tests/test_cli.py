@@ -189,7 +189,7 @@ class TestVerifyCommand:
     # decides the verdict in either direction
     @pytest.mark.parametrize(
         "deviation,tol",
-        [(1e-6, "1e-5"), (1e-9, "1e-10")],
+        [(1e-6, "5e-6"), (1e-9, "1e-10")],
         ids=["loosen", "tighten"],
     )
     def test_tol_isometry_sets_the_roundtrip_tolerance(self, runner, monkeypatch, deviation, tol):
@@ -205,6 +205,19 @@ class TestVerifyCommand:
         assert default.exit_code == (1 if deviation > 1e-8 else 0)
         assert overridden.exit_code == 1 - default.exit_code
         assert json.loads(overridden.output)["config"]["tolerances"] == {"isometry": float(tol)}
+
+    # the control must deviate by CONTROL_DEVIATION, so an isometry tolerance
+    # there or above would count one deviation both ways
+    @pytest.mark.parametrize("tol", ["1e-5", "1e-4"])
+    def test_tol_isometry_at_or_above_the_control_bound_exits_2(self, runner, tol):
+        args = ["verify", "thm-bures-D", "--dims", "2", "--samples", "10"]
+        assert_usage_error(runner.invoke(main, args + ["--tol", f"isometry={tol}"]))
+
+    def test_tol_isometry_below_the_control_bound_is_accepted(self, runner):
+        args = ["verify", "thm-bures-D", "--dims", "2", "--samples", "10"]
+        result = runner.invoke(main, args + ["--tol", "isometry=9e-6"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["config"]["tolerances"] == {"isometry": 9e-6}
 
     def test_dim_cap_enforced(self, runner, monkeypatch):
         monkeypatch.setenv("QSM_DIM_CAP", "3")

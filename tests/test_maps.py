@@ -216,7 +216,6 @@ class TestPreservationSuite:
         u = random_unitary(3, RngStream(20))
         report = preservation_suite(antiunitary_conjugation(u, domain), RngStream(21), samples=60)
         assert report.all_preserved(1e-8)
-        assert report.orthogonal_pairs_max_product <= 1e-8
 
     def test_pinching_breaks_orthogonality_or_rank(self):
         report = preservation_suite(named_nonisometry("pinching", 2), RngStream(22), samples=60)
@@ -266,9 +265,13 @@ class TestReconstruction:
         assert rotated.residual == pytest.approx(base.residual, abs=1e-12)
         # identical induced maps even though the matrices may differ by phase
         probe = random_state(3, 2, RngStream(36))
+        induced = [
+            qsm.maps._conjugation(result.unitary, MapDomain.FULL_DENSITY, result.kind)
+            for result in (base, rotated)
+        ]
         assert np.allclose(
-            apply_map(base.as_map(), probe).entries,
-            apply_map(rotated.as_map(), probe).entries,
+            apply_map(induced[0], probe).entries,
+            apply_map(induced[1], probe).entries,
             atol=1e-10,
         )
 
@@ -342,6 +345,25 @@ class TestReconstruction:
             "residual": pytest.approx(trace_distance(shift, zero_density(2)))
         }
 
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_zero_shifted_conjugation_rejected_at_zero(self, n):
+        """rho -> U rho U* + d exp(-tr(rho)/tau) 1/n moves only 0 and operators
+        of tiny trace: the trace samples (traces >= 0.2) and the trace-1
+        probes and validation states see a shift below 1e-80.  Only the
+        zero check sees 0 sent to d/n times the identity, at trace distance
+        d = 5e-8 from 0; a zero tolerance far above d would accept it."""
+        delta, tau = 5e-8, 1e-3
+        u = random_unitary(n, RngStream(n))
+
+        def shifted(a):
+            shift = delta * np.exp(-a.trace / tau) * np.eye(n) / n
+            return DensityOperator(u @ a.entries @ u.conj().T + shift)
+
+        with pytest.raises(NotImplementable) as info:
+            reconstruct_implementer(oracle_map(shifted, n), RngStream(2))
+        assert info.value.probe == "zero"
+        assert info.value.evidence == {"residual": delta}
+
     def test_sharpened_conjugation_rejected_at_validation(self):
         """rho -> U((1 - d) rho + d tr(rho) rho^2 / tr(rho^2)) U* fixes 0, the
         trace, the rank, orthogonality and every pure probe.  At d = 1e-5 only
@@ -368,7 +390,7 @@ class TestReconstruction:
         differences cannot exceed it, and eigvalsh never sees them."""
         n = 48
         hidden = unitary_conjugation(random_unitary(n, RngStream(44)))
-        recon = reconstruct_implementer(hidden, RngStream(45)).as_map()
+        recon = reconstruct_implementer(hidden, RngStream(45))
         matrices = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -378,9 +400,62 @@ class TestReconstruction:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         gen = RngStream(46).generator()
-        residual = qsm.maps._validation_residual(hidden, recon, n, gen, VALIDATION_SAMPLES)
+        residual = qsm.maps._validation_residual(
+            hidden, recon.unitary, recon.kind, n, gen, VALIDATION_SAMPLES
+        )
         assert 0.0 < residual <= 1e-12
         assert 0 < sum(matrices) < VALIDATION_SAMPLES / 2
+
+    @pytest.mark.parametrize("oracle", ["conjugation", "depolarizing"])
+    @pytest.mark.parametrize("domain", [MapDomain.FULL_DENSITY, MapDomain.STATES_ONLY])
+    @pytest.mark.parametrize("kind", [MapKind.UNITARY_CONJ, MapKind.ANTIUNITARY_CONJ])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 48])
+    def test_validation_residual_matches_built_images(self, n, kind, domain, oracle):
+        """The validation conjugates the states' entries and symmetrizes
+        them, building no operator; its residual is bit for bit the one of
+        images built as operators of the oracle's domain."""
+        u = random_unitary(n, RngStream(60, n))
+        if oracle == "conjugation":
+            m = qsm.maps._conjugation(u, domain, kind)
+        else:
+            m = named_nonisometry("depolarizing", n, p=0.3, domain=domain)
+        gens = [RngStream(61, n).generator() for _ in range(2)]
+        got = qsm.maps._validation_residual(m, u, kind, n, gens[0], VALIDATION_SAMPLES)
+        want = 0.0
+        for count in qsm.linalg._blocks(VALIDATION_SAMPLES, n, 1):
+            states = qsm.maps._sample_block(n, gens[1], MapDomain.STATES_ONLY, count)
+            arr = qsm.states._stacked(states)
+            conjugated = u @ (arr.conj() if kind is MapKind.ANTIUNITARY_CONJ else arr) @ u.conj().T
+            images = qsm.maps._domain_type(domain).from_stack(conjugated)
+            diff = qsm.states._stacked(qsm.maps._map_block(m, states)) - qsm.states._stacked(images)
+            want = qsm.linalg._max_trace_norm(diff, want)
+        assert got == want
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        if oracle == "conjugation" or n == 1:
+            # at n = 1 depolarizing fixes every state
+            assert got <= 1e-12
+        else:
+            assert got > TOL_ACCEPT
+
+    def test_haar_reconstruction_builds_only_samples_and_oracle_images(self, monkeypatch):
+        """At n = 64 a Haar reconstruction hands cholesky (the PSD floor of
+        every construction) the zero operator, 25 trace samples, 128 probes
+        and 100 validation states, and the oracle's image of each: 508
+        matrices.  The recovered conjugation's images are not built."""
+        n = 64
+        oracle = unitary_conjugation(random_unitary(n, RngStream(5, 999)))
+        matrices = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            matrices.append(len(a) if np.ndim(a) == 3 else 1)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        result = reconstruct_implementer(oracle, RngStream(5, 7))
+        assert result.residual <= 1e-12
+        inputs = 1 + 25 + qsm.maps.probe_count(n) + VALIDATION_SAMPLES
+        assert sum(matrices) == 2 * inputs == 508
 
 
 class TestRoundtrip:
