@@ -18,7 +18,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .errors import NotImplementable, QsmError
+from .errors import InvalidParameter, NotImplementable, QsmError
 from .maps import (
     PHASE_CONVENTION,
     VALIDATION_SAMPLES,
@@ -29,10 +29,10 @@ from .maps import (
     statemap_from_json,
     unitary_conjugation,
 )
-from .metrics import _bures_entries, are_orthogonal, fidelity, trace_distance
+from .metrics import _bures_and_fidelities, are_orthogonal, trace_distance
 from .serialize import canonical_dumps, load_density, matrix_to_json
 from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
-from .suites import CONTROL_DEVIATION, SUITE_IDS, TOLERANCE_NAMES, run_suite
+from .suites import SUITE_IDS, TOLERANCE_NAMES, check_tolerances, run_suite
 
 SCHEMA = "qsm-report/1"
 
@@ -89,11 +89,11 @@ def parse_tolerances(entries: tuple[str, ...]) -> dict[str, float]:
             raise click.UsageError(f"--tol value for {name!r} is not a number") from exc
         if not (math.isfinite(number) and number > 0.0):
             raise click.UsageError(f"--tol {name} must be finite and positive, got {value!r}")
-        if name == "isometry" and number >= CONTROL_DEVIATION:
-            raise click.UsageError(
-                f"--tol isometry must be below the control bound {CONTROL_DEVIATION:g}"
-            )
         overrides[name] = number
+    try:
+        check_tolerances(overrides)
+    except InvalidParameter as exc:
+        raise click.UsageError(f"--tol {exc}") from exc
     return overrides
 
 
@@ -127,7 +127,7 @@ def cmd_metric(file_a, file_b, which, output_path):
         raise click.UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim > dim_cap():
         raise click.UsageError(f"dimension {a.dim} exceeds cap {dim_cap()}")
-    fid = fidelity(a, b)
+    bures, fid = (float(v[0]) for v in _bures_and_fidelities([a], [b]))
     payload = {
         "schema": SCHEMA,
         "command": "metric",
@@ -138,8 +138,7 @@ def cmd_metric(file_a, file_b, which, output_path):
         "orthogonal": are_orthogonal(a, b),
     }
     if which in ("both", "bures"):
-        # bures_distance(a, b), from the fidelity already computed
-        payload["bures_distance"] = float(_bures_entries(a.eigenvalues, b.eigenvalues, fid, a.dim))
+        payload["bures_distance"] = bures
     if which in ("both", "trace-norm"):
         payload["trace_distance"] = trace_distance(a, b)
     _emit(payload, output_path)
@@ -191,7 +190,9 @@ _BUILTIN_HELP = "identity | transpose | haar | depolarizing:<p> | pinching | tra
 
 
 def _builtin_map(spec_text: str, dim: int, seed: int):
-    name, _, arg = spec_text.partition(":")
+    name, sep, arg = spec_text.partition(":")
+    if sep and name in ("identity", "transpose", "haar", "pinching"):
+        raise click.UsageError(f"builtin {name!r} takes no parameter, got {spec_text!r}")
     eye = np.eye(dim, dtype=np.complex128)
     if name == "identity":
         return unitary_conjugation(eye)

@@ -29,8 +29,9 @@ from .metrics import (
 from .states import (
     DensityOperator,
     RngStream,
-    _fill_spectra,
+    _ranks,
     _sampled_stack,
+    _spectra,
     _stacked,
     generator_of,
     zero_density,
@@ -218,7 +219,7 @@ def pinch_configuration(
     mean spectral weight, which keeps eps (and every tolerance scaled by it)
     well above roundoff; the largest eigenvalue always qualifies.
     """
-    lam = center.eigenvalues
+    (lam,), (vec,) = center.spectrum()
     tr = center.trace
     floor = max(1e-10 * (1.0 + tr), tr / (2.0 * center.dim))
     eligible = np.flatnonzero(lam > floor)
@@ -227,8 +228,7 @@ def pinch_configuration(
     gen = generator_of(rng)
     k = int(eligible[int(gen.integers(eligible.size))])
     eps = float(lam[k]) / 2.0
-    vec = center.eigenvectors[:, k]
-    projection = DensityOperator(np.outer(vec, vec.conj()))
+    projection = DensityOperator(np.outer(vec[:, k], vec[:, k].conj()))
     upper = DensityOperator(center.entries + eps * projection.entries)
     lower = DensityOperator(center.entries - eps * projection.entries)
     if (
@@ -395,10 +395,8 @@ def orthocomplement_pool(
     as all ranks, then all traces (in [0.5, 1.5]), then one Wishart stack."""
     gen = generator_of(rng)
     n = center.dim
-    pool = []
-    for k in range(n):
-        vec = center.eigenvectors[:, k]
-        pool.append(DensityOperator(np.outer(vec, vec.conj())))
+    (vec,) = center.spectrum()[1]
+    pool = [DensityOperator(np.outer(vec[:, k], vec[:, k].conj())) for k in range(n)]
     count = _POOL_RANDOMS_PER_DIM * n
     ranks = gen.integers(1, n + 1, size=count)
     return pool + _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
@@ -421,8 +419,8 @@ def double_orthocomplement_rank(
         raise InvalidPool("orthocomplement pool must be nonempty")
     perp = [p for p in pool if are_orthogonal(center, p, tol)]
     perp_perp = [p for p in pool if all(are_orthogonal(p, q, tol) for q in perp)]
-    _fill_spectra(perp_perp)
-    order = sorted(range(len(perp_perp)), key=lambda i: (perp_perp[i].rank(), i))
+    ranks = _ranks(_spectra(perp_perp)[0], _stacked(perp_perp, "trace"))
+    order = sorted(range(len(perp_perp)), key=lambda i: (ranks[i], i))
     family: list[DensityOperator] = []
     for i in order:
         candidate = perp_perp[i]

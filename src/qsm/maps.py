@@ -59,11 +59,11 @@ from .states import (
     DensityOperator,
     QuantumState,
     RngStream,
-    _fill_spectra,
     _orthogonal_pairs,
     _projection,
     _ranks,
     _sampled_stack,
+    _spectra,
     _stacked,
     _unitarity_defect,
     basis_projection,
@@ -139,19 +139,19 @@ def _conjugate(u: np.ndarray, kind: MapKind, arr: np.ndarray) -> np.ndarray:
     return u @ arr @ u.conj().T
 
 
-def _conjugation(u, domain: MapDomain, kind: MapKind) -> StateMap:
-    u = _checked_unitary(u)
+def _conjugation(u: np.ndarray, domain: MapDomain, kind: MapKind) -> StateMap:
+    """The conjugation of ``kind`` by ``u``, a unitary its caller has checked."""
     return _stack_map(u.shape[0], domain, lambda arr: _conjugate(u, kind, arr))
 
 
 def unitary_conjugation(u, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
     """The map A -> U A U*."""
-    return _conjugation(u, domain, MapKind.UNITARY_CONJ)
+    return _conjugation(_checked_unitary(u), domain, MapKind.UNITARY_CONJ)
 
 
 def antiunitary_conjugation(u, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
     """The map A -> U conj(A) U*, conj taken in the computational basis."""
-    return _conjugation(u, domain, MapKind.ANTIUNITARY_CONJ)
+    return _conjugation(_checked_unitary(u), domain, MapKind.ANTIUNITARY_CONJ)
 
 
 def oracle_map(
@@ -251,12 +251,6 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
     return _map_block(m, [a])[0]
 
 
-@dataclass(frozen=True)
-class IsometryReport:
-    pairs_tested: int
-    max_deviation: float
-
-
 def _groups(ops: list, count: int) -> list[list]:
     """Consecutive runs of ``count`` items."""
     return [ops[i:i + count] for i in range(0, len(ops), count)]
@@ -276,7 +270,7 @@ def check_isometry(
     metric: MetricKind,
     rng: RngStream | np.random.Generator,
     pairs: int,
-) -> IsometryReport:
+) -> float:
     """Max |d(phi(A), phi(B)) - d(A, B)| over sampled pairs from the map's
     domain.  A block of k pairs draws 2k operators and pairs the first k
     with the last k."""
@@ -290,7 +284,7 @@ def check_isometry(
         fa, fb = _groups(_map_block(m, ops), count)
         deviation = np.abs(distances(metric, fa, fb) - distances(metric, a, b))
         worst = max(worst, float(deviation.max()))
-    return IsometryReport(pairs, worst)
+    return worst
 
 
 def _zero_residual(m: StateMap, metric: MetricKind) -> float:
@@ -487,20 +481,21 @@ def _probe_vectors(oracle: StateMap, n: int):
         start += count
         images = _map_block(oracle, list(probes))
         vecs, certified = _pure_columns(_stacked(images))
-        _fill_spectra([image for image, ok in zip(images, certified) if not ok])
-        for label, image, vec, ok in zip(labels, images, vecs, certified):
+        spectra = zip(*_spectra([image for image, ok in zip(images, certified) if not ok]))
+        for label, vec, ok in zip(labels, vecs, certified):
             if ok:
                 yield vec
                 continue
-            defect = float(image.eigenvalues[-2]) if n >= 2 else 0.0
+            lam, eigenvectors = next(spectra)
+            defect = float(lam[-2]) if n >= 2 else 0.0
             if defect > _PURITY_TOL:
                 raise NotImplementable(
                     f"probe {label} has purity defect {defect:.3e} > {_PURITY_TOL:.1e}",
                     purity_defect=defect,
                     probe=label,
                 )
-            # a copy, so the column does not keep the n x n eigenvectors alive
-            yield image.eigenvectors[:, -1].copy()
+            # a copy, so the column does not keep the block's eigenvectors alive
+            yield eigenvectors[:, -1].copy()
 
 
 def _validation_residual(
@@ -642,11 +637,10 @@ def isometry_roundtrip(
     if not isinstance(kind, MapKind):
         raise InvalidParameter("roundtrip needs a conjugation kind")
     gen = generator_of(rng)
+    # random_unitary has held u_true to the unitarity bound already
     u_true = random_unitary(n, gen)
     hidden = _conjugation(u_true, domain, kind)
-    deviations = {
-        metric: check_isometry(hidden, metric, gen, pairs).max_deviation for metric in metrics
-    }
+    deviations = {metric: check_isometry(hidden, metric, gen, pairs) for metric in metrics}
     preserved = preservation_suite(hidden, gen, samples=preservation_samples).all_preserved()
     recon = reconstruct_implementer(hidden, gen)
     overlap = abs(np.trace(recon.unitary.conj().T @ u_true)) / n
@@ -687,7 +681,7 @@ def statemap_from_json(obj: dict, domain: MapDomain = MapDomain.FULL_DENSITY) ->
         u = matrix_from_json(obj["U"])
         if u.shape[0] != dim:
             raise InvalidParameter(f"map dim {dim} disagrees with U of size {u.shape[0]}")
-        return _conjugation(u, domain, MapKind(kind))
+        return _conjugation(_checked_unitary(u), domain, MapKind(kind))
     if kind == "named":
         params = obj.get("params")
         name = params.get("id") if isinstance(params, dict) else None

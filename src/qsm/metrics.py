@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 from .linalg import _spectral_rebuild, trace_norm_entries
-from .states import DensityOperator, _fill_spectra, _stacked
+from . import states
+from .states import DensityOperator, _stacked
 
 #: default relative tolerance for orthogonality of PSD operators.
 ORTHOGONALITY_TOL = 1e-8
@@ -108,21 +109,35 @@ def are_orthogonal(
     return bool(orthogonality([x], [y], tol)[1][0])
 
 
-def _stacks(xs, ys, attr: str = "entries") -> tuple[np.ndarray, np.ndarray]:
-    """One attribute of two equally long operator lists of one dimension, as
-    two views of one stack (``_stacked`` checks the dimension)."""
+def _halves(xs, ys, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``both``, one per operator of [*xs, *ys], as the views of
+    xs and of ys; the two lists must be equally long."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} operators paired with {len(ys)}")
-    both = _stacked([*xs, *ys], attr)
     return both[:len(xs)], both[len(xs):]
 
 
+def _stacks(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of two equally long operator lists of one dimension, as
+    two views of one stack (``_stacked`` checks the dimension)."""
+    return _halves(xs, ys, _stacked([*xs, *ys]))
+
+
 def _spectra(xs, ys) -> tuple[np.ndarray, ...]:
-    """``lam_x, vec_x, lam_y, vec_y``: the spectra of two lists as _stacks,
-    after those of both not yet computed are computed as one stack."""
-    _fill_spectra([*xs, *ys])
-    (lam_x, lam_y), (vec_x, vec_y) = _stacks(xs, ys, "eigenvalues"), _stacks(xs, ys, "eigenvectors")
+    """``lam_x, vec_x, lam_y, vec_y``: the spectra of two lists, decomposed
+    as one stack (``states._spectra``: an operator on both sides is
+    decomposed once)."""
+    lam, vec = states._spectra([*xs, *ys])
+    (lam_x, lam_y), (vec_x, vec_y) = _halves(xs, ys, lam), _halves(xs, ys, vec)
     return lam_x, vec_x, lam_y, vec_y
+
+
+def _bures_and_fidelities(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Bures distance and fidelity of each pair (xs[i], ys[i]), both from one
+    decomposition of the spectra."""
+    lam_x, vec_x, lam_y, vec_y = _spectra(xs, ys)
+    fid = _fidelities(lam_x, vec_x, lam_y, vec_y)
+    return _bures_entries(lam_x, lam_y, fid, lam_x.shape[-1]), fid
 
 
 def orthogonality(xs, ys, tol: float = ORTHOGONALITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +151,7 @@ def distances(kind: MetricKind, xs, ys) -> np.ndarray:
     """distance(kind, xs[i], ys[i]) for each pair, batched; distance is its
     k = 1 case."""
     if kind is MetricKind.BURES:
-        lam_x, vec_x, lam_y, vec_y = _spectra(xs, ys)
-        return _bures_entries(lam_x, lam_y, _fidelities(lam_x, vec_x, lam_y, vec_y), lam_x.shape[-1])
+        return _bures_and_fidelities(xs, ys)[0]
     if kind is MetricKind.TRACE_NORM:
         x, y = _stacks(xs, ys)
         return trace_norm_entries(x - y)

@@ -1,5 +1,9 @@
 """Density operators, quantum states, and reproducible sampling.
 
+An operator is a value, its symmetrized entries and its trace; a spectrum is
+decomposed where it is read (``spectrum()``, or ``_spectra`` for a list, as
+one stack), and no operator keeps one.
+
 Random draws go through RngStream, a value type (seed, stream_index): the
 same stream always yields the same operators, and concurrent experiments use
 disjoint stream indices rather than a shared mutable generator.
@@ -49,23 +53,23 @@ DEFAULT_DIM_CAP = 64
 class DensityOperator:
     """Positive semidefinite Hermitian operator (finite, not trace-normalized).
 
-    Construction symmetrizes via (A + A*)/2, so at most one triangle of the
-    input is authoritative, keeps the symmetrized matrix as ``entries`` and
-    caches the trace.  The PSD floor is checked without a decomposition, by a
-    Cholesky factorization of A + 1e-9*(1+trace)*I; an operator with an
-    eigenvalue below -1e-9*(1+trace) raises NotPositiveSemidefinite.  The
-    spectrum, eigenvalues clamped to max(lambda, 0), is computed only when a
-    caller needs it and then cached.  Code that reads the spectra of a block
-    of operators first computes the missing ones as one stacked ``eigh``
-    (``_fill_spectra``); a lone first read of ``eigenvalues``,
-    ``eigenvectors`` or ``rank()`` is the stack of one.  The checks that
-    only need a spectral fact do without the spectrum: a sampled density's
-    rank is counted on its Gram spectrum (``_wishart``) and a probe image's
-    purity is certified from one column (qsm.maps).  ``from_stack`` builds a
-    whole ``(k, n, n)`` stack with the construction checks, batched.
+    An operator is a value: its symmetrized entries and its trace, nothing
+    else.  Construction symmetrizes via (A + A*)/2, so at most one triangle
+    of the input is authoritative, keeps the symmetrized matrix as read-only
+    ``entries`` and the trace.  The PSD floor is checked without a
+    decomposition, by a Cholesky factorization of A + 1e-9*(1+trace)*I; an
+    operator with an eigenvalue below -1e-9*(1+trace) raises
+    NotPositiveSemidefinite.  The spectrum, eigenvalues clamped to
+    max(lambda, 0), is not stored: each ``spectrum()`` call decomposes it,
+    and code that reads the spectra of a list decomposes them as one stack
+    (``_spectra``).  The checks that only need a spectral fact do without
+    it: a sampled density's rank is counted on its Gram spectrum
+    (``_wishart``) and a probe image's purity is certified from one column
+    (qsm.maps).  ``from_stack`` builds a whole ``(k, n, n)`` stack with the
+    construction checks, batched.
     """
 
-    __slots__ = ("entries", "_eigenvalues", "_eigenvectors", "_trace")
+    __slots__ = ("entries", "_trace")
 
     #: whether construction also holds the trace to 1 (QuantumState)
     _UNIT_TRACE = False
@@ -128,29 +132,16 @@ class DensityOperator:
 
     def _fill(self, entries, trace: float) -> None:
         self.entries = entries
-        self._eigenvalues = None
-        self._eigenvectors = None
         self._trace = trace
 
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (clamped to max(lambda, 0)) and eigenvectors, read-only;
-        computed on the first call as a stack of one, cached for the later
-        ones."""
-        if self._eigenvalues is None:
-            _fill_spectra([self])
-        return self._eigenvalues, self._eigenvectors
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_spectra`` of this operator alone: eigenvalues ``(1, n)`` and
+        eigenvectors ``(1, n, n)``."""
+        return _spectra([self])
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._spectrum()[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._spectrum()[1]
 
     @property
     def trace(self) -> float:
@@ -158,7 +149,7 @@ class DensityOperator:
 
     def rank(self) -> int:
         """Number of eigenvalues above RANK_TOL*(1+trace)."""
-        return int(_ranks(self.eigenvalues, self._trace))
+        return int(_ranks(self.spectrum()[0], self._trace)[0])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -188,22 +179,19 @@ def _stacked(ops, attr: str = "entries") -> np.ndarray:
         raise DimensionMismatch(f"operator dims {sorted({op.dim for op in ops})} differ") from None
 
 
-def _fill_spectra(ops) -> None:
-    """Compute and cache the spectrum of each operator of ``ops`` (all of one
-    dimension) that has none yet, by one ``eigh`` of their stacked entries
-    (an operator listed twice is stacked once); eigenvalues are clamped to
-    max(lambda, 0) and each operator keeps its read-only rows.  A stacked
-    ``eigh`` runs the same LAPACK routine on each matrix, so every row is bit
-    for bit the spectrum of that matrix alone."""
-    todo = [op for op in dict.fromkeys(ops) if op._eigenvalues is None]
-    if not todo:
-        return
-    lam, vec = np.linalg.eigh(_stacked(todo))
-    lam = np.maximum(lam, 0.0)
-    for a in (lam, vec):
-        a.setflags(write=False)
-    for op, lam_i, vec_i in zip(todo, lam, vec):
-        op._eigenvalues, op._eigenvectors = lam_i, vec_i
+def _spectra(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``(k, n)``, clamped to max(lambda, 0), and eigenvectors
+    ``(k, n, n)`` of the k operators of ``ops`` (all of one dimension), in
+    list order, from one ``eigh`` of their stacked entries; an operator listed
+    more than once is stacked once.  A stacked ``eigh`` runs the same LAPACK
+    routine on each matrix, so every row is bit for bit the spectrum of that
+    matrix alone.  An empty list decomposes nothing."""
+    if not ops:
+        return np.empty((0, 0)), np.empty((0, 0, 0), dtype=np.complex128)
+    index = {op: i for i, op in enumerate(dict.fromkeys(ops))}
+    lam, vec = np.linalg.eigh(_stacked(list(index)))
+    rows = [index[op] for op in ops]
+    return np.maximum(lam[rows], 0.0), vec[rows]
 
 
 @dataclass(frozen=True)

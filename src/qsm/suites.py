@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NotImplementable
+from .errors import InvalidParameter, NotImplementable
 from .geometry import (
     BALL_SLACK,
     bures_ball_diameter,
@@ -57,6 +57,13 @@ TOLERANCE_NAMES = ("separation", "slack", "orthogonality", "isometry")
 #: isometry tolerance must stay below it, or one deviation could count both as
 #: an isometry and as a non-isometry.
 CONTROL_DEVIATION = 1e-5
+
+
+def check_tolerances(tolerances: dict) -> None:
+    """Raise InvalidParameter unless the isometry tolerance, if given, is
+    below CONTROL_DEVIATION."""
+    if not tolerances.get("isometry", 0.0) < CONTROL_DEVIATION:
+        raise InvalidParameter(f"isometry must be below the control bound {CONTROL_DEVIATION:g}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ def _theorem(metric, domain, dim, gen, samples, budget, tolerances):
         )
     if dim >= 2:
         control = named_nonisometry("depolarizing", dim, p=0.5, domain=domain)
-        control_dev = check_isometry(control, metric, gen, max(10, samples)).max_deviation
+        control_dev = check_isometry(control, metric, gen, max(10, samples))
         passed &= control_dev >= CONTROL_DEVIATION
         try:
             reconstruct_implementer(control, gen)
@@ -338,6 +345,7 @@ def run_suite(
         raise ValueError(f"unknown suite id {suite!r}")
     base = 1000 * (SUITE_IDS.index(suite) + 1)
     tolerances = tolerances or {}
+    check_tolerances(tolerances)
     reports = []
     for dim in sorted(dims):
         gen = RngStream(seed, base + dim).generator()

@@ -233,8 +233,8 @@ def test_criterion_5_theorem_roundtrips():
 def test_criterion_6_negative_controls():
     gen = RngStream(106).generator()
     depol2 = named_nonisometry("depolarizing", 2, p=0.5)
-    dev_trace = check_isometry(depol2, MetricKind.TRACE_NORM, gen, 1000).max_deviation
-    dev_bures = check_isometry(depol2, MetricKind.BURES, gen, 1000).max_deviation
+    dev_trace = check_isometry(depol2, MetricKind.TRACE_NORM, gen, 1000)
+    dev_bures = check_isometry(depol2, MetricKind.BURES, gen, 1000)
     deviation_ok = dev_trace >= 0.5 and dev_bures >= 0.5
 
     depol3 = named_nonisometry("depolarizing", 3, p=0.5)

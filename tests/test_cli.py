@@ -1,7 +1,6 @@
 """CLI tests: commands, exit codes, determinism, the dimension cap."""
 
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -15,9 +14,10 @@ from click.testing import CliRunner
 import qsm.maps
 import qsm.metrics
 from qsm.cli import main, parse_dims
+from qsm.errors import InvalidParameter
 from qsm.serialize import canonical_dumps, matrix_to_json
 from qsm.states import RngStream
-from qsm.suites import SUITE_IDS
+from qsm.suites import SUITE_IDS, run_suite
 
 
 @pytest.fixture()
@@ -193,12 +193,7 @@ class TestVerifyCommand:
         ids=["loosen", "tighten"],
     )
     def test_tol_isometry_sets_the_roundtrip_tolerance(self, runner, monkeypatch, deviation, tol):
-        check = qsm.maps.check_isometry
-        monkeypatch.setattr(
-            qsm.maps,
-            "check_isometry",
-            lambda *args: dataclasses.replace(check(*args), max_deviation=deviation),
-        )
+        monkeypatch.setattr(qsm.maps, "check_isometry", lambda *args: deviation)
         args = ["verify", "thm-bures-D", "--dims", "2", "--samples", "10"]
         default = runner.invoke(main, args)
         overridden = runner.invoke(main, args + ["--tol", f"isometry={tol}"])
@@ -218,6 +213,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, args + ["--tol", "isometry=9e-6"])
         assert result.exit_code == 0
         assert json.loads(result.output)["config"]["tolerances"] == {"isometry": 9e-6}
+
+    # the library holds the same bound, before any dimension runs
+    @pytest.mark.parametrize("tol", [1e-5, 1e-4, float("nan")])
+    def test_run_suite_rejects_isometry_tolerance_at_or_above_the_control_bound(self, tol):
+        with pytest.raises(InvalidParameter, match="control bound 1e-05"):
+            run_suite("thm-bures-D", [2], 0, 10, 10, {"isometry": tol})
 
     def test_dim_cap_enforced(self, runner, monkeypatch):
         monkeypatch.setenv("QSM_DIM_CAP", "3")
@@ -263,8 +264,13 @@ class TestReconstructCommand:
             ["--builtin", "depolarizing:abc"],
             ["--builtin", "identity", "--seed", "-1"],
             ["--builtin", "trace-rescale:inf"],
+            ["--builtin", "identity:junk"],
+            ["--builtin", "transpose:0.3"],
+            ["--builtin", "haar:x"],
+            ["--builtin", "pinching:7"],
         ],
-        ids=["depolarizing-2", "depolarizing-abc", "seed-negative", "trace-rescale-inf"],
+        ids=["depolarizing-2", "depolarizing-abc", "seed-negative", "trace-rescale-inf",
+             "identity-arg", "transpose-arg", "haar-arg", "pinching-arg"],
     )
     def test_bad_builtin_or_seed_exits_2(self, runner, args):
         assert_usage_error(runner.invoke(main, ["reconstruct", "--dim", "2"] + args))

@@ -68,15 +68,11 @@ class TestFidelity:
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_dimension_mismatch_in_a_batch(self, kind):
-        # across the two lists and within one, before and after the
-        # spectra are cached
+        # across the two lists and within one
         a, b, c = zero_density(2), zero_density(2), zero_density(3)
-        for _ in range(2):
-            for xs, ys in (([a], [c]), ([a, c], [b, c])):
-                with pytest.raises(DimensionMismatch):
-                    distances(kind, xs, ys)
-            for op in (a, b, c):
-                op.eigenvalues
+        for xs, ys in (([a], [c]), ([a, c], [b, c])):
+            with pytest.raises(DimensionMismatch):
+                distances(kind, xs, ys)
 
 
 class TestBures:

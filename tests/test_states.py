@@ -14,11 +14,12 @@ from qsm.states import (
     DensityOperator,
     QuantumState,
     RngStream,
-    _fill_spectra,
     _ginibre,
     _orthogonal_pairs,
     _projection,
+    _ranks,
     _sampled_stack,
+    _spectra,
     basis_projection,
     random_density,
     random_state,
@@ -30,7 +31,7 @@ from qsm.states import (
 class TestDensityOperator:
     def test_clamps_tiny_negative_eigenvalues(self):
         op = DensityOperator(np.diag([1.0, -1e-12]))
-        assert op.eigenvalues[0] == 0.0
+        assert op.spectrum()[0][0, 0] == 0.0
         assert op.trace >= 0.0
 
     def test_rejects_clearly_negative(self):
@@ -61,8 +62,8 @@ class TestFromStack:
     def _assert_same(stacked, single):
         assert type(stacked) is type(single)
         assert np.array_equal(stacked.entries, single.entries)
-        assert np.array_equal(stacked.eigenvalues, single.eigenvalues)
-        assert np.array_equal(stacked.eigenvectors, single.eigenvectors)
+        for got, want in zip(stacked.spectrum(), single.spectrum()):
+            assert np.array_equal(got, want)
         assert stacked.trace == single.trace == float(np.trace(single.entries).real)
 
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
@@ -78,7 +79,7 @@ class TestFromStack:
         if n > 1:
             clamped = [np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0] < 0.0 for m in mats]
             assert any(clamped)
-            assert ops[-1].eigenvalues[0] == 0.0
+            assert ops[-1].spectrum()[0][0, 0] == 0.0
 
     def test_single_matrix_stack(self):
         mat = _wishart(3, 2, np.random.default_rng(1))
@@ -143,31 +144,9 @@ def _with_lowest(n, c, gen):
     return (a + a.conj().T) / 2.0
 
 
-class TestLazySpectrum:
-    """Construction checks the PSD floor without eigh; the spectrum is
-    decomposed once, on first read."""
-
-    READS = {
-        "eigenvalues": lambda op: op.eigenvalues,
-        "eigenvectors": lambda op: op.eigenvectors,
-        "rank": lambda op: op.rank(),
-    }
-
-    @pytest.mark.parametrize("first", READS)
-    def test_one_eigh_on_first_read(self, eigh_calls, first):
-        gen = np.random.default_rng(3)
-        mats = [_wishart(4, 2, gen), _with_lowest(4, 0.5, gen)]
-        ops = [QuantumState(mats[0]), DensityOperator(mats[1])]
-        ops += DensityOperator.from_stack(np.stack(mats))
-        assert eigh_calls == []
-        for i, op in enumerate(ops, start=1):
-            self.READS[first](op)
-            assert len(eigh_calls) == i
-            for read in self.READS.values():
-                read(op)
-            assert len(eigh_calls) == i
-            assert not op.eigenvalues.flags.writeable
-            assert not op.eigenvectors.flags.writeable
+class TestConstruction:
+    """Construction checks the PSD floor without eigh and keeps the
+    symmetrized entries."""
 
     def test_entries_are_the_symmetrized_input(self):
         gen = np.random.default_rng(4)
@@ -182,7 +161,7 @@ class TestLazySpectrum:
     def test_psd_floor(self, n):
         gen = np.random.default_rng(n)
         op = DensityOperator(_with_lowest(n, 0.5, gen))
-        assert op.eigenvalues[0] == 0.0
+        assert op.spectrum()[0][0, 0] == 0.0
         below = _with_lowest(n, 2.0, gen)
         lowest = float(np.linalg.eigvalsh(below)[0])
         tol = PSD_TOL * (1.0 + float(np.trace(below).real))
@@ -201,8 +180,8 @@ class TestLazySpectrum:
         assert distances(MetricKind.BURES, [op, op], [op, op]).tolist() == [0.0, 0.0]
 
 
-class TestFillSpectra:
-    """The batched fill against a per-matrix eigh and clamp."""
+class TestSpectra:
+    """_spectra and spectrum() against a per-matrix eigh and clamp."""
 
     @staticmethod
     def _stack(cls, n, gen):
@@ -223,29 +202,51 @@ class TestFillSpectra:
             lam, vec = np.linalg.eigh(op.entries)
             expected.append((np.maximum(lam, 0.0), vec))
         eigh_calls.clear()
-        _fill_spectra(ops)
+        lam, vec = _spectra(ops)
         assert eigh_calls == [(len(ops), n, n)]
-        for op, (lam, vec) in zip(ops, expected):
-            assert np.array_equal(op.eigenvalues, lam)
-            assert np.array_equal(op.eigenvectors, vec)
-            assert not op.eigenvalues.flags.writeable
-            assert not op.eigenvectors.flags.writeable
+        assert lam.shape == (len(ops), n) and vec.shape == (len(ops), n, n)
+        for i, (op, (lam_i, vec_i)) in enumerate(zip(ops, expected)):
+            assert np.array_equal(lam[i], lam_i)
+            assert np.array_equal(vec[i], vec_i)
+            one_lam, one_vec = op.spectrum()
+            assert np.array_equal(one_lam, lam_i[None])
+            assert np.array_equal(one_vec, vec_i[None])
+        assert len(eigh_calls) == 1 + len(ops)
         if n > 1:
-            assert ops[-1].eigenvalues[0] == 0.0
+            assert lam[-1, 0] == 0.0
 
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
-    def test_decomposes_each_operator_once(self, eigh_calls, cls):
+    def test_repeated_operator_decomposed_once(self, eigh_calls, cls):
         ops = self._stack(cls, 5, np.random.default_rng(20))
-        first = ops[0].eigenvalues
-        assert len(eigh_calls) == 1
-        _fill_spectra([ops[0], ops[1], ops[1], *ops[2:], ops[2]])
-        assert eigh_calls[1:] == [(len(ops) - 1, 5, 5)]
-        assert ops[0].eigenvalues is first
-        _fill_spectra(ops + ops)
-        for op in ops:
-            for read in TestLazySpectrum.READS.values():
-                read(op)
-        assert len(eigh_calls) == 2
+        want_lam, want_vec = _spectra(ops)
+        rows = [0, 1, 1, *range(2, len(ops)), 2, 0]
+        eigh_calls.clear()
+        lam, vec = _spectra([ops[i] for i in rows])
+        assert eigh_calls == [(len(ops), 5, 5)]
+        assert np.array_equal(lam, want_lam[rows])
+        assert np.array_equal(vec, want_vec[rows])
+
+    def test_every_read_decomposes(self, eigh_calls):
+        op = DensityOperator(_wishart(4, 2, np.random.default_rng(21)))
+        assert eigh_calls == []
+        op.spectrum()
+        op.spectrum()
+        op.rank()
+        assert eigh_calls == [(1, 4, 4)] * 3
+
+    def test_empty_list_decomposes_nothing(self, eigh_calls):
+        lam, vec = _spectra([])
+        assert eigh_calls == []
+        assert lam.shape == (0, 0) and vec.shape == (0, 0, 0)
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_rank_agrees_with_ranks(self, cls, n):
+        ops = self._stack(cls, n, np.random.default_rng(30 + n))
+        lam, _ = _spectra(ops)
+        ranks = _ranks(lam, [op.trace for op in ops])
+        assert [op.rank() for op in ops] == ranks.tolist()
+        assert len(set(ranks.tolist())) == n
 
 
 class TestPureState:
@@ -276,7 +277,7 @@ class TestPureState:
             assert proj.trace == pytest.approx(1.0, abs=1e-12)
             idem = proj.entries @ proj.entries - proj.entries
             assert np.max(np.abs(idem)) <= 1e-10
-            assert proj.eigenvalues[-2] <= 1e-10
+            assert proj.spectrum()[0][0, -2] <= 1e-10
 
 
 class TestRngStream:
@@ -325,7 +326,7 @@ class TestRandomDensity:
 
     def test_prescribed_rank_and_trace(self):
         op = random_density(4, 2, 5.0, RngStream(3))
-        assert int(np.count_nonzero(op.eigenvalues > 1e-10 * 5.0)) == 2
+        assert int(np.count_nonzero(op.spectrum()[0] > 1e-10 * 5.0)) == 2
         assert op.trace == pytest.approx(5.0, abs=1e-12)
 
     def test_rank_validation(self):
@@ -350,7 +351,7 @@ class TestRandomDensity:
                 rank = int(gen.integers(1, n + 1))
                 target = float(gen.uniform(0.1, 3.0))
                 op = random_density(n, rank, target, gen)
-                assert op.eigenvalues[0] >= 0.0
+                assert op.spectrum()[0][0, 0] >= 0.0
                 assert op.trace == pytest.approx(target, abs=1e-12 * max(1.0, target))
 
     def test_rank_one_scaled_is_projection(self):
@@ -408,7 +409,7 @@ class TestStackedSamplers:
             want = DensityOperator(a * (1.7 / float(np.trace(a).real)))
             got = random_density(n, rank, 1.7, stream)
             assert np.array_equal(got.entries, want.entries)
-            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.spectrum()[0], want.spectrum()[0])
             want = QuantumState(a * (1.0 / float(np.trace(a).real)))
             assert np.array_equal(random_state(n, rank, stream).entries, want.entries)
 
@@ -425,7 +426,7 @@ class TestStackedSamplers:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 64])
     def test_target_traces_decompose_nothing(self, eigh_calls, n):
         """Ranks are checked on the Gram spectrum, so sampling with target
-        traces hands no matrix to eigh, and the spectra stay uncomputed."""
+        traces hands no matrix to eigh."""
         gen = RngStream(24, n).generator()
         ops = [random_density(n, n, 1.3, gen)]
         ops += _sampled_stack(DensityOperator, n, gen, gen.integers(1, n + 1, size=4),
@@ -434,7 +435,6 @@ class TestStackedSamplers:
             for pairs in _orthogonal_pairs(QuantumState, n, gen, np.ones(3), np.ones(3)):
                 ops += pairs
         assert eigh_calls == []
-        assert all(op._eigenvalues is None for op in ops)
 
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 64])
