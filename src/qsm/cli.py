@@ -22,12 +22,13 @@ from .errors import InvalidParameter, NotImplementable, QsmError
 from .maps import (
     PHASE_CONVENTION,
     VALIDATION_SAMPLES,
-    antiunitary_conjugation,
+    MapDomain,
+    MapKind,
+    _conjugation,
     named_nonisometry,
     probe_count,
     reconstruct_implementer,
     statemap_from_json,
-    unitary_conjugation,
 )
 from .metrics import _bures_and_fidelities, are_orthogonal, trace_distance
 from .serialize import canonical_dumps, load_density, matrix_to_json
@@ -150,7 +151,8 @@ def cmd_metric(file_a, file_b, which, output_path):
               help="Dimensions, e.g. '1,2,4' or '2..6'.")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--samples", default=200, show_default=True, type=int,
-              help="Pairs per check (pinch configurations per dim for lemma3).")
+              help="Pairs per check (lemma3: max(2, samples // 10) pinch "
+                   "configurations per dim).")
 @click.option("--budget", default=2000, show_default=True, type=click.IntRange(min=1),
               help="Proposals per uniqueness search.")
 @click.option("--tol", "tol_entries", multiple=True, metavar="NAME=VALUE",
@@ -193,13 +195,16 @@ def _builtin_map(spec_text: str, dim: int, seed: int):
     name, sep, arg = spec_text.partition(":")
     if sep and name in ("identity", "transpose", "haar", "pinching"):
         raise click.UsageError(f"builtin {name!r} takes no parameter, got {spec_text!r}")
+    # qsm builds these unitaries itself (random_unitary holds its sample's
+    # defect), so they skip the check a map file's U gets
     eye = np.eye(dim, dtype=np.complex128)
+    full = MapDomain.FULL_DENSITY
     if name == "identity":
-        return unitary_conjugation(eye)
+        return _conjugation(eye, full, MapKind.UNITARY_CONJ)
     if name == "transpose":
-        return antiunitary_conjugation(eye)
+        return _conjugation(eye, full, MapKind.ANTIUNITARY_CONJ)
     if name == "haar":
-        return unitary_conjugation(random_unitary(dim, RngStream(seed, 999)))
+        return _conjugation(random_unitary(dim, RngStream(seed, 999)), full, MapKind.UNITARY_CONJ)
     if name == "depolarizing":
         return named_nonisometry(name, dim, p=float(arg) if arg else 0.5)
     if name == "pinching":

@@ -254,11 +254,11 @@ def intersection_uniqueness_search(
 
     Proposals perturb the center by random Hermitian directions clamped back
     to the PSD cone, with the scale annealed geometrically (x0.9 per 100
-    rejections from 0.1*epsilon), mixed with convex moves toward the midpoint
-    of the two ball centers (balls are convex, so those are feasible whenever
-    the midpoint is — this is what lets the search certify *strict*
-    containment when the center is 0).  The best feasible candidate by
-    separation is kept; the first one wins a tie.
+    rejections from 0.1*epsilon, applied between blocks), mixed with convex
+    moves toward the midpoint of the two ball centers (balls are convex, so
+    those are feasible whenever the midpoint is — this is what lets the
+    search certify *strict* containment when the center is 0).  The best
+    feasible candidate by separation is kept; the first one wins a tie.
 
     slack defaults to a roundoff-level allowance.  Any looser slack s fattens
     the one-point intersection into a tube of width sqrt(2*epsilon*s) along
@@ -297,13 +297,14 @@ def intersection_uniqueness_search(
     never read, so the result is the one the full evaluation of every
     proposal would give.
 
-    A block holds at most 100 - rejections % 100 proposals, so the 100th
-    rejection that shrinks the scale can only be the block's last proposal,
-    and every proposal sees the scale a one-at-a-time evaluation of the same
-    draws would give it.  Blocks are also capped at _BLOCK_ENTRIES // n^2
-    proposals to bound memory at large n.  The block sizes fix the draw
-    order, so the result is a function of _BLOCK, _BLOCK_ENTRIES and the
-    generator; batched decompositions and trace norms equal the
+    Every block holds min(left, _BLOCK, max(1, _BLOCK_ENTRIES // n^2))
+    proposals (the entry cap bounds memory at large n), all at the scale
+    the block starts with.  The scale is annealed after the block: x0.9
+    once if the block's rejections reached the next multiple of 100, which
+    a block of at most 100 proposals crosses at most once.  The final scale
+    is therefore 0.1*epsilon*0.9^(rejections // 100).  The block sizes fix
+    the draw order, so the result is a function of _BLOCK, _BLOCK_ENTRIES
+    and the generator; batched decompositions and trace norms equal the
     single-matrix ones bit for bit.
     """
     if budget < 1:
@@ -330,7 +331,7 @@ def intersection_uniqueness_search(
     left = int(budget)
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (n * n)))
     while left:
-        k = min(left, cap, _BLOCK - rejections % _BLOCK)
+        k = min(left, cap)
         left -= k
         moves = gen.uniform(size=k) < 0.2
         t = gen.uniform(size=int(np.count_nonzero(moves)))[:, None, None]
@@ -366,9 +367,10 @@ def intersection_uniqueness_search(
             excess = np.maximum(norm_x, trace_norm_entries(y_e - block[live])) - epsilon
             inside = ~(excess > slack)
             live, excess = live[inside], excess[inside]
-        rejected_here = k - live.size
-        rejections += rejected_here
-        if rejected_here and rejections % _BLOCK == 0:
+        # a block of at most _BLOCK proposals crosses at most one step
+        steps = rejections // _BLOCK
+        rejections += k - live.size
+        if rejections // _BLOCK > steps:
             scale *= 0.9
         # (5) separation of the feasible proposals, the ones still live
         if live.size:

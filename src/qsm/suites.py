@@ -139,9 +139,12 @@ def _lemma3(dim, gen, samples, budget, tolerances):
     """Trace-norm characterization of 0: midpoint witnesses, strict
     containment at center 0, and uniqueness of pinch-ball intersections.
 
-    Each dimension runs samples/10 pinch configurations (minimum 2) plus the
+    Each dimension runs max(2, samples // 10) pinch configurations plus the
     same number of midpoint checks; the default CLI settings therefore cover
-    about a hundred configurations across the default dimension grid."""
+    about a hundred configurations across the default dimension grid.  At
+    dim >= 2 the first three midpoint pairs (at most) also run a
+    strict-containment search around 0 of min(2000, max(budget, 500))
+    proposals."""
     separation_factor = tolerances.get("separation", 1e-5)
     slack = tolerances.get("slack")
     witnesses = []
@@ -166,6 +169,9 @@ def _lemma3(dim, gen, samples, budget, tolerances):
                             "kind": "strict-containment",
                             "radius": eps,
                             "separation": control.separation_from_center,
+                            "proposals": control.proposals,
+                            "rejections": control.rejections,
+                            "final_scale": control.final_scale,
                         }
                     )
     for k in range(configs):

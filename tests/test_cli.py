@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import qsm.maps
 import qsm.metrics
+import qsm.states
 from qsm.cli import main, parse_dims
 from qsm.errors import InvalidParameter
 from qsm.serialize import canonical_dumps, matrix_to_json
@@ -330,6 +331,22 @@ class TestReconstructCommand:
             main, ["reconstruct", "--builtin", "identity", "--map-file", "x.json"]
         )
         assert result.exit_code == 2
+
+    def test_builtin_haar_unitary_is_checked_once(self, runner, monkeypatch):
+        # the Haar sample and the assembled reconstruction; the builtin map
+        # reuses the sample's check
+        shapes = []
+        defect = qsm.states._unitarity_defect
+
+        def counting(u, floor):
+            shapes.append(np.shape(u))
+            return defect(u, floor)
+
+        monkeypatch.setattr(qsm.states, "_unitarity_defect", counting)
+        monkeypatch.setattr(qsm.maps, "_unitarity_defect", counting)
+        result = runner.invoke(main, ["reconstruct", "--builtin", "haar", "--dim", "4"])
+        assert result.exit_code == 0
+        assert shapes == [(1, 4, 4), (4, 4)]
 
     def test_determinism(self, runner, tmp_path):
         args = ["reconstruct", "--builtin", "haar", "--dim", "4", "--seed", "3"]

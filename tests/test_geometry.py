@@ -367,6 +367,39 @@ class TestUniquenessSearch:
         # only the perturbations that pass both trace bounds
         assert matrices["eigh"] < gen.perturbations / 10
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_loose_slack_tube_is_found(self, dim, seed):
+        """A slack of 1e-3 * eps widens the one-point intersection into a
+        tube of width ~sqrt(2e-3) * eps; the search must report it as a
+        uniqueness violation, as lemma3 would with --tol slack=."""
+        gen = RngStream(seed, dim).generator()
+        center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+        pinch = pinch_configuration(center, gen)
+        result = intersection_uniqueness_search(
+            pinch.upper, pinch.lower, center, pinch.epsilon, gen, 10000,
+            slack=1e-3 * pinch.epsilon,
+        )
+        assert result.separation_from_center / pinch.epsilon > 1e-5
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    @pytest.mark.parametrize("zero_center", [False, True])
+    def test_final_scale_anneals_once_per_hundred_rejections(self, dim, zero_center):
+        gen = RngStream(16, dim).generator()
+        if zero_center:
+            upper, lower = basis_projection(dim, 0), basis_projection(dim, 1)
+            center, eps = zero_density(dim), 1.0
+        else:
+            center = random_state(dim, dim, gen)
+            pinch = pinch_configuration(center, gen)
+            upper, lower, eps = pinch.upper, pinch.lower, pinch.epsilon
+        result = intersection_uniqueness_search(upper, lower, center, eps, gen, 2345)
+        assert result.rejections >= 100
+        scale = 0.1 * eps
+        for _ in range(result.rejections // 100):
+            scale *= 0.9
+        assert result.final_scale == scale
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_empty_budget_rejected(self, budget):
         # a search that makes no proposal would certify uniqueness vacuously

@@ -21,8 +21,9 @@ def _serial_psd_clamp_entries(arr):
 def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     """Reference oracle: each block is drawn as the library draws it (block
     sizes, uniforms, convex weights, one normal stack), then its proposals
-    are evaluated one at a time with the single-matrix clamp, the annealing
-    scale updated after every rejection."""
+    are evaluated one at a time with the single-matrix clamp, all at the
+    block's scale.  After the block the scale shrinks by 0.9 once if the
+    block's rejections reached the next multiple of 100."""
     n = center.dim
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
     if slack is None:
@@ -46,11 +47,12 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     left = int(budget)
     cap = max(1, min(100, _BLOCK_ENTRIES // (n * n)))
     while left:
-        k = min(left, cap, 100 - rejections % 100)
+        k = min(left, cap)
         left -= k
         moves = gen.uniform(size=k) < 0.2
         weights = iter(gen.uniform(size=int(np.count_nonzero(moves))))
         normals = iter(gen.standard_normal((k - int(np.count_nonzero(moves)), 2, n, n)))
+        rejected_before = rejections
         for move in moves:
             if move:
                 t = next(weights)
@@ -62,12 +64,12 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
             excess = ball_excess(candidate)
             if excess > slack:
                 rejections += 1
-                if rejections % 100 == 0:
-                    scale *= 0.9
                 continue
             sep = dist(candidate, a_e)
             if sep > best_sep:
                 best, best_sep, best_excess = candidate, sep, excess
+        if rejections // 100 > rejected_before // 100:
+            scale *= 0.9
     return DensityOperator(best), best_sep, max(0.0, best_excess), rejections, scale
 
 
