@@ -240,6 +240,15 @@ def pinch_configuration(
     return PinchConfiguration(eps, projection, upper, lower)
 
 
+def _roundoff_slack(x: DensityOperator, y: DensityOperator, epsilon: float) -> float:
+    """Default slack on membership in the radius-epsilon trace-norm balls
+    around x and y: max(1e-12 * epsilon, 64 * n * eps_mach * (1 + tr x +
+    tr y)), the roundoff of n x n trace norms of entries of that size."""
+    return max(
+        1e-12 * epsilon, 64.0 * x.dim * np.finfo(np.float64).eps * (1.0 + x.trace + y.trace)
+    )
+
+
 def intersection_uniqueness_search(
     upper: DensityOperator,
     lower: DensityOperator,
@@ -260,11 +269,12 @@ def intersection_uniqueness_search(
     search certify *strict* containment when the center is 0).  The best
     feasible candidate by separation is kept; the first one wins a tie.
 
-    slack defaults to a roundoff-level allowance.  Any looser slack s fattens
-    the one-point intersection into a tube of width sqrt(2*epsilon*s) along
-    the couplings to the pinched eigenvector (||eps*P +- delta||_1 grows only
-    quadratically in those directions), which the search will find and report
-    as a spurious uniqueness violation.
+    slack defaults to a roundoff-level allowance (_roundoff_slack).  Any
+    looser slack s fattens the one-point intersection into a tube of width
+    sqrt(2*epsilon*s) along the couplings to the pinched eigenvector
+    (||eps*P +- delta||_1 grows only quadratically in those directions),
+    which the search will find and report as a spurious uniqueness
+    violation.
 
     Proposals are drawn and evaluated in blocks.  A block of k proposals
     draws k uniforms (a proposal with one below 0.2 is a convex move), then
@@ -314,10 +324,7 @@ def intersection_uniqueness_search(
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
     tr_x, tr_y = upper.trace, lower.trace
     if slack is None:
-        slack = max(
-            1e-12 * epsilon,
-            64.0 * n * np.finfo(np.float64).eps * (1.0 + tr_x + tr_y),
-        )
+        slack = _roundoff_slack(upper, lower, epsilon)
     mid = 0.5 * (x_e + y_e)
     reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsm.geometry import _TRACE_MARGIN
+from qsm.geometry import _TRACE_MARGIN, _roundoff_slack, midpoint_witness
 from qsm.linalg import psd_clamp_entries, trace_norm_entries
 from qsm.errors import NumericalBreakdown
 from qsm.maps import (
@@ -292,6 +292,21 @@ def test_orthogonal_pair_ranks_from_the_gram_spectrum(n, seed, log_trace, states
     ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
     for x, y, rx, ry in zip(xs, ys, ranks_x, ranks_y):
         assert (_eigh_rank(x.entries, trace), _eigh_rank(y.entries, trace)) == (rx, ry)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=64), seed=seeds, log_eps=st.floats(-3.0, 1.0))
+def test_midpoint_witness_within_the_roundoff_slack(n, seed, log_eps):
+    """The midpoint of an orthogonal pair of trace eps (every split of n and
+    every rank on each side) has trace eps at roundoff and lies on both
+    radius-eps spheres within 1/16 of the default search slack, the bound
+    lemma3 holds it to (measured worst about 1/230)."""
+    eps = 10.0**log_eps
+    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, RngStream(seed).generator(), [eps], [eps])
+    z = midpoint_witness(x, y)
+    assert abs(z.trace - eps) <= 4.0 * n * np.finfo(np.float64).eps * eps
+    residual = np.abs(distances(MetricKind.TRACE_NORM, [x, y], [z, z]) - eps).max()
+    assert residual <= _roundoff_slack(x, y, eps) / 16.0
 
 
 def _probe_image(n, seed, delta, rank):

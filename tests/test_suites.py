@@ -1,12 +1,16 @@
 """Suite-level tests: every verify id runs, reports are well formed and
 byte-deterministic."""
 
+from collections import Counter
+
 import pytest
 
 import qsm.maps
 import qsm.suites
+from qsm.geometry import ZERO_TRACE
 from qsm.metrics import MetricKind
 from qsm.serialize import canonical_dumps
+from qsm.states import RngStream
 from qsm.suites import SUITE_IDS, run_suite
 
 SMALL = {
@@ -63,6 +67,43 @@ def test_lemma1_report_carries_sharpness_witness():
     kinds = {w["kind"] for w in reports[0].witnesses}
     assert "ball-at-zero" in kinds
     assert "nonzero-center" in kinds
+
+
+def test_lemma3_runs_no_zero_center_search(monkeypatch):
+    # strict containment at 0 rests on the midpoint witness alone; the only
+    # searches are the pinch searches, one per configuration
+    centers = []
+
+    def counting(*args, _search=qsm.suites.intersection_uniqueness_search, **kwargs):
+        centers.append(args[2])
+        return _search(*args, **kwargs)
+
+    monkeypatch.setattr(qsm.suites, "intersection_uniqueness_search", counting)
+    reports = run_suite("lemma3", [2, 3, 4], 0, 20, 800)
+    assert Counter(c.dim for c in centers) == {dim: max(2, 20 // 10) for dim in (2, 3, 4)}
+    assert all(c.trace > ZERO_TRACE for c in centers)
+    for report in reports:
+        (witness,) = [w for w in report.witnesses if w["kind"] == "strict-containment"]
+        assert set(witness) == {"kind", "radius", "separation", "ball_violation"}
+
+
+def test_lemma3_holds_the_midpoint_to_the_roundoff_slack(monkeypatch):
+    # the midpoint read 1e-11 beyond eps from X: within BALL_SLACK = 1e-9,
+    # which midpoint_witness checks, but above the default slack, which at
+    # n = 2 is max(1e-12 * eps, ~1e-13) <= 1.5e-12 for eps in [0.5, 1.5]
+    def shifted(kind, xs, ys, _distances=qsm.suites.distances):
+        return _distances(kind, xs, ys) + [1e-11, 0.0]
+
+    monkeypatch.setattr(qsm.suites, "distances", shifted)
+
+    def lemma3(tolerances):
+        return qsm.suites._lemma3(2, RngStream(0, 2002).generator(), 20, 200, tolerances)
+
+    passed, witnesses, _, _ = lemma3({})
+    assert passed is False
+    assert witnesses[0]["kind"] == "strict-containment"
+    assert witnesses[0]["ball_violation"] == pytest.approx(1e-11, rel=1e-3)
+    assert lemma3({"slack": 1e-6})[0] is True
 
 
 THEOREMS = {
