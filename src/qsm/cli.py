@@ -30,7 +30,7 @@ from .maps import (
     reconstruct_implementer,
     statemap_from_json,
 )
-from .metrics import _bures_and_fidelities, are_orthogonal, trace_distance
+from .metrics import _bures_and_fidelities, _pair, are_orthogonal, trace_distance
 from .serialize import canonical_dumps, load_density, matrix_to_json
 from .states import DEFAULT_DIM_CAP, RngStream, random_unitary
 from .suites import SUITE_IDS, TOLERANCE_NAMES, check_tolerances, run_suite
@@ -128,7 +128,7 @@ def cmd_metric(file_a, file_b, which, output_path):
         raise click.UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim > dim_cap():
         raise click.UsageError(f"dimension {a.dim} exceeds cap {dim_cap()}")
-    bures, fid = (float(v[0]) for v in _bures_and_fidelities([a], [b]))
+    bures, fid = (float(v[0]) for v in _bures_and_fidelities(*_pair(a, b)))
     payload = {
         "schema": SCHEMA,
         "command": "metric",

@@ -26,16 +26,7 @@ from .metrics import (
     distances,
     trace_distance,
 )
-from .states import (
-    DensityOperator,
-    RngStream,
-    _ranks,
-    _sampled_stack,
-    _spectra,
-    _stacked,
-    generator_of,
-    zero_density,
-)
+from .states import DensityOperator, RngStream, _sampled_stack, _traces, generator_of
 
 #: additive tolerance on ball membership and witness distances.
 BALL_SLACK = 1e-9
@@ -90,21 +81,19 @@ class PinchConfiguration:
     lower: DensityOperator
 
 
-def _in_ball_at_zero(
-    n: int, radius: float, gen: np.random.Generator, count: int
-) -> list[DensityOperator]:
-    """``count`` draws from the Bures ball around 0, where membership is the
-    trace condition tr X <= radius^2: all target traces, uniform in
-    [0, radius^2], then all ranks, then one Wishart stack of the operators
-    whose target is above ZERO_TRACE.  A target at or below ZERO_TRACE draws
-    the zero operator.  Every draw lies in the ball exactly, without
-    rejection."""
+def _in_ball_at_zero(n: int, radius: float, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Entry stack of ``count`` draws from the Bures ball around 0, where
+    membership is the trace condition tr X <= radius^2: all target traces,
+    uniform in [0, radius^2], then all ranks, then one Wishart stack of the
+    operators whose target is above ZERO_TRACE.  A target at or below
+    ZERO_TRACE draws the zero operator.  Every draw lies in the ball exactly,
+    without rejection."""
     targets = gen.uniform(0.0, 1.0, size=count) * radius * radius
     ranks = gen.integers(1, n + 1, size=count)
     live = targets > ZERO_TRACE
-    drawn = iter(_sampled_stack(DensityOperator, n, gen, ranks[live], targets[live]))
-    zero = zero_density(n)
-    return [next(drawn) if keep else zero for keep in live]
+    arr = np.zeros((count, n, n), dtype=np.complex128)
+    arr[live] = _sampled_stack(DensityOperator, n, gen, ranks[live], targets[live])
+    return arr
 
 
 def bures_ball_diameter(
@@ -133,17 +122,15 @@ def bures_ball_diameter(
     if not radius > 0.0:
         raise ValueError("ball radius must be positive")
     gen = generator_of(rng)
-    center = zero_density(dim)
 
     def pair_blocks():
-        first, second = np.zeros((2, dim, dim), dtype=np.complex128)
-        first[0, 0] = radius * radius
+        analytic = np.zeros((2, dim, dim), dtype=np.complex128)
+        analytic[0, 0, 0] = radius * radius
         if dim >= 2:
-            second[1, 1] = radius * radius
-        yield [DensityOperator(first)], [DensityOperator(second)]
+            analytic[1, 1, 1] = radius * radius
+        yield np.split(DensityOperator._validated(analytic), 2)
         for count in _blocks(samples, dim, 2):
-            ops = _in_ball_at_zero(dim, radius, gen, 2 * count)
-            yield ops[:count], ops[count:]
+            yield np.split(_in_ball_at_zero(dim, radius, gen, 2 * count), 2)
 
     bound = (np.sqrt(2.0) * radius if dim >= 2 else radius) + BALL_SLACK
     best = -1.0
@@ -155,34 +142,40 @@ def bures_ball_diameter(
             )
         i = int(np.argmax(d))
         if d[i] > best:
-            best, best_pair = float(d[i]), (xs[i], ys[i])
-    in_ball = distances(MetricKind.BURES, list(best_pair), [center, center])
+            best, best_pair = float(d[i]), np.array([xs[i], ys[i]])
+    in_ball = distances(MetricKind.BURES, best_pair, np.zeros_like(best_pair))
     if (in_ball > radius + BALL_SLACK).any():
         raise NumericalBreakdown("a witness fell outside its Bures ball")
-    return DiameterEstimate(best, best_pair)
+    return DiameterEstimate(best, tuple(DensityOperator._wrapped(best_pair)))
 
 
 def nonzero_center_witnesses(
-    centers: list[DensityOperator],
+    centers: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lemma 1's side for nonzero centers: the pair (0, 4A) lies in the Bures
     ball of radius sqrt(tr A) around A at distance 2 * sqrt(tr A), above the
     sqrt(2) * radius that every ball around 0 obeys.
 
-    Returns the radii sqrt(tr A), the distances d(A, 0), d(A, 4A) and
+    ``centers`` is the entry stack of the centers A.  Returns the radii
+    sqrt(tr A), the distances d(A, 0), d(A, 4A) and
     d(0, 4A), and the mask of the witnesses that held: d(A, 0) and d(A, 4A)
     within the radius and d(0, 4A) within BALL_SLACK of twice the radius.
     The 3k distances of the k centers, in that order, are one batched call.
     A center with trace at or below ZERO_TRACE raises ZeroCenter.
     """
-    traces = _stacked(centers, "trace")
+    traces = _traces(centers)
     if (traces <= ZERO_TRACE).any():
         raise ZeroCenter(f"witness construction needs tr(center) > {ZERO_TRACE}")
     radii = np.sqrt(traces)
-    zeros = [zero_density(centers[0].dim)] * len(centers)
-    highs = DensityOperator.from_stack(4.0 * _stacked(centers))
+    zeros = np.zeros_like(centers)
+    highs = DensityOperator._validated(4.0 * centers)
     to_zero, to_high, pair = np.split(
-        distances(MetricKind.BURES, [*centers, *centers, *zeros], [*zeros, *highs, *highs]), 3
+        distances(
+            MetricKind.BURES,
+            np.concatenate([centers, centers, zeros]),
+            np.concatenate([zeros, highs, highs]),
+        ),
+        3,
     )
     held = (
         (to_zero <= radii + BALL_SLACK)
@@ -192,9 +185,13 @@ def nonzero_center_witnesses(
     return radii, to_zero, to_high, pair, held
 
 
-def midpoint_witness(x: DensityOperator, y: DensityOperator) -> DensityOperator:
-    """Midpoint (X+Y)/2 of an antipodal pair: for ||X||_1 = ||Y||_1 = eps and
-    ||X-Y||_1 = 2*eps it lies in both radius-eps balls and is nonzero."""
+def midpoint_witness(
+    x: DensityOperator, y: DensityOperator
+) -> tuple[DensityOperator, np.ndarray]:
+    """Midpoint Z = (X+Y)/2 of an antipodal pair: for ||X||_1 = ||Y||_1 = eps
+    and ||X-Y||_1 = 2*eps it lies in both radius-eps balls and is nonzero.
+    Returns Z and its distances ||X - Z||_1 and ||Y - Z||_1, measured as one
+    ``distances`` call and checked to lie within BALL_SLACK of eps."""
     nx, ny = x.trace, y.trace
     eps = 0.5 * (nx + ny)
     if abs(nx - ny) > BALL_SLACK or abs(trace_distance(x, y) - 2.0 * eps) > BALL_SLACK:
@@ -202,11 +199,14 @@ def midpoint_witness(x: DensityOperator, y: DensityOperator) -> DensityOperator:
             "midpoint witness needs ||X||_1 = ||Y||_1 = eps and ||X-Y||_1 = 2*eps"
         )
     z = DensityOperator((x.entries + y.entries) / 2.0)
-    if abs(trace_distance(x, z) - eps) > BALL_SLACK or abs(trace_distance(y, z) - eps) > BALL_SLACK:
+    norms = distances(
+        MetricKind.TRACE_NORM, np.array([x.entries, y.entries]), np.array([z.entries, z.entries])
+    )
+    if (np.abs(norms - eps) > BALL_SLACK).any():
         raise NumericalBreakdown("the midpoint is not at distance eps from both ends")
     if z.trace < eps / 2.0:
         raise NumericalBreakdown("the midpoint has trace below eps/2")
-    return z
+    return z, norms
 
 
 def pinch_configuration(
@@ -408,7 +408,8 @@ def orthocomplement_pool(
     pool = [DensityOperator(np.outer(vec[:, k], vec[:, k].conj())) for k in range(n)]
     count = _POOL_RANDOMS_PER_DIM * n
     ranks = gen.integers(1, n + 1, size=count)
-    return pool + _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
+    drawn = _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
+    return pool + DensityOperator._wrapped(drawn)
 
 
 def double_orthocomplement_rank(
@@ -428,11 +429,8 @@ def double_orthocomplement_rank(
         raise InvalidPool("orthocomplement pool must be nonempty")
     perp = [p for p in pool if are_orthogonal(center, p, tol)]
     perp_perp = [p for p in pool if all(are_orthogonal(p, q, tol) for q in perp)]
-    ranks = _ranks(_spectra(perp_perp)[0], _stacked(perp_perp, "trace"))
-    order = sorted(range(len(perp_perp)), key=lambda i: (ranks[i], i))
     family: list[DensityOperator] = []
-    for i in order:
-        candidate = perp_perp[i]
+    for candidate in sorted(perp_perp, key=DensityOperator.rank):
         if candidate.trace <= ZERO_TRACE:
             continue
         if all(are_orthogonal(candidate, member, tol) for member in family):

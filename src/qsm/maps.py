@@ -1,25 +1,26 @@
 """Transformations of the density cone and state space.
 
-A StateMap is its block evaluator: a function from a list of operators to
-their images, as n x n matrices, in order, together with the dimension and
-the domain (the density cone or the state space) it is declared on.  Unitary
-and antiunitary conjugations (the latter composed with entrywise conjugation
-in the computational basis), the named non-isometry controls and opaque
-oracles are all built this way, so every check sees a map only through what
-it returns.  This module checks maps for isometry and for the preservation
-properties (trace, orthogonality, rank, affinity, fixing 0) and reconstructs
-the implementing operator from a black-box isometry via a fixed probe
-schedule.
+A StateMap is its block evaluator: a function from the entry stack of a
+block of operators (qsm.states) to their images, as n x n matrices, in
+order, together with the dimension and the domain (the density cone or the
+state space) it is declared on.  Unitary and antiunitary conjugations (the
+latter composed with entrywise conjugation in the computational basis) and
+the named non-isometry controls act on the stack directly; an opaque oracle
+(oracle_map) is handed the block's operators one at a time.  Every check
+sees a map only through what it returns.  This module checks maps for
+isometry and for the preservation properties (trace, orthogonality, rank,
+affinity, fixing 0) and reconstructs the implementing operator from a
+black-box isometry via a fixed probe schedule.
 
 The sample loops (check_isometry, trace_preservation_check,
 preservation_suite and the validation of a reconstruction) run in blocks of
 samples.  A block makes its random draws in bulk: its scalars (ranks,
 traces, splits, weights) as arrays first, then one Gaussian stack per kind
-of draw, through the stacked samplers of qsm.states.  Its operators are then
-built, mapped and measured as ``(k, n, n)`` stacks with batched kernels,
-group by group: all first members of the block's pairs, then all second
-members, and so on.  A map is handed each block's operators, in that group
-order, in one call, and its images are checked and built as one stack.  The
+of draw, through the stacked samplers of qsm.states.  Its operators are
+entry stacks, mapped and measured with batched kernels, group by group: all
+first members of the block's pairs, then all second members, and so on; no
+loop builds an operator object.  A map is handed each block's stack, in
+that group order, in one call, and its images are checked as one stack.  The
 spectra a block reads are decomposed as one stack too: Bures fidelities by
 one batched ``eigh``, preservation ranks by one ``eigvalsh``.  A probe image
 is first tested for purity without a decomposition (_pure_columns), and only
@@ -64,9 +65,8 @@ from .states import (
     _ranks,
     _sampled_stack,
     _spectra,
-    _stacked,
+    _traces,
     _unitarity_defect,
-    basis_projection,
     generator_of,
     random_unitary,
     zero_density,
@@ -107,12 +107,13 @@ class MapDomain(Enum):
 @dataclass(frozen=True)
 class StateMap:
     """A transformation of the density cone or the state space, seen only
-    through its block evaluator."""
+    through its block evaluator, which takes the ``(k, n, n)`` entry stack of
+    a block of operators of its domain and returns their k images."""
 
     dim: int
     domain: MapDomain
-    #: the images of a list of operators, as n x n matrices, in order
-    evaluate: Callable[[list[DensityOperator]], Sequence[np.ndarray]]
+    #: the images of an entry stack's operators, as n x n matrices, in order
+    evaluate: Callable[[np.ndarray], Sequence[np.ndarray]]
 
 
 def _checked_unitary(u) -> np.ndarray:
@@ -127,11 +128,6 @@ def _checked_unitary(u) -> np.ndarray:
     return u
 
 
-def _stack_map(dim: int, domain: MapDomain, action) -> StateMap:
-    """The map that applies ``action`` to the ``(k, n, n)`` stack of a block."""
-    return StateMap(dim, domain, lambda ops: action(_stacked(ops)))
-
-
 def _conjugate(u: np.ndarray, kind: MapKind, arr: np.ndarray) -> np.ndarray:
     """U A U* of each matrix A of a stack, or U conj(A) U* (antiunitary)."""
     if kind is MapKind.ANTIUNITARY_CONJ:
@@ -141,7 +137,7 @@ def _conjugate(u: np.ndarray, kind: MapKind, arr: np.ndarray) -> np.ndarray:
 
 def _conjugation(u: np.ndarray, domain: MapDomain, kind: MapKind) -> StateMap:
     """The conjugation of ``kind`` by ``u``, a unitary its caller has checked."""
-    return _stack_map(u.shape[0], domain, lambda arr: _conjugate(u, kind, arr))
+    return StateMap(u.shape[0], domain, lambda arr: _conjugate(u, kind, arr))
 
 
 def unitary_conjugation(u, domain: MapDomain = MapDomain.FULL_DENSITY) -> StateMap:
@@ -160,8 +156,10 @@ def oracle_map(
     domain: MapDomain = MapDomain.FULL_DENSITY,
 ) -> StateMap:
     """Wrap an opaque per-operator evaluation as a StateMap.  Each block of
-    operators is handed to ``evaluate`` one operator at a time, in order."""
-    return StateMap(dim, domain, lambda ops: [evaluate(a).entries for a in ops])
+    operators is handed to ``evaluate`` one operator at a time, in order, as
+    operators of the domain's class."""
+    cls = _domain_type(domain)
+    return StateMap(dim, domain, lambda arr: [evaluate(a).entries for a in cls.from_stack(arr)])
 
 
 def named_nonisometry(
@@ -181,10 +179,9 @@ def named_nonisometry(
         p = float(p)
 
         def depolarize(arr):
-            tr = np.trace(arr, axis1=1, axis2=2).real
-            return (1.0 - p) * arr + (p * tr)[:, None, None] * np.eye(dim) / dim
+            return (1.0 - p) * arr + (p * _traces(arr))[:, None, None] * np.eye(dim) / dim
 
-        return _stack_map(dim, domain, depolarize)
+        return StateMap(dim, domain, depolarize)
     if name == "pinching":
         if basis is None:
             v = np.eye(dim, dtype=np.complex128)
@@ -200,14 +197,14 @@ def named_nonisometry(
             diagonal[:, idx, idx] = rotated[:, idx, idx]
             return v @ diagonal @ v.conj().T
 
-        return _stack_map(dim, domain, pinch)
+        return StateMap(dim, domain, pinch)
     if name == "trace-rescale":
         if c is None or not 0.0 < c < np.inf:
             raise InvalidParameter("trace-rescale needs a finite c > 0")
         if domain is MapDomain.STATES_ONLY and c != 1.0:
             raise InvalidParameter("trace-rescale with c != 1 leaves the state space")
         c = float(c)
-        return _stack_map(dim, domain, lambda arr: c * arr)
+        return StateMap(dim, domain, lambda arr: c * arr)
     raise InvalidParameter(f"unknown non-isometry id {name!r}")
 
 
@@ -215,27 +212,27 @@ def _domain_type(domain: MapDomain) -> type[DensityOperator]:
     return QuantumState if domain is MapDomain.STATES_ONLY else DensityOperator
 
 
-def _map_block(m: StateMap, ops: list[DensityOperator]) -> list[DensityOperator]:
-    """apply_map of each operator in order: the inputs are checked, the map
-    is evaluated once on the whole block, and its images are checked and
-    built as one stack."""
-    for a in ops:
-        if a.dim != m.dim:
-            raise DimensionMismatch(f"map dim {m.dim}, operator dim {a.dim}")
-        if m.domain is MapDomain.STATES_ONLY and abs(a.trace - 1.0) > UNIT_TRACE_TOL:
-            raise DomainError("map is declared on states only; input has trace != 1")
-    images = m.evaluate(ops)
+def _map_block(m: StateMap, arr: np.ndarray) -> np.ndarray:
+    """apply_map of each operator of an entry stack, in order: the inputs
+    are checked, the map is evaluated once on the whole stack, and its images
+    are checked as one stack and returned as the entry stack of the domain's
+    class."""
+    if arr.shape[-1] != m.dim:
+        raise DimensionMismatch(f"map dim {m.dim}, operator dim {arr.shape[-1]}")
+    if m.domain is MapDomain.STATES_ONLY and (np.abs(_traces(arr) - 1.0) > UNIT_TRACE_TOL).any():
+        raise DomainError("map is declared on states only; input has trace != 1")
+    images = m.evaluate(arr)
     try:
         out = np.asarray(images, dtype=np.complex128)
     except ValueError as exc:
         raise DomainError(f"map images are not one stack of matrices: {exc}") from exc
-    if out.shape != (len(ops), m.dim, m.dim):
+    if out.shape != arr.shape:
         raise DomainError(
-            f"map returned images of shape {out.shape} for {len(ops)} operators, "
+            f"map returned images of shape {out.shape} for {len(arr)} operators, "
             f"declared dim {m.dim}"
         )
     try:
-        return _domain_type(m.domain).from_stack(out)
+        return _domain_type(m.domain)._validated(out)
     except (ValueError, NotPositiveSemidefinite) as exc:
         raise DomainError(f"map output left its declared domain: {exc}") from exc
 
@@ -248,18 +245,13 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
     below -1e-9*(1+trace) without decomposing it.  Inputs and
     outputs must respect the declared dimension and domain (states stay
     trace-1 within 1e-10); an output that does not raises DomainError."""
-    return _map_block(m, [a])[0]
-
-
-def _groups(ops: list, count: int) -> list[list]:
-    """Consecutive runs of ``count`` items."""
-    return [ops[i:i + count] for i in range(0, len(ops), count)]
+    return _domain_type(m.domain)._wrapped(_map_block(m, a.entries[None]))[0]
 
 
 def _sample_block(n: int, gen: np.random.Generator, domain: MapDomain, count: int):
-    """``count`` random operators of the domain: all ranks, then all traces
-    (in [0.2, 2], density cone only; states are built unchecked, as
-    random_state builds them), then one Wishart stack."""
+    """Entry stack of ``count`` random operators of the domain: all ranks,
+    then all traces (in [0.2, 2], density cone only; states are built
+    unchecked, as random_state builds them), then one Wishart stack."""
     ranks = gen.integers(1, n + 1, size=count)
     traces = gen.uniform(0.2, 2.0, size=count) if domain is MapDomain.FULL_DENSITY else None
     return _sampled_stack(_domain_type(domain), n, gen, ranks, traces)
@@ -279,9 +271,9 @@ def check_isometry(
     gen = generator_of(rng)
     worst = 0.0
     for count in _blocks(pairs, m.dim, 2):
-        ops = _sample_block(m.dim, gen, m.domain, 2 * count)
-        a, b = _groups(ops, count)
-        fa, fb = _groups(_map_block(m, ops), count)
+        arr = _sample_block(m.dim, gen, m.domain, 2 * count)
+        a, b = np.split(arr, 2)
+        fa, fb = np.split(_map_block(m, arr), 2)
         deviation = np.abs(distances(metric, fa, fb) - distances(metric, a, b))
         worst = max(worst, float(deviation.max()))
     return worst
@@ -311,9 +303,9 @@ def _trace_defect(m: StateMap, rng: RngStream | np.random.Generator, samples: in
     gen = generator_of(rng)
     worst = 0.0
     for count in _blocks(samples, m.dim, 1):
-        ops = _sample_block(m.dim, gen, m.domain, count)
-        images = _map_block(m, ops)
-        worst = max(worst, max(abs(image.trace - a.trace) for image, a in zip(images, ops)))
+        arr = _sample_block(m.dim, gen, m.domain, count)
+        defect = np.abs(_traces(_map_block(m, arr)) - _traces(arr))
+        worst = max(worst, float(defect.max()))
     return worst
 
 
@@ -382,30 +374,29 @@ def preservation_suite(
             else:
                 traces = np.ones((2, count))
             x, y = _orthogonal_pairs(cls, n, gen, *traces)
-            a, b, probe, c, d = _groups(_sample_block(n, gen, m.domain, 5 * count), count)
+            a, b, probe, c, d = np.split(_sample_block(n, gen, m.domain, 5 * count), 5)
         else:
-            probe, c, d = _groups(_sample_block(n, gen, m.domain, 3 * count), count)
+            probe, c, d = np.split(_sample_block(n, gen, m.domain, 3 * count), 3)
         lam = gen.uniform(size=count)[:, None, None]
-        mixed = lam * _stacked(c) + (1.0 - lam) * _stacked(d)
+        mixed = lam * c + (1.0 - lam) * d
         if pairs:
-            halfway = (_stacked(a) + _stacked(b)) / 2.0
-            overlap, mixture = _groups(cls.from_stack(np.concatenate([halfway, mixed])), count)
+            overlap, mixture = np.split(cls._validated(np.concatenate([(a + b) / 2.0, mixed])), 2)
             groups = [x, y, a, overlap]
         else:
-            groups, mixture = [], cls.from_stack(mixed)
+            groups, mixture = [], cls._validated(mixed)
         groups += [probe, mixture, c, d]
-        images = _groups(_map_block(m, [op for group in groups for op in group]), count)
+        images = np.split(_map_block(m, np.concatenate(groups)), len(groups))
         if pairs:
             _, orthogonal = orthogonality(images[0], images[1])
             fwd_bad += int(np.count_nonzero(~orthogonal))
             _, orthogonal = orthogonality(images[2], images[3])
             bwd_bad += int(np.count_nonzero(orthogonal))
         f_probe, f_mixture, f_c, f_d = images[-4:]
-        both = [*probe, *f_probe]
-        ranks = _ranks(np.linalg.eigvalsh(_stacked(both)), _stacked(both, "trace"))
+        both = np.concatenate([probe, f_probe])
+        ranks = _ranks(np.linalg.eigvalsh(both), _traces(both))
         rank_bad += int(np.count_nonzero(ranks[:count] != ranks[count:]))
-        mix_of_images = lam * _stacked(f_c) + (1.0 - lam) * _stacked(f_d)
-        affinity_max = _max_trace_norm(_stacked(f_mixture) - mix_of_images, affinity_max)
+        mix_of_images = lam * f_c + (1.0 - lam) * f_d
+        affinity_max = _max_trace_norm(f_mixture - mix_of_images, affinity_max)
     return PreservationReport(
         samples=samples,
         forward_orthogonality_violations=fwd_bad,
@@ -430,11 +421,12 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conjugate()
 
 
-def _probe(n: int, j: int) -> tuple[str, QuantumState]:
-    """Label and operator of probe j of the reconstruction schedule."""
-    if j < n:
-        return f"basis:{j}", basis_projection(n, j)
+def _probe(n: int, j: int) -> tuple[str, np.ndarray]:
+    """Label and entries of probe j of the reconstruction schedule."""
     vec = np.zeros(n, dtype=np.complex128)
+    if j < n:
+        vec[j] = 1.0
+        return f"basis:{j}", _projection(vec)
     if j < 2 * n - 1:
         i = j - n + 1
         vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
@@ -469,19 +461,19 @@ def _pure_columns(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
-    built and mapped one block at a time.  An image certified pure by
-    _pure_columns yields its column v; only the others are decomposed, as
-    one stack, and one whose second eigenvalue exceeds _PURITY_TOL raises
-    NotImplementable naming its probe (the rest yield their top
-    eigenvector).  Every image that ``eigh`` would reject is rejected, with
-    the same defect."""
+    checked and mapped one block at a time, each block as one entry stack.
+    An image certified pure by _pure_columns yields its column v; only the
+    others are decomposed, as one stack, and one whose second eigenvalue
+    exceeds _PURITY_TOL raises NotImplementable naming its probe (the rest
+    yield their top eigenvector).  Every image that ``eigh`` would reject is
+    rejected, with the same defect."""
     start = 0
     for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
         start += count
-        images = _map_block(oracle, list(probes))
-        vecs, certified = _pure_columns(_stacked(images))
-        spectra = zip(*_spectra([image for image, ok in zip(images, certified) if not ok]))
+        images = _map_block(oracle, QuantumState._validated(np.array(probes)))
+        vecs, certified = _pure_columns(images)
+        spectra = zip(*_spectra(images[~certified]))
         for label, vec, ok in zip(labels, vecs, certified):
             if ok:
                 yield vec
@@ -513,8 +505,8 @@ def _validation_residual(
     residual = 0.0
     for count in _blocks(samples, n, 1):
         states = _sample_block(n, gen, MapDomain.STATES_ONLY, count)
-        images = _symmetrized(_conjugate(u, kind, _stacked(states)))
-        residual = _max_trace_norm(_stacked(_map_block(oracle, states)) - images, residual)
+        images = _symmetrized(_conjugate(u, kind, states))
+        residual = _max_trace_norm(_map_block(oracle, states) - images, residual)
     return residual
 
 

@@ -6,9 +6,10 @@ linear O(eps) error on null modes, whereas eigendecomposing the sandwich and
 square-rooting amplifies null-mode noise to O(sqrt(eps)), which is too coarse
 for the 1e-8 isometry-deviation checks downstream.
 
-``distances``, ``orthogonality`` and ``norm_identity_gaps`` evaluate whole
-lists of pairs with batched decompositions.  The per-pair functions are
-their k = 1 case (a list of one pair), so each metric has one code path and
+``distances``, ``orthogonality`` and ``norm_identity_gaps`` evaluate the
+pairs of rows of two equally long entry stacks (qsm.states) with batched
+decompositions.  The per-pair functions take two operators and are their
+k = 1 case (two one-matrix stacks), so each metric has one code path and
 each batched value is bit for bit the per-pair one.
 """
 
@@ -18,10 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import DimensionMismatch, NumericalBreakdown
 from .linalg import _spectral_rebuild, trace_norm_entries
-from . import states
-from .states import DensityOperator, _stacked
+from .states import DensityOperator, _spectra, _traces
 
 #: default relative tolerance for orthogonality of PSD operators.
 ORTHOGONALITY_TOL = 1e-8
@@ -53,9 +53,13 @@ def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(a @ b, compute_uv=False), axis=-1)
 
 
-def _fidelities(lam_x, vec_x, lam_y, vec_y) -> np.ndarray:
-    """fidelity of each pair of two stacked spectra (``_spectra``), batched."""
-    return _product_trace_norm_entries(_sqrt_entries(lam_x, vec_x), _sqrt_entries(lam_y, vec_y))
+def _fidelities(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fidelity of each pair of rows of two entry stacks, and the clamped
+    eigenvalues of x and of y, from one ``eigh`` of both stacks."""
+    lam, vec = _spectra(np.concatenate([x, y]))
+    root = _sqrt_entries(lam, vec)
+    k = len(x)
+    return _product_trace_norm_entries(root[:k], root[k:]), lam[:k], lam[k:]
 
 
 def _bures_entries(lam_a, lam_b, fid, n: int):
@@ -78,9 +82,24 @@ def _orthogonality_threshold(tr_x, tr_y, tol: float):
     return tol * (1.0 + tr_x * tr_y)
 
 
+def _same_dim(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise DimensionMismatch unless two stacks hold matrices of one
+    dimension."""
+    if x.shape[-1] != y.shape[-1]:
+        raise DimensionMismatch(f"operator dims {sorted({x.shape[-1], y.shape[-1]})} differ")
+
+
+def _pair(a: DensityOperator, b: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of two operators of one dimension as two one-matrix
+    stacks."""
+    x, y = a.entries[None], b.entries[None]
+    _same_dim(x, y)
+    return x, y
+
+
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity of two PSD operators (not squared, not normalized)."""
-    return float(_fidelities(*_spectra([a], [b]))[0])
+    return float(_fidelities(*_pair(a, b))[0][0])
 
 
 def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -90,12 +109,12 @@ def bures_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Trace-norm distance: sum of absolute eigenvalues of A - B."""
-    return float(distances(MetricKind.TRACE_NORM, [a], [b])[0])
+    return float(distances(MetricKind.TRACE_NORM, *_pair(a, b))[0])
 
 
 def product_trace_norm(a: DensityOperator, b: DensityOperator) -> float:
     """Trace norm of the (generally non-Hermitian) product AB."""
-    return float(_product_trace_norm_entries(*_stacks([a], [b]))[0])
+    return float(_product_trace_norm_entries(*_pair(a, b))[0])
 
 
 def are_orthogonal(
@@ -106,54 +125,31 @@ def are_orthogonal(
     For PSD operators the trace norm equals the trace, so the scale factor
     uses traces directly.
     """
-    return bool(orthogonality([x], [y], tol)[1][0])
+    return bool(orthogonality(*_pair(x, y), tol)[1][0])
 
 
-def _halves(xs, ys, both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``both``, one per operator of [*xs, *ys], as the views of
-    xs and of ys; the two lists must be equally long."""
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} operators paired with {len(ys)}")
-    return both[:len(xs)], both[len(xs):]
+def _bures_and_fidelities(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bures distance and fidelity of each pair of rows of two entry stacks,
+    both from one decomposition of the spectra."""
+    fid, lam_x, lam_y = _fidelities(x, y)
+    return _bures_entries(lam_x, lam_y, fid, x.shape[-1]), fid
 
 
-def _stacks(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of two equally long operator lists of one dimension, as
-    two views of one stack (``_stacked`` checks the dimension)."""
-    return _halves(xs, ys, _stacked([*xs, *ys]))
+def orthogonality(x: np.ndarray, y: np.ndarray, tol: float = ORTHOGONALITY_TOL):
+    """product_trace_norm of each pair of rows of two entry stacks and
+    whether are_orthogonal holds for it, batched."""
+    _same_dim(x, y)
+    norms = _product_trace_norm_entries(x, y)
+    return norms, norms <= _orthogonality_threshold(_traces(x), _traces(y), tol)
 
 
-def _spectra(xs, ys) -> tuple[np.ndarray, ...]:
-    """``lam_x, vec_x, lam_y, vec_y``: the spectra of two lists, decomposed
-    as one stack (``states._spectra``: an operator on both sides is
-    decomposed once)."""
-    lam, vec = states._spectra([*xs, *ys])
-    (lam_x, lam_y), (vec_x, vec_y) = _halves(xs, ys, lam), _halves(xs, ys, vec)
-    return lam_x, vec_x, lam_y, vec_y
-
-
-def _bures_and_fidelities(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Bures distance and fidelity of each pair (xs[i], ys[i]), both from one
-    decomposition of the spectra."""
-    lam_x, vec_x, lam_y, vec_y = _spectra(xs, ys)
-    fid = _fidelities(lam_x, vec_x, lam_y, vec_y)
-    return _bures_entries(lam_x, lam_y, fid, lam_x.shape[-1]), fid
-
-
-def orthogonality(xs, ys, tol: float = ORTHOGONALITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """product_trace_norm of each pair (xs[i], ys[i]) and whether
-    are_orthogonal holds for it, batched."""
-    norms = _product_trace_norm_entries(*_stacks(xs, ys))
-    return norms, norms <= _orthogonality_threshold(_stacked(xs, "trace"), _stacked(ys, "trace"), tol)
-
-
-def distances(kind: MetricKind, xs, ys) -> np.ndarray:
-    """distance(kind, xs[i], ys[i]) for each pair, batched; distance is its
-    k = 1 case."""
+def distances(kind: MetricKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """distance(kind, ...) of each pair of rows of two entry stacks, batched;
+    distance is its k = 1 case."""
+    _same_dim(x, y)
     if kind is MetricKind.BURES:
-        return _bures_and_fidelities(xs, ys)[0]
+        return _bures_and_fidelities(x, y)[0]
     if kind is MetricKind.TRACE_NORM:
-        x, y = _stacks(xs, ys)
         return trace_norm_entries(x - y)
     raise ValueError(f"unknown metric kind {kind!r}")
 
@@ -164,16 +160,16 @@ def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
     Exposed separately from are_orthogonal so both sides of the equivalence
     (XY = 0 iff the two norms agree) can be checked against each other.
     """
-    return float(norm_identity_gaps([x], [y])[0])
+    return float(norm_identity_gaps(*_pair(x, y))[0])
 
 
-def norm_identity_gaps(xs, ys) -> np.ndarray:
-    """norm_identity_gap of each pair (xs[i], ys[i]), batched: the trace
-    norms of all differences and all sums are one stack."""
-    x, y = _stacks(xs, ys)
+def norm_identity_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """norm_identity_gap of each pair of rows of two entry stacks, batched:
+    the trace norms of all differences and all sums are one stack."""
+    _same_dim(x, y)
     diff, total = np.split(trace_norm_entries(np.concatenate([x - y, x + y])), 2)
     return np.abs(diff - total)
 
 
 def distance(kind: MetricKind, a: DensityOperator, b: DensityOperator) -> float:
-    return float(distances(kind, [a], [b])[0])
+    return float(distances(kind, *_pair(a, b))[0])

@@ -1,8 +1,14 @@
 """Density operators, quantum states, and reproducible sampling.
 
 An operator is a value, its symmetrized entries and its trace; a spectrum is
-decomposed where it is read (``spectrum()``, or ``_spectra`` for a list, as
-one stack), and no operator keeps one.
+decomposed where it is read (``spectrum()``, or ``_spectra`` for a stack),
+and no operator keeps one.  Inside qsm a batch of operators is an entry
+stack, the read-only ``(k, n, n)`` array of their symmetrized entries that
+``DensityOperator._validated`` returns after the construction checks; its
+row traces (``_traces``) are the operators' traces.  The samplers return
+entry stacks, and operators are built only where a public function takes or
+returns one: ``from_stack`` checks a stack and builds them, ``_wrapped``
+builds them from an entry stack.
 
 Random draws go through RngStream, a value type (seed, stream_index): the
 same stream always yields the same operators, and concurrent experiments use
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidParameter,
     InvalidRank,
     NotPositiveSemidefinite,
@@ -60,13 +65,12 @@ class DensityOperator:
     decomposition, by a Cholesky factorization of A + 1e-9*(1+trace)*I; an
     operator with an eigenvalue below -1e-9*(1+trace) raises
     NotPositiveSemidefinite.  The spectrum, eigenvalues clamped to
-    max(lambda, 0), is not stored: each ``spectrum()`` call decomposes it,
-    and code that reads the spectra of a list decomposes them as one stack
-    (``_spectra``).  The checks that only need a spectral fact do without
-    it: a sampled density's rank is counted on its Gram spectrum
-    (``_wishart``) and a probe image's purity is certified from one column
-    (qsm.maps).  ``from_stack`` builds a whole ``(k, n, n)`` stack with the
-    construction checks, batched.
+    max(lambda, 0), is not stored: each ``spectrum()`` call decomposes it.
+    The checks that only need a spectral fact do without it: a sampled
+    density's rank is counted on its Gram spectrum (``_wishart``) and a probe
+    image's purity is certified from one column (qsm.maps).  Row i of the
+    entry stack that ``_validated`` returns, and ``_traces(stack)[i]``, are
+    the entries and the trace of the operator built from matrix i.
     """
 
     __slots__ = ("entries", "_trace")
@@ -75,33 +79,39 @@ class DensityOperator:
     _UNIT_TRACE = False
 
     def __init__(self, entries):
-        ent, tr = self._validated(entries, stacked=False)
-        self._fill(ent[0], tr[0])
+        arr = self._validated(_as_complex_squares(entries)[None])
+        self.entries = arr[0]
+        self._trace = float(_traces(arr)[0])
 
     @classmethod
     def from_stack(cls, entries) -> list:
         """One operator per matrix of a ``(k, n, n)`` stack, each bit for bit
         what the constructor makes of that matrix; the first matrix in order
         that the constructor would reject raises its exception."""
-        ent, tr = cls._validated(entries, stacked=True)
+        return cls._wrapped(cls._validated(entries))
+
+    @classmethod
+    def _wrapped(cls, arr: np.ndarray) -> list:
+        """The operators of an entry stack, one per row, built without
+        checking the stack again."""
         ops = []
-        for i, trace in enumerate(tr):
+        for row, trace in zip(arr, _traces(arr).tolist()):
             op = cls.__new__(cls)
-            op._fill(ent[i], trace)
+            op.entries = row
+            op._trace = trace
             ops.append(op)
         return ops
 
     @classmethod
-    def _validated(cls, entries, stacked: bool):
-        """Entries and traces of a stack, with every construction check
-        applied in the order a loop over the matrices would meet them."""
-        arr = _as_complex_squares(entries, 3 if stacked else 2)
-        if not stacked:
-            arr = arr[None]
+    def _validated(cls, entries) -> np.ndarray:
+        """The entry stack of a ``(k, n, n)`` stack: its matrices
+        symmetrized, read-only, with every construction check applied in the
+        order a loop over the matrices would meet them."""
+        arr = _as_complex_squares(entries, 3)
         count = len(arr)
         finite = _finite_prefix(arr)
         arr = _symmetrized(arr[:finite])
-        tr = arr.trace(axis1=1, axis2=2).real
+        tr = _traces(arr)
         tol = PSD_TOL * (1.0 + tr)
         first_below = finite
         # A + tol*I factors exactly when every eigenvalue of A is above -tol
@@ -128,16 +138,12 @@ class DensityOperator:
         if finite < count:
             raise ValueError(NONFINITE_MESSAGE)
         arr.setflags(write=False)
-        return arr, traces
-
-    def _fill(self, entries, trace: float) -> None:
-        self.entries = entries
-        self._trace = trace
+        return arr
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """``_spectra`` of this operator alone: eigenvalues ``(1, n)`` and
         eigenvectors ``(1, n, n)``."""
-        return _spectra([self])
+        return _spectra(self.entries[None])
 
     @property
     def dim(self) -> int:
@@ -163,35 +169,28 @@ class QuantumState(DensityOperator):
     _UNIT_TRACE = True
 
 
+def _traces(arr: np.ndarray) -> np.ndarray:
+    """The row traces of a ``(k, n, n)`` stack; of an entry stack, the traces
+    of its operators."""
+    return arr.trace(axis1=1, axis2=2).real
+
+
 def _ranks(lam: np.ndarray, traces):
     """rank() from eigenvalues ``(..., n)`` and traces ``(...)``: the count
     of eigenvalues above RANK_TOL*(1+trace)."""
     return np.count_nonzero(lam > RANK_TOL * (1.0 + np.asarray(traces))[..., None], axis=-1)
 
 
-def _stacked(ops, attr: str = "entries") -> np.ndarray:
-    """One attribute of each operator of a list, stacked; operators of
-    different dimensions raise DimensionMismatch."""
-    arrays = [getattr(op, attr) for op in ops]
-    try:
-        return np.array(arrays)
-    except ValueError:
-        raise DimensionMismatch(f"operator dims {sorted({op.dim for op in ops})} differ") from None
-
-
-def _spectra(ops) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``(k, n)``, clamped to max(lambda, 0), and eigenvectors
-    ``(k, n, n)`` of the k operators of ``ops`` (all of one dimension), in
-    list order, from one ``eigh`` of their stacked entries; an operator listed
-    more than once is stacked once.  A stacked ``eigh`` runs the same LAPACK
-    routine on each matrix, so every row is bit for bit the spectrum of that
-    matrix alone.  An empty list decomposes nothing."""
-    if not ops:
-        return np.empty((0, 0)), np.empty((0, 0, 0), dtype=np.complex128)
-    index = {op: i for i, op in enumerate(dict.fromkeys(ops))}
-    lam, vec = np.linalg.eigh(_stacked(list(index)))
-    rows = [index[op] for op in ops]
-    return np.maximum(lam[rows], 0.0), vec[rows]
+    ``(k, n, n)`` of a ``(k, n, n)`` stack, from one ``eigh``.  A stacked
+    ``eigh`` runs the same LAPACK routine on each matrix, so every row is bit
+    for bit the spectrum of that matrix alone.  An empty stack decomposes
+    nothing."""
+    if not len(arr):
+        return np.empty(arr.shape[:2]), np.empty(arr.shape, dtype=np.complex128)
+    lam, vec = np.linalg.eigh(arr)
+    return np.maximum(lam, 0.0), vec
 
 
 @dataclass(frozen=True)
@@ -262,13 +261,15 @@ def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     return _haar_unitaries(n, 1, generator_of(rng))[0]
 
 
-def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[DensityOperator]:
+def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces):
     """G G* of each matrix G of a ``(k, n, m)`` Gaussian stack, keeping the
     first ranks[i] columns of the i-th (the others are zeroed in place),
-    rescaled to traces[i] (to 1 if traces is None) and built as one stack of
-    ``cls``.  Each operator with a target trace is held to that rank and
-    trace (NumericalBreakdown otherwise, for the first failing one in order);
-    with traces None the stack is built unchecked, as random_state builds it.
+    rescaled to traces[i] (to 1 if traces is None), as one entry stack of
+    ``cls``, and the mask of the operators whose rank falls short of
+    ranks[i].  With traces None the stack is built unchecked, as random_state
+    builds it, and none falls short; with target traces, an operator whose
+    rank exceeds ranks[i] or whose trace is off target raises
+    NumericalBreakdown, the first failing one in order.
 
     The rank is counted without decomposing an operator: G G* and the m x m
     Gram matrix G* G have the same nonzero eigenvalues, so the eigenvalues
@@ -281,14 +282,14 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[D
     g.swapaxes(1, 2)[np.arange(g.shape[2]) >= ranks[:, None]] = 0.0
     a = g @ g.conj().swapaxes(1, 2)
     target = 1.0 if traces is None else np.asarray(traces, dtype=float)
-    scale = target / a.trace(axis1=1, axis2=2).real
-    ops = cls.from_stack(a * scale[:, None, None])
+    scale = target / _traces(a)
+    arr = cls._validated(a * scale[:, None, None])
     if traces is None:
-        return ops
+        return arr, np.zeros(len(ranks), dtype=bool)
     gram = np.linalg.eigvalsh(g.conj().swapaxes(1, 2) @ g) * scale[:, None]
     realized = np.count_nonzero(gram > 1e-10 * target[:, None], axis=1)
-    off_rank = realized != ranks
-    off_trace = np.abs([op.trace for op in ops] - target) > 1e-12 * np.maximum(1.0, target)
+    off_rank = realized > ranks
+    off_trace = np.abs(_traces(arr) - target) > 1e-12 * np.maximum(1.0, target)
     failing = np.flatnonzero(off_rank | off_trace)
     if failing.size:
         i = failing[0]
@@ -297,41 +298,52 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces) -> list[D
                 f"sampled density has numerical rank {realized[i]}, wanted {ranks[i]}"
             )
         raise NumericalBreakdown("sampled density trace off target")
-    return ops
+    return arr, realized < ranks
 
 
-def _sampled_stack(
-    cls: type[DensityOperator], n: int, gen: np.random.Generator, ranks, traces
-) -> list[DensityOperator]:
-    """One Wishart operator of ``cls`` per entry of ``ranks``: the
-    normalized Wishart construction of random_density, drawn as one Gaussian
-    stack of max(ranks) columns per matrix of which the i-th keeps its first
-    ranks[i] (the same measure; a one-matrix stack draws exactly n x rank)."""
+def _sampled_stack(cls: type[DensityOperator], n: int, gen: np.random.Generator, ranks, traces):
+    """The entry stack of one Wishart operator of ``cls`` per entry of
+    ``ranks``: the normalized Wishart construction of random_density, drawn
+    as one Gaussian stack of max(ranks) columns per matrix of which the i-th
+    keeps its first ranks[i] (the same measure; a one-matrix stack draws
+    exactly n x rank).  A factor whose rank falls short of ranks[i] (a square
+    one does about once in 1e5 draws at n = 48) is redrawn from ``gen``
+    after the whole stack, until none does."""
     ranks = np.asarray(ranks)
-    return _wishart(cls, _ginibre(gen, len(ranks), n, int(ranks.max(initial=1))), ranks, traces)
+    g = _ginibre(gen, len(ranks), n, int(ranks.max(initial=1)))
+    while True:
+        arr, short = _wishart(cls, g, ranks, traces)
+        if not short.any():
+            return arr
+        g[short] = _ginibre(gen, int(np.count_nonzero(short)), n, g.shape[2])
 
 
-def _orthogonal_pairs(
-    cls: type[DensityOperator], n: int, gen: np.random.Generator, traces_x, traces_y
-) -> tuple[list[DensityOperator], list[DensityOperator]]:
-    """Pairs x, y of Wishart operators of ``cls`` (n >= 2) with the given
-    traces, supported on complementary subspaces of a Haar frame V.
+def _orthogonal_pairs(cls: type[DensityOperator], n: int, gen: np.random.Generator, traces_x,
+                      traces_y) -> tuple[np.ndarray, np.ndarray]:
+    """Entry stacks xs, ys of Wishart operators of ``cls`` (n >= 2) with the
+    given traces, pair i supported on complementary subspaces of a Haar
+    frame V.
 
     Pair i draws a uniform split k in [1, n), a uniform rank of x in [1, k]
     and one of y in [1, n - k]; all splits, then all ranks, then the frames,
     then one Gaussian stack.  x = V G G* V* keeps the rows of G below k and
-    y the rows from k up, so x y vanishes up to the roundoff of V* V = 1."""
+    y the rows from k up, so x y vanishes up to the roundoff of V* V = 1.  A
+    factor whose rank falls short is redrawn as in _sampled_stack."""
     count = len(traces_x)
     splits = gen.integers(1, n, size=count)
     ranks = np.concatenate([gen.integers(1, splits + 1), gen.integers(1, n - splits + 1)])
     frames = _haar_unitaries(n, count, gen)
-    g = _ginibre(gen, 2 * count, n, int(ranks.max()))
+    frames = np.concatenate([frames, frames])
     below = np.arange(n) < splits[:, None]
-    g[np.concatenate([~below, below])] = 0.0
-    ops = _wishart(
-        cls, np.concatenate([frames, frames]) @ g, ranks, np.concatenate([traces_x, traces_y])
-    )
-    return ops[:count], ops[count:]
+    outside = np.concatenate([~below, below])
+    traces = np.concatenate([traces_x, traces_y])
+    g = _ginibre(gen, 2 * count, n, int(ranks.max()))
+    while True:
+        g[outside] = 0.0
+        arr, short = _wishart(cls, frames @ g, ranks, traces)
+        if not short.any():
+            return arr[:count], arr[count:]
+        g[short] = _ginibre(gen, int(np.count_nonzero(short)), n, g.shape[2])
 
 
 def random_density(
@@ -350,29 +362,32 @@ def random_density(
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
     if not trace_target > 0.0:
         raise InvalidParameter("trace_target must be positive")
-    return _sampled_stack(DensityOperator, n, generator_of(rng), [rank], [trace_target])[0]
+    arr = _sampled_stack(DensityOperator, n, generator_of(rng), [rank], [trace_target])
+    return DensityOperator._wrapped(arr)[0]
 
 
 def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> QuantumState:
     """Random trace-1 density operator of prescribed rank."""
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
-    return _sampled_stack(QuantumState, n, generator_of(rng), [rank], None)[0]
+    arr = _sampled_stack(QuantumState, n, generator_of(rng), [rank], None)
+    return QuantumState._wrapped(arr)[0]
 
 
 def zero_density(n: int) -> DensityOperator:
     return DensityOperator(np.zeros((n, n), dtype=np.complex128))
 
 
-def _projection(vec) -> QuantumState:
-    """Rank-one projection |v><v| onto the nonzero vector v, normalized."""
+def _projection(vec) -> np.ndarray:
+    """Entries of the rank-one projection |v><v| onto the nonzero vector v,
+    normalized; the QuantumState constructor checks them."""
     vec = np.asarray(vec, dtype=np.complex128)
     vec = vec / float(np.linalg.norm(vec))
-    return QuantumState(np.outer(vec, vec.conj()))
+    return np.outer(vec, vec.conj())
 
 
 def basis_projection(n: int, k: int) -> QuantumState:
     """Projection onto the k-th computational basis vector."""
     vec = np.zeros(n, dtype=np.complex128)
     vec[k] = 1.0
-    return _projection(vec)
+    return QuantumState(_projection(vec))

@@ -46,9 +46,8 @@ from .states import (
     RngStream,
     _orthogonal_pairs,
     _sampled_stack,
-    _stacked,
+    _traces,
     random_state,
-    zero_density,
 )
 
 #: the tolerance overrides the suites read from their `tolerances` argument.
@@ -127,7 +126,7 @@ def _lemma1(dim, gen, samples, budget, tolerances):
         shown += [
             {
                 "kind": "nonzero-center",
-                "trace": centers[i].trace,
+                "trace": float(_traces(centers)[i]),
                 "radius": float(radius[i]),
                 "pair_distance": float(pair[i]),
             }
@@ -161,11 +160,12 @@ def _lemma3(dim, gen, samples, budget, tolerances):
         containment = None
         for _ in range(configs):
             eps = float(gen.uniform(0.5, 1.5))
-            (x,), (y,) = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
+            pair = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
+            x, y = DensityOperator._wrapped(np.concatenate(pair))
             # raises unless Z lies within BALL_SLACK of both spheres, with
             # trace at least eps/2; its residual is then held to the slack
-            z = midpoint_witness(x, y)
-            residual = float(np.abs(distances(MetricKind.TRACE_NORM, [x, y], [z, z]) - eps).max())
+            z, norms = midpoint_witness(x, y)
+            residual = float(np.abs(norms - eps).max())
             passed &= residual <= (_roundoff_slack(x, y, eps) if slack is None else slack)
             if containment is None or residual > containment["ball_violation"]:
                 containment = {
@@ -208,7 +208,7 @@ def _lemma3(dim, gen, samples, budget, tolerances):
 
 
 def _style_pairs(style, dim, gen, count):
-    """``count`` pairs of one _ortho_eq style, as two lists: orthogonal
+    """``count`` pairs of one _ortho_eq style, as two entry stacks: orthogonal
     supports (0), (a, (a + b)/2) (1), (x, 0) (2), and x against a full-rank
     y (3).  Traces are uniform in [0.3, 2]; every operator but a style-0 one
     draws a uniform rank (full for the y of style 3), and the pairs' ranks,
@@ -221,12 +221,12 @@ def _style_pairs(style, dim, gen, count):
         ranks = gen.integers(1, dim + 1, size=count)
     else:
         ranks = np.concatenate([gen.integers(1, dim + 1, size=count), np.full(count, dim)])
-    ops = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 2.0, size=len(ranks)))
+    arr = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 2.0, size=len(ranks)))
     if style == 2:
-        return ops, [zero_density(dim)] * count
-    xs, ys = ops[:count], ops[count:]
+        return arr, np.zeros_like(arr)
+    xs, ys = arr[:count], arr[count:]
     if style == 1:
-        ys = DensityOperator.from_stack((_stacked(xs) + _stacked(ys)) / 2.0)
+        ys = DensityOperator._validated((xs + ys) / 2.0)
     return xs, ys
 
 
@@ -253,18 +253,18 @@ def _ortho_eq(dim, gen, samples, budget, tolerances):
         for count in _blocks(total, dim, 2):
             xs, ys = _style_pairs(style, dim, gen, count)
             _, product_side = orthogonality(xs, ys, tol)
-            threshold = _orthogonality_threshold(_stacked(xs, "trace"), _stacked(ys, "trace"), tol)
+            threshold = _orthogonality_threshold(_traces(xs), _traces(ys), tol)
             gap_side = norm_identity_gaps(xs, ys) <= threshold
             misclassified += int(np.count_nonzero(product_side != gap_side))
     if dim >= 2:
         for count in _blocks(max(4, samples // 8), dim, 4):
             xs, ys = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
             ranks = gen.integers(1, dim + 1, size=2 * count)
-            ab = _sampled_stack(QuantumState, dim, gen, ranks, None)
-            a = ab[:count]
-            mixed = QuantumState.from_stack((_stacked(a) + _stacked(ab[count:])) / 2.0)
-            found = distances(MetricKind.TRACE_NORM, [*xs, *a], [*ys, *mixed])
-            _, orthogonal = orthogonality([*xs, *a], [*ys, *mixed], tol)
+            a, b = np.split(_sampled_stack(QuantumState, dim, gen, ranks, None), 2)
+            left = np.concatenate([xs, a])
+            right = np.concatenate([ys, QuantumState._validated((a + b) / 2.0)])
+            found = distances(MetricKind.TRACE_NORM, left, right)
+            _, orthogonal = orthogonality(left, right, tol)
             state_gap = max(state_gap, float(np.abs(found[:count] - 2.0).max()))
             passed &= bool(orthogonal[:count].all() and not orthogonal[count:].any())
             passed &= bool((found[count:] < 2.0 - BALL_SLACK).all())

@@ -105,7 +105,7 @@ def test_criterion_2_lemma1_suite():
             else:
                 ok &= abs(estimate.lower_bound - eps) <= 1e-9
         radii, _, _, pair, held = nonzero_center_witnesses(
-            [_sample(dim, gen, trace_hi=3.0) for _ in range(20)]
+            np.array([_sample(dim, gen, trace_hi=3.0).entries for _ in range(20)])
         )
         ok &= bool(held.all() and (pair >= 2.0 * radii - 1e-9).all())
     _report(
@@ -127,9 +127,9 @@ def test_criterion_3_orthogonality_equivalence():
         for k in range(200):
             pairs += 1
             if k % 2 == 0:
-                (x,), (y,) = _orthogonal_pairs(
+                (x,), (y,) = map(DensityOperator.from_stack, _orthogonal_pairs(
                     DensityOperator, dim, gen, [gen.uniform(0.3, 2.0)], [gen.uniform(0.3, 2.0)]
-                )
+                ))
             else:
                 x = _sample(dim, gen)
                 y = DensityOperator((x.entries + _sample(dim, gen).entries) / 2.0)
@@ -139,7 +139,8 @@ def test_criterion_3_orthogonality_equivalence():
             if product_side != gap_side or product_side != (k % 2 == 0):
                 misclassified += 1
         for _ in range(20):
-            (xs,), (ys,) = _orthogonal_pairs(DensityOperator, dim, gen, [1.0], [1.0])
+            pair = _orthogonal_pairs(DensityOperator, dim, gen, [1.0], [1.0])
+            (xs,), (ys,) = map(DensityOperator.from_stack, pair)
             state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
             ok &= are_orthogonal(xs, ys)
             a = random_state(dim, int(gen.integers(1, dim + 1)), gen)
@@ -164,8 +165,9 @@ def test_criterion_4_lemma3_suite():
         gen = RngStream(104, dim).generator()
         for k in range(20):
             eps = float(gen.uniform(0.5, 1.5))
-            (x,), (y,) = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
-            mid = midpoint_witness(x, y)
+            pair = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
+            (x,), (y,) = map(DensityOperator.from_stack, pair)
+            mid, _ = midpoint_witness(x, y)
             midpoint_ok &= (
                 trace_distance(x, mid) <= eps + 1e-9
                 and trace_distance(y, mid) <= eps + 1e-9

@@ -139,6 +139,15 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert [r["dim"] for r in payload["reports"]] == [1, 2, 4]
 
+    def test_near_singular_wishart_draw_is_redrawn(self, runner):
+        # at this seed a full-rank 48 x 48 Gaussian factor of the trace check
+        # falls under the rank floor; the sampler redraws it, and the suite
+        # reports a pass instead of raising
+        args = ["verify", "thm-trace-D", "--dims", "48", "--samples", "10", "--seed", "475575228"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["pass"] is True
+
     def test_unknown_suite_exits_2(self, runner):
         result = runner.invoke(main, ["verify", "lemma9[]"])
         assert result.exit_code == 2

@@ -36,6 +36,11 @@ from qsm.suites import run_suite
 SQRT2 = np.sqrt(2.0)
 
 
+def _stack(*ops):
+    """The entry stack of the given operators."""
+    return np.array([op.entries for op in ops])
+
+
 class _CountingGenerator(np.random.Generator):
     """Counts the matrices of the normal stacks drawn, one per perturbation
     proposal of the uniqueness search."""
@@ -58,7 +63,8 @@ class TestBuresBallDiameter:
 
     @pytest.mark.parametrize("dim,eps", [(2, 0.5), (3, 1.0), (6, 2.0)])
     def test_inball_pairs_obey_bound(self, dim, eps):
-        draws = _in_ball_at_zero(dim, eps, RngStream(3).generator(), 200)
+        gen = RngStream(3).generator()
+        draws = DensityOperator.from_stack(_in_ball_at_zero(dim, eps, gen, 200))
         for x, y in zip(draws[:100], draws[100:]):
             # proof chain: d^2 = tr X + tr Y - 2F <= tr X + tr Y <= 2 eps^2
             assert x.trace + y.trace <= 2.0 * eps**2 + 1e-9
@@ -89,7 +95,7 @@ class TestInBallAtZero:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_draws_targets_then_ranks_then_one_stack(self, dim):
         gen, twin = RngStream(5, dim).generator(), RngStream(5, dim).generator()
-        draws = _in_ball_at_zero(dim, 1.3, gen, 40)
+        draws = DensityOperator.from_stack(_in_ball_at_zero(dim, 1.3, gen, 40))
         targets = twin.uniform(0.0, 1.0, size=40) * 1.3 * 1.3
         ranks = twin.integers(1, dim + 1, size=40)
         assert [op.trace for op in draws] == pytest.approx(targets, rel=1e-12)
@@ -99,50 +105,52 @@ class TestInBallAtZero:
 
     def test_targets_at_the_zero_floor_draw_the_zero_operator(self):
         # targets are uniform in [0, 2e-12]: about half fall at or below ZERO_TRACE
-        draws = _in_ball_at_zero(3, np.sqrt(2e-12), RngStream(6).generator(), 40)
+        draws = DensityOperator.from_stack(
+            _in_ball_at_zero(3, np.sqrt(2e-12), RngStream(6).generator(), 40)
+        )
         zero = [op for op in draws if op.trace <= ZERO_TRACE]
         assert 0 < len(zero) < len(draws)
         assert all(not op.entries.any() for op in zero)
         assert all(op.entries.any() for op in draws if op.trace > ZERO_TRACE)
 
     def test_all_targets_at_the_floor(self):
-        draws = _in_ball_at_zero(2, 1e-7, RngStream(7).generator(), 5)
+        draws = DensityOperator.from_stack(_in_ball_at_zero(2, 1e-7, RngStream(7).generator(), 5))
         assert len(draws) == 5 and all(not op.entries.any() for op in draws)
 
 
 class TestNonzeroCenterWitnesses:
     def test_half_projection(self):
         center = DensityOperator(0.5 * basis_projection(2, 0).entries)
-        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([center])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(center))
         assert eps == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert pair == pytest.approx(1.4142135623730951, abs=1e-9)
         assert held
 
     def test_state_center(self):
         center = random_state(3, 3, RngStream(5))
-        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([center])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(center))
         assert eps == pytest.approx(1.0, abs=1e-10)
         assert pair == pytest.approx(2.0, abs=1e-9)
         assert held
 
     def test_inner_distance(self):
         center = random_density(3, 2, 1.7, RngStream(6))
-        (eps,), *_ = nonzero_center_witnesses([center])
+        (eps,), *_ = nonzero_center_witnesses(_stack(center))
         high = DensityOperator(4.0 * center.entries)
         assert bures_distance(center, high) == pytest.approx(eps, abs=1e-9)
         assert bures_distance(center, zero_density(3)) == pytest.approx(eps, abs=1e-9)
 
     def test_projection_pair_is_twice_the_radius(self):
-        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([basis_projection(2, 0)])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(basis_projection(2, 0)))
         assert (eps, held) == (1.0, True)
         assert pair == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_center_rejected(self):
         with pytest.raises(ZeroCenter):
-            nonzero_center_witnesses([zero_density(2)])
+            nonzero_center_witnesses(_stack(zero_density(2)))
         # one zero center in a block rejects the block
         with pytest.raises(ZeroCenter):
-            nonzero_center_witnesses([basis_projection(2, 0), zero_density(2)])
+            nonzero_center_witnesses(_stack(basis_projection(2, 0), zero_density(2)))
 
 
 class TestZeroCharacterization:
@@ -163,14 +171,14 @@ class TestZeroCharacterization:
 
     def test_any_state_fails(self):
         rho = random_state(3, 2, RngStream(9))
-        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses([rho])
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(rho))
         assert held and pair > SQRT2 * eps + 1e-9
 
 
 class TestMidpointWitness:
     def test_orthogonal_projections(self):
         p, q = basis_projection(2, 0), basis_projection(2, 1)
-        z = midpoint_witness(p, q)
+        z, _ = midpoint_witness(p, q)
         assert np.allclose(z.entries, (p.entries + q.entries) / 2.0)
         assert trace_distance(p, z) == pytest.approx(1.0, abs=1e-9)
         assert z.trace == pytest.approx(1.0, abs=1e-12)
@@ -178,7 +186,7 @@ class TestMidpointWitness:
     def test_scaled_pair(self):
         p = DensityOperator(2.0 * basis_projection(2, 0).entries)
         q = DensityOperator(2.0 * basis_projection(2, 1).entries)
-        z = midpoint_witness(p, q)
+        z, _ = midpoint_witness(p, q)
         assert trace_distance(p, z) == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_bad_configuration(self):
@@ -247,8 +255,9 @@ class TestPostConditions:
             pinch_configuration(random_state(3, 2, RngStream(24)), RngStream(25))
 
     def test_midpoint_witness(self, monkeypatch):
-        # the first distance is the precondition on the pair
-        self._break(monkeypatch, "trace_distance", 1)
+        # trace_distance reads the precondition on the pair, distances the
+        # midpoint's distances to both ends
+        self._break(monkeypatch, "distances", 0)
         with pytest.raises(NumericalBreakdown):
             midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
 
@@ -262,7 +271,7 @@ class TestPostConditions:
 
     def test_nonzero_center_witnesses(self, monkeypatch):
         self._break(monkeypatch, "distances", 0)
-        *_, held = nonzero_center_witnesses([random_state(3, 2, RngStream(27))])
+        *_, held = nonzero_center_witnesses(_stack(random_state(3, 2, RngStream(27))))
         assert not held.any()
 
     # one distance of one center read 1 too far, d(A, 0), d(A, 4A) or
@@ -279,7 +288,7 @@ class TestPostConditions:
             return out
 
         monkeypatch.setattr(qsm.geometry, "distances", broken)
-        *_, held = nonzero_center_witnesses(centers)
+        *_, held = nonzero_center_witnesses(_stack(*centers))
         assert held.tolist() == [i != center for i in range(3)]
 
     # each of lemma1's three diameters at samples = 3 makes three distances

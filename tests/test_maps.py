@@ -100,8 +100,8 @@ class TestApplyMap:
     def test_block_oracle_image_count_must_match(self, surplus):
         hidden = unitary_conjugation(random_unitary(2, RngStream(7)))
 
-        def evaluate(ops):
-            images = list(hidden.evaluate(ops))
+        def evaluate(arr):
+            images = list(hidden.evaluate(arr))
             return images[:surplus] if surplus < 0 else images + images[:surplus]
 
         m = StateMap(2, MapDomain.FULL_DENSITY, evaluate)
@@ -112,10 +112,10 @@ class TestApplyMap:
 
 
     def test_block_images_of_mixed_shapes_rejected(self):
-        m = StateMap(2, MapDomain.FULL_DENSITY, lambda ops: [np.eye(2), np.eye(3)])
+        m = StateMap(2, MapDomain.FULL_DENSITY, lambda arr: [np.eye(2), np.eye(3)])
         ops = [random_density(2, 1, 1.0, RngStream(10)) for _ in range(2)]
         with pytest.raises(DomainError):
-            qsm.maps._map_block(m, ops)
+            qsm.maps._map_block(m, np.array([a.entries for a in ops]))
 
 
 class TestNamedMaps:
@@ -421,11 +421,11 @@ class TestReconstruction:
         got = qsm.maps._validation_residual(m, u, kind, n, gens[0], VALIDATION_SAMPLES)
         want = 0.0
         for count in qsm.linalg._blocks(VALIDATION_SAMPLES, n, 1):
-            states = qsm.maps._sample_block(n, gens[1], MapDomain.STATES_ONLY, count)
-            arr = qsm.states._stacked(states)
+            arr = qsm.maps._sample_block(n, gens[1], MapDomain.STATES_ONLY, count)
             conjugated = u @ (arr.conj() if kind is MapKind.ANTIUNITARY_CONJ else arr) @ u.conj().T
             images = qsm.maps._domain_type(domain).from_stack(conjugated)
-            diff = qsm.states._stacked(qsm.maps._map_block(m, states)) - qsm.states._stacked(images)
+            built = qsm.maps._domain_type(domain).from_stack(qsm.maps._map_block(m, arr))
+            diff = np.array([a.entries for a in built]) - np.array([a.entries for a in images])
             want = qsm.linalg._max_trace_norm(diff, want)
         assert got == want
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
@@ -487,24 +487,24 @@ class TestRoundtrip:
     def test_roundtrip_builds_each_image_once(self, monkeypatch):
         # every operator a map is handed is built into an image exactly once
         handed, built, depth = [], [], [0]
-        map_block, from_stack = qsm.maps._map_block, DensityOperator.from_stack.__func__
+        map_block, validated = qsm.maps._map_block, DensityOperator._validated.__func__
 
-        def counting_map_block(m, ops):
+        def counting_map_block(m, arr):
             if not depth[0]:
-                handed.append(len(ops))
+                handed.append(len(arr))
             depth[0] += 1
             try:
-                return map_block(m, ops)
+                return map_block(m, arr)
             finally:
                 depth[0] -= 1
 
-        def counting_from_stack(cls, entries):
+        def counting_validated(cls, entries):
             if depth[0]:
                 built.append(len(entries))
-            return from_stack(cls, entries)
+            return validated(cls, entries)
 
         monkeypatch.setattr(qsm.maps, "_map_block", counting_map_block)
-        monkeypatch.setattr(DensityOperator, "from_stack", classmethod(counting_from_stack))
+        monkeypatch.setattr(DensityOperator, "_validated", classmethod(counting_validated))
         monkeypatch.setattr(qsm.maps, "VALIDATION_SAMPLES", 10)
         report = isometry_roundtrip(MapKind.UNITARY_CONJ, 2, RngStream(8), pairs=20,
                                     preservation_samples=10)

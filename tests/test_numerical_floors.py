@@ -45,7 +45,8 @@ def test_bures_radicand_floor_at_cap(n):
 @pytest.mark.parametrize("n", CAP_DIMS)
 def test_orthogonality_scale_at_cap(n):
     gen = RngStream(502, n).generator()
-    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, gen, [1.7], [0.6])
+    pair = _orthogonal_pairs(DensityOperator, n, gen, [1.7], [0.6])
+    (x,), (y,) = map(DensityOperator.from_stack, pair)
     assert are_orthogonal(x, y)
     assert norm_identity_gap(x, y) <= ORTHOGONALITY_TOL * (1.0 + x.trace * y.trace)
     b = random_density(n, n, 1.0, gen)

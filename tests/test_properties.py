@@ -41,6 +41,7 @@ from qsm.states import (
     RngStream,
     _ginibre,
     _orthogonal_pairs,
+    _sampled_stack,
     _wishart,
     random_density,
     random_state,
@@ -121,10 +122,11 @@ def test_distances_invariant_under_conjugation(n, seed, anti, states):
 def test_batched_distances_equal_per_pair(n, seed, count):
     ops = _densities(n, seed, 2 * count)
     xs, ys = ops[:count], ops[count:]
+    x_stack, y_stack = np.array([op.entries for op in xs]), np.array([op.entries for op in ys])
     for kind in MetricKind:
-        batched = distances(kind, xs, ys)
+        batched = distances(kind, x_stack, y_stack)
         assert [float(d) for d in batched] == [distance(kind, x, y) for x, y in zip(xs, ys)]
-    norms, orthogonal = orthogonality(xs, ys)
+    norms, orthogonal = orthogonality(x_stack, y_stack)
     assert [float(v) for v in norms] == [product_trace_norm(x, y) for x, y in zip(xs, ys)]
     assert list(orthogonal) == [are_orthogonal(x, y) for x, y in zip(xs, ys)]
 
@@ -250,9 +252,10 @@ def test_wishart_rank_from_the_gram_spectrum(n, seed, rank_share, log_trace, col
     trace.  With ``collapse`` its last kept column is twice its first plus
     10^-5.5 times a Gaussian column, which leaves one eigenvalue near
     1e-13..1e-12 of the trace: below the floor, far above roundoff, so its
-    count is one short.  The stack is accepted exactly when every eigh count
-    is the rank asked for, and otherwise refused naming the first eigh count
-    that is not."""
+    count is one short.  The sampler refuses the stack, naming the first eigh
+    count above the rank asked for, if there is one; otherwise it builds the
+    stack and counts as short exactly the operators whose eigh count is below
+    their rank (which _sampled_stack redraws)."""
     gen = RngStream(seed).generator()
     ranks = gen.integers(1, n + 1, size=3)
     ranks[0] = 1 + int(rank_share * (n - 1))
@@ -266,15 +269,43 @@ def test_wishart_rank_from_the_gram_spectrum(n, seed, rank_share, log_trace, col
     ops = DensityOperator.from_stack(a * (traces / a.trace(axis1=1, axis2=2).real)[:, None, None])
     found = [_eigh_rank(op.entries, t) for op, t in zip(ops, traces)]
     assert found[0] == ranks[0] - (collapse and ranks[0] >= 2)
-    wrong = [i for i in range(3) if found[i] != ranks[i]]
-    if not wrong:
-        built = _wishart(DensityOperator, g, ranks, traces)
-        assert all(np.array_equal(x.entries, y.entries) for x, y in zip(built, ops))
+    above = [i for i in range(3) if found[i] > ranks[i]]
+    if not above:
+        built, short = _wishart(DensityOperator, g, ranks, traces)
+        assert all(np.array_equal(x, y.entries) for x, y in zip(built, ops))
+        assert short.tolist() == [found[i] < ranks[i] for i in range(3)]
     else:
-        i = wrong[0]
+        i = above[0]
         message = f"numerical rank {found[i]}, wanted {ranks[i]}"
         with pytest.raises(NumericalBreakdown, match=message):
             _wishart(DensityOperator, g, ranks, traces)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=1, max_value=64), seed=seeds, rank_share=st.floats(0.0, 1.0),
+       log_trace=st.floats(-3.0, 1.0), states=st.booleans())
+def test_sampler_stacks_carry_their_operators(n, seed, rank_share, log_trace, states):
+    """A sampler's entry stack is its operators: each row's trace, read as
+    arr.trace(axis1=1, axis2=2).real, and each row's entries are bit for bit
+    the trace and the entries of the operator from_stack builds from it.
+    The first of three Wishart samples has the rank rank_share picks and, on
+    the density cone, the given trace; states are drawn unchecked, as
+    random_state draws them.  From n = 2 on, an orthogonal pair is drawn
+    too."""
+    gen = RngStream(seed).generator()
+    cls = QuantumState if states else DensityOperator
+    ranks = gen.integers(1, n + 1, size=3)
+    ranks[0] = 1 + int(rank_share * (n - 1))
+    traces = None if states else 10.0 ** np.array([log_trace, *gen.uniform(-3.0, 1.0, size=2)])
+    stacks = [_sampled_stack(cls, n, gen, ranks, traces)]
+    if n >= 2:
+        pair_traces = np.ones(2) if states else 10.0 ** gen.uniform(-3.0, 1.0, size=2)
+        stacks += _orthogonal_pairs(cls, n, gen, pair_traces[:1], pair_traces[1:])
+    for arr in stacks:
+        ops = cls.from_stack(arr)
+        assert not arr.flags.writeable
+        assert arr.trace(axis1=1, axis2=2).real.tolist() == [op.trace for op in ops]
+        assert all(np.array_equal(row, op.entries) for row, op in zip(arr, ops))
 
 
 @PROPERTY
@@ -286,8 +317,9 @@ def test_orthogonal_pair_ranks_from_the_gram_spectrum(n, seed, log_trace, states
     count = 3
     gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
     trace = 1.0 if states else 10.0**log_trace
-    xs, ys = _orthogonal_pairs(QuantumState if states else DensityOperator, n, gen,
-                               np.full(count, trace), np.full(count, trace))
+    cls = QuantumState if states else DensityOperator
+    xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, np.full(count, trace),
+                                                   np.full(count, trace)))
     splits = twin.integers(1, n, size=count)
     ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
     for x, y, rx, ry in zip(xs, ys, ranks_x, ranks_y):
@@ -302,10 +334,12 @@ def test_midpoint_witness_within_the_roundoff_slack(n, seed, log_eps):
     radius-eps spheres within 1/16 of the default search slack, the bound
     lemma3 holds it to (measured worst about 1/230)."""
     eps = 10.0**log_eps
-    (x,), (y,) = _orthogonal_pairs(DensityOperator, n, RngStream(seed).generator(), [eps], [eps])
-    z = midpoint_witness(x, y)
+    pair = _orthogonal_pairs(DensityOperator, n, RngStream(seed).generator(), [eps], [eps])
+    (x,), (y,) = map(DensityOperator.from_stack, pair)
+    z, _ = midpoint_witness(x, y)
     assert abs(z.trace - eps) <= 4.0 * n * np.finfo(np.float64).eps * eps
-    residual = np.abs(distances(MetricKind.TRACE_NORM, [x, y], [z, z]) - eps).max()
+    ends, mids = np.array([x.entries, y.entries]), np.array([z.entries, z.entries])
+    residual = np.abs(distances(MetricKind.TRACE_NORM, ends, mids) - eps).max()
     assert residual <= _roundoff_slack(x, y, eps) / 16.0
 
 

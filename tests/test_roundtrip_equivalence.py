@@ -63,8 +63,9 @@ def _draw(n, gen, domain, count):
     only), then one Wishart stack."""
     ranks = gen.integers(1, n + 1, size=count)
     if domain is MapDomain.STATES_ONLY:
-        return _sampled_stack(QuantumState, n, gen, ranks, None)
-    return _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.2, 2.0, size=count))
+        return QuantumState.from_stack(_sampled_stack(QuantumState, n, gen, ranks, None))
+    traces = gen.uniform(0.2, 2.0, size=count)
+    return DensityOperator.from_stack(_sampled_stack(DensityOperator, n, gen, ranks, traces))
 
 
 def serial_check_isometry(m, metric, rng, pairs):
@@ -110,7 +111,7 @@ def serial_preservation_suite(m, rng, samples=100):
                 traces = np.ones((2, count))
             else:
                 traces = gen.uniform(0.2, 2.0, size=(2, count))
-            groups += _orthogonal_pairs(build, n, gen, *traces)
+            groups += [build.from_stack(xs) for xs in _orthogonal_pairs(build, n, gen, *traces)]
         drawn = _draw(n, gen, m.domain, (5 if n >= 2 else 3) * count)
         drawn = [drawn[i:i + count] for i in range(0, len(drawn), count)]
         lams = gen.uniform(size=count)
@@ -200,7 +201,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
     for i in range(1, n):
         vec = np.zeros(n, dtype=np.complex128)
         vec[0] = vec[i] = 1.0 / np.sqrt(2.0)
-        w = _pure_image_vector(oracle, _projection(vec), tol, f"superposition:{i}")
+        w = _pure_image_vector(oracle, QuantumState(_projection(vec)), tol, f"superposition:{i}")
         a = np.vdot(first, w)
         b = np.vdot(columns[i], w)
         if min(abs(a), abs(b)) < 1e-3:
@@ -216,7 +217,7 @@ def serial_reconstruct_implementer(oracle, rng, validation_samples=100, tol=1e-8
     if n >= 2:
         vec = np.zeros(n, dtype=np.complex128)
         vec[0], vec[1] = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-        z = _pure_image_vector(oracle, _projection(vec), tol, "imaginary")
+        z = _pure_image_vector(oracle, QuantumState(_projection(vec)), tol, "imaginary")
         plus = (assembled[0] + 1j * assembled[1]) / np.sqrt(2.0)
         minus = (assembled[0] - 1j * assembled[1]) / np.sqrt(2.0)
         if abs(np.vdot(minus, z)) > abs(np.vdot(plus, z)):
@@ -258,10 +259,10 @@ def serial_isometry_roundtrip(kind, n, rng, pairs, validation_samples, domain,
         else antiunitary_conjugation(u_true, domain)
     )
 
-    def evaluate(ops):
+    def evaluate(arr):
         if seen is not None:
-            seen.extend(a.entries.copy() for a in ops)
-        return hidden.evaluate(ops)
+            seen.extend(x.copy() for x in arr)
+        return hidden.evaluate(arr)
 
     oracle = StateMap(n, domain, evaluate)
     deviations = {}
@@ -337,10 +338,10 @@ class BlockRecordingOracle(RecordingOracle):
         super().__init__(n, domain)
         self.blocks = []
 
-    def __call__(self, ops):
-        self.blocks.append(len(ops))
-        self.seen += [a.entries.copy() for a in ops]
-        return [image.entries for image in qsm.maps._map_block(self.hidden, ops)]
+    def __call__(self, arr):
+        self.blocks.append(len(arr))
+        self.seen += [x.copy() for x in arr]
+        return qsm.maps._map_block(self.hidden, arr)
 
 
 class OffBasisSwapOracle:
@@ -583,10 +584,10 @@ def test_roundtrip_block_oracle_sees_per_operator_sequence(n, domain, kind, lowe
         built.append(conjugation(*args))
         return built[-1]
 
-    def recording(m, ops):
+    def recording(m, arr):
         if m is built[0]:
-            blocks.append([a.entries.copy() for a in ops])
-        return map_block(m, ops)
+            blocks.append([x.copy() for x in arr])
+        return map_block(m, arr)
 
     monkeypatch.setattr(qsm.maps, "_conjugation", building)
     monkeypatch.setattr(qsm.maps, "_map_block", recording)

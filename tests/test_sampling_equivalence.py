@@ -56,7 +56,7 @@ def serial_bures_ball_diameter(dim, radius, rng, samples, log=None):
         second[1, 1] = radius * radius
     pairs = [(DensityOperator(first), DensityOperator(second))]
     for count in _blocks(samples, dim, 2):
-        ops = _in_ball_at_zero(dim, radius, gen, 2 * count)
+        ops = DensityOperator.from_stack(_in_ball_at_zero(dim, radius, gen, 2 * count))
         pairs += zip(ops[:count], ops[count:])
     bound = (np.sqrt(2.0) * radius if dim >= 2 else radius) + BALL_SLACK
     best, best_pair = -1.0, None
@@ -78,6 +78,7 @@ def serial_nonzero_center_witnesses(centers, log=None):
     """The reference; ``log["distances"]`` gets every distance it measures:
     all d(A, 0), then all d(A, 4A), then all d(0, 4A)."""
     log = defaultdict(list) if log is None else log
+    centers = DensityOperator.from_stack(centers)
     if any(a.trace <= ZERO_TRACE for a in centers):
         raise ZeroCenter("witness construction needs tr(center) > 1e-12")
     zero = zero_density(centers[0].dim)
@@ -106,16 +107,18 @@ def serial_ortho_eq(dim, gen, samples, budget, tolerances, log):
         totals = [0, totals[1], totals[2], totals[3] + totals[0]]
     for style, total in enumerate(totals):
         for count in _blocks(total, dim, 2):
-            for x, y in zip(*_style_pairs(style, dim, gen, count)):
+            xs, ys = _style_pairs(style, dim, gen, count)
+            for x, y in zip(DensityOperator.from_stack(xs), DensityOperator.from_stack(ys)):
                 log["orthogonality"].append(are_orthogonal(x, y, tol))
                 log["norm_identity_gaps"].append(norm_identity_gap(x, y))
                 gap_side = log["norm_identity_gaps"][-1] <= tol * (1.0 + x.trace * y.trace)
                 misclassified += log["orthogonality"][-1] != gap_side
     if dim >= 2:
         for count in _blocks(max(4, samples // 8), dim, 4):
-            xs, ys = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
+            pairs = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
+            xs, ys = map(QuantumState.from_stack, pairs)
             ranks = gen.integers(1, dim + 1, size=2 * count)
-            ab = _sampled_stack(QuantumState, dim, gen, ranks, None)
+            ab = QuantumState.from_stack(_sampled_stack(QuantumState, dim, gen, ranks, None))
             mixed = [QuantumState((a.entries + b.entries) / 2.0)
                      for a, b in zip(ab[:count], ab[count:])]
             pairs = [*zip(xs, ys), *zip(ab[:count], mixed)]

@@ -177,7 +177,8 @@ class TestConstruction:
         # the fidelity reads, so it does not count that eigenvalue twice
         op = DensityOperator(_with_lowest(n, 0.9, np.random.default_rng(n)))
         assert bures_distance(op, op) == 0.0
-        assert distances(MetricKind.BURES, [op, op], [op, op]).tolist() == [0.0, 0.0]
+        stack = np.array([op.entries, op.entries])
+        assert distances(MetricKind.BURES, stack, stack).tolist() == [0.0, 0.0]
 
 
 class TestSpectra:
@@ -202,7 +203,7 @@ class TestSpectra:
             lam, vec = np.linalg.eigh(op.entries)
             expected.append((np.maximum(lam, 0.0), vec))
         eigh_calls.clear()
-        lam, vec = _spectra(ops)
+        lam, vec = _spectra(np.array([op.entries for op in ops]))
         assert eigh_calls == [(len(ops), n, n)]
         assert lam.shape == (len(ops), n) and vec.shape == (len(ops), n, n)
         for i, (op, (lam_i, vec_i)) in enumerate(zip(ops, expected)):
@@ -215,17 +216,6 @@ class TestSpectra:
         if n > 1:
             assert lam[-1, 0] == 0.0
 
-    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
-    def test_repeated_operator_decomposed_once(self, eigh_calls, cls):
-        ops = self._stack(cls, 5, np.random.default_rng(20))
-        want_lam, want_vec = _spectra(ops)
-        rows = [0, 1, 1, *range(2, len(ops)), 2, 0]
-        eigh_calls.clear()
-        lam, vec = _spectra([ops[i] for i in rows])
-        assert eigh_calls == [(len(ops), 5, 5)]
-        assert np.array_equal(lam, want_lam[rows])
-        assert np.array_equal(vec, want_vec[rows])
-
     def test_every_read_decomposes(self, eigh_calls):
         op = DensityOperator(_wishart(4, 2, np.random.default_rng(21)))
         assert eigh_calls == []
@@ -235,7 +225,7 @@ class TestSpectra:
         assert eigh_calls == [(1, 4, 4)] * 3
 
     def test_empty_list_decomposes_nothing(self, eigh_calls):
-        lam, vec = _spectra([])
+        lam, vec = _spectra(np.empty((0, 0, 0), dtype=np.complex128))
         assert eigh_calls == []
         assert lam.shape == (0, 0) and vec.shape == (0, 0, 0)
 
@@ -243,7 +233,7 @@ class TestSpectra:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_rank_agrees_with_ranks(self, cls, n):
         ops = self._stack(cls, n, np.random.default_rng(30 + n))
-        lam, _ = _spectra(ops)
+        lam, _ = _spectra(np.array([op.entries for op in ops]))
         ranks = _ranks(lam, [op.trace for op in ops])
         assert [op.rank() for op in ops] == ranks.tolist()
         assert len(set(ranks.tolist())) == n
@@ -251,21 +241,21 @@ class TestSpectra:
 
 class TestPureState:
     def test_basis_vector(self):
-        proj = _projection([1.0, 0.0])
+        proj = QuantumState(_projection([1.0, 0.0]))
         assert np.allclose(proj.entries, np.diag([1.0, 0.0]))
 
     def test_real_superposition(self):
-        proj = _projection(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        proj = QuantumState(_projection(np.array([1.0, 1.0]) / np.sqrt(2.0)))
         assert np.allclose(proj.entries, np.full((2, 2), 0.5))
 
     def test_imaginary_superposition(self):
         # outer product by hand: v v* = [[1, -i], [i, 1]] / 2
-        proj = _projection(np.array([1.0, 1j]) / np.sqrt(2.0))
+        proj = QuantumState(_projection(np.array([1.0, 1j]) / np.sqrt(2.0)))
         expected = np.array([[1.0, -1j], [1j, 1.0]]) / 2.0
         assert np.allclose(proj.entries, expected)
 
     def test_normalizes(self):
-        proj = _projection([3.0, 4.0])
+        proj = QuantumState(_projection([3.0, 4.0]))
         assert proj.trace == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(proj.entries, [[0.36, 0.48], [0.48, 0.64]], atol=1e-12)
 
@@ -273,7 +263,7 @@ class TestPureState:
         gen = np.random.default_rng(5)
         for _ in range(20):
             vec = gen.standard_normal(4) + 1j * gen.standard_normal(4)
-            proj = _projection(vec)
+            proj = QuantumState(_projection(vec))
             assert proj.trace == pytest.approx(1.0, abs=1e-12)
             idem = proj.entries @ proj.entries - proj.entries
             assert np.max(np.abs(idem)) <= 1e-10
@@ -372,6 +362,65 @@ class TestRankOf:
         assert DensityOperator(np.diag([0.5, 0.5, 0.0])).rank() == 2
 
 
+class _CollapsingGenerator(np.random.Generator):
+    """A generator whose ``collapse``-th standard_normal draw (from 0) has
+    every column of its first matrix equal to that matrix's first column, so
+    the factor drawn there has rank one; every other draw is honest."""
+
+    def __init__(self, seed, collapse):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = 0
+        self.collapse = collapse
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        if self.draws == self.collapse:
+            out[0] = out[0, :, :, :1]
+        self.draws += 1
+        return out
+
+
+class TestShortFactorsAreRedrawn:
+    """A factor whose rank falls short is redrawn from the sampler's own
+    generator, after the whole stack, and only that factor."""
+
+    @pytest.mark.parametrize("n", [2, 5, 48])
+    def test_sampled_stack(self, n):
+        ranks, traces = np.array([n, 2, n]), np.array([0.7, 1.3, 2.0])
+        gen, twin = _CollapsingGenerator(40 + n, 0), np.random.default_rng(40 + n)
+        arr = _sampled_stack(DensityOperator, n, gen, ranks, traces)
+        honest = _sampled_stack(DensityOperator, n, twin, ranks, traces)
+        ops = DensityOperator.from_stack(arr)
+        assert [op.rank() for op in ops] == ranks.tolist()
+        assert [op.trace for op in ops] == pytest.approx(traces, rel=1e-12)
+        assert not np.array_equal(arr[0], honest[0])
+        assert np.array_equal(arr[1:], honest[1:])
+        twin.standard_normal((1, 2, n, n))
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_orthogonal_pairs(self, n, cls):
+        # the first seed whose first x has rank 2 or more, so that collapsing
+        # its factor to rank one leaves it short
+        seed = next(s for s in range(100) if self._ranks(n, s)[0][0] >= 2)
+        gen, twin = _CollapsingGenerator(seed, 1), np.random.default_rng(seed)
+        xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, np.ones(2), np.ones(2)))
+        ranks_x, ranks_y = self._ranks(n, seed)
+        assert [x.rank() for x in xs] == ranks_x.tolist()
+        assert [y.rank() for y in ys] == ranks_y.tolist()
+        assert all(are_orthogonal(x, y) for x, y in zip(xs, ys))
+        _orthogonal_pairs(cls, n, twin, np.ones(2), np.ones(2))
+        twin.standard_normal((1, 2, n, int(max(ranks_x.max(), ranks_y.max()))))
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @staticmethod
+    def _ranks(n, seed):
+        gen = np.random.default_rng(seed)
+        splits = gen.integers(1, n, size=2)
+        return gen.integers(1, splits + 1), gen.integers(1, n - splits + 1)
+
+
 class TestStackedSamplers:
     """The stacked samplers against one-matrix draws and against the
     single-matrix constructions they replaced."""
@@ -418,7 +467,7 @@ class TestStackedSamplers:
         gen = np.random.default_rng(n)
         ranks = gen.integers(1, n + 1, size=12)
         traces = gen.uniform(0.2, 2.0, size=12)
-        ops = _sampled_stack(DensityOperator, n, gen, ranks, traces)
+        ops = DensityOperator.from_stack(_sampled_stack(DensityOperator, n, gen, ranks, traces))
         assert [op.rank() for op in ops] == ranks.tolist()
         for op, trace in zip(ops, traces):
             assert op.trace == pytest.approx(trace, abs=1e-12 * max(1.0, trace))
@@ -429,11 +478,12 @@ class TestStackedSamplers:
         traces hands no matrix to eigh."""
         gen = RngStream(24, n).generator()
         ops = [random_density(n, n, 1.3, gen)]
-        ops += _sampled_stack(DensityOperator, n, gen, gen.integers(1, n + 1, size=4),
-                              gen.uniform(0.2, 2.0, size=4))
+        ops += DensityOperator.from_stack(_sampled_stack(
+            DensityOperator, n, gen, gen.integers(1, n + 1, size=4), gen.uniform(0.2, 2.0, size=4)
+        ))
         if n >= 2:
             for pairs in _orthogonal_pairs(QuantumState, n, gen, np.ones(3), np.ones(3)):
-                ops += pairs
+                ops += QuantumState.from_stack(pairs)
         assert eigh_calls == []
 
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
@@ -446,7 +496,7 @@ class TestStackedSamplers:
         else:
             traces = gen.uniform(0.2, 2.0, size=(2, count))
             twin.uniform(0.2, 2.0, size=(2, count))
-        xs, ys = _orthogonal_pairs(cls, n, gen, *traces)
+        xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, *traces))
         splits = twin.integers(1, n, size=count)
         ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
         for x, y, tx, ty, rx, ry in zip(xs, ys, *traces, ranks_x, ranks_y):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import qsm.geometry
 import qsm.maps
 import qsm.suites
 from qsm.geometry import ZERO_TRACE
@@ -90,11 +91,12 @@ def test_lemma3_runs_no_zero_center_search(monkeypatch):
 def test_lemma3_holds_the_midpoint_to_the_roundoff_slack(monkeypatch):
     # the midpoint read 1e-11 beyond eps from X: within BALL_SLACK = 1e-9,
     # which midpoint_witness checks, but above the default slack, which at
-    # n = 2 is max(1e-12 * eps, ~1e-13) <= 1.5e-12 for eps in [0.5, 1.5]
-    def shifted(kind, xs, ys, _distances=qsm.suites.distances):
+    # n = 2 is max(1e-12 * eps, ~1e-13) <= 1.5e-12 for eps in [0.5, 1.5];
+    # midpoint_witness measures both distances and the suite reads them
+    def shifted(kind, xs, ys, _distances=qsm.geometry.distances):
         return _distances(kind, xs, ys) + [1e-11, 0.0]
 
-    monkeypatch.setattr(qsm.suites, "distances", shifted)
+    monkeypatch.setattr(qsm.geometry, "distances", shifted)
 
     def lemma3(tolerances):
         return qsm.suites._lemma3(2, RngStream(0, 2002).generator(), 20, 200, tolerances)
