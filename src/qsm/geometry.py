@@ -143,7 +143,9 @@ def bures_ball_diameter(
         i = int(np.argmax(d))
         if d[i] > best:
             best, best_pair = float(d[i]), np.array([xs[i], ys[i]])
-    in_ball = distances(MetricKind.BURES, best_pair, np.zeros_like(best_pair))
+    # both members against one zero row
+    zero = np.zeros_like(best_pair[:1])
+    in_ball = distances(MetricKind.BURES, best_pair, zero, ([0, 1], [2, 2]))
     if (in_ball > radius + BALL_SLACK).any():
         raise NumericalBreakdown("a witness fell outside its Bures ball")
     return DiameterEstimate(best, tuple(DensityOperator._wrapped(best_pair)))
@@ -160,20 +162,24 @@ def nonzero_center_witnesses(
     sqrt(tr A), the distances d(A, 0), d(A, 4A) and
     d(0, 4A), and the mask of the witnesses that held: d(A, 0) and d(A, 4A)
     within the radius and d(0, 4A) within BALL_SLACK of twice the radius.
-    The 3k distances of the k centers, in that order, are one batched call.
-    A center with trace at or below ZERO_TRACE raises ZeroCenter.
+    The 3k distances of the k centers, in that order, are one batched call
+    that pairs the rows of the centers, one zero row and the 4A, so it
+    decomposes 2k + 1 spectra.  A center with trace at or below ZERO_TRACE
+    raises ZeroCenter.
     """
     traces = _traces(centers)
     if (traces <= ZERO_TRACE).any():
         raise ZeroCenter(f"witness construction needs tr(center) > {ZERO_TRACE}")
     radii = np.sqrt(traces)
-    zeros = np.zeros_like(centers)
-    highs = DensityOperator._validated(4.0 * centers)
+    k = len(centers)
+    ends = np.concatenate([np.zeros_like(centers[:1]), DensityOperator._validated(4.0 * centers)])
+    a, zero, high = np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)
     to_zero, to_high, pair = np.split(
         distances(
             MetricKind.BURES,
-            np.concatenate([centers, centers, zeros]),
-            np.concatenate([zeros, highs, highs]),
+            centers,
+            ends,
+            (np.concatenate([a, a, zero]), np.concatenate([zero, high, high])),
         ),
         3,
     )
@@ -264,10 +270,19 @@ def intersection_uniqueness_search(
     Proposals perturb the center by random Hermitian directions clamped back
     to the PSD cone, with the scale annealed geometrically (x0.9 per 100
     rejections from 0.1*epsilon, applied between blocks), mixed with convex
-    moves toward the midpoint of the two ball centers (balls are convex, so
-    those are feasible whenever the midpoint is — this is what lets the
-    search certify *strict* containment when the center is 0).  The best
-    feasible candidate by separation is kept; the first one wins a tie.
+    moves z = (1-t)*center + t*mid toward the midpoint mid of the two ball
+    centers (balls are convex, so those are feasible whenever the midpoint
+    is — this is what lets the search certify *strict* containment when the
+    center is 0).  The best feasible candidate by separation is kept; the
+    first one wins a tie.
+
+    Convex moves run only when ||mid - center||_1 exceeds the slack, decided
+    once per search with one trace norm.  Otherwise ||z - center||_1 =
+    t*||mid - center||_1 is within the slack for every t in [0, 1): each
+    convex move is the center up to the resolution of the ball tests, and the
+    center is already the starting best.  A pinch is that case, since
+    upper + lower = 2*center up to roundoff, so its whole budget goes to
+    perturbations.
 
     slack defaults to a roundoff-level allowance (_roundoff_slack).  Any
     looser slack s fattens the one-point intersection into a tube of width
@@ -277,9 +292,10 @@ def intersection_uniqueness_search(
     violation.
 
     Proposals are drawn and evaluated in blocks.  A block of k proposals
-    draws k uniforms (a proposal with one below 0.2 is a convex move), then
-    the convex weights of its moves, then one ``(steps, 2, n, n)`` stack of
-    standard normals, the real and imaginary parts of its perturbations.
+    draws k uniforms (a proposal with one below 0.2 is a convex move, if
+    convex moves run), then the convex weights of its moves, then one
+    ``(steps, 2, n, n)`` stack of standard normals, the real and imaginary
+    parts of its perturbations.
     Each proposal stops at the first test that rejects it, and each test
     runs as one batched call on the proposals still open:
 
@@ -326,6 +342,7 @@ def intersection_uniqueness_search(
     if slack is None:
         slack = _roundoff_slack(upper, lower, epsilon)
     mid = 0.5 * (x_e + y_e)
+    convex = bool(trace_norm_entries(mid - a_e) > slack)
     reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
 
     best = a_e
@@ -340,7 +357,7 @@ def intersection_uniqueness_search(
     while left:
         k = min(left, cap)
         left -= k
-        moves = gen.uniform(size=k) < 0.2
+        moves = (gen.uniform(size=k) < 0.2) & convex
         t = gen.uniform(size=int(np.count_nonzero(moves)))[:, None, None]
         g = gen.standard_normal((k - len(t), 2, n, n))
         g = g[:, 0] + 1j * g[:, 1]

@@ -157,9 +157,18 @@ def oracle_map(
 ) -> StateMap:
     """Wrap an opaque per-operator evaluation as a StateMap.  Each block of
     operators is handed to ``evaluate`` one operator at a time, in order, as
-    operators of the domain's class."""
+    operators of the domain's class.  They are built from the block's entry
+    stack, which the loops have already checked, without checking it again,
+    and on a read-only view of it, so ``evaluate`` cannot write into the
+    samples that the checks read after it."""
     cls = _domain_type(domain)
-    return StateMap(dim, domain, lambda arr: [evaluate(a).entries for a in cls.from_stack(arr)])
+
+    def evaluate_block(arr):
+        arr = arr.view()
+        arr.setflags(write=False)
+        return [evaluate(a).entries for a in cls._wrapped(arr)]
+
+    return StateMap(dim, domain, evaluate_block)
 
 
 def named_nonisometry(

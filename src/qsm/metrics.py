@@ -53,13 +53,17 @@ def _product_trace_norm_entries(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(a @ b, compute_uv=False), axis=-1)
 
 
-def _fidelities(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fidelity of each pair of rows of two entry stacks, and the clamped
-    eigenvalues of x and of y, from one ``eigh`` of both stacks."""
+def _fidelities(
+    x: np.ndarray, y: np.ndarray, pairs=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fidelity of each pair of rows of two entry stacks, paired as
+    ``distances`` pairs them, and the clamped eigenvalues of both sides of
+    each pair, from one ``eigh`` of both stacks."""
     lam, vec = _spectra(np.concatenate([x, y]))
     root = _sqrt_entries(lam, vec)
     k = len(x)
-    return _product_trace_norm_entries(root[:k], root[k:]), lam[:k], lam[k:]
+    i, j = (slice(None, k), slice(k, None)) if pairs is None else pairs
+    return _product_trace_norm_entries(root[i], root[j]), lam[i], lam[j]
 
 
 def _bures_entries(lam_a, lam_b, fid, n: int):
@@ -128,10 +132,13 @@ def are_orthogonal(
     return bool(orthogonality(*_pair(x, y), tol)[1][0])
 
 
-def _bures_and_fidelities(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bures_and_fidelities(
+    x: np.ndarray, y: np.ndarray, pairs=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Bures distance and fidelity of each pair of rows of two entry stacks,
-    both from one decomposition of the spectra."""
-    fid, lam_x, lam_y = _fidelities(x, y)
+    paired as ``distances`` pairs them, both from one decomposition of the
+    spectra."""
+    fid, lam_x, lam_y = _fidelities(x, y, pairs)
     return _bures_entries(lam_x, lam_y, fid, x.shape[-1]), fid
 
 
@@ -143,13 +150,19 @@ def orthogonality(x: np.ndarray, y: np.ndarray, tol: float = ORTHOGONALITY_TOL):
     return norms, norms <= _orthogonality_threshold(_traces(x), _traces(y), tol)
 
 
-def distances(kind: MetricKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def distances(kind: MetricKind, x: np.ndarray, y: np.ndarray, pairs=None) -> np.ndarray:
     """distance(kind, ...) of each pair of rows of two entry stacks, batched;
-    distance is its k = 1 case."""
+    distance is its k = 1 case.  Row m of x is paired with row m of y, or,
+    with ``pairs`` = (i, j), two index arrays into the rows of x followed by
+    those of y, row i[m] with row j[m]: the Bures distance then decomposes
+    each row once, however many pairs read it."""
     _same_dim(x, y)
     if kind is MetricKind.BURES:
-        return _bures_and_fidelities(x, y)[0]
+        return _bures_and_fidelities(x, y, pairs)[0]
     if kind is MetricKind.TRACE_NORM:
+        if pairs is not None:
+            rows = np.concatenate([x, y])
+            x, y = rows[pairs[0]], rows[pairs[1]]
         return trace_norm_entries(x - y)
     raise ValueError(f"unknown metric kind {kind!r}")
 

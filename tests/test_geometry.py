@@ -371,10 +371,32 @@ class TestUniquenessSearch:
         )
         assert result.separation_from_center <= 1e-5 * pinch.epsilon
         assert matrices["eigh"] < gen.perturbations
-        assert matrices["eigvalsh"] < 2 * 2000
+        assert matrices["eigvalsh"] < 2000
         # eigvalsh's clamped trace rejects before the clamp, so eigh sees
         # only the perturbations that pass both trace bounds
         assert matrices["eigh"] < gen.perturbations / 10
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_pinch_search_makes_no_convex_moves(self, dim):
+        """A pinch's midpoint is its center up to roundoff, within the default
+        slack, so every proposal of its search is a perturbation."""
+        gen = RngStream(17, dim).generator()
+        center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+        pinch = pinch_configuration(center, gen)
+        counter = _CountingGenerator(np.random.PCG64(18))
+        intersection_uniqueness_search(
+            pinch.upper, pinch.lower, center, pinch.epsilon, counter, 2000
+        )
+        assert counter.perturbations == 2000
+
+    def test_zero_center_search_makes_convex_moves(self):
+        """Around 0 the midpoint is far from the center, so a fifth of the
+        proposals are convex moves, and they reach it."""
+        p, q = basis_projection(2, 0), basis_projection(2, 1)
+        counter = _CountingGenerator(np.random.PCG64(19))
+        result = intersection_uniqueness_search(p, q, zero_density(2), 1.0, counter, 2000)
+        assert counter.perturbations < 2000
+        assert result.separation_from_center >= 0.5
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("dim", range(2, 7))

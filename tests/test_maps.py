@@ -455,6 +455,34 @@ class TestReconstruction:
         inputs = 1 + 25 + qsm.maps.probe_count(n) + VALIDATION_SAMPLES
         assert sum(matrices) == 2 * inputs == 508
 
+    def test_oracle_map_does_not_check_its_inputs_again(self, monkeypatch):
+        """At n = 8 a reconstruction hands cholesky 142 inputs and their 142
+        images; a conjugation behind oracle_map adds only the inner map's
+        check of each image, 142 more, and no second check of the inputs."""
+        hidden = unitary_conjugation(random_unitary(8, RngStream(3)))
+        matrices = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            matrices.append(len(a) if np.ndim(a) == 3 else 1)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        oracle = oracle_map(lambda a: apply_map(hidden, a), 8)
+        result = reconstruct_implementer(oracle, RngStream(2))
+        assert result.residual <= 1e-12
+        assert sum(matrices) == 426
+
+    def test_oracle_map_hands_read_only_operators(self):
+        """An oracle cannot write into the samples a check reads after it."""
+
+        def scribble(a):
+            a.entries[0, 0] = 0.0
+            return a
+
+        with pytest.raises(ValueError, match="read-only"):
+            check_isometry(oracle_map(scribble, 2), MetricKind.TRACE_NORM, RngStream(4), 3)
+
 
 class TestRoundtrip:
     def test_unitary_roundtrip(self):

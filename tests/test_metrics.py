@@ -116,7 +116,7 @@ class TestBures:
         a = random_state(2, 2, RngStream(34))
         fidelities = metrics_module._fidelities
         monkeypatch.setattr(metrics_module, "_fidelities",
-                            lambda x, y: (np.array([10.0]), *fidelities(x, y)[1:]))
+                            lambda *args: (np.array([10.0]), *fidelities(*args)[1:]))
         with pytest.raises(NumericalBreakdown):
             metrics_module.bures_distance(a, a)
 
@@ -237,3 +237,27 @@ def test_states_orthogonal_iff_distance_two():
         b = DensityOperator((a.entries + random_state(n, n, gen).entries) / 2.0)
         assert not are_orthogonal(a, b)
         assert trace_distance(a, b) < 2.0 - 1e-9
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_indexed_pairs_match_each_pair(monkeypatch, kind, n):
+    """distances with index pairs into x's rows followed by y's gives each
+    pair's distance bit for bit, and a Bures batch decomposes each row once
+    however many pairs read it."""
+    gen = RngStream(65, n).generator()
+    x = np.array([sample_density(n, gen).entries for _ in range(3)])
+    y = np.array([sample_density(n, gen).entries for _ in range(2)])
+    rows = DensityOperator.from_stack(np.concatenate([x, y]))
+    i, j = np.array([0, 0, 1, 2, 3, 4]), np.array([3, 4, 4, 0, 2, 3])
+    want = [distance(kind, rows[a], rows[b]) for a, b in zip(i, j)]
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert distances(kind, x, y, (i, j)).tolist() == want
+    assert sum(matrices) == (5 if kind is MetricKind.BURES else 0)

@@ -20,10 +20,11 @@ def _serial_psd_clamp_entries(arr):
 
 def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     """Reference oracle: each block is drawn as the library draws it (block
-    sizes, uniforms, convex weights, one normal stack), then its proposals
-    are evaluated one at a time with the single-matrix clamp, all at the
-    block's scale.  After the block the scale shrinks by 0.9 once if the
-    block's rejections reached the next multiple of 100."""
+    sizes, uniforms, convex weights, one normal stack; convex moves only
+    when the midpoint is farther than the slack from the center), then its
+    proposals are evaluated one at a time with the single-matrix clamp, all
+    at the block's scale.  After the block the scale shrinks by 0.9 once if
+    the block's rejections reached the next multiple of 100."""
     n = center.dim
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
     if slack is None:
@@ -35,6 +36,9 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
 
     def dist(p, q):
         return float(np.sum(np.abs(np.linalg.eigvalsh(p - q))))
+
+    # a convex move within the slack of the center is the center again
+    convex = dist(mid, a_e) > slack
 
     def ball_excess(z):
         return max(dist(x_e, z), dist(y_e, z)) - epsilon
@@ -49,7 +53,7 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     while left:
         k = min(left, cap)
         left -= k
-        moves = gen.uniform(size=k) < 0.2
+        moves = (gen.uniform(size=k) < 0.2) & convex
         weights = iter(gen.uniform(size=int(np.count_nonzero(moves))))
         normals = iter(gen.standard_normal((k - int(np.count_nonzero(moves)), 2, n, n)))
         rejected_before = rejections

@@ -13,12 +13,15 @@ For each n = 2..6 the script builds one pinch configuration from
 budget 10000 with a fresh ``RngStream(2, n)`` generator, so every run of a
 dimension is the same search.  It prints one line per dimension::
 
-    n rounds us_per_proposal eigvalsh <calls> <matrices> eigh <calls> <matrices>
+    n rounds feasible us_per_proposal eigvalsh <calls> <matrices> eigh <calls> <matrices>
 
 ``rounds`` is the number of blocks the search evaluated: it draws one normal
 stack per block, so it is the count of ``standard_normal`` calls on its
-generator.  ``us_per_proposal`` is the median wall time of 5 runs, after one
-warm-up run, divided by the budget.  The kernel columns count the
+generator.  ``feasible`` is the number of proposals that landed in both
+balls, ``proposals - rejections`` of the search's result, so it shows how
+much of the budget found a point beside what a proposal cost.
+``us_per_proposal`` is the median wall time of 5 runs, after one warm-up
+run, divided by the budget.  The kernel columns count the
 ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` calls of one further run and
 the matrices they were handed (a ``(k, n, n)`` stack counts k).  The timed
 runs are not counted, so the counting wrappers add nothing to their time.
@@ -62,7 +65,7 @@ def main(argv: list[str]) -> int:
     from qsm.geometry import intersection_uniqueness_search, pinch_configuration
     from qsm.states import RngStream, random_state
 
-    print("n rounds us_per_proposal eigvalsh calls matrices eigh calls matrices")
+    print("n rounds feasible us_per_proposal eigvalsh calls matrices eigh calls matrices")
     for n in DIMS:
         gen = RngStream(1, n).generator()
         center = random_state(n, int(gen.integers(1, n + 1)), gen)
@@ -70,16 +73,16 @@ def main(argv: list[str]) -> int:
 
         def search():
             counter = RoundCounter(RngStream(2, n).generator().bit_generator)
-            intersection_uniqueness_search(
+            result = intersection_uniqueness_search(
                 pinch.upper, pinch.lower, center, pinch.epsilon, counter, BUDGET
             )
-            return counter.rounds
+            return counter.rounds, result.proposals - result.rejections
 
         search()
         walls = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            rounds = search()
+            rounds, feasible = search()
             walls.append(time.perf_counter() - start)
         counts = {kernel: [0, 0] for kernel in KERNELS}
         originals = {kernel: getattr(np.linalg, kernel) for kernel in KERNELS}
@@ -100,7 +103,7 @@ def main(argv: list[str]) -> int:
             for kernel, fn in originals.items():
                 setattr(np.linalg, kernel, fn)
         us = statistics.median(walls) / BUDGET * 1e6
-        print(n, rounds, f"{us:.2f}",
+        print(n, rounds, feasible, f"{us:.2f}",
               *(f"{kernel} {calls} {matrices}" for kernel, (calls, matrices) in counts.items()))
     return 0
 
