@@ -267,22 +267,11 @@ def intersection_uniqueness_search(
     """Randomized search for intersection points of the two radius-epsilon
     trace-norm balls far from the center.
 
-    Proposals perturb the center by random Hermitian directions clamped back
-    to the PSD cone, with the scale annealed geometrically (x0.9 per 100
-    rejections from 0.1*epsilon, applied between blocks), mixed with convex
-    moves z = (1-t)*center + t*mid toward the midpoint mid of the two ball
-    centers (balls are convex, so those are feasible whenever the midpoint
-    is — this is what lets the search certify *strict* containment when the
-    center is 0).  The best feasible candidate by separation is kept; the
-    first one wins a tie.
-
-    Convex moves run only when ||mid - center||_1 exceeds the slack, decided
-    once per search with one trace norm.  Otherwise ||z - center||_1 =
-    t*||mid - center||_1 is within the slack for every t in [0, 1): each
-    convex move is the center up to the resolution of the ball tests, and the
-    center is already the starting best.  A pinch is that case, since
-    upper + lower = 2*center up to roundoff, so its whole budget goes to
-    perturbations.
+    Every proposal perturbs the center by a random Hermitian direction and
+    is clamped back to the PSD cone, with the scale annealed geometrically
+    (x0.9 per 100 rejections from 0.1*epsilon, applied between blocks).  The
+    best feasible candidate by separation is kept; the first one wins a tie,
+    and the center is the starting best.
 
     slack defaults to a roundoff-level allowance (_roundoff_slack).  Any
     looser slack s fattens the one-point intersection into a tube of width
@@ -292,29 +281,26 @@ def intersection_uniqueness_search(
     violation.
 
     Proposals are drawn and evaluated in blocks.  A block of k proposals
-    draws k uniforms (a proposal with one below 0.2 is a convex move, if
-    convex moves run), then the convex weights of its moves, then one
-    ``(steps, 2, n, n)`` stack of standard normals, the real and imaginary
-    parts of its perturbations.
-    Each proposal stops at the first test that rejects it, and each test
-    runs as one batched call on the proposals still open:
+    draws one ``(k, 2, n, n)`` stack of standard normals, the real and
+    imaginary parts of its perturbations.  Each proposal stops at the first
+    test that rejects it, and each test runs as one batched call on the
+    proposals still open:
 
     1. a perturbation w with tr w - min(tr x, tr y) - epsilon above
        slack + margin is rejected unclamped (the clamp only adds trace);
-    2'. bound (2) below is applied to the trace of w's clamp, the positive
-       mass sum max(lam_i, 0) of its eigvalsh spectrum, so only the
-       perturbations it keeps pay the clamp's eigh;
-    2. a clamped or convex proposal z with max(|tr x - tr z|, |tr y - tr z|)
+    2. a perturbation whose clamp z has max(|tr x - tr z|, |tr y - tr z|)
        - epsilon above slack + margin is rejected (|tr D| <= ||D||_1 for
-       Hermitian D);
-    3. the trace norm to x rejects the proposals outside ball x;
+       Hermitian D).  tr z is read as the positive mass sum max(lam_i, 0)
+       of w's eigvalsh spectrum, so only the perturbations it keeps pay the
+       clamp's eigh;
+    3. the trace norm to x rejects the clamped proposals outside ball x;
     4. the trace norm to y, taken only inside ball x, rejects the rest;
     5. the separation from the center is taken for the feasible ones.
 
     The margin, _TRACE_MARGIN * (1 + tr x + tr y), covers the roundoff of
     the computed traces and the backward error of eigvalsh (Weyl's bound),
     so a proposal a trace bound rejects is one its trace norms would reject
-    too.  In (2') it also covers the gap between the two eigensolvers:
+    too.  In (2) it also covers the gap between the two eigensolvers:
     eigvalsh and eigh each return the exact spectrum of some w + E with
     ||E||_2 = O(n u ||w||_2), so by Weyl's inequality each eigenvalue moves
     by that much from one solver to the other and the clamped mass by at
@@ -341,8 +327,6 @@ def intersection_uniqueness_search(
     tr_x, tr_y = upper.trace, lower.trace
     if slack is None:
         slack = _roundoff_slack(upper, lower, epsilon)
-    mid = 0.5 * (x_e + y_e)
-    convex = bool(trace_norm_entries(mid - a_e) > slack)
     reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
 
     best = a_e
@@ -357,51 +341,40 @@ def intersection_uniqueness_search(
     while left:
         k = min(left, cap)
         left -= k
-        moves = (gen.uniform(size=k) < 0.2) & convex
-        t = gen.uniform(size=int(np.count_nonzero(moves)))[:, None, None]
-        g = gen.standard_normal((k - len(t), 2, n, n))
+        g = gen.standard_normal((k, 2, n, n))
         g = g[:, 0] + 1j * g[:, 1]
         w = a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
-        block = np.empty((k, n, n), dtype=np.complex128)
-        block[moves] = (1.0 - t) * a_e + t * mid
         # a test rejects where its comparison reads true, so a NaN never
         # rejects, as with excess > slack in the full evaluation;
         # (1) the clamp only adds trace, so tr w - min(tr x, tr y) bounds a
         # ball distance from below before any decomposition
-        kept = ~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)
-        # (2') the clamped trace is the positive mass of the spectrum, so
-        # eigvalsh applies bound (2) before the clamp's eigh
-        if kept.any():
-            tr_c = np.maximum(np.linalg.eigvalsh(w[kept]), 0.0).sum(axis=-1)
-            kept[kept] = ~(np.maximum(abs(tr_x - tr_c), abs(tr_y - tr_c)) > reach)
-        live = moves.copy()
-        live[~moves] = kept
-        if kept.any():
-            block[live & ~moves] = psd_clamp_entries(w[kept])
-        live = np.flatnonzero(live)
-        # (2) |tr x - tr z| <= ||x - z||_1, and the same for y
-        tr_z = block[live].trace(axis1=1, axis2=2).real
-        live = live[~(np.maximum(abs(tr_x - tr_z), abs(tr_y - tr_z)) > reach)]
+        w = w[~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)]
+        # (2) |tr x - tr z| <= ||x - z||_1, and the same for y, where the
+        # clamped trace tr z is the positive mass of w's spectrum
+        if len(w):
+            tr_z = np.maximum(np.linalg.eigvalsh(w), 0.0).sum(axis=-1)
+            w = w[~(np.maximum(abs(tr_x - tr_z), abs(tr_y - tr_z)) > reach)]
         # (3) ball x, then (4) ball y only for the proposals inside ball x
-        if live.size:
-            norm_x = trace_norm_entries(x_e - block[live])
+        z = psd_clamp_entries(w) if len(w) else w
+        if len(z):
+            norm_x = trace_norm_entries(x_e - z)
             inside = ~(norm_x - epsilon > slack)
-            live, norm_x = live[inside], norm_x[inside]
-        if live.size:
-            excess = np.maximum(norm_x, trace_norm_entries(y_e - block[live])) - epsilon
+            z, norm_x = z[inside], norm_x[inside]
+        if len(z):
+            excess = np.maximum(norm_x, trace_norm_entries(y_e - z)) - epsilon
             inside = ~(excess > slack)
-            live, excess = live[inside], excess[inside]
+            z, excess = z[inside], excess[inside]
         # a block of at most _BLOCK proposals crosses at most one step
         steps = rejections // _BLOCK
-        rejections += k - live.size
+        rejections += k - len(z)
         if rejections // _BLOCK > steps:
             scale *= 0.9
-        # (5) separation of the feasible proposals, the ones still live
-        if live.size:
-            sep = trace_norm_entries(block[live] - a_e)
+        # (5) separation of the feasible proposals, the ones still open
+        if len(z):
+            sep = trace_norm_entries(z - a_e)
             i = int(np.argmax(sep))
             if sep[i] > best_sep:
-                best, best_sep, best_excess = block[live[i]], float(sep[i]), float(excess[i])
+                best, best_sep, best_excess = z[i], float(sep[i]), float(excess[i])
     return IntersectionSearchResult(
         best_candidate=DensityOperator(best),
         separation_from_center=best_sep,

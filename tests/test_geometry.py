@@ -332,13 +332,6 @@ class TestUniquenessSearch:
         )
         assert result.separation_from_center >= 0.0
 
-    def test_strict_containment_at_zero(self):
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
-        result = intersection_uniqueness_search(
-            p, q, zero_density(2), 1.0, RngStream(6), 2000
-        )
-        assert result.separation_from_center >= 0.5
-
     def test_extreme_point_rigidity_at_best_point(self):
         center = random_state(4, 4, RngStream(7))
         pinch = pinch_configuration(center, RngStream(8))
@@ -377,26 +370,25 @@ class TestUniquenessSearch:
         assert matrices["eigh"] < gen.perturbations / 10
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
-    def test_pinch_search_makes_no_convex_moves(self, dim):
-        """A pinch's midpoint is its center up to roundoff, within the default
-        slack, so every proposal of its search is a perturbation."""
+    @pytest.mark.parametrize("zero_center", [False, True], ids=["pinch", "zero-center"])
+    def test_every_proposal_is_a_perturbation(self, zero_center, dim):
+        """Around a pinch's center and around 0 alike, the search draws one
+        normal matrix per proposal, one stack per block, and nothing else."""
         gen = RngStream(17, dim).generator()
-        center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-        pinch = pinch_configuration(center, gen)
+        if zero_center:
+            upper, lower = basis_projection(dim, 0), basis_projection(dim, 1)
+            center, eps = zero_density(dim), 1.0
+        else:
+            center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+            pinch = pinch_configuration(center, gen)
+            upper, lower, eps = pinch.upper, pinch.lower, pinch.epsilon
         counter = _CountingGenerator(np.random.PCG64(18))
-        intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, counter, 2000
-        )
-        assert counter.perturbations == 2000
-
-    def test_zero_center_search_makes_convex_moves(self):
-        """Around 0 the midpoint is far from the center, so a fifth of the
-        proposals are convex moves, and they reach it."""
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
-        counter = _CountingGenerator(np.random.PCG64(19))
-        result = intersection_uniqueness_search(p, q, zero_density(2), 1.0, counter, 2000)
-        assert counter.perturbations < 2000
-        assert result.separation_from_center >= 0.5
+        intersection_uniqueness_search(upper, lower, center, eps, counter, 2345)
+        assert counter.perturbations == 2345
+        replay = np.random.Generator(np.random.PCG64(18))
+        for k in (100,) * 23 + (45,):
+            replay.standard_normal((k, 2, dim, dim))
+        assert counter.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("dim", range(2, 7))

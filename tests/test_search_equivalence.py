@@ -1,8 +1,10 @@
 """The blocked uniqueness search against a one-proposal-at-a-time evaluation
 of the same draws: same best candidate, separation, ball violation, counters
-and generator state, bit for bit.  The reference takes every trace norm of
-every proposal, so it also holds the search's trace bounds and early
-rejection to the full evaluation."""
+and generator state, bit for bit.  The reference clamps every perturbation
+and takes both trace norms of each, so it also holds the search's trace
+bounds and early rejection to the full evaluation.  Pinch configurations
+and zero-center controls (two orthogonal rank-one densities around 0) are
+the two configurations."""
 
 import numpy as np
 import pytest
@@ -20,11 +22,10 @@ def _serial_psd_clamp_entries(arr):
 
 def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     """Reference oracle: each block is drawn as the library draws it (block
-    sizes, uniforms, convex weights, one normal stack; convex moves only
-    when the midpoint is farther than the slack from the center), then its
-    proposals are evaluated one at a time with the single-matrix clamp, all
-    at the block's scale.  After the block the scale shrinks by 0.9 once if
-    the block's rejections reached the next multiple of 100."""
+    sizes, one normal stack), then its perturbations are clamped and
+    evaluated one at a time with the single-matrix clamp, all at the block's
+    scale.  After the block the scale shrinks by 0.9 once if the block's
+    rejections reached the next multiple of 100."""
     n = center.dim
     x_e, y_e, a_e = upper.entries, lower.entries, center.entries
     if slack is None:
@@ -32,13 +33,9 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
             1e-12 * epsilon,
             64.0 * n * np.finfo(np.float64).eps * (1.0 + upper.trace + lower.trace),
         )
-    mid = 0.5 * (x_e + y_e)
 
     def dist(p, q):
         return float(np.sum(np.abs(np.linalg.eigvalsh(p - q))))
-
-    # a convex move within the slack of the center is the center again
-    convex = dist(mid, a_e) > slack
 
     def ball_excess(z):
         return max(dist(x_e, z), dist(y_e, z)) - epsilon
@@ -53,18 +50,10 @@ def serial_search(upper, lower, center, epsilon, gen, budget, slack=None):
     while left:
         k = min(left, cap)
         left -= k
-        moves = (gen.uniform(size=k) < 0.2) & convex
-        weights = iter(gen.uniform(size=int(np.count_nonzero(moves))))
-        normals = iter(gen.standard_normal((k - int(np.count_nonzero(moves)), 2, n, n)))
         rejected_before = rejections
-        for move in moves:
-            if move:
-                t = next(weights)
-                candidate = (1.0 - t) * a_e + t * mid
-            else:
-                g_re, g_im = next(normals)
-                g = g_re + 1j * g_im
-                candidate = _serial_psd_clamp_entries(a_e + scale * (g + g.conj().T) / 2.0)
+        for g_re, g_im in gen.standard_normal((k, 2, n, n)):
+            g = g_re + 1j * g_im
+            candidate = _serial_psd_clamp_entries(a_e + scale * (g + g.conj().T) / 2.0)
             excess = ball_excess(candidate)
             if excess > slack:
                 rejections += 1
