@@ -41,10 +41,11 @@ ZERO_TRACE = 1e-12
 #: proposals it evaluates in one batch.
 _BLOCK = 100
 
-#: margin of the uniqueness search's trace bounds, relative to
-#: 1 + tr x + tr y.  It dominates the roundoff of a computed trace plus the
-#: backward error of eigvalsh, O(n^2 * u * (|W| + |z|)), up to n = 64, so a
-#: proposal a trace bound rejects is one its trace norms reject too.
+#: margin of the uniqueness search's lower bounds (the pinching bound and
+#: the clamped-trace bound), relative to 1 + tr x + tr y.  It dominates the
+#: roundoff of a computed trace or pinched diagonal plus the backward error
+#: of eigh and eigvalsh, O(n^2 * u * (|W| + |z|)), up to n = 64, so a
+#: proposal a bound rejects is one its computed trace norms reject too.
 _TRACE_MARGIN = 1e-10
 
 
@@ -255,6 +256,46 @@ def _roundoff_slack(x: DensityOperator, y: DensityOperator, epsilon: float) -> f
     )
 
 
+def _pinching_basis(
+    x_e: np.ndarray, y_e: np.ndarray, a_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame of the uniqueness search's pinching bound: with V the
+    eigenvectors of x - y, the ``(2n^2, n)`` weights that map a raw normal
+    draw (its n x n real parts, then its imaginary parts, flattened) to
+    diag V*((g + g*)/2)V for g = real + 1j * imag, and the diagonals
+    alpha = diag V*(x - A)V and beta = diag V*(y - A)V.
+
+    Column j of the weights holds Re and -Im of conj(V[a, j]) * V[b, j] at
+    row (a, b): v*gv = sum_ab conj(V[a, j]) g_ab V[b, j], whose real part is
+    v*((g + g*)/2)v."""
+    n = len(a_e)
+    v = np.linalg.eigh(x_e - y_e)[1]
+    alpha, beta = ((v.conj().T @ (e - a_e) @ v).diagonal().real for e in (x_e, y_e))
+    m = v.conj()[:, None, :] * v[None, :, :]
+    return np.concatenate([m.real, -m.imag]).reshape(2 * n * n, n), alpha, beta
+
+
+def _pinching_bound(d: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Lower bound L on max(||x - z||_1, ||y - z||_1) for every z >= w, from
+    the pinched diagonals d = diag V*(w - A)V (one row per proposal), alpha
+    and beta of ``_pinching_basis``:
+
+        L = max(sum (d - alpha)^+, sum (d - beta)^+,
+                1/2 sum |alpha - beta| + sum (d - max(alpha, beta))^+).
+
+    Pinching gives ||x - z||_1 >= sum |alpha - d - c| with c = diag V*(z -
+    w)V >= 0, and the same for y with beta.  Minimised over c >= 0, the
+    first sum is at least sum (d - alpha)^+ and the second sum (d - beta)^+;
+    their mean is at least 1/2 sum |alpha - beta| + sum (d - max(alpha,
+    beta))^+, since |a - t| + |b - t| >= |a - b| + 2 (t - max(a, b))^+."""
+    to_x = np.maximum(d - alpha, 0.0).sum(axis=-1)
+    to_y = np.maximum(d - beta, 0.0).sum(axis=-1)
+    apart = 0.5 * np.abs(alpha - beta).sum()
+    return np.maximum(
+        np.maximum(to_x, to_y), apart + np.maximum(d - np.maximum(alpha, beta), 0.0).sum(axis=-1)
+    )
+
+
 def intersection_uniqueness_search(
     upper: DensityOperator,
     lower: DensityOperator,
@@ -286,8 +327,14 @@ def intersection_uniqueness_search(
     test that rejects it, and each test runs as one batched call on the
     proposals still open:
 
-    1. a perturbation w with tr w - min(tr x, tr y) - epsilon above
-       slack + margin is rejected unclamped (the clamp only adds trace);
+    0. the pinching bound, before any decomposition: with V the
+       eigenvectors of x - y (one eigh per search), the diagonals d = diag
+       V*(w - A)V of the block's perturbations w are one real product of
+       the raw draws, ``(k, 2n^2)`` by a ``(2n^2, n)`` weight matrix built
+       once (``_pinching_basis``), and a perturbation whose L
+       (``_pinching_bound``) exceeds epsilon by more than slack + margin is
+       rejected.  Only the perturbations (0) keeps are assembled as
+       matrices;
     2. a perturbation whose clamp z has max(|tr x - tr z|, |tr y - tr z|)
        - epsilon above slack + margin is rejected (|tr D| <= ||D||_1 for
        Hermitian D).  tr z is read as the positive mass sum max(lam_i, 0)
@@ -297,16 +344,36 @@ def intersection_uniqueness_search(
     4. the trace norm to y, taken only inside ball x, rejects the rest;
     5. the separation from the center is taken for the feasible ones.
 
+    The derivation of (0).  With alpha = diag V*(x - A)V, beta = diag
+    V*(y - A)V and c = diag V*(z - w)V, which is >= 0 because the clamp z
+    dominates w, pinching (||M||_1 >= sum_i |(V*MV)_ii| for any unitary V)
+    gives ||x - z||_1 >= sum |alpha - d - c| and ||y - z||_1 >= sum |beta -
+    d - c|.  The smallest value either sum takes over c >= 0 is sum (d -
+    alpha)^+ and sum (d - beta)^+, and the smallest value their mean takes
+    is 1/2 sum |alpha - beta| + sum (d - max(alpha, beta))^+, because |a -
+    t| + |b - t| = |a - b| + 2 (t - max(a, b))^+ for t >= min(a, b).  The
+    largest of the three is L <= max(||x - z||_1, ||y - z||_1).  As V
+    diagonalises x - y, 1/2 sum |alpha - beta| = ||x - y||_1 / 2, which is
+    epsilon for a pinch, so a pinch's proposal survives (0) only if every
+    d_i <= max(alpha_i, beta_i) to within the slack: about 2^-n of them.
+    sum (d - alpha)^+ >= sum (d - alpha) = tr w - tr x, and the same for y,
+    so (0) rejects every perturbation with tr w - min(tr x, tr y) - epsilon
+    above slack + margin, the old trace bound (1), which is gone.
+
     The margin, _TRACE_MARGIN * (1 + tr x + tr y), covers the roundoff of
-    the computed traces and the backward error of eigvalsh (Weyl's bound),
-    so a proposal a trace bound rejects is one its trace norms would reject
-    too.  In (2) it also covers the gap between the two eigensolvers:
-    eigvalsh and eigh each return the exact spectrum of some w + E with
-    ||E||_2 = O(n u ||w||_2), so by Weyl's inequality each eigenvalue moves
-    by that much from one solver to the other and the clamped mass by at
-    most n times that, O(n^2 u ||w||_2), as does the trace of the clamp
-    rebuilt from eigh's eigenvectors.  A rejected proposal's excess is
-    never read, so the result is the one the full evaluation of every
+    the computed traces and diagonals and the backward error of eigh and
+    eigvalsh (Weyl's bound), so a proposal a bound rejects is one its
+    computed trace norms would reject too.  In (0), V is unitary to O(n u)
+    and the product and sums cost O(n^2 u) relative to the entries, far
+    below the margin, as is the trace norms' own O(n^2 u) error.  In (2) it
+    also covers the gap between the two eigensolvers: eigvalsh and eigh
+    each return the exact spectrum of some w + E with ||E||_2 = O(n u
+    ||w||_2), so by Weyl's inequality each eigenvalue moves by that much
+    from one solver to the other and the clamped mass by at most n times
+    that, O(n^2 u ||w||_2), as does the trace of the clamp rebuilt from
+    eigh's eigenvectors.  A rejected proposal's excess is never read, and a
+    kept perturbation is assembled from its draws exactly as the full
+    evaluation would, so the result is the one the full evaluation of every
     proposal would give.
 
     Every block holds min(left, _BLOCK, max(1, _BLOCK_ENTRIES // n^2))
@@ -328,6 +395,7 @@ def intersection_uniqueness_search(
     if slack is None:
         slack = _roundoff_slack(upper, lower, epsilon)
     reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
+    weight, alpha, beta = _pinching_basis(x_e, y_e, a_e)
 
     best = a_e
     best_sep = 0.0
@@ -342,13 +410,13 @@ def intersection_uniqueness_search(
         k = min(left, cap)
         left -= k
         g = gen.standard_normal((k, 2, n, n))
-        g = g[:, 0] + 1j * g[:, 1]
-        w = a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
         # a test rejects where its comparison reads true, so a NaN never
         # rejects, as with excess > slack in the full evaluation;
-        # (1) the clamp only adds trace, so tr w - min(tr x, tr y) bounds a
-        # ball distance from below before any decomposition
-        w = w[~(w.trace(axis1=1, axis2=2).real - min(tr_x, tr_y) > reach)]
+        # (0) the pinching bound on the raw draws, before any matrix is built
+        d = scale * (g.reshape(k, -1) @ weight)
+        g = g[~(_pinching_bound(d, alpha, beta) > reach)]
+        g = g[:, 0] + 1j * g[:, 1]
+        w = a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
         # (2) |tr x - tr z| <= ||x - z||_1, and the same for y, where the
         # clamped trace tr z is the positive mass of w's spectrum
         if len(w):

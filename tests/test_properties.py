@@ -2,10 +2,12 @@
 theorem rests on, over random states and densities of every rank up to n = 8:
 the metric axioms, Fuchs-van de Graaf in this code's normalisation, the
 fidelity bound, invariance under unitary and antiunitary conjugation, the
-batched distances against the per-pair ones, and the trace bounds that let the
-uniqueness search reject a proposal before its trace norms and before its
-clamp; the rank that the Wishart sampler reads off the Gram spectrum, and
-the purity certificate of a probe image, against eigh."""
+batched distances against the per-pair ones, and the pinching and trace
+bounds that let the uniqueness search reject a proposal before its
+decompositions; the rank that the Wishart sampler reads off the Gram
+spectrum, and the purity certificate of a probe image, against eigh; and,
+at n = 2, the trace distance and fidelity against the closed forms on Bloch
+vectors."""
 
 import math
 
@@ -14,7 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsm.geometry import _TRACE_MARGIN, _roundoff_slack, midpoint_witness
+from qsm.geometry import (
+    _TRACE_MARGIN,
+    _pinching_basis,
+    _pinching_bound,
+    _roundoff_slack,
+    midpoint_witness,
+    pinch_configuration,
+)
 from qsm.linalg import psd_clamp_entries, trace_norm_entries
 from qsm.errors import NumericalBreakdown
 from qsm.maps import (
@@ -46,6 +55,7 @@ from qsm.states import (
     random_density,
     random_state,
     random_unitary,
+    zero_density,
 )
 
 #: tier-1 stays fast: few examples, no per-example deadline, and the same
@@ -187,10 +197,10 @@ def _search_perturbation(n, seed, exponent):
 @PROPERTY
 @given(n=clamp_dims, seed=seeds, exponent=st.integers(-12, 0))
 def test_clamped_trace_from_eigvalsh(n, seed, exponent):
-    """The search's test (2') reads the clamped trace as the positive mass of
+    """The search's test (2) reads the clamped trace as the positive mass of
     eigvalsh's spectrum; it differs from the trace of the computed clamp
     (eigh, then the rebuild) by less than the margin, scaled as in the
-    search, so (2') rejects only what bound (2) on the clamp rejects."""
+    search, so (2) rejects only what the trace bound on the clamp rejects."""
     w = _search_perturbation(n, seed, exponent)
     mass = float(np.maximum(np.linalg.eigvalsh(w), 0.0).sum())
     clamped = float(np.trace(psd_clamp_entries(w)).real)
@@ -218,7 +228,7 @@ def test_clamped_trace_needs_the_margin():
     """A perturbation whose eigvalsh mass exceeds the clamp's trace and
     trace norm.  Against x = y = 0 with epsilon at the larger of those two,
     the full evaluation keeps the clamped proposal at every test, while
-    (2') with a zero margin would reject it; the margin keeps it.  The
+    (2) with a zero margin would reject it; the margin keeps it.  The
     property test above is the guard of the margin's size; this one shows
     that the margin is needed, where the LAPACK build gives such a case."""
     found = _mass_over_the_clamp()
@@ -226,11 +236,58 @@ def test_clamped_trace_needs_the_margin():
         pytest.skip("eigvalsh never sums above the clamp's trace on the seeds tried")
     w, z, mass, epsilon = found
     tr_z, norm = float(np.trace(z).real), float(trace_norm_entries(-z))
-    assert float(np.trace(w).real) <= epsilon  # (1)
-    assert tr_z <= epsilon  # (2)
+    assert float(np.trace(w).real) <= epsilon  # the trace bound (0) implies
+    assert tr_z <= epsilon  # the trace bound on the computed clamp
     assert norm <= epsilon  # (3) and (4)
-    assert mass > epsilon  # (2') at a zero margin
-    assert mass <= epsilon + _TRACE_MARGIN  # (2') at the search's margin
+    assert mass > epsilon  # (2) at a zero margin
+    assert mass <= epsilon + _TRACE_MARGIN  # (2) at the search's margin
+
+
+#: matrix sizes of the pinching-bound property: every small n and two large
+pinching_dims = st.sampled_from([*range(1, 9), 16, 64])
+
+
+def _search_configuration(n, seed, zero_center):
+    """The entries of x, y and the center A and the radius of a pinch
+    configuration, or of two orthogonal rank-one densities of trace eps
+    around 0 (eps against 0 at n = 1)."""
+    gen = RngStream(seed).generator()
+    if zero_center:
+        eps = float(gen.uniform(0.5, 1.5))
+        v = random_unitary(n, gen)
+        x = eps * np.outer(v[:, 0], v[:, 0].conj())
+        y = eps * np.outer(v[:, 1], v[:, 1].conj()) if n >= 2 else np.zeros((1, 1))
+        return x, y, zero_density(n).entries, eps
+    center = random_state(n, int(gen.integers(1, n + 1)), gen)
+    pinch = pinch_configuration(center, gen)
+    return pinch.upper.entries, pinch.lower.entries, center.entries, pinch.epsilon
+
+
+@PROPERTY
+@given(n=pinching_dims, seed=seeds, zero_center=st.booleans(), exponent=st.floats(-9.0, 0.0))
+@example(n=2, seed=13, zero_center=True, exponent=0.0)
+@example(n=3, seed=1, zero_center=True, exponent=0.0)
+def test_pinching_bound_below_the_ball_distances(n, seed, zero_center, exponent):
+    """The search's bound (0), from the raw draws through its weights, is at
+    most max(||x - z||_1, ||y - z||_1) of the clamped perturbation z, to
+    1e-12, for eight perturbations w at scale 10^exponent * eps.  It is at
+    least the two bounds it stands for: the triangle bound ||x - y||_1 / 2
+    and the trace bound tr w - min(tr x, tr y) that it replaced.  The
+    examples are zero-center draws at scale eps, where a first sum read
+    without alpha, sum d^+, exceeds the distances by half of eps or more."""
+    x, y, a, eps = _search_configuration(n, seed, zero_center)
+    scale = 10.0**exponent * eps
+    g = RngStream(seed, 1).generator().standard_normal((8, 2, n, n))
+    weight, alpha, beta = _pinching_basis(x, y, a)
+    bound = _pinching_bound(scale * (g.reshape(8, -1) @ weight), alpha, beta)
+    h = g[:, 0] + 1j * g[:, 1]
+    w = a + scale * (h + h.conj().swapaxes(-1, -2)) / 2.0
+    z = psd_clamp_entries(w)
+    norms = np.maximum(trace_norm_entries(x - z), trace_norm_entries(y - z))
+    assert (bound <= norms + 1e-12).all()
+    assert (bound >= 0.5 * trace_norm_entries(x - y) - 1e-12).all()
+    traces = [np.trace(e).real for e in (x, y)]
+    assert (bound >= w.trace(axis1=1, axis2=2).real - min(traces) - 1e-12).all()
 
 
 #: dimensions of the Wishart and probe-image properties, up to the default cap
@@ -381,3 +438,44 @@ def test_certified_probe_images_pass_eigh(n, seed, exponent, rank):
         assert certified[0]
     if rank == 0:
         assert not certified[0]
+
+
+#: Bloch vectors: the center, the pure states on the sphere, or any radius
+radii = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+#: the same, with the mixed radii kept 1e-6 inside the sphere: F is not
+#: Lipschitz at the boundary (it moves by O(sqrt(delta)) when an entry moves
+#: by delta), so between 1 - 1e-6 and 1 the entries' own rounding moves F by
+#: more than the closed form's 1e-12 at the exact radius
+fidelity_radii = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0 - 1e-6))
+directions = st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(lambda r: np.linalg.norm(r) > 1e-3)
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch(direction, radius):
+    """The Bloch vector of the given radius along the direction, and its
+    state (1 + r.sigma)/2, built from the Pauli matrices alone."""
+    r = radius * np.array(direction) / np.linalg.norm(direction)
+    return r, QuantumState((np.eye(2) + np.tensordot(r, _PAULI, 1)) / 2.0)
+
+
+@PROPERTY
+@given(dir_r=directions, dir_s=directions, radius_r=radii, radius_s=radii)
+def test_trace_distance_is_the_bloch_distance(dir_r, dir_s, radius_r, radius_s):
+    """At n = 2 the trace distance is the Euclidean distance |r - s| of the
+    Bloch vectors."""
+    (r, rho), (s, sigma) = _bloch(dir_r, radius_r), _bloch(dir_s, radius_s)
+    assert abs(trace_distance(rho, sigma) - np.linalg.norm(r - s)) <= 1e-14
+
+
+@PROPERTY
+@given(dir_r=directions, dir_s=directions, radius_r=fidelity_radii, radius_s=fidelity_radii)
+def test_fidelity_closed_form_on_the_bloch_ball(dir_r, dir_s, radius_r, radius_s):
+    """At n = 2, F = sqrt(tr rho sigma + 2 sqrt(det rho det sigma)) (Hübner),
+    with tr rho sigma = (1 + r.s)/2 and det rho = (1 - |r|^2)/4 at the exact
+    radius, so a pure state (radius 1) has det 0 and pure and
+    rank-deficient pairs are covered."""
+    (r, rho), (s, sigma) = _bloch(dir_r, radius_r), _bloch(dir_s, radius_s)
+    det_rho, det_sigma = ((1.0 - radius**2) / 4.0 for radius in (radius_r, radius_s))
+    closed = math.sqrt((1.0 + r @ s) / 2.0 + 2.0 * math.sqrt(det_rho * det_sigma))
+    assert abs(fidelity(rho, sigma) - closed) <= 1e-12
