@@ -50,14 +50,6 @@ _TRACE_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
-class DiameterEstimate:
-    """Best witnessed lower bound for a ball diameter."""
-
-    lower_bound: float
-    witness_pair: tuple[DensityOperator, DensityOperator]
-
-
-@dataclass(frozen=True)
 class IntersectionSearchResult:
     """Outcome of the ball-intersection uniqueness search."""
 
@@ -102,7 +94,7 @@ def bures_ball_diameter(
     radius: float,
     rng: RngStream | np.random.Generator,
     samples: int,
-) -> DiameterEstimate:
+) -> float:
     """Witnessed lower bound on the diameter of the Bures ball of the given
     radius around 0 in dimension ``dim``: Lemma 1's side for the zero
     operator, whose balls have diameter at most sqrt(2) * radius (radius
@@ -149,7 +141,7 @@ def bures_ball_diameter(
     in_ball = distances(MetricKind.BURES, best_pair, zero, ([0, 1], [2, 2]))
     if (in_ball > radius + BALL_SLACK).any():
         raise NumericalBreakdown("a witness fell outside its Bures ball")
-    return DiameterEstimate(best, tuple(DensityOperator._wrapped(best_pair)))
+    return best
 
 
 def nonzero_center_witnesses(

@@ -8,16 +8,17 @@ latter composed with entrywise conjugation in the computational basis) and
 the named non-isometry controls act on the stack directly; an opaque oracle
 (oracle_map) is handed the block's operators one at a time.  Every check
 sees a map only through what it returns.  This module checks maps for
-isometry and for the preservation properties (trace, orthogonality, rank,
-affinity, fixing 0) and reconstructs the implementing operator from a
-black-box isometry via a fixed probe schedule.
+isometry and for the preservation of orthogonality, rank and affinity, and
+reconstructs the implementing operator from a black-box isometry via a
+fixed probe schedule, once the map on the density cone has passed its zero
+and trace checks.
 
-The sample loops (check_isometry, trace_preservation_check,
-preservation_suite and the validation of a reconstruction) run in blocks of
-samples.  A block makes its random draws in bulk: its scalars (ranks,
-traces, splits, weights) as arrays first, then one Gaussian stack per kind
-of draw, through the stacked samplers of qsm.states.  Its operators are
-entry stacks, mapped and measured with batched kernels, group by group: all
+The sample loops (check_isometry, preservation_suite and the trace check
+and validation of a reconstruction) run in blocks of samples.  A block
+makes its random draws in bulk: its scalars (ranks, traces, splits,
+weights) as arrays first, then one Gaussian stack per kind of draw,
+through the stacked samplers of qsm.states.  Its operators are entry
+stacks, mapped and measured with batched kernels, group by group: all
 first members of the block's pairs, then all second members, and so on; no
 loop builds an operator object.  A map is handed each block's stack, in
 that group order, in one call, and its images are checked as one stack.  The
@@ -80,6 +81,9 @@ _PURITY_TOL = 1e-8
 
 #: largest distance of the image of 0 from 0 that counts as fixing 0.
 _ZERO_TOL = 1e-8
+
+#: largest affinity violation a preservation suite counts as preserved.
+_AFFINITY_TOL = 1e-8
 
 #: random states on which a reconstruction, and a roundtrip's recovered map,
 #: are validated.
@@ -288,27 +292,14 @@ def check_isometry(
     return worst
 
 
-def _zero_residual(m: StateMap, metric: MetricKind) -> float:
-    """Distance of the map's image of the zero operator from zero."""
-    if m.domain is not MapDomain.FULL_DENSITY:
-        raise DomainError("zero_fixed_check needs a map on the full density cone")
+def _zero_residual(m: StateMap) -> float:
+    """Trace distance of the map's image of the zero operator from zero."""
     zero = zero_density(m.dim)
-    return distance(metric, apply_map(m, zero), zero)
-
-
-def zero_fixed_check(
-    m: StateMap, metric: MetricKind = MetricKind.TRACE_NORM, tol: float = _ZERO_TOL
-) -> bool:
-    """Whether the map sends the zero operator to (metrically) zero."""
-    return _zero_residual(m, metric) <= tol
+    return distance(MetricKind.TRACE_NORM, apply_map(m, zero), zero)
 
 
 def _trace_defect(m: StateMap, rng: RngStream | np.random.Generator, samples: int) -> float:
     """Worst |tr phi(A) - tr A| over sampled densities."""
-    if m.domain is not MapDomain.FULL_DENSITY:
-        raise DomainError("trace_preservation_check needs the full density cone")
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
     gen = generator_of(rng)
     worst = 0.0
     for count in _blocks(samples, m.dim, 1):
@@ -316,16 +307,6 @@ def _trace_defect(m: StateMap, rng: RngStream | np.random.Generator, samples: in
         defect = np.abs(_traces(_map_block(m, arr)) - _traces(arr))
         worst = max(worst, float(defect.max()))
     return worst
-
-
-def trace_preservation_check(
-    m: StateMap,
-    rng: RngStream | np.random.Generator,
-    samples: int = 100,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether tr phi(A) = tr A over sampled densities."""
-    return _trace_defect(m, rng, samples) <= tol
 
 
 @dataclass(frozen=True)
@@ -336,18 +317,17 @@ class PreservationReport:
     stay orthogonal (forward) and overlapping pairs must stay overlapping
     (backward)."""
 
-    samples: int
     forward_orthogonality_violations: int
     backward_orthogonality_violations: int
     rank_mismatches: int
     affinity_max_violation: float
 
-    def all_preserved(self, affinity_tol: float = 1e-8) -> bool:
+    def all_preserved(self) -> bool:
         return (
             self.forward_orthogonality_violations == 0
             and self.backward_orthogonality_violations == 0
             and self.rank_mismatches == 0
-            and self.affinity_max_violation <= affinity_tol
+            and self.affinity_max_violation <= _AFFINITY_TOL
         )
 
 
@@ -396,10 +376,8 @@ def preservation_suite(
         groups += [probe, mixture, c, d]
         images = np.split(_map_block(m, np.concatenate(groups)), len(groups))
         if pairs:
-            _, orthogonal = orthogonality(images[0], images[1])
-            fwd_bad += int(np.count_nonzero(~orthogonal))
-            _, orthogonal = orthogonality(images[2], images[3])
-            bwd_bad += int(np.count_nonzero(orthogonal))
+            fwd_bad += int(np.count_nonzero(~orthogonality(images[0], images[1])))
+            bwd_bad += int(np.count_nonzero(orthogonality(images[2], images[3])))
         f_probe, f_mixture, f_c, f_d = images[-4:]
         both = np.concatenate([probe, f_probe])
         ranks = _ranks(np.linalg.eigvalsh(both), _traces(both))
@@ -407,7 +385,6 @@ def preservation_suite(
         mix_of_images = lam * f_c + (1.0 - lam) * f_d
         affinity_max = _max_trace_norm(f_mixture - mix_of_images, affinity_max)
     return PreservationReport(
-        samples=samples,
         forward_orthogonality_violations=fwd_bad,
         backward_orthogonality_violations=bwd_bad,
         rank_mismatches=rank_bad,
@@ -553,7 +530,7 @@ def reconstruct_implementer(
     n = oracle.dim
     gen = generator_of(rng)
     if oracle.domain is MapDomain.FULL_DENSITY:
-        zero_residual = _zero_residual(oracle, MetricKind.TRACE_NORM)
+        zero_residual = _zero_residual(oracle)
         if zero_residual > _ZERO_TOL:
             raise NotImplementable(
                 "map does not fix the zero operator", residual=zero_residual, probe="zero"

@@ -8,9 +8,10 @@ for the 1e-8 isometry-deviation checks downstream.
 
 ``distances``, ``orthogonality`` and ``norm_identity_gaps`` evaluate the
 pairs of rows of two equally long entry stacks (qsm.states) with batched
-decompositions.  The per-pair functions take two operators and are their
-k = 1 case (two one-matrix stacks), so each metric has one code path and
-each batched value is bit for bit the per-pair one.
+decompositions; ``orthogonality`` returns the mask of the orthogonal pairs.
+The per-pair functions take two operators and are their k = 1 case (two
+one-matrix stacks), so each metric has one code path and each batched value
+is bit for bit the per-pair one.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return float(distances(MetricKind.TRACE_NORM, *_pair(a, b))[0])
 
 
-def product_trace_norm(a: DensityOperator, b: DensityOperator) -> float:
-    """Trace norm of the (generally non-Hermitian) product AB."""
-    return float(_product_trace_norm_entries(*_pair(a, b))[0])
-
-
 def are_orthogonal(
     x: DensityOperator, y: DensityOperator, tol: float = ORTHOGONALITY_TOL
 ) -> bool:
@@ -129,7 +125,7 @@ def are_orthogonal(
     For PSD operators the trace norm equals the trace, so the scale factor
     uses traces directly.
     """
-    return bool(orthogonality(*_pair(x, y), tol)[1][0])
+    return bool(orthogonality(*_pair(x, y), tol)[0])
 
 
 def _bures_and_fidelities(
@@ -142,12 +138,12 @@ def _bures_and_fidelities(
     return _bures_entries(lam_x, lam_y, fid, x.shape[-1]), fid
 
 
-def orthogonality(x: np.ndarray, y: np.ndarray, tol: float = ORTHOGONALITY_TOL):
-    """product_trace_norm of each pair of rows of two entry stacks and
-    whether are_orthogonal holds for it, batched."""
+def orthogonality(x: np.ndarray, y: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
+    """The mask of the pairs of rows of two entry stacks for which
+    are_orthogonal holds, batched."""
     _same_dim(x, y)
     norms = _product_trace_norm_entries(x, y)
-    return norms, norms <= _orthogonality_threshold(_traces(x), _traces(y), tol)
+    return norms <= _orthogonality_threshold(_traces(x), _traces(y), tol)
 
 
 def distances(kind: MetricKind, x: np.ndarray, y: np.ndarray, pairs=None) -> np.ndarray:
@@ -167,18 +163,11 @@ def distances(kind: MetricKind, x: np.ndarray, y: np.ndarray, pairs=None) -> np.
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def norm_identity_gap(x: DensityOperator, y: DensityOperator) -> float:
-    """| ||X-Y||_1 - ||X+Y||_1 |, the metric side of the orthogonality test.
-
-    Exposed separately from are_orthogonal so both sides of the equivalence
-    (XY = 0 iff the two norms agree) can be checked against each other.
-    """
-    return float(norm_identity_gaps(*_pair(x, y))[0])
-
-
 def norm_identity_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """norm_identity_gap of each pair of rows of two entry stacks, batched:
-    the trace norms of all differences and all sums are one stack."""
+    """| ||X-Y||_1 - ||X+Y||_1 | of each pair of rows of two entry stacks,
+    the metric side of the orthogonality test (XY = 0 iff the two norms
+    agree), batched: the trace norms of all differences and all sums are one
+    stack."""
     _same_dim(x, y)
     diff, total = np.split(trace_norm_entries(np.concatenate([x - y, x + y])), 2)
     return np.abs(diff - total)

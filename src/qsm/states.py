@@ -384,10 +384,3 @@ def _projection(vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.complex128)
     vec = vec / float(np.linalg.norm(vec))
     return np.outer(vec, vec.conj())
-
-
-def basis_projection(n: int, k: int) -> QuantumState:
-    """Projection onto the k-th computational basis vector."""
-    vec = np.zeros(n, dtype=np.complex128)
-    vec[k] = 1.0
-    return QuantumState(_projection(vec))

@@ -107,14 +107,12 @@ def _lemma1(dim, gen, samples, budget, tolerances):
     violation = 0.0
     passed = True
     for eps in radii:
-        estimate = bures_ball_diameter(dim, eps, gen, samples)
+        lower_bound = bures_ball_diameter(dim, eps, gen, samples)
         if dim >= 2:
-            passed &= estimate.lower_bound >= np.sqrt(2.0) * eps - BALL_SLACK
+            passed &= lower_bound >= np.sqrt(2.0) * eps - BALL_SLACK
         else:
-            passed &= abs(estimate.lower_bound - eps) <= BALL_SLACK
-        witnesses.append(
-            {"kind": "ball-at-zero", "radius": eps, "lower_bound": estimate.lower_bound}
-        )
+            passed &= abs(lower_bound - eps) <= BALL_SLACK
+        witnesses.append({"kind": "ball-at-zero", "radius": eps, "lower_bound": lower_bound})
     shown = []
     for count in _blocks(max(4, samples // 4), dim, 1):
         ranks = gen.integers(1, dim + 1, size=count)
@@ -252,7 +250,7 @@ def _ortho_eq(dim, gen, samples, budget, tolerances):
     for style, total in enumerate(totals):
         for count in _blocks(total, dim, 2):
             xs, ys = _style_pairs(style, dim, gen, count)
-            _, product_side = orthogonality(xs, ys, tol)
+            product_side = orthogonality(xs, ys, tol)
             threshold = _orthogonality_threshold(_traces(xs), _traces(ys), tol)
             gap_side = norm_identity_gaps(xs, ys) <= threshold
             misclassified += int(np.count_nonzero(product_side != gap_side))
@@ -264,7 +262,7 @@ def _ortho_eq(dim, gen, samples, budget, tolerances):
             left = np.concatenate([xs, a])
             right = np.concatenate([ys, QuantumState._validated((a + b) / 2.0)])
             found = distances(MetricKind.TRACE_NORM, left, right)
-            _, orthogonal = orthogonality(left, right, tol)
+            orthogonal = orthogonality(left, right, tol)
             state_gap = max(state_gap, float(np.abs(found[:count] - 2.0).max()))
             passed &= bool(orthogonal[:count].all() and not orthogonal[count:].any())
             passed &= bool((found[count:] < 2.0 - BALL_SLACK).all())

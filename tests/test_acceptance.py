@@ -21,6 +21,7 @@ from qsm.geometry import (
     pinch_configuration,
 )
 from qsm.maps import (
+    _ZERO_TOL,
     MapDomain,
     MapKind,
     check_isometry,
@@ -28,17 +29,17 @@ from qsm.maps import (
     named_nonisometry,
     oracle_map,
     preservation_suite,
+    _trace_defect,
+    _zero_residual,
     reconstruct_implementer,
-    trace_preservation_check,
-    zero_fixed_check,
 )
 from qsm.metrics import (
     MetricKind,
+    _product_trace_norm_entries,
     are_orthogonal,
     bures_distance,
     fidelity,
-    norm_identity_gap,
-    product_trace_norm,
+    norm_identity_gaps,
     trace_distance,
 )
 from qsm.serialize import canonical_dumps
@@ -96,15 +97,15 @@ def test_criterion_2_lemma1_suite():
     for dim in dims:
         gen = RngStream(102, dim).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(dim, eps, gen, 334)
+            lower_bound = bures_ball_diameter(dim, eps, gen, 334)
             bound = (SQRT2 if dim >= 2 else 1.0) * eps
-            worst_over = max(worst_over, estimate.lower_bound - bound)
-            ok &= estimate.lower_bound <= bound + 1e-9
+            worst_over = max(worst_over, lower_bound - bound)
+            ok &= lower_bound <= bound + 1e-9
             if dim >= 2:
-                worst_sharp = min(worst_sharp, estimate.lower_bound - (SQRT2 * eps - 1e-9))
-                ok &= estimate.lower_bound >= SQRT2 * eps - 1e-9
+                worst_sharp = min(worst_sharp, lower_bound - (SQRT2 * eps - 1e-9))
+                ok &= lower_bound >= SQRT2 * eps - 1e-9
             else:
-                ok &= abs(estimate.lower_bound - eps) <= 1e-9
+                ok &= abs(lower_bound - eps) <= 1e-9
         radii, _, _, pair, held = nonzero_center_witnesses(
             np.array([_sample(dim, gen, trace_hi=3.0).entries for _ in range(20)])
         )
@@ -135,8 +136,8 @@ def test_criterion_3_orthogonality_equivalence():
                 x = _sample(dim, gen)
                 y = DensityOperator((x.entries + _sample(dim, gen).entries) / 2.0)
             threshold = 1e-8 * (1.0 + x.trace * y.trace)
-            product_side = product_trace_norm(x, y) <= threshold
-            gap_side = norm_identity_gap(x, y) <= threshold
+            product_side = _product_trace_norm_entries(x.entries, y.entries) <= threshold
+            gap_side = norm_identity_gaps(x.entries[None], y.entries[None])[0] <= threshold
             if product_side != gap_side or product_side != (k % 2 == 0):
                 misclassified += 1
         for _ in range(20):
@@ -256,9 +257,9 @@ def test_criterion_6_negative_controls():
         lambda a: DensityOperator(2.0 * a.entries + shift.entries), 2
     )
     reduction_ok = (
-        not trace_preservation_check(rescale, gen)
-        and zero_fixed_check(rescale)
-        and not zero_fixed_check(shifted)
+        _trace_defect(rescale, gen, 100) > 1e-9
+        and _zero_residual(rescale) <= _ZERO_TOL
+        and _zero_residual(shifted) > _ZERO_TOL
     )
 
     rejected = 0

@@ -25,8 +25,9 @@ from qsm.geometry import (
 from qsm.metrics import bures_distance, trace_distance
 from qsm.states import (
     DensityOperator,
+    QuantumState,
     RngStream,
-    basis_projection,
+    _projection,
     random_density,
     random_state,
     zero_density,
@@ -34,6 +35,11 @@ from qsm.states import (
 from qsm.suites import run_suite
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _basis(n, k):
+    """Projection onto the k-th computational basis vector."""
+    return QuantumState(_projection(np.eye(n)[k]))
 
 
 def _stack(*ops):
@@ -54,12 +60,10 @@ class _CountingGenerator(np.random.Generator):
 
 class TestBuresBallDiameter:
     def test_sharpness_at_zero_dim2(self):
-        estimate = bures_ball_diameter(2, 1.0, RngStream(1), 50)
-        assert estimate.lower_bound == pytest.approx(SQRT2, abs=1e-9)
+        assert bures_ball_diameter(2, 1.0, RngStream(1), 50) == pytest.approx(SQRT2, abs=1e-9)
 
     def test_dim_one_diameter_is_radius(self):
-        estimate = bures_ball_diameter(1, 1.0, RngStream(2), 50)
-        assert estimate.lower_bound == pytest.approx(1.0, abs=1e-9)
+        assert bures_ball_diameter(1, 1.0, RngStream(2), 50) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim,eps", [(2, 0.5), (3, 1.0), (6, 2.0)])
     def test_inball_pairs_obey_bound(self, dim, eps):
@@ -70,9 +74,19 @@ class TestBuresBallDiameter:
             assert x.trace + y.trace <= 2.0 * eps**2 + 1e-9
             assert bures_distance(x, y) <= SQRT2 * eps + 1e-9
 
-    def test_witnesses_lie_in_ball(self):
-        estimate = bures_ball_diameter(3, 0.8, RngStream(4), 30)
-        for member in estimate.witness_pair:
+    def test_witnesses_lie_in_ball(self, monkeypatch):
+        # the last distances call is the in-ball check of the best pair
+        original, seen = qsm.geometry.distances, []
+
+        def spy(kind, x, y, pairs=None):
+            seen.append(x)
+            return original(kind, x, y, pairs)
+
+        monkeypatch.setattr(qsm.geometry, "distances", spy)
+        lower_bound = bures_ball_diameter(3, 0.8, RngStream(4), 30)
+        x, y = DensityOperator.from_stack(seen[-1])
+        assert bures_distance(x, y) == lower_bound
+        for member in (x, y):
             assert bures_distance(member, zero_density(3)) <= 0.8 + 1e-9
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
@@ -83,7 +97,7 @@ class TestBuresBallDiameter:
     def test_no_samples_measure_the_analytic_pair(self):
         gen = RngStream(0).generator()
         state = gen.bit_generator.state
-        assert bures_ball_diameter(2, 0.5, gen, 0).lower_bound == pytest.approx(
+        assert bures_ball_diameter(2, 0.5, gen, 0) == pytest.approx(
             SQRT2 * 0.5, abs=1e-9
         )
         assert gen.bit_generator.state == state
@@ -120,7 +134,7 @@ class TestInBallAtZero:
 
 class TestNonzeroCenterWitnesses:
     def test_half_projection(self):
-        center = DensityOperator(0.5 * basis_projection(2, 0).entries)
+        center = DensityOperator(0.5 * _basis(2, 0).entries)
         (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(center))
         assert eps == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert pair == pytest.approx(1.4142135623730951, abs=1e-9)
@@ -141,7 +155,7 @@ class TestNonzeroCenterWitnesses:
         assert bures_distance(center, zero_density(3)) == pytest.approx(eps, abs=1e-9)
 
     def test_projection_pair_is_twice_the_radius(self):
-        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(basis_projection(2, 0)))
+        (eps,), _, _, (pair,), (held,) = nonzero_center_witnesses(_stack(_basis(2, 0)))
         assert (eps, held) == (1.0, True)
         assert pair == pytest.approx(2.0, abs=1e-9)
 
@@ -150,7 +164,7 @@ class TestNonzeroCenterWitnesses:
             nonzero_center_witnesses(_stack(zero_density(2)))
         # one zero center in a block rejects the block
         with pytest.raises(ZeroCenter):
-            nonzero_center_witnesses(_stack(basis_projection(2, 0), zero_density(2)))
+            nonzero_center_witnesses(_stack(_basis(2, 0), zero_density(2)))
 
 
 class TestZeroCharacterization:
@@ -160,14 +174,12 @@ class TestZeroCharacterization:
     def test_zero_passes(self):
         gen = RngStream(7).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(3, eps, gen, 40)
-            assert estimate.lower_bound <= SQRT2 * eps + 1e-9
+            assert bures_ball_diameter(3, eps, gen, 40) <= SQRT2 * eps + 1e-9
 
     def test_zero_dim_one_passes(self):
         gen = RngStream(8).generator()
         for eps in (0.5, 1.0, 2.0):
-            estimate = bures_ball_diameter(1, eps, gen, 40)
-            assert estimate.lower_bound <= eps + 1e-9
+            assert bures_ball_diameter(1, eps, gen, 40) <= eps + 1e-9
 
     def test_any_state_fails(self):
         rho = random_state(3, 2, RngStream(9))
@@ -177,24 +189,24 @@ class TestZeroCharacterization:
 
 class TestMidpointWitness:
     def test_orthogonal_projections(self):
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
+        p, q = _basis(2, 0), _basis(2, 1)
         z, _ = midpoint_witness(p, q)
         assert np.allclose(z.entries, (p.entries + q.entries) / 2.0)
         assert trace_distance(p, z) == pytest.approx(1.0, abs=1e-9)
         assert z.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_pair(self):
-        p = DensityOperator(2.0 * basis_projection(2, 0).entries)
-        q = DensityOperator(2.0 * basis_projection(2, 1).entries)
+        p = DensityOperator(2.0 * _basis(2, 0).entries)
+        q = DensityOperator(2.0 * _basis(2, 1).entries)
         z, _ = midpoint_witness(p, q)
         assert trace_distance(p, z) == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_bad_configuration(self):
-        p = basis_projection(2, 0)
+        p = _basis(2, 0)
         with pytest.raises(InvalidConfiguration):
             midpoint_witness(p, p)
         with pytest.raises(InvalidConfiguration):
-            midpoint_witness(p, DensityOperator(0.5 * basis_projection(2, 1).entries))
+            midpoint_witness(p, DensityOperator(0.5 * _basis(2, 1).entries))
 
 
 class TestPinchConfiguration:
@@ -259,7 +271,7 @@ class TestPostConditions:
         # midpoint's distances to both ends
         self._break(monkeypatch, "distances", 0)
         with pytest.raises(NumericalBreakdown):
-            midpoint_witness(basis_projection(2, 0), basis_projection(2, 1))
+            midpoint_witness(_basis(2, 0), _basis(2, 1))
 
     # the analytic pair (call 1), the one block of samples (call 2) and the
     # in-ball check of the widest pair (call 3) each raise when read too far
@@ -378,7 +390,7 @@ class TestUniquenessSearch:
         normal matrix per proposal, one stack per block, and nothing else."""
         gen = RngStream(17, dim).generator()
         if zero_center:
-            upper, lower = basis_projection(dim, 0), basis_projection(dim, 1)
+            upper, lower = _basis(dim, 0), _basis(dim, 1)
             center, eps = zero_density(dim), 1.0
         else:
             center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
@@ -412,7 +424,7 @@ class TestUniquenessSearch:
     def test_final_scale_anneals_once_per_hundred_rejections(self, dim, zero_center):
         gen = RngStream(16, dim).generator()
         if zero_center:
-            upper, lower = basis_projection(dim, 0), basis_projection(dim, 1)
+            upper, lower = _basis(dim, 0), _basis(dim, 1)
             center, eps = zero_density(dim), 1.0
         else:
             center = random_state(dim, dim, gen)
@@ -439,7 +451,7 @@ class TestUniquenessSearch:
 class TestDoubleOrthocomplementRank:
     def test_examples(self):
         rng = RngStream(40)
-        projection = basis_projection(3, 0)
+        projection = _basis(3, 0)
         assert double_orthocomplement_rank(projection, orthocomplement_pool(projection, rng)) == 1
         mixed = DensityOperator(np.diag([0.5, 0.5, 0.0]))
         assert double_orthocomplement_rank(mixed, orthocomplement_pool(mixed, rng)) == 2

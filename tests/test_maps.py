@@ -30,16 +30,15 @@ from qsm.maps import (
     preservation_suite,
     reconstruct_implementer,
     statemap_from_json,
-    trace_preservation_check,
     unitary_conjugation,
-    zero_fixed_check,
 )
-from qsm.metrics import MetricKind, trace_distance
+from qsm.metrics import MetricKind, distance, trace_distance
 from qsm.serialize import matrix_to_json
 from qsm.states import (
     DensityOperator,
+    QuantumState,
     RngStream,
-    basis_projection,
+    _projection,
     random_density,
     random_state,
     random_unitary,
@@ -126,7 +125,7 @@ class TestNamedMaps:
 
     def test_depolarizing_halves_pure_distance(self):
         m = named_nonisometry("depolarizing", 2, p=0.5)
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
+        p, q = (QuantumState(_projection(np.eye(2)[k])) for k in (0, 1))
         # Phi(P) - Phi(Q) = (P - Q) / 2, so the distance halves: deviation 1
         assert trace_distance(apply_map(m, p), apply_map(m, q)) == pytest.approx(1.0, abs=1e-12)
 
@@ -174,38 +173,32 @@ class TestCheckIsometry:
 
 
 class TestReductionChecks:
+    """The zero and trace checks that reconstruct_implementer runs on the
+    density cone, read through the residuals it holds to its bounds."""
+
     def test_conjugations_fix_zero(self):
         u = random_unitary(3, RngStream(14))
-        assert zero_fixed_check(unitary_conjugation(u))
-        assert zero_fixed_check(antiunitary_conjugation(u), MetricKind.BURES)
+        assert qsm.maps._zero_residual(unitary_conjugation(u)) <= qsm.maps._ZERO_TOL
+        zero = zero_density(3)
+        image = apply_map(antiunitary_conjugation(u), zero)
+        assert distance(MetricKind.BURES, image, zero) <= qsm.maps._ZERO_TOL
 
     def test_shifted_map_moves_zero(self):
         shift = random_state(2, 2, RngStream(15))
         m = oracle_map(
             lambda a: DensityOperator(2.0 * a.entries + shift.entries), 2
         )
-        assert not zero_fixed_check(m)
+        assert qsm.maps._zero_residual(m) > qsm.maps._ZERO_TOL
 
     def test_trace_preservation(self):
+        defect = qsm.maps._trace_defect
         u = random_unitary(3, RngStream(16))
-        assert trace_preservation_check(unitary_conjugation(u), RngStream(17))
+        assert defect(unitary_conjugation(u), RngStream(17), 100) <= 1e-9
         rescale = named_nonisometry("trace-rescale", 3, c=2.0)
-        assert not trace_preservation_check(rescale, RngStream(18))
+        assert defect(rescale, RngStream(18), 100) > 1e-9
         # depolarizing preserves the trace yet is not an isometry
         depol = named_nonisometry("depolarizing", 3, p=0.5)
-        assert trace_preservation_check(depol, RngStream(19))
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_trace_preservation_needs_a_sample(self, samples):
-        # no sample would pass any map, trace-rescale by 2 included
-        rescale = named_nonisometry("trace-rescale", 3, c=2.0)
-        with pytest.raises(InvalidParameter):
-            trace_preservation_check(rescale, RngStream(18), samples=samples)
-
-    def test_states_domain_rejected(self):
-        m = unitary_conjugation(np.eye(2), MapDomain.STATES_ONLY)
-        with pytest.raises(DomainError):
-            zero_fixed_check(m)
+        assert defect(depol, RngStream(19), 100) <= 1e-9
 
 
 class TestPreservationSuite:
@@ -213,7 +206,7 @@ class TestPreservationSuite:
     def test_conjugation_preserves_everything(self, domain):
         u = random_unitary(3, RngStream(20))
         report = preservation_suite(antiunitary_conjugation(u, domain), RngStream(21), samples=60)
-        assert report.all_preserved(1e-8)
+        assert report.all_preserved()
 
     def test_pinching_breaks_orthogonality_or_rank(self):
         report = preservation_suite(named_nonisometry("pinching", 2), RngStream(22), samples=60)
@@ -482,6 +475,55 @@ class TestReconstruction:
 
         with pytest.raises(ValueError, match="read-only"):
             check_isometry(oracle_map(scribble, 2), MetricKind.TRACE_NORM, RngStream(4), 3)
+
+
+#: the Pauli matrices sigma_x, sigma_y, sigma_z
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _random_orthogonal(seed, improper):
+    """A random R in O(3) with det R = -1 exactly when ``improper``."""
+    q, r = np.linalg.qr(RngStream(40, seed).generator().standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return -q if bool(np.linalg.det(q) < 0.0) != improper else q
+
+
+def _bloch_map(linear):
+    """The map t(1 + r.sigma)/2 -> t(1 + (linear r).sigma)/2 on the density
+    cone at n = 2, written with the Pauli matrices alone."""
+
+    def evaluate(a):
+        v = np.einsum("iab,ba->i", _PAULI, a.entries).real
+        return DensityOperator((a.trace * np.eye(2) + np.tensordot(linear @ v, _PAULI, 1)) / 2.0)
+
+    return oracle_map(evaluate, 2)
+
+
+class TestBlochBallRotations:
+    """At n = 2 the isometries are the rotations and reflections R in O(3)
+    of the Bloch vector: proper R are unitary conjugations, improper ones
+    antiunitary.  Reconstruction must find the kind and R itself."""
+
+    @pytest.mark.parametrize("improper", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotation_is_recovered(self, seed, improper):
+        linear = _random_orthogonal(seed, improper)
+        result = reconstruct_implementer(_bloch_map(linear), RngStream(41, seed))
+        assert (result.kind is MapKind.ANTIUNITARY_CONJ) is improper
+        # column i of R is the Bloch vector of the conjugation's image of sigma_i
+        images = qsm.maps._conjugate(result.unitary, result.kind, _PAULI)
+        recovered = np.einsum("jab,iba->ji", _PAULI, images).real / 2.0
+        assert np.abs(recovered - linear).max() <= 1e-12
+
+    def test_contraction_is_rejected(self):
+        contraction = _bloch_map(0.99 * _random_orthogonal(0, False))
+        with pytest.raises(NotImplementable) as info:
+            reconstruct_implementer(contraction, RngStream(42))
+        assert info.value.probe == "basis:0"
+        # ||A - B||_1 = max(|tr A - tr B|, |v_A - v_B|) loses at most 1% of
+        # |v_A - v_B| <= tr A + tr B <= 4
+        deviation = check_isometry(contraction, MetricKind.TRACE_NORM, RngStream(43), 200)
+        assert 1e-5 < deviation <= 0.04
 
 
 class TestRoundtrip:

@@ -6,24 +6,36 @@ import pytest
 from qsm.errors import DimensionMismatch
 from qsm.metrics import (
     MetricKind,
+    _product_trace_norm_entries,
     are_orthogonal,
     bures_distance,
     distance,
     distances,
     fidelity,
-    norm_identity_gap,
-    product_trace_norm,
+    norm_identity_gaps,
     trace_distance,
 )
 from qsm.states import (
     DensityOperator,
+    QuantumState,
     RngStream,
-    basis_projection,
+    _projection,
     random_density,
     random_state,
     random_unitary,
     zero_density,
 )
+
+
+def _basis(n, k):
+    """Projection onto the k-th computational basis vector."""
+    return QuantumState(_projection(np.eye(n)[k]))
+
+
+def _gap(x, y):
+    """norm_identity_gaps of one pair of operators."""
+    return float(norm_identity_gaps(x.entries[None], y.entries[None])[0])
+
 
 # commuting-diagonal oracle: sum_i sqrt(p_i q_i) evaluated by hand
 FIDELITY_HALF_THIRDS = 0.9855985596534888
@@ -40,7 +52,7 @@ class TestFidelity:
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_projections(self):
-        assert fidelity(basis_projection(2, 0), basis_projection(2, 1)) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity(_basis(2, 0), _basis(2, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_diagonals(self):
         a = DensityOperator(np.diag([0.5, 0.5]))
@@ -82,8 +94,8 @@ class TestBures:
 
     def test_orthogonal_scaled_projections(self):
         eps = 0.7
-        x = DensityOperator(eps**2 * basis_projection(2, 0).entries)
-        y = DensityOperator(eps**2 * basis_projection(2, 1).entries)
+        x = DensityOperator(eps**2 * _basis(2, 0).entries)
+        y = DensityOperator(eps**2 * _basis(2, 1).entries)
         assert bures_distance(x, y) == pytest.approx(0.9899494936611665, abs=1e-12)
 
     def test_quadruple_witness(self):
@@ -123,7 +135,7 @@ class TestBures:
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
-        assert trace_distance(basis_projection(2, 0), basis_projection(2, 1)) == pytest.approx(2.0, abs=1e-12)
+        assert trace_distance(_basis(2, 0), _basis(2, 1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_self_distance(self):
         a = random_density(4, 2, 1.3, RngStream(40))
@@ -146,17 +158,17 @@ class TestTraceDistance:
 
 class TestOrthogonality:
     def test_orthogonal_projections(self):
-        p, q = basis_projection(2, 0), basis_projection(2, 1)
+        p, q = _basis(2, 0), _basis(2, 1)
         assert are_orthogonal(p, q)
         assert trace_distance(p, q) == pytest.approx(2.0, abs=1e-12)
         total = DensityOperator(p.entries + q.entries)
         assert np.sum(np.abs(np.linalg.eigvalsh(total.entries))) == pytest.approx(2.0)
-        assert norm_identity_gap(p, q) <= 1e-12
+        assert _gap(p, q) <= 1e-12
 
     def test_identical_projections(self):
-        p = basis_projection(2, 0)
+        p = _basis(2, 0)
         assert not are_orthogonal(p, p)
-        assert norm_identity_gap(p, p) == pytest.approx(2.0, abs=1e-12)
+        assert _gap(p, p) == pytest.approx(2.0, abs=1e-12)
 
     def test_overlapping_pair_has_strict_gap(self):
         gen = RngStream(50).generator()
@@ -164,7 +176,7 @@ class TestOrthogonality:
             a = sample_density(3, gen)
             b = DensityOperator((a.entries + sample_density(3, gen).entries) / 2.0)
             assert not are_orthogonal(a, b)
-            assert norm_identity_gap(a, b) > 1e-8 * (1.0 + a.trace * b.trace)
+            assert _gap(a, b) > 1e-8 * (1.0 + a.trace * b.trace)
 
     def test_equivalence_on_mixed_pairs(self):
         gen = RngStream(52).generator()
@@ -181,8 +193,8 @@ class TestOrthogonality:
                 x = sample_density(n, gen)
                 y = DensityOperator((x.entries + sample_density(n, gen).entries) / 2.0)
             threshold = 1e-8 * (1.0 + x.trace * y.trace)
-            product_side = product_trace_norm(x, y) <= threshold
-            gap_side = norm_identity_gap(x, y) <= threshold
+            product_side = _product_trace_norm_entries(x.entries, y.entries) <= threshold
+            gap_side = _gap(x, y) <= threshold
             assert product_side == gap_side == (k % 2 == 0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qsm.errors import NotPositiveSemidefinite
 from qsm.maps import apply_map, unitary_conjugation
-from qsm.metrics import ORTHOGONALITY_TOL, are_orthogonal, bures_distance, norm_identity_gap
+from qsm.metrics import ORTHOGONALITY_TOL, are_orthogonal, bures_distance, norm_identity_gaps
 from qsm.states import DensityOperator, RngStream, _orthogonal_pairs, random_density, random_unitary
 
 CAP_DIMS = [48, 64]
@@ -48,8 +48,9 @@ def test_orthogonality_scale_at_cap(n):
     pair = _orthogonal_pairs(DensityOperator, n, gen, [1.7], [0.6])
     (x,), (y,) = map(DensityOperator.from_stack, pair)
     assert are_orthogonal(x, y)
-    assert norm_identity_gap(x, y) <= ORTHOGONALITY_TOL * (1.0 + x.trace * y.trace)
+    assert norm_identity_gaps(*pair)[0] <= ORTHOGONALITY_TOL * (1.0 + x.trace * y.trace)
     b = random_density(n, n, 1.0, gen)
     overlapping = DensityOperator((x.entries + b.entries) / 2.0)
     assert not are_orthogonal(x, overlapping)
-    assert norm_identity_gap(x, overlapping) > ORTHOGONALITY_TOL * (1.0 + x.trace * overlapping.trace)
+    gap = norm_identity_gaps(x.entries[None], overlapping.entries[None])[0]
+    assert gap > ORTHOGONALITY_TOL * (1.0 + x.trace * overlapping.trace)

@@ -6,8 +6,8 @@ batched distances against the per-pair ones, and the pinching and trace
 bounds that let the uniqueness search reject a proposal before its
 decompositions; the rank that the Wishart sampler reads off the Gram
 spectrum, and the purity certificate of a probe image, against eigh; and,
-at n = 2, the trace distance and fidelity against the closed forms on Bloch
-vectors."""
+at n = 2, the trace distance, fidelity and Bures distance against the
+closed forms on Bloch vectors."""
 
 import math
 
@@ -37,11 +37,11 @@ from qsm.maps import (
 from qsm.metrics import (
     MetricKind,
     are_orthogonal,
+    bures_distance,
     distance,
     distances,
     fidelity,
     orthogonality,
-    product_trace_norm,
     trace_distance,
 )
 from qsm.states import (
@@ -136,8 +136,7 @@ def test_batched_distances_equal_per_pair(n, seed, count):
     for kind in MetricKind:
         batched = distances(kind, x_stack, y_stack)
         assert [float(d) for d in batched] == [distance(kind, x, y) for x, y in zip(xs, ys)]
-    norms, orthogonal = orthogonality(x_stack, y_stack)
-    assert [float(v) for v in norms] == [product_trace_norm(x, y) for x, y in zip(xs, ys)]
+    orthogonal = orthogonality(x_stack, y_stack)
     assert list(orthogonal) == [are_orthogonal(x, y) for x, y in zip(xs, ys)]
 
 
@@ -161,6 +160,9 @@ def _hermitian(gen, n, span, shift):
 @given(n=bound_dims, seed=seeds, span_w=spans, span_big_w=spans,
        shift_w=st.sampled_from([-1.0, 0.0, 1.0]), shift_big_w=st.sampled_from([-1.0, 0.0, 1.0]),
        near=st.booleans())
+# the shrunk counterexample of a search margin of 0
+@example(n=3, seed=0, span_w=[0, 0], span_big_w=[0, 0], shift_w=-1.0, shift_big_w=-1.0,
+         near=False)
 def test_trace_bounds_hold_for_computed_trace_norms(
     n, seed, span_w, span_big_w, shift_w, shift_big_w, near
 ):
@@ -459,6 +461,14 @@ def _bloch(direction, radius):
     return r, QuantumState((np.eye(2) + np.tensordot(r, _PAULI, 1)) / 2.0)
 
 
+def _squared_fidelity_closed_form(r, s, radius_r, radius_s):
+    """F^2 = tr rho sigma + 2 sqrt(det rho det sigma) (Hübner) of the states
+    of Bloch vectors r and s, with tr rho sigma = (1 + r.s)/2 and det rho =
+    (1 - |r|^2)/4 at the exact radius."""
+    det_rho, det_sigma = ((1.0 - radius**2) / 4.0 for radius in (radius_r, radius_s))
+    return (1.0 + r @ s) / 2.0 + 2.0 * math.sqrt(det_rho * det_sigma)
+
+
 @PROPERTY
 @given(dir_r=directions, dir_s=directions, radius_r=radii, radius_s=radii)
 def test_trace_distance_is_the_bloch_distance(dir_r, dir_s, radius_r, radius_s):
@@ -471,11 +481,26 @@ def test_trace_distance_is_the_bloch_distance(dir_r, dir_s, radius_r, radius_s):
 @PROPERTY
 @given(dir_r=directions, dir_s=directions, radius_r=fidelity_radii, radius_s=fidelity_radii)
 def test_fidelity_closed_form_on_the_bloch_ball(dir_r, dir_s, radius_r, radius_s):
-    """At n = 2, F = sqrt(tr rho sigma + 2 sqrt(det rho det sigma)) (Hübner),
-    with tr rho sigma = (1 + r.s)/2 and det rho = (1 - |r|^2)/4 at the exact
-    radius, so a pure state (radius 1) has det 0 and pure and
-    rank-deficient pairs are covered."""
+    """At n = 2 the fidelity is its closed form; a pure state (radius 1) has
+    det 0, so pure and rank-deficient pairs are covered."""
     (r, rho), (s, sigma) = _bloch(dir_r, radius_r), _bloch(dir_s, radius_s)
-    det_rho, det_sigma = ((1.0 - radius**2) / 4.0 for radius in (radius_r, radius_s))
-    closed = math.sqrt((1.0 + r @ s) / 2.0 + 2.0 * math.sqrt(det_rho * det_sigma))
+    closed = math.sqrt(_squared_fidelity_closed_form(r, s, radius_r, radius_s))
     assert abs(fidelity(rho, sigma) - closed) <= 1e-12
+
+
+@PROPERTY
+@given(dir_r=directions, dir_s=directions, radius_r=fidelity_radii, radius_s=fidelity_radii)
+# a near-antipodal pure pair, where the two sides differ by 8e-11 compared as d^2
+@example(dir_r=(0.1875, 1.192092896e-07, 0.0), dir_s=(-1.0, 0.0, 0.0), radius_r=1.0, radius_s=1.0)
+def test_bures_closed_form_on_the_bloch_ball(dir_r, dir_s, radius_r, radius_s):
+    """At n = 2, d = sqrt(tr rho + tr sigma - 2F) with F in closed form,
+    compared as F^2 = ((tr rho + tr sigma - d^2)/2)^2, where both sides
+    are well conditioned.  Compared as d, the closed form's square roots
+    turn roundoff into errors of order eps/F near orthogonal pure pairs (F
+    of a near-antipodal pure pair is the square root of a cancelling
+    difference) and eps/d near coincident pairs, up to 2e-8."""
+    (r, rho), (s, sigma) = _bloch(dir_r, radius_r), _bloch(dir_s, radius_s)
+    f_of_d = (2.0 - bures_distance(rho, sigma) ** 2) / 2.0
+    closed = _squared_fidelity_closed_form(r, s, radius_r, radius_s)
+    assert abs(f_of_d**2 - closed) <= 1e-12
+

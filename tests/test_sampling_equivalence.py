@@ -1,9 +1,9 @@
 """The blocked Bures-diameter, nonzero-center witness and orthogonality
 loops against pair-by-pair references: each reference draws every block
 exactly as the library does, then measures its pairs one at a time with
-bures_distance, are_orthogonal, norm_identity_gap and trace_distance,
-keeping the first maximum with a ``d > best`` loop.  Same estimates, same
-witnesses, same reports, the same measured value for every pair and the
+bures_distance, are_orthogonal, norm_identity_gaps on one pair and
+trace_distance, keeping the first maximum with a ``d > best`` loop.  Same
+lower bounds, same witnesses, same reports, the same measured value for every pair and the
 same generator state, bit for bit."""
 
 from collections import defaultdict
@@ -18,7 +18,6 @@ from qsm.errors import NumericalBreakdown, ZeroCenter
 from qsm.geometry import (
     BALL_SLACK,
     ZERO_TRACE,
-    DiameterEstimate,
     _in_ball_at_zero,
     bures_ball_diameter,
     nonzero_center_witnesses,
@@ -28,7 +27,7 @@ from qsm.metrics import (
     ORTHOGONALITY_TOL,
     are_orthogonal,
     bures_distance,
-    norm_identity_gap,
+    norm_identity_gaps,
     trace_distance,
 )
 from qsm.serialize import canonical_dumps
@@ -71,7 +70,7 @@ def serial_bures_ball_diameter(dim, radius, rng, samples, log=None):
         log["distances"].append(bures_distance(member, zero_density(dim)))
         if log["distances"][-1] > radius + BALL_SLACK:
             raise NumericalBreakdown("a witness fell outside its Bures ball")
-    return DiameterEstimate(best, best_pair)
+    return best
 
 
 def serial_nonzero_center_witnesses(centers, log=None):
@@ -110,7 +109,8 @@ def serial_ortho_eq(dim, gen, samples, budget, tolerances, log):
             xs, ys = _style_pairs(style, dim, gen, count)
             for x, y in zip(DensityOperator.from_stack(xs), DensityOperator.from_stack(ys)):
                 log["orthogonality"].append(are_orthogonal(x, y, tol))
-                log["norm_identity_gaps"].append(norm_identity_gap(x, y))
+                gap = norm_identity_gaps(x.entries[None], y.entries[None])[0]
+                log["norm_identity_gaps"].append(float(gap))
                 gap_side = log["norm_identity_gaps"][-1] <= tol * (1.0 + x.trace * y.trace)
                 misclassified += log["orthogonality"][-1] != gap_side
     if dim >= 2:
@@ -146,12 +146,12 @@ def block_cap(request, monkeypatch):
 
 def _recording(monkeypatch, module, names):
     """Patch each named function of ``module`` to log what it returns,
-    flattened (the flags only, for orthogonality), into the returned dict."""
+    flattened, into the returned dict."""
     log = defaultdict(list)
     for name in names:
         def recorded(*args, _name=name, _original=getattr(module, name)):
             out = _original(*args)
-            log[_name] += np.ravel(out[1] if _name == "orthogonality" else out).tolist()
+            log[_name] += np.ravel(out).tolist()
             return out
 
         monkeypatch.setattr(module, name, recorded)
@@ -169,9 +169,7 @@ def test_diameter_matches_serial(monkeypatch, dim, radius, samples):
     got_log = _recording(monkeypatch, qsm.geometry, ["distances"])
     got = bures_ball_diameter(dim, radius, gen, samples)
     assert got_log == want_log
-    assert got.lower_bound == want.lower_bound
-    for member, reference in zip(got.witness_pair, want.witness_pair):
-        assert np.array_equal(member.entries, reference.entries)
+    assert got == want
     assert gen.bit_generator.state == serial_gen.bit_generator.state
 
 

@@ -8,7 +8,13 @@ from qsm.errors import (
     InvalidRank,
     NotPositiveSemidefinite,
 )
-from qsm.metrics import MetricKind, are_orthogonal, bures_distance, distances, product_trace_norm
+from qsm.metrics import (
+    MetricKind,
+    _product_trace_norm_entries,
+    are_orthogonal,
+    bures_distance,
+    distances,
+)
 from qsm.states import (
     PSD_TOL,
     DensityOperator,
@@ -20,7 +26,6 @@ from qsm.states import (
     _ranks,
     _sampled_stack,
     _spectra,
-    basis_projection,
     random_density,
     random_state,
     random_unitary,
@@ -358,7 +363,7 @@ class TestRandomDensity:
 class TestRankOf:
     def test_examples(self):
         assert zero_density(3).rank() == 0
-        assert basis_projection(3, 1).rank() == 1
+        assert QuantumState(_projection(np.eye(3)[1])).rank() == 1
         assert DensityOperator(np.diag([0.5, 0.5, 0.0])).rank() == 2
 
 
@@ -502,7 +507,7 @@ class TestStackedSamplers:
         for x, y, tx, ty, rx, ry in zip(xs, ys, *traces, ranks_x, ranks_y):
             assert type(x) is type(y) is cls
             assert are_orthogonal(x, y)
-            assert product_trace_norm(x, y) <= 1e-13 * (1.0 + tx * ty)
+            assert _product_trace_norm_entries(x.entries, y.entries) <= 1e-13 * (1.0 + tx * ty)
             assert abs(x.trace - tx) <= 1e-12 * max(1.0, tx)
             assert abs(y.trace - ty) <= 1e-12 * max(1.0, ty)
             assert (x.rank(), y.rank()) == (rx, ry)

@@ -20,11 +20,14 @@ stack per block, so it is the count of ``standard_normal`` calls on its
 generator.  ``feasible`` is the number of proposals that landed in both
 balls, ``proposals - rejections`` of the search's result, so it shows how
 much of the budget found a point beside what a proposal cost.
-``us_per_proposal`` is the median wall time of 5 runs, after one warm-up
-run, divided by the budget.  The kernel columns count the
-``np.linalg.eigvalsh`` and ``np.linalg.eigh`` calls of one further run and
-the matrices they were handed (a ``(k, n, n)`` stack counts k).  The timed
-runs are not counted, so the counting wrappers add nothing to their time.
+``us_per_proposal`` is the minimum wall time of 5 runs, after one warm-up
+run, divided by the budget: every run is the same search, so the fastest is
+the one least slowed by other work on the host (on a shared host the median
+of one tree moved by more than half between back-to-back runs).  The
+kernel columns count the ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` calls
+of one further run and the matrices they were handed (a ``(k, n, n)`` stack
+counts k).  The timed runs are not counted, so the counting wrappers add
+nothing to their time.
 Run it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark does, to compare
 two checkouts on one core.
 """
@@ -32,7 +35,6 @@ two checkouts on one core.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -102,7 +104,7 @@ def main(argv: list[str]) -> int:
         finally:
             for kernel, fn in originals.items():
                 setattr(np.linalg, kernel, fn)
-        us = statistics.median(walls) / BUDGET * 1e6
+        us = min(walls) / BUDGET * 1e6
         print(n, rounds, feasible, f"{us:.2f}",
               *(f"{kernel} {calls} {matrices}" for kernel, (calls, matrices) in counts.items()))
     return 0
