@@ -18,7 +18,7 @@ from .errors import (
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import _BLOCK_ENTRIES, _blocks, psd_clamp_entries, trace_norm_entries
+from .linalg import _BLOCK_ENTRIES, _blocks, _symmetrized, psd_clamp_entries, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
@@ -26,7 +26,7 @@ from .metrics import (
     distances,
     trace_distance,
 )
-from .states import DensityOperator, RngStream, _sampled_stack, _traces, generator_of
+from .states import DensityOperator, RngStream, _random_stack, _sampled_stack, _traces, generator_of
 
 #: additive tolerance on ball membership and witness distances.
 BALL_SLACK = 1e-9
@@ -53,7 +53,6 @@ _TRACE_MARGIN = 1e-10
 class IntersectionSearchResult:
     """Outcome of the ball-intersection uniqueness search."""
 
-    best_candidate: DensityOperator
     separation_from_center: float
     max_ball_violation: float
     #: proposals evaluated (the search budget)
@@ -85,7 +84,7 @@ def _in_ball_at_zero(n: int, radius: float, gen: np.random.Generator, count: int
     ranks = gen.integers(1, n + 1, size=count)
     live = targets > ZERO_TRACE
     arr = np.zeros((count, n, n), dtype=np.complex128)
-    arr[live] = _sampled_stack(DensityOperator, n, gen, ranks[live], targets[live])
+    arr[live] = _sampled_stack(n, gen, ranks[live], targets[live])
     return arr
 
 
@@ -165,7 +164,7 @@ def nonzero_center_witnesses(
         raise ZeroCenter(f"witness construction needs tr(center) > {ZERO_TRACE}")
     radii = np.sqrt(traces)
     k = len(centers)
-    ends = np.concatenate([np.zeros_like(centers[:1]), DensityOperator._validated(4.0 * centers)])
+    ends = np.concatenate([np.zeros_like(centers[:1]), 4.0 * centers])
     a, zero, high = np.arange(k), np.full(k, k), np.arange(k + 1, 2 * k + 1)
     to_zero, to_high, pair = np.split(
         distances(
@@ -303,8 +302,11 @@ def intersection_uniqueness_search(
     Every proposal perturbs the center by a random Hermitian direction and
     is clamped back to the PSD cone, with the scale annealed geometrically
     (x0.9 per 100 rejections from 0.1*epsilon, applied between blocks).  The
-    best feasible candidate by separation is kept; the first one wins a tie,
-    and the center is the starting best.
+    largest separation of a feasible candidate is reported with that
+    candidate's ball violation; the first one wins a tie, and the center
+    (separation 0) is the starting point.  The candidate itself is not
+    returned: for a pinch its rigidity ||X - z - eps*P||_1 is ||A - z||_1,
+    the separation.
 
     slack defaults to a roundoff-level allowance (_roundoff_slack).  Any
     looser slack s fattens the one-point intersection into a tube of width
@@ -389,7 +391,6 @@ def intersection_uniqueness_search(
     reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
     weight, alpha, beta = _pinching_basis(x_e, y_e, a_e)
 
-    best = a_e
     best_sep = 0.0
     best_excess = float(
         np.maximum(trace_norm_entries(x_e - a_e), trace_norm_entries(y_e - a_e)) - epsilon
@@ -408,7 +409,7 @@ def intersection_uniqueness_search(
         d = scale * (g.reshape(k, -1) @ weight)
         g = g[~(_pinching_bound(d, alpha, beta) > reach)]
         g = g[:, 0] + 1j * g[:, 1]
-        w = a_e + scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
+        w = a_e + scale * _symmetrized(g)
         # (2) |tr x - tr z| <= ||x - z||_1, and the same for y, where the
         # clamped trace tr z is the positive mass of w's spectrum
         if len(w):
@@ -434,9 +435,8 @@ def intersection_uniqueness_search(
             sep = trace_norm_entries(z - a_e)
             i = int(np.argmax(sep))
             if sep[i] > best_sep:
-                best, best_sep, best_excess = z[i], float(sep[i]), float(excess[i])
+                best_sep, best_excess = float(sep[i]), float(excess[i])
     return IntersectionSearchResult(
-        best_candidate=DensityOperator(best),
         separation_from_center=best_sep,
         max_ball_violation=max(0.0, best_excess),
         proposals=int(budget),
@@ -456,9 +456,7 @@ def orthocomplement_pool(
     n = center.dim
     (vec,) = center.spectrum()[1]
     pool = [DensityOperator(np.outer(vec[:, k], vec[:, k].conj())) for k in range(n)]
-    count = _POOL_RANDOMS_PER_DIM * n
-    ranks = gen.integers(1, n + 1, size=count)
-    drawn = _sampled_stack(DensityOperator, n, gen, ranks, gen.uniform(0.5, 1.5, size=count))
+    drawn = _random_stack(n, gen, _POOL_RANDOMS_PER_DIM * n, (0.5, 1.5))
     return pool + DensityOperator._wrapped(drawn)
 
 

@@ -63,8 +63,8 @@ from .states import (
     RngStream,
     _orthogonal_pairs,
     _projection,
+    _random_stack,
     _ranks,
-    _sampled_stack,
     _spectra,
     _traces,
     _unitarity_defect,
@@ -162,9 +162,10 @@ def oracle_map(
     """Wrap an opaque per-operator evaluation as a StateMap.  Each block of
     operators is handed to ``evaluate`` one operator at a time, in order, as
     operators of the domain's class.  They are built from the block's entry
-    stack, which the loops have already checked, without checking it again,
-    and on a read-only view of it, so ``evaluate`` cannot write into the
-    samples that the checks read after it."""
+    stack without checking it (its samples are PSD by construction, its
+    probes were checked when built), on a read-only view of it, so
+    ``evaluate`` cannot write into the samples that the checks read after
+    it."""
     cls = _domain_type(domain)
 
     def evaluate_block(arr):
@@ -262,12 +263,10 @@ def apply_map(m: StateMap, a: DensityOperator) -> DensityOperator:
 
 
 def _sample_block(n: int, gen: np.random.Generator, domain: MapDomain, count: int):
-    """Entry stack of ``count`` random operators of the domain: all ranks,
-    then all traces (in [0.2, 2], density cone only; states are built
-    unchecked, as random_state builds them), then one Wishart stack."""
-    ranks = gen.integers(1, n + 1, size=count)
-    traces = gen.uniform(0.2, 2.0, size=count) if domain is MapDomain.FULL_DENSITY else None
-    return _sampled_stack(_domain_type(domain), n, gen, ranks, traces)
+    """Entry stack of ``count`` random operators of the domain
+    (states._random_stack): traces in [0.2, 2] on the density cone, 1 on
+    states."""
+    return _random_stack(n, gen, count, (0.2, 2.0) if domain is MapDomain.FULL_DENSITY else None)
 
 
 def check_isometry(
@@ -352,7 +351,6 @@ def preservation_suite(
         raise InvalidParameter("need at least one sample")
     gen = generator_of(rng)
     n = m.dim
-    cls = _domain_type(m.domain)
     pairs = n >= 2
     fwd_bad = bwd_bad = rank_bad = 0
     affinity_max = 0.0
@@ -362,18 +360,13 @@ def preservation_suite(
                 traces = gen.uniform(0.2, 2.0, size=(2, count))
             else:
                 traces = np.ones((2, count))
-            x, y = _orthogonal_pairs(cls, n, gen, *traces)
+            x, y = _orthogonal_pairs(n, gen, *traces)
             a, b, probe, c, d = np.split(_sample_block(n, gen, m.domain, 5 * count), 5)
         else:
             probe, c, d = np.split(_sample_block(n, gen, m.domain, 3 * count), 3)
         lam = gen.uniform(size=count)[:, None, None]
-        mixed = lam * c + (1.0 - lam) * d
-        if pairs:
-            overlap, mixture = np.split(cls._validated(np.concatenate([(a + b) / 2.0, mixed])), 2)
-            groups = [x, y, a, overlap]
-        else:
-            groups, mixture = [], cls._validated(mixed)
-        groups += [probe, mixture, c, d]
+        groups = [x, y, a, (a + b) / 2.0] if pairs else []
+        groups += [probe, lam * c + (1.0 - lam) * d, c, d]
         images = np.split(_map_block(m, np.concatenate(groups)), len(groups))
         if pairs:
             fwd_bad += int(np.count_nonzero(~orthogonality(images[0], images[1])))

@@ -3,12 +3,19 @@
 An operator is a value, its symmetrized entries and its trace; a spectrum is
 decomposed where it is read (``spectrum()``, or ``_spectra`` for a stack),
 and no operator keeps one.  Inside qsm a batch of operators is an entry
-stack, the read-only ``(k, n, n)`` array of their symmetrized entries that
-``DensityOperator._validated`` returns after the construction checks; its
-row traces (``_traces``) are the operators' traces.  The samplers return
-entry stacks, and operators are built only where a public function takes or
-returns one: ``from_stack`` checks a stack and builds them, ``_wrapped``
-builds them from an entry stack.
+stack, the read-only ``(k, n, n)`` array of their symmetrized entries; its
+row traces (``_traces``) are the operators' traces.  Operators are built
+only where a public function takes or returns one: ``from_stack`` checks a
+stack and builds them, ``_wrapped`` builds them from an entry stack.
+
+The construction checks (``DensityOperator._validated``) run where an
+operator can fail them: in the constructor, in ``from_stack``, and on the
+images of a map (qsm.maps._map_block) and on files (qsm.serialize), which
+come from outside.  The samplers return entry stacks without them: a
+normalized Wishart stack is PSD and on its target trace by construction,
+and ``_wishart`` symmetrizes it and marks it read-only itself.  Nor does
+stack arithmetic run them: a nonnegative real combination of exactly
+Hermitian PSD stacks is one already.
 
 Random draws go through RngStream, a value type (seed, stream_index): the
 same stream always yields the same operators, and concurrent experiments use
@@ -70,7 +77,10 @@ class DensityOperator:
     density's rank is counted on its Gram spectrum (``_wishart``) and a probe
     image's purity is certified from one column (qsm.maps).  Row i of the
     entry stack that ``_validated`` returns, and ``_traces(stack)[i]``, are
-    the entries and the trace of the operator built from matrix i.
+    the entries and the trace of the operator built from matrix i.  The
+    constructor, ``from_stack`` and the map images of qsm.maps run these
+    checks; the samplers and stack arithmetic, whose stacks are PSD by
+    construction, do not.
     """
 
     __slots__ = ("entries", "_trace")
@@ -261,14 +271,16 @@ def random_unitary(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     return _haar_unitaries(n, 1, generator_of(rng))[0]
 
 
-def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces):
+def _wishart(g: np.ndarray, ranks, traces):
     """G G* of each matrix G of a ``(k, n, m)`` Gaussian stack, keeping the
     first ranks[i] columns of the i-th (the others are zeroed in place),
-    rescaled to traces[i] (to 1 if traces is None), as one entry stack of
-    ``cls``, and the mask of the operators whose rank falls short of
-    ranks[i].  With traces None the stack is built unchecked, as random_state
-    builds it, and none falls short; with target traces, an operator whose
-    rank exceeds ranks[i] or whose trace is off target raises
+    rescaled to traces[i] (to 1 if traces is None), as one entry stack, and
+    the mask of the operators whose rank falls short of ranks[i].  The stack
+    is symmetrized and made read-only here, bit for bit the entry stack that
+    ``DensityOperator._validated`` would return, but none of the construction
+    checks is run: G G* is PSD and its rescaled trace is on target by
+    construction.  With traces None none falls short; with target traces, an
+    operator whose rank exceeds ranks[i] or whose trace is off target raises
     NumericalBreakdown, the first failing one in order.
 
     The rank is counted without decomposing an operator: G G* and the m x m
@@ -283,7 +295,8 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces):
     a = g @ g.conj().swapaxes(1, 2)
     target = 1.0 if traces is None else np.asarray(traces, dtype=float)
     scale = target / _traces(a)
-    arr = cls._validated(a * scale[:, None, None])
+    arr = _symmetrized(a * scale[:, None, None])
+    arr.setflags(write=False)
     if traces is None:
         return arr, np.zeros(len(ranks), dtype=bool)
     gram = np.linalg.eigvalsh(g.conj().swapaxes(1, 2) @ g) * scale[:, None]
@@ -301,34 +314,52 @@ def _wishart(cls: type[DensityOperator], g: np.ndarray, ranks, traces):
     return arr, realized < ranks
 
 
-def _sampled_stack(cls: type[DensityOperator], n: int, gen: np.random.Generator, ranks, traces):
-    """The entry stack of one Wishart operator of ``cls`` per entry of
-    ``ranks``: the normalized Wishart construction of random_density, drawn
-    as one Gaussian stack of max(ranks) columns per matrix of which the i-th
-    keeps its first ranks[i] (the same measure; a one-matrix stack draws
-    exactly n x rank).  A factor whose rank falls short of ranks[i] (a square
-    one does about once in 1e5 draws at n = 48) is redrawn from ``gen``
-    after the whole stack, until none does."""
-    ranks = np.asarray(ranks)
-    g = _ginibre(gen, len(ranks), n, int(ranks.max(initial=1)))
+def _redrawn(gen: np.random.Generator, g: np.ndarray, wishart) -> np.ndarray:
+    """The entry stack ``wishart(g)`` returns once no factor of the Gaussian
+    stack g falls short of its rank: each short factor is redrawn from
+    ``gen``, after the whole stack, until none is."""
     while True:
-        arr, short = _wishart(cls, g, ranks, traces)
+        arr, short = wishart(g)
         if not short.any():
             return arr
-        g[short] = _ginibre(gen, int(np.count_nonzero(short)), n, g.shape[2])
+        g[short] = _ginibre(gen, int(np.count_nonzero(short)), *g.shape[1:])
 
 
-def _orthogonal_pairs(cls: type[DensityOperator], n: int, gen: np.random.Generator, traces_x,
+def _sampled_stack(n: int, gen: np.random.Generator, ranks, traces) -> np.ndarray:
+    """The entry stack of one Wishart operator per entry of ``ranks``: the
+    normalized Wishart construction of random_density, drawn as one Gaussian
+    stack of max(ranks) columns per matrix of which the i-th keeps its first
+    ranks[i] (the same measure; a one-matrix stack draws exactly n x rank).
+    A factor whose rank falls short of ranks[i] (a square one does about once
+    in 1e5 draws at n = 48) is redrawn (_redrawn).  No construction check is
+    run (_wishart)."""
+    ranks = np.asarray(ranks)
+    g = _ginibre(gen, len(ranks), n, int(ranks.max(initial=1)))
+    return _redrawn(gen, g, lambda g: _wishart(g, ranks, traces))
+
+
+def _random_stack(n: int, gen: np.random.Generator, count: int, traces=None) -> np.ndarray:
+    """The entry stack of ``count`` Wishart operators of uniform random rank
+    in [1, n]: all ranks, then all traces (uniform in ``traces`` = (lo, hi);
+    trace 1, drawing nothing, if None), then one Wishart stack
+    (_sampled_stack)."""
+    ranks = gen.integers(1, n + 1, size=count)
+    if traces is not None:
+        traces = gen.uniform(*traces, size=count)
+    return _sampled_stack(n, gen, ranks, traces)
+
+
+def _orthogonal_pairs(n: int, gen: np.random.Generator, traces_x,
                       traces_y) -> tuple[np.ndarray, np.ndarray]:
-    """Entry stacks xs, ys of Wishart operators of ``cls`` (n >= 2) with the
-    given traces, pair i supported on complementary subspaces of a Haar
-    frame V.
+    """Entry stacks xs, ys of Wishart operators (n >= 2) with the given
+    traces, pair i supported on complementary subspaces of a Haar frame V.
 
     Pair i draws a uniform split k in [1, n), a uniform rank of x in [1, k]
     and one of y in [1, n - k]; all splits, then all ranks, then the frames,
     then one Gaussian stack.  x = V G G* V* keeps the rows of G below k and
     y the rows from k up, so x y vanishes up to the roundoff of V* V = 1.  A
-    factor whose rank falls short is redrawn as in _sampled_stack."""
+    factor whose rank falls short is redrawn (_redrawn), and no construction
+    check is run (_wishart)."""
     count = len(traces_x)
     splits = gen.integers(1, n, size=count)
     ranks = np.concatenate([gen.integers(1, splits + 1), gen.integers(1, n - splits + 1)])
@@ -337,13 +368,13 @@ def _orthogonal_pairs(cls: type[DensityOperator], n: int, gen: np.random.Generat
     below = np.arange(n) < splits[:, None]
     outside = np.concatenate([~below, below])
     traces = np.concatenate([traces_x, traces_y])
-    g = _ginibre(gen, 2 * count, n, int(ranks.max()))
-    while True:
+
+    def wishart(g):
         g[outside] = 0.0
-        arr, short = _wishart(cls, frames @ g, ranks, traces)
-        if not short.any():
-            return arr[:count], arr[count:]
-        g[short] = _ginibre(gen, int(np.count_nonzero(short)), n, g.shape[2])
+        return _wishart(frames @ g, ranks, traces)
+
+    arr = _redrawn(gen, _ginibre(gen, 2 * count, n, int(ranks.max())), wishart)
+    return arr[:count], arr[count:]
 
 
 def random_density(
@@ -362,7 +393,7 @@ def random_density(
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
     if not trace_target > 0.0:
         raise InvalidParameter("trace_target must be positive")
-    arr = _sampled_stack(DensityOperator, n, generator_of(rng), [rank], [trace_target])
+    arr = _sampled_stack(n, generator_of(rng), [rank], [trace_target])
     return DensityOperator._wrapped(arr)[0]
 
 
@@ -370,7 +401,7 @@ def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> Qua
     """Random trace-1 density operator of prescribed rank."""
     if not 1 <= rank <= n:
         raise InvalidRank(f"rank {rank} outside [1, {n}]")
-    arr = _sampled_stack(QuantumState, n, generator_of(rng), [rank], None)
+    arr = _sampled_stack(n, generator_of(rng), [rank], None)
     return QuantumState._wrapped(arr)[0]
 
 

@@ -23,7 +23,7 @@ from .geometry import (
     nonzero_center_witnesses,
     pinch_configuration,
 )
-from .linalg import _blocks, trace_norm_entries
+from .linalg import _blocks
 from .maps import (
     MapDomain,
     MapKind,
@@ -42,9 +42,9 @@ from .metrics import (
 )
 from .states import (
     DensityOperator,
-    QuantumState,
     RngStream,
     _orthogonal_pairs,
+    _random_stack,
     _sampled_stack,
     _traces,
     random_state,
@@ -115,8 +115,7 @@ def _lemma1(dim, gen, samples, budget, tolerances):
         witnesses.append({"kind": "ball-at-zero", "radius": eps, "lower_bound": lower_bound})
     shown = []
     for count in _blocks(max(4, samples // 4), dim, 1):
-        ranks = gen.integers(1, dim + 1, size=count)
-        centers = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
+        centers = _random_stack(dim, gen, count, (0.3, 3.0))
         radius, to_zero, to_high, pair, held = nonzero_center_witnesses(centers)
         excess = np.max([to_zero - radius, to_high - radius, np.abs(pair - 2.0 * radius)], axis=0)
         violation = max(violation, float((excess - BALL_SLACK).max()))
@@ -158,7 +157,7 @@ def _lemma3(dim, gen, samples, budget, tolerances):
         containment = None
         for _ in range(configs):
             eps = float(gen.uniform(0.5, 1.5))
-            pair = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
+            pair = _orthogonal_pairs(dim, gen, [eps], [eps])
             x, y = DensityOperator._wrapped(np.concatenate(pair))
             # raises unless Z lies within BALL_SLACK of both spheres, with
             # trace at least eps/2; its residual is then held to the slack
@@ -181,15 +180,9 @@ def _lemma3(dim, gen, samples, budget, tolerances):
         )
         ratio = result.separation_from_center / pinch.epsilon
         worst_ratio = max(worst_ratio, ratio)
+        # for X = A + eps*P this also bounds the extreme-point rigidity
+        # ||X - z - eps*P||_1, which is the separation ||A - z||_1
         passed &= ratio <= separation_factor
-        # extreme-point rigidity: X - Z must collapse onto eps * projection
-        shift = (
-            pinch.upper.entries
-            - result.best_candidate.entries
-            - pinch.epsilon * pinch.projection.entries
-        )
-        rigidity = float(trace_norm_entries(shift))
-        passed &= rigidity <= separation_factor * pinch.epsilon
         if k == 0:
             witnesses.append(
                 {
@@ -212,20 +205,15 @@ def _style_pairs(style, dim, gen, count):
     draws a uniform rank (full for the y of style 3), and the pairs' ranks,
     then their traces, then one Wishart stack are drawn in that order."""
     if style == 0:
-        return _orthogonal_pairs(DensityOperator, dim, gen, *gen.uniform(0.3, 2.0, size=(2, count)))
+        return _orthogonal_pairs(dim, gen, *gen.uniform(0.3, 2.0, size=(2, count)))
     if style == 1:
-        ranks = gen.integers(1, dim + 1, size=2 * count)
-    elif style == 2:
-        ranks = gen.integers(1, dim + 1, size=count)
-    else:
-        ranks = np.concatenate([gen.integers(1, dim + 1, size=count), np.full(count, dim)])
-    arr = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 2.0, size=len(ranks)))
+        a, b = np.split(_random_stack(dim, gen, 2 * count, (0.3, 2.0)), 2)
+        return a, (a + b) / 2.0
     if style == 2:
-        return arr, np.zeros_like(arr)
-    xs, ys = arr[:count], arr[count:]
-    if style == 1:
-        ys = DensityOperator._validated((xs + ys) / 2.0)
-    return xs, ys
+        xs = _random_stack(dim, gen, count, (0.3, 2.0))
+        return xs, np.zeros_like(xs)
+    ranks = np.concatenate([gen.integers(1, dim + 1, size=count), np.full(count, dim)])
+    return np.split(_sampled_stack(dim, gen, ranks, gen.uniform(0.3, 2.0, size=2 * count)), 2)
 
 
 def _ortho_eq(dim, gen, samples, budget, tolerances):
@@ -256,11 +244,10 @@ def _ortho_eq(dim, gen, samples, budget, tolerances):
             misclassified += int(np.count_nonzero(product_side != gap_side))
     if dim >= 2:
         for count in _blocks(max(4, samples // 8), dim, 4):
-            xs, ys = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
-            ranks = gen.integers(1, dim + 1, size=2 * count)
-            a, b = np.split(_sampled_stack(QuantumState, dim, gen, ranks, None), 2)
+            xs, ys = _orthogonal_pairs(dim, gen, np.ones(count), np.ones(count))
+            a, b = np.split(_random_stack(dim, gen, 2 * count), 2)
             left = np.concatenate([xs, a])
-            right = np.concatenate([ys, QuantumState._validated((a + b) / 2.0)])
+            right = np.concatenate([ys, (a + b) / 2.0])
             found = distances(MetricKind.TRACE_NORM, left, right)
             orthogonal = orthogonality(left, right, tol)
             state_gap = max(state_gap, float(np.abs(found[:count] - 2.0).max()))

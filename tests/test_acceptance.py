@@ -130,7 +130,7 @@ def test_criterion_3_orthogonality_equivalence():
             pairs += 1
             if k % 2 == 0:
                 (x,), (y,) = map(DensityOperator.from_stack, _orthogonal_pairs(
-                    DensityOperator, dim, gen, [gen.uniform(0.3, 2.0)], [gen.uniform(0.3, 2.0)]
+                    dim, gen, [gen.uniform(0.3, 2.0)], [gen.uniform(0.3, 2.0)]
                 ))
             else:
                 x = _sample(dim, gen)
@@ -141,7 +141,7 @@ def test_criterion_3_orthogonality_equivalence():
             if product_side != gap_side or product_side != (k % 2 == 0):
                 misclassified += 1
         for _ in range(20):
-            pair = _orthogonal_pairs(DensityOperator, dim, gen, [1.0], [1.0])
+            pair = _orthogonal_pairs(dim, gen, [1.0], [1.0])
             (xs,), (ys,) = map(DensityOperator.from_stack, pair)
             state_gap = max(state_gap, abs(trace_distance(xs, ys) - 2.0))
             ok &= are_orthogonal(xs, ys)
@@ -167,7 +167,7 @@ def test_criterion_4_lemma3_suite():
         gen = RngStream(104, dim).generator()
         for k in range(20):
             eps = float(gen.uniform(0.5, 1.5))
-            pair = _orthogonal_pairs(DensityOperator, dim, gen, [eps], [eps])
+            pair = _orthogonal_pairs(dim, gen, [eps], [eps])
             (x,), (y,) = map(DensityOperator.from_stack, pair)
             mid, _ = midpoint_witness(x, y)
             midpoint_ok &= (

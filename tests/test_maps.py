@@ -430,9 +430,11 @@ class TestReconstruction:
 
     def test_haar_reconstruction_builds_only_samples_and_oracle_images(self, monkeypatch):
         """At n = 64 a Haar reconstruction hands cholesky (the PSD floor of
-        every construction) the zero operator, 25 trace samples, 128 probes
-        and 100 validation states, and the oracle's image of each: 508
-        matrices.  The recovered conjugation's images are not built."""
+        every construction) the zero operator and the 128 probes, whose
+        entries it builds, and the oracle's 254 images of them and of the 25
+        trace samples and 100 validation states: 383 matrices.  The sampled
+        states are PSD by construction and are not checked, and the recovered
+        conjugation's images are not built."""
         n = 64
         oracle = unitary_conjugation(random_unitary(n, RngStream(5, 999)))
         matrices = []
@@ -445,13 +447,16 @@ class TestReconstruction:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         result = reconstruct_implementer(oracle, RngStream(5, 7))
         assert result.residual <= 1e-12
-        inputs = 1 + 25 + qsm.maps.probe_count(n) + VALIDATION_SAMPLES
-        assert sum(matrices) == 2 * inputs == 508
+        built = 1 + qsm.maps.probe_count(n)
+        images = built + 25 + VALIDATION_SAMPLES
+        assert sum(matrices) == built + images == 383
 
     def test_oracle_map_does_not_check_its_inputs_again(self, monkeypatch):
-        """At n = 8 a reconstruction hands cholesky 142 inputs and their 142
-        images; a conjugation behind oracle_map adds only the inner map's
-        check of each image, 142 more, and no second check of the inputs."""
+        """At n = 8 a reconstruction hands cholesky the zero operator and the
+        16 probes, which it builds, and the 142 images of them and of the 125
+        sampled states, which are not checked; a conjugation behind
+        oracle_map adds only the inner map's check of each image, 142 more,
+        and no second check of the inputs: 301 matrices."""
         hidden = unitary_conjugation(random_unitary(8, RngStream(3)))
         matrices = []
         cholesky = np.linalg.cholesky
@@ -464,7 +469,7 @@ class TestReconstruction:
         oracle = oracle_map(lambda a: apply_map(hidden, a), 8)
         result = reconstruct_implementer(oracle, RngStream(2))
         assert result.residual <= 1e-12
-        assert sum(matrices) == 426
+        assert sum(matrices) == 301
 
     def test_oracle_map_hands_read_only_operators(self):
         """An oracle cannot write into the samples a check reads after it."""

@@ -45,7 +45,7 @@ def test_bures_radicand_floor_at_cap(n):
 @pytest.mark.parametrize("n", CAP_DIMS)
 def test_orthogonality_scale_at_cap(n):
     gen = RngStream(502, n).generator()
-    pair = _orthogonal_pairs(DensityOperator, n, gen, [1.7], [0.6])
+    pair = _orthogonal_pairs(n, gen, [1.7], [0.6])
     (x,), (y,) = map(DensityOperator.from_stack, pair)
     assert are_orthogonal(x, y)
     assert norm_identity_gaps(*pair)[0] <= ORTHOGONALITY_TOL * (1.0 + x.trace * y.trace)

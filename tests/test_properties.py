@@ -330,14 +330,14 @@ def test_wishart_rank_from_the_gram_spectrum(n, seed, rank_share, log_trace, col
     assert found[0] == ranks[0] - (collapse and ranks[0] >= 2)
     above = [i for i in range(3) if found[i] > ranks[i]]
     if not above:
-        built, short = _wishart(DensityOperator, g, ranks, traces)
+        built, short = _wishart(g, ranks, traces)
         assert all(np.array_equal(x, y.entries) for x, y in zip(built, ops))
         assert short.tolist() == [found[i] < ranks[i] for i in range(3)]
     else:
         i = above[0]
         message = f"numerical rank {found[i]}, wanted {ranks[i]}"
         with pytest.raises(NumericalBreakdown, match=message):
-            _wishart(DensityOperator, g, ranks, traces)
+            _wishart(g, ranks, traces)
 
 
 @PROPERTY
@@ -348,18 +348,19 @@ def test_sampler_stacks_carry_their_operators(n, seed, rank_share, log_trace, st
     arr.trace(axis1=1, axis2=2).real, and each row's entries are bit for bit
     the trace and the entries of the operator from_stack builds from it.
     The first of three Wishart samples has the rank rank_share picks and, on
-    the density cone, the given trace; states are drawn unchecked, as
-    random_state draws them.  From n = 2 on, an orthogonal pair is drawn
-    too."""
+    the density cone, the given trace; states are drawn with no target
+    trace, as random_state draws them.  From n = 2 on, an orthogonal pair is
+    drawn too.  The samplers run no construction check, so from_stack here
+    holds every sampled stack to the PSD floor."""
     gen = RngStream(seed).generator()
     cls = QuantumState if states else DensityOperator
     ranks = gen.integers(1, n + 1, size=3)
     ranks[0] = 1 + int(rank_share * (n - 1))
     traces = None if states else 10.0 ** np.array([log_trace, *gen.uniform(-3.0, 1.0, size=2)])
-    stacks = [_sampled_stack(cls, n, gen, ranks, traces)]
+    stacks = [_sampled_stack(n, gen, ranks, traces)]
     if n >= 2:
         pair_traces = np.ones(2) if states else 10.0 ** gen.uniform(-3.0, 1.0, size=2)
-        stacks += _orthogonal_pairs(cls, n, gen, pair_traces[:1], pair_traces[1:])
+        stacks += _orthogonal_pairs(n, gen, pair_traces[:1], pair_traces[1:])
     for arr in stacks:
         ops = cls.from_stack(arr)
         assert not arr.flags.writeable
@@ -377,8 +378,7 @@ def test_orthogonal_pair_ranks_from_the_gram_spectrum(n, seed, log_trace, states
     gen, twin = RngStream(seed).generator(), RngStream(seed).generator()
     trace = 1.0 if states else 10.0**log_trace
     cls = QuantumState if states else DensityOperator
-    xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, np.full(count, trace),
-                                                   np.full(count, trace)))
+    xs, ys = map(cls.from_stack, _orthogonal_pairs(n, gen, *np.full((2, count), trace)))
     splits = twin.integers(1, n, size=count)
     ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
     for x, y, rx, ry in zip(xs, ys, ranks_x, ranks_y):
@@ -393,7 +393,7 @@ def test_midpoint_witness_within_the_roundoff_slack(n, seed, log_eps):
     radius-eps spheres within 1/16 of the default search slack, the bound
     lemma3 holds it to (measured worst about 1/230)."""
     eps = 10.0**log_eps
-    pair = _orthogonal_pairs(DensityOperator, n, RngStream(seed).generator(), [eps], [eps])
+    pair = _orthogonal_pairs(n, RngStream(seed).generator(), [eps], [eps])
     (x,), (y,) = map(DensityOperator.from_stack, pair)
     z, _ = midpoint_witness(x, y)
     assert abs(z.trace - eps) <= 4.0 * n * np.finfo(np.float64).eps * eps
@@ -480,12 +480,18 @@ def test_trace_distance_is_the_bloch_distance(dir_r, dir_s, radius_r, radius_s):
 
 @PROPERTY
 @given(dir_r=directions, dir_s=directions, radius_r=fidelity_radii, radius_s=fidelity_radii)
+# a near-antipodal pure pair: F misses the closed form's square root by 3.9e-11,
+# F^2 misses the closed form by 2.5e-17
+@example(dir_r=(0.1875, 1.192092896e-07, 0.0), dir_s=(-1.0, 0.0, 0.0), radius_r=1.0, radius_s=1.0)
 def test_fidelity_closed_form_on_the_bloch_ball(dir_r, dir_s, radius_r, radius_s):
-    """At n = 2 the fidelity is its closed form; a pure state (radius 1) has
-    det 0, so pure and rank-deficient pairs are covered."""
+    """At n = 2 the fidelity is its closed form, compared as F^2; a pure
+    state (radius 1) has det 0, so pure and rank-deficient pairs are
+    covered.  Compared as F, the closed form of a near-antipodal pure pair
+    is the square root of a cancelling difference, which turns its roundoff
+    into errors far above 1e-12."""
     (r, rho), (s, sigma) = _bloch(dir_r, radius_r), _bloch(dir_s, radius_s)
-    closed = math.sqrt(_squared_fidelity_closed_form(r, s, radius_r, radius_s))
-    assert abs(fidelity(rho, sigma) - closed) <= 1e-12
+    closed = _squared_fidelity_closed_form(r, s, radius_r, radius_s)
+    assert abs(fidelity(rho, sigma) ** 2 - closed) <= 1e-12
 
 
 @PROPERTY

@@ -61,9 +61,9 @@ def _draw(n, gen, domain, count):
     only), then one Wishart stack."""
     ranks = gen.integers(1, n + 1, size=count)
     if domain is MapDomain.STATES_ONLY:
-        return QuantumState.from_stack(_sampled_stack(QuantumState, n, gen, ranks, None))
+        return QuantumState.from_stack(_sampled_stack(n, gen, ranks, None))
     traces = gen.uniform(0.2, 2.0, size=count)
-    return DensityOperator.from_stack(_sampled_stack(DensityOperator, n, gen, ranks, traces))
+    return DensityOperator.from_stack(_sampled_stack(n, gen, ranks, traces))
 
 
 def serial_check_isometry(m, metric, rng, pairs):
@@ -105,7 +105,7 @@ def serial_preservation_suite(m, rng, samples=100):
                 traces = np.ones((2, count))
             else:
                 traces = gen.uniform(0.2, 2.0, size=(2, count))
-            groups += [build.from_stack(xs) for xs in _orthogonal_pairs(build, n, gen, *traces)]
+            groups += [build.from_stack(xs) for xs in _orthogonal_pairs(n, gen, *traces)]
         drawn = _draw(n, gen, m.domain, (5 if n >= 2 else 3) * count)
         drawn = [drawn[i:i + count] for i in range(0, len(drawn), count)]
         lams = gen.uniform(size=count)

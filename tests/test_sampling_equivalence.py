@@ -115,10 +115,10 @@ def serial_ortho_eq(dim, gen, samples, budget, tolerances, log):
                 misclassified += log["orthogonality"][-1] != gap_side
     if dim >= 2:
         for count in _blocks(max(4, samples // 8), dim, 4):
-            pairs = _orthogonal_pairs(QuantumState, dim, gen, np.ones(count), np.ones(count))
+            pairs = _orthogonal_pairs(dim, gen, np.ones(count), np.ones(count))
             xs, ys = map(QuantumState.from_stack, pairs)
             ranks = gen.integers(1, dim + 1, size=2 * count)
-            ab = QuantumState.from_stack(_sampled_stack(QuantumState, dim, gen, ranks, None))
+            ab = QuantumState.from_stack(_sampled_stack(dim, gen, ranks, None))
             mixed = [QuantumState((a.entries + b.entries) / 2.0)
                      for a, b in zip(ab[:count], ab[count:])]
             pairs = [*zip(xs, ys), *zip(ab[:count], mixed)]
@@ -187,7 +187,7 @@ def _center_ranks(kind, dim, count, gen):
 def test_witnesses_match_serial(monkeypatch, dim, count, ranks):
     gen = RngStream(63, dim).generator()
     ranks = _center_ranks(ranks, dim, count, gen)
-    centers = _sampled_stack(DensityOperator, dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
+    centers = _sampled_stack(dim, gen, ranks, gen.uniform(0.3, 3.0, size=count))
     want_log = defaultdict(list)
     want = serial_nonzero_center_witnesses(centers, want_log)
     got_log = _recording(monkeypatch, qsm.geometry, ["distances"])

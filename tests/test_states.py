@@ -23,6 +23,7 @@ from qsm.states import (
     _ginibre,
     _orthogonal_pairs,
     _projection,
+    _random_stack,
     _ranks,
     _sampled_stack,
     _spectra,
@@ -393,8 +394,8 @@ class TestShortFactorsAreRedrawn:
     def test_sampled_stack(self, n):
         ranks, traces = np.array([n, 2, n]), np.array([0.7, 1.3, 2.0])
         gen, twin = _CollapsingGenerator(40 + n, 0), np.random.default_rng(40 + n)
-        arr = _sampled_stack(DensityOperator, n, gen, ranks, traces)
-        honest = _sampled_stack(DensityOperator, n, twin, ranks, traces)
+        arr = _sampled_stack(n, gen, ranks, traces)
+        honest = _sampled_stack(n, twin, ranks, traces)
         ops = DensityOperator.from_stack(arr)
         assert [op.rank() for op in ops] == ranks.tolist()
         assert [op.trace for op in ops] == pytest.approx(traces, rel=1e-12)
@@ -410,12 +411,12 @@ class TestShortFactorsAreRedrawn:
         # its factor to rank one leaves it short
         seed = next(s for s in range(100) if self._ranks(n, s)[0][0] >= 2)
         gen, twin = _CollapsingGenerator(seed, 1), np.random.default_rng(seed)
-        xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, np.ones(2), np.ones(2)))
+        xs, ys = map(cls.from_stack, _orthogonal_pairs(n, gen, np.ones(2), np.ones(2)))
         ranks_x, ranks_y = self._ranks(n, seed)
         assert [x.rank() for x in xs] == ranks_x.tolist()
         assert [y.rank() for y in ys] == ranks_y.tolist()
         assert all(are_orthogonal(x, y) for x, y in zip(xs, ys))
-        _orthogonal_pairs(cls, n, twin, np.ones(2), np.ones(2))
+        _orthogonal_pairs(n, twin, np.ones(2), np.ones(2))
         twin.standard_normal((1, 2, n, int(max(ranks_x.max(), ranks_y.max()))))
         assert gen.bit_generator.state == twin.bit_generator.state
 
@@ -472,7 +473,7 @@ class TestStackedSamplers:
         gen = np.random.default_rng(n)
         ranks = gen.integers(1, n + 1, size=12)
         traces = gen.uniform(0.2, 2.0, size=12)
-        ops = DensityOperator.from_stack(_sampled_stack(DensityOperator, n, gen, ranks, traces))
+        ops = DensityOperator.from_stack(_sampled_stack(n, gen, ranks, traces))
         assert [op.rank() for op in ops] == ranks.tolist()
         for op, trace in zip(ops, traces):
             assert op.trace == pytest.approx(trace, abs=1e-12 * max(1.0, trace))
@@ -484,12 +485,36 @@ class TestStackedSamplers:
         gen = RngStream(24, n).generator()
         ops = [random_density(n, n, 1.3, gen)]
         ops += DensityOperator.from_stack(_sampled_stack(
-            DensityOperator, n, gen, gen.integers(1, n + 1, size=4), gen.uniform(0.2, 2.0, size=4)
+            n, gen, gen.integers(1, n + 1, size=4), gen.uniform(0.2, 2.0, size=4)
         ))
         if n >= 2:
-            for pairs in _orthogonal_pairs(QuantumState, n, gen, np.ones(3), np.ones(3)):
+            for pairs in _orthogonal_pairs(n, gen, np.ones(3), np.ones(3)):
                 ops += QuantumState.from_stack(pairs)
         assert eigh_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_samplers_run_no_construction_check(self, monkeypatch, n):
+        """The samplers build their stacks PSD and on target trace, so they
+        hand nothing to cholesky (the PSD floor of construction); each stack
+        comes back read-only."""
+        matrices = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            matrices.append(len(a) if np.ndim(a) == 3 else 1)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        gen = RngStream(25, n).generator()
+        ranks = gen.integers(1, n + 1, size=3)
+        stacks = [_sampled_stack(n, gen, ranks, gen.uniform(0.2, 2.0, size=3)),
+                  _sampled_stack(n, gen, ranks, None),
+                  _random_stack(n, gen, 3, (0.5, 1.5)),
+                  _random_stack(n, gen, 3)]
+        if n >= 2:
+            stacks += _orthogonal_pairs(n, gen, np.ones(3), gen.uniform(0.2, 2.0, size=3))
+        assert matrices == []
+        assert all(len(arr) == 3 and not arr.flags.writeable for arr in stacks)
 
     @pytest.mark.parametrize("cls", [DensityOperator, QuantumState])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 64])
@@ -501,7 +526,7 @@ class TestStackedSamplers:
         else:
             traces = gen.uniform(0.2, 2.0, size=(2, count))
             twin.uniform(0.2, 2.0, size=(2, count))
-        xs, ys = map(cls.from_stack, _orthogonal_pairs(cls, n, gen, *traces))
+        xs, ys = map(cls.from_stack, _orthogonal_pairs(n, gen, *traces))
         splits = twin.integers(1, n, size=count)
         ranks_x, ranks_y = twin.integers(1, splits + 1), twin.integers(1, n - splits + 1)
         for x, y, tx, ty, rx, ry in zip(xs, ys, *traces, ranks_x, ranks_y):

@@ -1,11 +1,15 @@
 """Smoke tests of the measurement tools under tools/: each runs as a
 subprocess on this checkout's package or benchmark records and prints the
-lines its usage describes."""
+lines its usage describes.  The functions of tools/report_set.py, on which
+every same-bytes claim rests, are also called directly."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
 _KERNELS = ("eigh", "eigvalsh", "svd", "qr", "cholesky")
@@ -71,3 +75,43 @@ def test_bench_chain_reads_the_committed_records():
     header, *rows = _lines("bench_chain.py")
     assert {row.split()[0] for row in rows} == {"lemma3-search", "roundtrip-small", "large-n"}
     assert all(float(row.split()[2]) > 0.0 for row in rows)
+
+
+@pytest.fixture(scope="module")
+def report_set():
+    spec = importlib.util.spec_from_file_location("report_set", _ROOT / "tools" / "report_set.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_set_runs_85_distinct_reports(report_set, tmp_path):
+    runs = report_set.report_args(report_set.write_inputs(tmp_path))
+    assert len(runs) == 85
+    assert len({tuple(args) for args in runs}) == 85
+
+
+def test_verdict_digest_drops_floats_only(report_set):
+    digest = report_set.verdict_digest
+    report = {"pass": True, "budget": 10, "max_violation": 0.5, "witnesses": [{"value": 1e-9}]}
+    base = digest(json.dumps(report))
+    floats_moved = {**report, "max_violation": 0.25, "witnesses": [{"value": 2e-9}]}
+    assert digest(json.dumps(floats_moved)) == base
+    assert digest(json.dumps({**report, "pass": False})) != base
+    assert digest(json.dumps({**report, "budget": 11})) != base
+
+
+@pytest.mark.parametrize("raised, code", [(ValueError("bad"), "ValueError"),
+                                          (SystemExit(1), "1"), (SystemExit(None), "0")])
+def test_run_records_how_an_entry_exits(report_set, raised, code):
+    """An entry that raises is recorded by its exception's name, a
+    SystemExit by its code, and the report it printed first is hashed."""
+
+    def entry(args, standalone_mode):
+        print(json.dumps({"args": args}))
+        raise raised
+
+    sha, verdict, got = report_set.run(entry, ["verify"])
+    assert got == code
+    assert verdict == report_set.verdict_digest(json.dumps({"args": ["verify"]}) + "\n")
+    assert len(sha) == 64
