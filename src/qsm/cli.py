@@ -154,7 +154,7 @@ def cmd_metric(file_a, file_b, which, output_path):
               help="Pairs per check (lemma3: max(2, samples // 10) pinch "
                    "configurations per dim).")
 @click.option("--budget", default=2000, show_default=True, type=click.IntRange(min=1),
-              help="Proposals per uniqueness search.")
+              help="Coupling directions per pinch probe (lemma3).")
 @click.option("--tol", "tol_entries", multiple=True, metavar="NAME=VALUE",
               help="Tolerance overrides (repeatable).")
 @click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None)

@@ -2,8 +2,10 @@
 
 Covers both characterizations of 0 (Bures ball diameters around 0 and the
 (0, 4A) witness for nonzero centers; trace-norm ball intersections), the
-pinch construction and its uniqueness search, and rank via double
-orthocomplements in a finite pool.
+pinch construction and the two-sided tube probe of its ball intersection
+(points inside the tube the slack opens must be accepted, points beyond its
+proven width rejected), and rank via double orthocomplements in a finite
+pool.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 from .errors import (
     InvalidConfiguration,
     InvalidPool,
+    NotPositiveSemidefinite,
     NumericalBreakdown,
     ZeroCenter,
 )
-from .linalg import _BLOCK_ENTRIES, _blocks, _symmetrized, psd_clamp_entries, trace_norm_entries
+from .linalg import _blocks, _symmetrized, trace_norm_entries
 from .metrics import (
     ORTHOGONALITY_TOL,
     MetricKind,
@@ -37,30 +40,45 @@ _POOL_RANDOMS_PER_DIM = 10
 #: traces at or below this are treated as the zero operator.
 ZERO_TRACE = 1e-12
 
-#: rejections per annealing step of the uniqueness search, and the most
-#: proposals it evaluates in one batch.
-_BLOCK = 100
+#: relative margin of lemma3's pass bound T(s) * (1 + _TUBE_MARGIN) on the
+#: separation of a probe point from the center (intersection_uniqueness_search).
+_TUBE_MARGIN = 0.5
 
-#: margin of the uniqueness search's lower bounds (the pinching bound and
-#: the clamped-trace bound), relative to 1 + tr x + tr y.  It dominates the
-#: roundoff of a computed trace or pinched diagonal plus the backward error
-#: of eigh and eigvalsh, O(n^2 * u * (|W| + |z|)), up to n = 64, so a
-#: proposal a bound rejects is one its computed trace norms reject too.
-_TRACE_MARGIN = 1e-10
+#: the inner points of the tube probe, as fractions c of the reach of a pure
+#: coupling, 1/2 sqrt(2 eps s + s^2).
+_INNER_FRACTIONS = (0.25, 0.5)
 
 
 @dataclass(frozen=True)
 class IntersectionSearchResult:
-    """Outcome of the ball-intersection uniqueness search."""
+    """Outcome of the two-sided tube probe of a pinch configuration."""
 
+    #: largest separation ||z - A||_1 of a probe point, inner or outer, that
+    #: the ball tests accept; 0 when they accept none
     separation_from_center: float
-    max_ball_violation: float
-    #: proposals evaluated (the search budget)
-    proposals: int
-    #: proposals that fell outside a ball by more than the slack
-    rejections: int
-    #: perturbation scale after the last annealing step
-    final_scale: float
+    #: largest ball excess max(||x - z||_1, ||y - z||_1) - epsilon of an
+    #: inner point (-inf when there is none)
+    inner_excess: float
+    #: smallest ball excess of an outer point
+    outer_excess: float
+    inner_points: int
+    #: inner points that passed the construction check and lie within the
+    #: slack of both balls
+    inner_feasible: int
+    outer_points: int
+    #: outer points outside a ball by more than the slack
+    outer_rejected: int
+    #: T(s) = 2s + sqrt(6 eps s), the widest the slack-s intersection can be
+    tube_bound: float
+    #: separation_from_center / sqrt(2 eps s)
+    tube_reached: float
+
+    @property
+    def held(self) -> bool:
+        """Both sides: every inner point feasible, every outer point rejected."""
+        return (
+            self.inner_feasible == self.inner_points and self.outer_rejected == self.outer_points
+        )
 
 
 @dataclass(frozen=True)
@@ -247,201 +265,107 @@ def _roundoff_slack(x: DensityOperator, y: DensityOperator, epsilon: float) -> f
     )
 
 
-def _pinching_basis(
-    x_e: np.ndarray, y_e: np.ndarray, a_e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frame of the uniqueness search's pinching bound: with V the
-    eigenvectors of x - y, the ``(2n^2, n)`` weights that map a raw normal
-    draw (its n x n real parts, then its imaginary parts, flattened) to
-    diag V*((g + g*)/2)V for g = real + 1j * imag, and the diagonals
-    alpha = diag V*(x - A)V and beta = diag V*(y - A)V.
-
-    Column j of the weights holds Re and -Im of conj(V[a, j]) * V[b, j] at
-    row (a, b): v*gv = sum_ab conj(V[a, j]) g_ab V[b, j], whose real part is
-    v*((g + g*)/2)v."""
-    n = len(a_e)
-    v = np.linalg.eigh(x_e - y_e)[1]
-    alpha, beta = ((v.conj().T @ (e - a_e) @ v).diagonal().real for e in (x_e, y_e))
-    m = v.conj()[:, None, :] * v[None, :, :]
-    return np.concatenate([m.real, -m.imag]).reshape(2 * n * n, n), alpha, beta
-
-
-def _pinching_bound(d: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Lower bound L on max(||x - z||_1, ||y - z||_1) for every z >= w, from
-    the pinched diagonals d = diag V*(w - A)V (one row per proposal), alpha
-    and beta of ``_pinching_basis``:
-
-        L = max(sum (d - alpha)^+, sum (d - beta)^+,
-                1/2 sum |alpha - beta| + sum (d - max(alpha, beta))^+).
-
-    Pinching gives ||x - z||_1 >= sum |alpha - d - c| with c = diag V*(z -
-    w)V >= 0, and the same for y with beta.  Minimised over c >= 0, the
-    first sum is at least sum (d - alpha)^+ and the second sum (d - beta)^+;
-    their mean is at least 1/2 sum |alpha - beta| + sum (d - max(alpha,
-    beta))^+, since |a - t| + |b - t| >= |a - b| + 2 (t - max(a, b))^+."""
-    to_x = np.maximum(d - alpha, 0.0).sum(axis=-1)
-    to_y = np.maximum(d - beta, 0.0).sum(axis=-1)
-    apart = 0.5 * np.abs(alpha - beta).sum()
-    return np.maximum(
-        np.maximum(to_x, to_y), apart + np.maximum(d - np.maximum(alpha, beta), 0.0).sum(axis=-1)
-    )
-
-
 def intersection_uniqueness_search(
     upper: DensityOperator,
     lower: DensityOperator,
     center: DensityOperator,
     epsilon: float,
-    rng: RngStream | np.random.Generator,
     budget: int,
     slack: float | None = None,
 ) -> IntersectionSearchResult:
-    """Randomized search for intersection points of the two radius-epsilon
-    trace-norm balls far from the center.
+    """Two-sided tube probe of Lemma 3 at a pinch: the radius-epsilon
+    trace-norm balls around X = A + eps P and Y = A - eps P, P = vv* for an
+    eigenvector v of the center A, meet only at A.  Within a slack s > 0 they
+    meet in a tube around A, and the probe checks that tube from both sides:
+    points inside it must be accepted and points beyond its proven width
+    rejected, so a trace norm or ball test that errs either way fails it.
 
-    Every proposal perturbs the center by a random Hermitian direction and
-    is clamped back to the PSD cone, with the scale annealed geometrically
-    (x0.9 per 100 rejections from 0.1*epsilon, applied between blocks).  The
-    largest separation of a feasible candidate is reported with that
-    candidate's ball violation; the first one wins a tie, and the center
-    (separation 0) is the starting point.  The candidate itself is not
-    returned: for a pinch its rigidity ||X - z - eps*P||_1 is ||A - z||_1,
-    the separation.
+    The tube.  Let Z = A + D lie within s of both balls, and split D by P and
+    Q = 1 - P: delta = v*Dv, the complement block D_Q = QDQ and the coupling
+    b = QDv, so D = delta P + D_Q + (bv* + vb*).  Pinching (||M||_1 >=
+    ||PMP||_1 + ||QMQ||_1) gives |eps -+ delta| + ||D_Q||_1 <= eps + s, so
+    |delta| <= s and ||D_Q||_1 <= s.  Compressed onto span(v, b) the
+    trace norm is at least the gap of the two eigenvalues, so (eps - 2s)^2
+    + 4|b|^2 <= (eps + s)^2 and |b| <= sqrt(1.5 eps s).  Hence ||Z - A||_1
+    <= |delta| + ||D_Q||_1 + 2|b| <= T(s) = 2s + sqrt(6 eps s) (Bhatia,
+    Matrix Analysis, for the pinching inequality).  A pure coupling t(vu* +
+    uv*) reaches sqrt(2 eps s + s^2): on span(v, u) the differences are
+    [[+-eps, -t], [-t, 0]], of trace norm sqrt(eps^2 + 4t^2).
 
-    slack defaults to a roundoff-level allowance (_roundoff_slack).  Any
-    looser slack s fattens the one-point intersection into a tube of width
-    sqrt(2*epsilon*s) along the couplings to the pinched eigenvector
-    (||eps*P +- delta||_1 grows only quadratically in those directions),
-    which the search will find and report as a spurious uniqueness
-    violation.
+    The points.  The couplings run to min(budget, n - 1) eigenvectors u of A
+    other than v, in decreasing order of their eigenvalue mu (v is the
+    eigenvector on which x - y weighs most; lambda is its eigenvalue).
+    Inner points: Z = A + t(vu* + uv*) + a(uu* - vv*) at t = c/2 sqrt(2 eps s
+    + s^2), c in _INNER_FRACTIONS, with a = 0 when t^2 <= lambda mu and
+    otherwise the smaller root of (lambda - a)(mu + a) = t^2, about (t^2 -
+    lambda mu)/lambda: Z keeps A's trace, and its 2 x 2 block on span(v, u)
+    stays PSD, singular when a > 0.  Each must pass the construction check
+    (DensityOperator._validated, which the whole inner stack passes or
+    fails; so does a slack so loose that the root is not real) and lie
+    within s of both balls; its excess is at most about 1.5 c^2 s.  Outer points,
+    at separation 2T(s): the coupling t = T(s) to each u, the complement
+    block 2T(s) uu* for each u, and the shifts +-2T(s) P.  Each must fall
+    outside a ball by more than s: their excesses are about 2T^2/eps >=
+    12s, 2T and 2T.  At n = 1 there is no coupling, and only the two
+    shifts are probed.
 
-    Proposals are drawn and evaluated in blocks.  A block of k proposals
-    draws one ``(k, 2, n, n)`` stack of standard normals, the real and
-    imaginary parts of its perturbations.  Each proposal stops at the first
-    test that rejects it, and each test runs as one batched call on the
-    proposals still open:
-
-    0. the pinching bound, before any decomposition: with V the
-       eigenvectors of x - y (one eigh per search), the diagonals d = diag
-       V*(w - A)V of the block's perturbations w are one real product of
-       the raw draws, ``(k, 2n^2)`` by a ``(2n^2, n)`` weight matrix built
-       once (``_pinching_basis``), and a perturbation whose L
-       (``_pinching_bound``) exceeds epsilon by more than slack + margin is
-       rejected.  Only the perturbations (0) keeps are assembled as
-       matrices;
-    2. a perturbation whose clamp z has max(|tr x - tr z|, |tr y - tr z|)
-       - epsilon above slack + margin is rejected (|tr D| <= ||D||_1 for
-       Hermitian D).  tr z is read as the positive mass sum max(lam_i, 0)
-       of w's eigvalsh spectrum, so only the perturbations it keeps pay the
-       clamp's eigh;
-    3. the trace norm to x rejects the clamped proposals outside ball x;
-    4. the trace norm to y, taken only inside ball x, rejects the rest;
-    5. the separation from the center is taken for the feasible ones.
-
-    The derivation of (0).  With alpha = diag V*(x - A)V, beta = diag
-    V*(y - A)V and c = diag V*(z - w)V, which is >= 0 because the clamp z
-    dominates w, pinching (||M||_1 >= sum_i |(V*MV)_ii| for any unitary V)
-    gives ||x - z||_1 >= sum |alpha - d - c| and ||y - z||_1 >= sum |beta -
-    d - c|.  The smallest value either sum takes over c >= 0 is sum (d -
-    alpha)^+ and sum (d - beta)^+, and the smallest value their mean takes
-    is 1/2 sum |alpha - beta| + sum (d - max(alpha, beta))^+, because |a -
-    t| + |b - t| = |a - b| + 2 (t - max(a, b))^+ for t >= min(a, b).  The
-    largest of the three is L <= max(||x - z||_1, ||y - z||_1).  As V
-    diagonalises x - y, 1/2 sum |alpha - beta| = ||x - y||_1 / 2, which is
-    epsilon for a pinch, so a pinch's proposal survives (0) only if every
-    d_i <= max(alpha_i, beta_i) to within the slack: about 2^-n of them.
-    sum (d - alpha)^+ >= sum (d - alpha) = tr w - tr x, and the same for y,
-    so (0) rejects every perturbation with tr w - min(tr x, tr y) - epsilon
-    above slack + margin, the old trace bound (1), which is gone.
-
-    The margin, _TRACE_MARGIN * (1 + tr x + tr y), covers the roundoff of
-    the computed traces and diagonals and the backward error of eigh and
-    eigvalsh (Weyl's bound), so a proposal a bound rejects is one its
-    computed trace norms would reject too.  In (0), V is unitary to O(n u)
-    and the product and sums cost O(n^2 u) relative to the entries, far
-    below the margin, as is the trace norms' own O(n^2 u) error.  In (2) it
-    also covers the gap between the two eigensolvers: eigvalsh and eigh
-    each return the exact spectrum of some w + E with ||E||_2 = O(n u
-    ||w||_2), so by Weyl's inequality each eigenvalue moves by that much
-    from one solver to the other and the clamped mass by at most n times
-    that, O(n^2 u ||w||_2), as does the trace of the clamp rebuilt from
-    eigh's eigenvectors.  A rejected proposal's excess is never read, and a
-    kept perturbation is assembled from its draws exactly as the full
-    evaluation would, so the result is the one the full evaluation of every
-    proposal would give.
-
-    Every block holds min(left, _BLOCK, max(1, _BLOCK_ENTRIES // n^2))
-    proposals (the entry cap bounds memory at large n), all at the scale
-    the block starts with.  The scale is annealed after the block: x0.9
-    once if the block's rejections reached the next multiple of 100, which
-    a block of at most 100 proposals crosses at most once.  The final scale
-    is therefore 0.1*epsilon*0.9^(rejections // 100).  The block sizes fix
-    the draw order, so the result is a function of _BLOCK, _BLOCK_ENTRIES
-    and the generator; batched decompositions and trace norms equal the
-    single-matrix ones bit for bit.
+    All points are measured with one batched trace-norm call, which stacks
+    X - Z, Y - Z and Z - A.  The result reports the largest separation of a
+    point the ball tests accept, inner or outer; lemma3 holds it to
+    T(s) * (1 + _TUBE_MARGIN).  The ball tests hold a point to s up to the
+    roundoff of the computed trace norms, which the default slack
+    (_roundoff_slack) bounds, so an accepted point lies within 2s of both
+    balls exactly, and T(2s) <= 1.5 T(s) while s <= eps/25.  The probe
+    draws nothing: it is a function of the configuration, budget and slack.
     """
     if budget < 1:
-        raise InvalidConfiguration("uniqueness search needs a budget of at least 1 proposal")
-    gen = generator_of(rng)
-    n = center.dim
-    x_e, y_e, a_e = upper.entries, lower.entries, center.entries
-    tr_x, tr_y = upper.trace, lower.trace
+        raise InvalidConfiguration("uniqueness probe needs a budget of at least 1 direction")
     if slack is None:
         slack = _roundoff_slack(upper, lower, epsilon)
-    reach = epsilon + slack + _TRACE_MARGIN * (1.0 + tr_x + tr_y)
-    weight, alpha, beta = _pinching_basis(x_e, y_e, a_e)
+    a_e = center.entries
+    (lam,), (vec,) = center.spectrum()
+    pinched = np.einsum("ij,ik,kj->j", vec.conj(), upper.entries - lower.entries, vec).real
+    k = int(np.argmax(pinched))
+    v, lam_v = vec[:, k], lam[k]
+    others = [j for j in np.argsort(-lam, kind="stable") if j != k][:budget]
+    u, mu = vec[:, others].T, lam[others]
+    vv = np.outer(v, v.conj())
+    uu = u[:, :, None] * u.conj()[:, None, :]
+    vu = v[None, :, None] * u.conj()[:, None, :]
+    coupling = vu + vu.conj().swapaxes(-1, -2)
 
-    best_sep = 0.0
-    best_excess = float(
-        np.maximum(trace_norm_entries(x_e - a_e), trace_norm_entries(y_e - a_e)) - epsilon
-    )
-    scale = 0.1 * epsilon
-    rejections = 0
-    left = int(budget)
-    cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (n * n)))
-    while left:
-        k = min(left, cap)
-        left -= k
-        g = gen.standard_normal((k, 2, n, n))
-        # a test rejects where its comparison reads true, so a NaN never
-        # rejects, as with excess > slack in the full evaluation;
-        # (0) the pinching bound on the raw draws, before any matrix is built
-        d = scale * (g.reshape(k, -1) @ weight)
-        g = g[~(_pinching_bound(d, alpha, beta) > reach)]
-        g = g[:, 0] + 1j * g[:, 1]
-        w = a_e + scale * _symmetrized(g)
-        # (2) |tr x - tr z| <= ||x - z||_1, and the same for y, where the
-        # clamped trace tr z is the positive mass of w's spectrum
-        if len(w):
-            tr_z = np.maximum(np.linalg.eigvalsh(w), 0.0).sum(axis=-1)
-            w = w[~(np.maximum(abs(tr_x - tr_z), abs(tr_y - tr_z)) > reach)]
-        # (3) ball x, then (4) ball y only for the proposals inside ball x
-        z = psd_clamp_entries(w) if len(w) else w
-        if len(z):
-            norm_x = trace_norm_entries(x_e - z)
-            inside = ~(norm_x - epsilon > slack)
-            z, norm_x = z[inside], norm_x[inside]
-        if len(z):
-            excess = np.maximum(norm_x, trace_norm_entries(y_e - z)) - epsilon
-            inside = ~(excess > slack)
-            z, excess = z[inside], excess[inside]
-        # a block of at most _BLOCK proposals crosses at most one step
-        steps = rejections // _BLOCK
-        rejections += k - len(z)
-        if rejections // _BLOCK > steps:
-            scale *= 0.9
-        # (5) separation of the feasible proposals, the ones still open
-        if len(z):
-            sep = trace_norm_entries(z - a_e)
-            i = int(np.argmax(sep))
-            if sep[i] > best_sep:
-                best_sep, best_excess = float(sep[i]), float(excess[i])
+    bound = 2.0 * slack + np.sqrt(6.0 * epsilon * slack)
+    reach = 0.5 * np.sqrt(2.0 * epsilon * slack + slack * slack)
+    inner = []
+    for c in _INNER_FRACTIONS:
+        t = c * reach
+        over = np.maximum(t * t - lam_v * mu, 0.0)
+        a = 2.0 * over / ((lam_v - mu) + np.sqrt((lam_v + mu) ** 2 - 4.0 * t * t))
+        inner.append(t * coupling + a[:, None, None] * (uu - vv))
+    outer = [bound * coupling, 2.0 * bound * uu, 2.0 * bound * np.array([vv, -vv])]
+    z = _symmetrized(a_e + np.concatenate(inner + outer))
+    m = 2 * len(u)
+    try:
+        DensityOperator._validated(z[:m])
+        constructed = True
+    except (ValueError, NotPositiveSemidefinite):
+        constructed = False
+    to_x, to_y, sep = trace_norm_entries(np.stack([upper.entries - z, lower.entries - z, z - a_e]))
+    excess = np.maximum(to_x, to_y) - epsilon
+    feasible = excess[:m] <= slack
+    rejected = excess[m:] > slack
+    accepted = np.concatenate([feasible & constructed, ~rejected])
+    separation = float(sep[accepted].max()) if accepted.any() else 0.0
     return IntersectionSearchResult(
-        separation_from_center=best_sep,
-        max_ball_violation=max(0.0, best_excess),
-        proposals=int(budget),
-        rejections=rejections,
-        final_scale=scale,
+        separation_from_center=separation,
+        inner_excess=float(excess[:m].max()) if m else -np.inf,
+        outer_excess=float(excess[m:].min()),
+        inner_points=m,
+        inner_feasible=int(np.count_nonzero(feasible)) if constructed else 0,
+        outer_points=len(z) - m,
+        outer_rejected=int(np.count_nonzero(rejected)),
+        tube_bound=float(bound),
+        tube_reached=separation / float(np.sqrt(2.0 * epsilon * slack)),
     )
 
 

@@ -1,6 +1,6 @@
 """Dense complex Hermitian linear algebra: shape and finiteness checks,
-symmetrization, trace norms and their certified maximum, the PSD clamp, and
-the block sizes of the sample loops.
+symmetrization, trace norms and their certified maximum, spectral rebuilds,
+and the block sizes of the sample loops.
 
 Everything here is a pure function of immutable values; matrices are small
 (dimension capped elsewhere), so dense storage and full eigendecompositions
@@ -14,11 +14,11 @@ import numpy as np
 NONFINITE_MESSAGE = "matrix entries must be finite (no NaN/Inf)"
 
 #: cap on the matrix entries of one stacked operand in the sample loops
-#: (``_blocks``) and in the uniqueness search of qsm.geometry: a block holds
-#: as many samples as fit, at least one (one at n = 64).  Against 800, it
-#: cut the kernel calls of the roundtrip-small benchmark 5x and its wall
-#: time by a third, for 2.4% more peak memory.  Block sizes fix the draw
-#: order: a new cap moves report bytes, not verdicts.
+#: (``_blocks``): a block holds as many samples as fit, at least one (one
+#: at n = 64).  Against 800, it cut the kernel calls of the roundtrip-small
+#: benchmark 5x and its wall time by a third, for 2.4% more peak memory.
+#: Block sizes fix the draw order: a new cap moves report bytes, not
+#: verdicts.
 _BLOCK_ENTRIES = 6400
 
 
@@ -90,23 +90,5 @@ def _max_trace_norm(stack: np.ndarray, floor: float) -> float:
 def _spectral_rebuild(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """V diag(lam) V* of one matrix, or of each matrix of a stack, from
     eigenvalues ``(..., n)`` and eigenvectors ``(..., n, n)``; callers pass
-    the eigenvalues already mapped (clamped, square-rooted)."""
+    the eigenvalues already mapped (square-rooted, for a square root)."""
     return (vec * lam[..., None, :]) @ vec.conj().swapaxes(-1, -2)
-
-
-def psd_clamp_entries(arr: np.ndarray) -> np.ndarray:
-    """Clamp negative eigenvalues to zero in a Hermitian matrix, or in each
-    matrix of a ``(k, n, n)`` stack with one batched ``eigh``.
-
-    The trace is not renormalized; it grows by exactly the clamped mass.
-    Matrices that are already PSD come back unchanged; the input is copied
-    before the others are replaced.
-    """
-    stack = arr.reshape(-1, *arr.shape[-2:])
-    lam, vec = np.linalg.eigh(stack)
-    low = np.flatnonzero(lam[:, 0] < 0.0)
-    if not low.size:
-        return arr
-    out = stack.copy()
-    out[low] = _spectral_rebuild(np.maximum(lam[low], 0.0), vec[low])
-    return out.reshape(arr.shape)

@@ -440,7 +440,8 @@ def _pure_columns(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _probe_vectors(oracle: StateMap, n: int):
     """Top eigenvector of each probe image, in schedule order.  Probes are
-    checked and mapped one block at a time, each block as one entry stack.
+    symmetrized and mapped one block at a time, each block as one entry
+    stack; only their images are checked.
     An image certified pure by _pure_columns yields its column v; only the
     others are decomposed, as one stack, and one whose second eigenvalue
     exceeds _PURITY_TOL raises NotImplementable naming its probe (the rest
@@ -450,7 +451,12 @@ def _probe_vectors(oracle: StateMap, n: int):
     for count in _blocks(probe_count(n), n, 1):
         labels, probes = zip(*(_probe(n, j) for j in range(start, start + count)))
         start += count
-        images = _map_block(oracle, QuantumState._validated(np.array(probes)))
+        # a unit vector's v v* is PSD with unit trace by construction, so a
+        # probe gets no construction check; it keeps the symmetrization,
+        # since v v* is not bit-exact Hermitian where the multiply fuses
+        probes = _symmetrized(np.array(probes))
+        probes.setflags(write=False)
+        images = _map_block(oracle, probes)
         vecs, certified = _pure_columns(images)
         spectra = zip(*_spectra(images[~certified]))
         for label, vec, ok in zip(labels, vecs, certified):

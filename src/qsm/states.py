@@ -406,12 +406,16 @@ def random_state(n: int, rank: int, rng: RngStream | np.random.Generator) -> Qua
 
 
 def zero_density(n: int) -> DensityOperator:
-    return DensityOperator(np.zeros((n, n), dtype=np.complex128))
+    """The zero operator of dimension n, built without a construction check:
+    its read-only zero entries are PSD, finite and exactly Hermitian."""
+    arr = np.zeros((1, n, n), dtype=np.complex128)
+    arr.setflags(write=False)
+    return DensityOperator._wrapped(arr)[0]
 
 
 def _projection(vec) -> np.ndarray:
     """Entries of the rank-one projection |v><v| onto the nonzero vector v,
-    normalized; the QuantumState constructor checks them."""
+    normalized."""
     vec = np.asarray(vec, dtype=np.complex128)
     vec = vec / float(np.linalg.norm(vec))
     return np.outer(vec, vec.conj())

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotImplementable
 from .geometry import (
+    _TUBE_MARGIN,
     BALL_SLACK,
     _roundoff_slack,
     bures_ball_diameter,
@@ -134,7 +135,8 @@ def _lemma1(dim, gen, samples, budget, tolerances):
 
 def _lemma3(dim, gen, samples, budget, tolerances):
     """Trace-norm characterization of 0: strict containment at center 0 by
-    midpoint witnesses, and uniqueness of pinch-ball intersections.
+    midpoint witnesses, and uniqueness of pinch-ball intersections by a
+    two-sided tube probe.
 
     Each dimension runs max(2, samples // 10) pinch configurations and, at
     dim >= 2, as many antipodal pairs X, Y around 0; the default CLI
@@ -143,11 +145,22 @@ def _lemma3(dim, gen, samples, budget, tolerances):
     both radius-eps balls at distance tr Z >= eps/2 from 0, which is the
     strict containment (midpoint_witness raises unless it holds to
     BALL_SLACK).  Its in-ball residual max(| ||X - Z||_1 - eps |,
-    | ||Y - Z||_1 - eps |) must stay within the slack the pinch searches
+    | ||Y - Z||_1 - eps |) must stay within the slack s the pinch probes
     hold their points to (--tol slack, or geometry._roundoff_slack); the
     `strict-containment` witness is the first pair with the largest
-    residual."""
-    separation_factor = tolerances.get("separation", 1e-5)
+    residual.
+
+    Each pinch A +- eps P is probed along min(budget, dim - 1) coupling
+    directions (geometry.intersection_uniqueness_search).  Within the slack
+    s the two balls meet in a tube around A no wider than T(s) = 2s +
+    sqrt(6 eps s), by the pinching inequality; a configuration passes when
+    every inner point of the tube is accepted, every outer point at 2T(s)
+    is rejected, and the largest separation of an accepted point is at most
+    T(s) * (1 + geometry._TUBE_MARGIN), or r * eps under --tol
+    separation=r.  The report's max_violation is the largest separation /
+    eps; the `pinch-uniqueness` witness is the first configuration's
+    probe."""
+    separation_factor = tolerances.get("separation")
     slack = tolerances.get("slack")
     witnesses = []
     worst_ratio = 0.0
@@ -175,24 +188,28 @@ def _lemma3(dim, gen, samples, budget, tolerances):
     for k in range(configs):
         center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
         pinch = pinch_configuration(center, gen)
-        result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, gen, budget, slack
+        probe = intersection_uniqueness_search(
+            pinch.upper, pinch.lower, center, pinch.epsilon, budget=budget, slack=slack
         )
-        ratio = result.separation_from_center / pinch.epsilon
-        worst_ratio = max(worst_ratio, ratio)
-        # for X = A + eps*P this also bounds the extreme-point rigidity
-        # ||X - z - eps*P||_1, which is the separation ||A - z||_1
-        passed &= ratio <= separation_factor
+        if separation_factor is None:
+            limit = probe.tube_bound * (1.0 + _TUBE_MARGIN)
+        else:
+            limit = separation_factor * pinch.epsilon
+        # for X = A + eps*P the separation ||A - z||_1 is also the
+        # extreme-point rigidity ||X - z - eps*P||_1
+        passed &= probe.held and probe.separation_from_center <= limit
+        worst_ratio = max(worst_ratio, probe.separation_from_center / pinch.epsilon)
         if k == 0:
             witnesses.append(
                 {
                     "kind": "pinch-uniqueness",
                     "epsilon": pinch.epsilon,
-                    "separation": result.separation_from_center,
-                    "ball_violation": result.max_ball_violation,
-                    "proposals": result.proposals,
-                    "rejections": result.rejections,
-                    "final_scale": result.final_scale,
+                    "separation": probe.separation_from_center,
+                    "ball_violation": max(0.0, probe.inner_excess),
+                    "points": probe.inner_points + probe.outer_points,
+                    "outer_rejected": probe.outer_rejected,
+                    "tube_bound": probe.tube_bound,
+                    "tube_reached": probe.tube_reached,
                 }
             )
     return passed, witnesses, worst_ratio, budget

@@ -162,6 +162,7 @@ def test_criterion_4_lemma3_suite():
     worst_ratio = 0.0
     midpoint_ok = True
     containment_ok = True
+    probes_held = True
     configs = 0
     for dim in (2, 3, 4, 5, 6):
         gen = RngStream(104, dim).generator()
@@ -188,16 +189,18 @@ def test_criterion_4_lemma3_suite():
             center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
             pinch = pinch_configuration(center, gen)
             result = intersection_uniqueness_search(
-                pinch.upper, pinch.lower, center, pinch.epsilon, gen, 10000
+                pinch.upper, pinch.lower, center, pinch.epsilon, 10000
             )
+            probes_held &= result.held
             worst_ratio = max(worst_ratio, result.separation_from_center / pinch.epsilon)
-    ok = midpoint_ok and containment_ok and worst_ratio <= 1e-5
+    ok = midpoint_ok and containment_ok and probes_held and worst_ratio <= 1e-5
     _report(
         4,
         "trace-norm characterization of zero",
         ok,
         f"100 midpoint configs in-ball and nonzero: {midpoint_ok}; strict containment at 0 "
-        f"(midpoints within the roundoff slack): {containment_ok}; {configs} uniqueness searches (budget 10^4), "
+        f"(midpoints within the roundoff slack): {containment_ok}; {configs} two-sided tube probes "
+        f"(every coupling direction) held: {probes_held}, "
         f"worst separation/eps {worst_ratio:.2e} (tol 1e-5)",
     )
 

@@ -1,5 +1,5 @@
 """Geometry tests: ball diameters, nonzero-center witnesses, pinch and
-uniqueness search, orthocomplement rank."""
+its two-sided tube probe, orthocomplement rank."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from qsm.errors import (
 from qsm.geometry import (
     ZERO_TRACE,
     _in_ball_at_zero,
+    _roundoff_slack,
     bures_ball_diameter,
     double_orthocomplement_rank,
     intersection_uniqueness_search,
@@ -45,17 +46,6 @@ def _basis(n, k):
 def _stack(*ops):
     """The entry stack of the given operators."""
     return np.array([op.entries for op in ops])
-
-
-class _CountingGenerator(np.random.Generator):
-    """Counts the matrices of the normal stacks drawn, one per perturbation
-    proposal of the uniqueness search."""
-
-    perturbations = 0
-
-    def standard_normal(self, size=None, *args, **kwargs):
-        self.perturbations += size[0]
-        return super().standard_normal(size, *args, **kwargs)
 
 
 class TestBuresBallDiameter:
@@ -326,121 +316,101 @@ class TestPostConditions:
         assert 0.0 < report.max_violation < 1e-5
 
 
+def _pinch(dim, seed):
+    """A random state of random rank and its pinch, as lemma3 draws them."""
+    gen = RngStream(seed, dim).generator()
+    center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
+    return center, pinch_configuration(center, gen)
+
+
+def _probe(center, pinch, budget=10000, slack=None):
+    return intersection_uniqueness_search(
+        pinch.upper, pinch.lower, center, pinch.epsilon, budget, slack
+    )
+
+
 class TestUniquenessSearch:
     def test_pinch_intersection_is_a_point(self):
         center = DensityOperator(np.diag([0.6, 0.4]))
         pinch = pinch_configuration(center, RngStream(1))
-        result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(2), 2000
-        )
+        result = _probe(center, pinch, 2000)
+        assert result.held
         assert result.separation_from_center <= 1e-5 * pinch.epsilon
-        assert result.max_ball_violation <= 1e-7
-
-    def test_center_is_always_feasible(self):
-        center = random_state(3, 3, RngStream(3))
-        pinch = pinch_configuration(center, RngStream(4))
-        result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(5), 10
-        )
-        assert result.separation_from_center >= 0.0
+        assert 0.0 < result.inner_excess <= _roundoff_slack(pinch.upper, pinch.lower, pinch.epsilon)
 
     def test_extreme_point_rigidity_at_best_point(self):
-        """The rigidity ||X - z - eps*P||_1 of the best point z is ||A - z||_1
-        for X = A + eps*P: the separation the search reports."""
-        center = random_state(4, 4, RngStream(7))
-        pinch = pinch_configuration(center, RngStream(8))
-        result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(9), 3000
-        )
+        """The rigidity ||X - z - eps*P||_1 of the farthest accepted point z
+        is ||A - z||_1 for X = A + eps*P: the separation the probe reports."""
+        center, pinch = _pinch(4, 7)
+        result = _probe(center, pinch, 3000)
+        assert result.held
         assert result.separation_from_center <= 1e-5 * pinch.epsilon
 
-    def test_rejects_before_decomposing(self, monkeypatch):
-        """The pinching bound rejects perturbations before any decomposition
-        (about 2^-n of them reach eigvalsh), the clamped-trace bound rejects
-        before the clamp, and only the proposals inside ball x get the trace
-        norm to y."""
-        center = random_state(4, 4, RngStream(13))
-        pinch = pinch_configuration(center, RngStream(14))
-        matrices = {"eigh": 0, "eigvalsh": 0}
-        for name in matrices:
-            def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                matrices[_name] += len(a) if np.ndim(a) == 3 else 1
-                return _original(a, *args, **kwargs)
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_probe_reaches_a_quarter_of_the_tube(self, dim, seed):
+        """The inner points reach separation sqrt(2 eps s)/2 and stay within
+        the slack of both balls, below the proven width T(s)."""
+        center, pinch = _pinch(dim, seed)
+        result = _probe(center, pinch)
+        assert result.inner_feasible == result.inner_points == 2 * (dim - 1)
+        assert result.tube_reached >= 0.25
+        assert result.separation_from_center <= result.tube_bound
 
-            monkeypatch.setattr(np.linalg, name, counted)
-        gen = _CountingGenerator(np.random.PCG64(15))
-        result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, gen, 2000
-        )
-        assert result.separation_from_center <= 1e-5 * pinch.epsilon
-        assert matrices["eigh"] < gen.perturbations
-        assert matrices["eigvalsh"] < 2000 / 4
-        # eigvalsh's clamped trace rejects before the clamp, so eigh sees
-        # only the perturbations that pass both trace bounds
-        assert matrices["eigh"] < gen.perturbations / 10
+    @pytest.mark.parametrize("dim", [*range(1, 9), 16, 32, 64])
+    def test_every_outer_point_is_rejected(self, dim):
+        """Outer points at 2T(s) fall outside a ball by far more than the
+        slack: about 12s along the couplings, 2T(s) along P and the
+        complement block.  At n = 1 only the two shifts along P exist."""
+        center, pinch = _pinch(dim, 3)
+        slack = _roundoff_slack(pinch.upper, pinch.lower, pinch.epsilon)
+        result = _probe(center, pinch)
+        assert result.outer_points == 2 * (dim - 1) + 2
+        assert result.outer_rejected == result.outer_points
+        assert result.outer_excess >= 10.0 * slack
+        assert result.inner_excess <= slack
 
-    @pytest.mark.parametrize("dim", [2, 4, 6])
-    @pytest.mark.parametrize("zero_center", [False, True], ids=["pinch", "zero-center"])
-    def test_every_proposal_is_a_perturbation(self, zero_center, dim):
-        """Around a pinch's center and around 0 alike, the search draws one
-        normal matrix per proposal, one stack per block, and nothing else."""
-        gen = RngStream(17, dim).generator()
-        if zero_center:
-            upper, lower = _basis(dim, 0), _basis(dim, 1)
-            center, eps = zero_density(dim), 1.0
-        else:
-            center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
-            pinch = pinch_configuration(center, gen)
-            upper, lower, eps = pinch.upper, pinch.lower, pinch.epsilon
-        counter = _CountingGenerator(np.random.PCG64(18))
-        intersection_uniqueness_search(upper, lower, center, eps, counter, 2345)
-        assert counter.perturbations == 2345
-        replay = np.random.Generator(np.random.PCG64(18))
-        for k in (100,) * 23 + (45,):
-            replay.standard_normal((k, 2, dim, dim))
-        assert counter.bit_generator.state == replay.bit_generator.state
+    def test_budget_caps_the_coupling_directions(self):
+        center, pinch = _pinch(6, 4)
+        result = _probe(center, pinch, budget=2)
+        assert (result.inner_points, result.outer_points) == (4, 6)
+        assert result.held
+
+    def test_off_pinch_overlap_is_found(self):
+        """X = A + eps P and Y = A - eps P / 2 are closer than 2 eps, so their
+        radius-eps balls share a lens around A far wider than the tube: the
+        shift along P at 2T(s) is accepted and the probe fails."""
+        center, pinch = _pinch(4, 5)
+        eps = pinch.epsilon
+        closer = DensityOperator(center.entries - 0.5 * eps * pinch.projection.entries)
+        result = intersection_uniqueness_search(pinch.upper, closer, center, eps, 10000)
+        assert not result.held
+        assert result.separation_from_center > 1.5 * result.tube_bound
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_loose_slack_tube_is_found(self, dim, seed):
         """A slack of 1e-3 * eps widens the one-point intersection into a
-        tube of width ~sqrt(2e-3) * eps; the search must report it as a
-        uniqueness violation, as lemma3 would with --tol slack=."""
+        tube of width ~sqrt(2e-3) * eps; the probe must report it as a
+        uniqueness violation, as lemma3 would with --tol slack= and --tol
+        separation=1e-5."""
         gen = RngStream(seed, dim).generator()
         center = random_state(dim, int(gen.integers(1, dim + 1)), gen)
         pinch = pinch_configuration(center, gen)
         result = intersection_uniqueness_search(
-            pinch.upper, pinch.lower, center, pinch.epsilon, gen, 10000,
+            pinch.upper, pinch.lower, center, pinch.epsilon, 10000,
             slack=1e-3 * pinch.epsilon,
         )
         assert result.separation_from_center / pinch.epsilon > 1e-5
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
-    @pytest.mark.parametrize("zero_center", [False, True])
-    def test_final_scale_anneals_once_per_hundred_rejections(self, dim, zero_center):
-        gen = RngStream(16, dim).generator()
-        if zero_center:
-            upper, lower = _basis(dim, 0), _basis(dim, 1)
-            center, eps = zero_density(dim), 1.0
-        else:
-            center = random_state(dim, dim, gen)
-            pinch = pinch_configuration(center, gen)
-            upper, lower, eps = pinch.upper, pinch.lower, pinch.epsilon
-        result = intersection_uniqueness_search(upper, lower, center, eps, gen, 2345)
-        assert result.rejections >= 100
-        scale = 0.1 * eps
-        for _ in range(result.rejections // 100):
-            scale *= 0.9
-        assert result.final_scale == scale
-
     @pytest.mark.parametrize("budget", [0, -5])
     def test_empty_budget_rejected(self, budget):
-        # a search that makes no proposal would certify uniqueness vacuously
+        # a probe with no coupling direction would certify uniqueness vacuously
         center = random_state(2, 2, RngStream(10))
         pinch = pinch_configuration(center, RngStream(11))
         with pytest.raises(InvalidConfiguration):
             intersection_uniqueness_search(
-                pinch.upper, pinch.lower, center, pinch.epsilon, RngStream(12), budget
+                pinch.upper, pinch.lower, center, pinch.epsilon, budget
             )
 
 

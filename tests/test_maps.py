@@ -430,11 +430,11 @@ class TestReconstruction:
 
     def test_haar_reconstruction_builds_only_samples_and_oracle_images(self, monkeypatch):
         """At n = 64 a Haar reconstruction hands cholesky (the PSD floor of
-        every construction) the zero operator and the 128 probes, whose
-        entries it builds, and the oracle's 254 images of them and of the 25
-        trace samples and 100 validation states: 383 matrices.  The sampled
-        states are PSD by construction and are not checked, and the recovered
-        conjugation's images are not built."""
+        every construction) only the oracle's 254 images of the zero
+        operator, the 128 probes, the 25 trace samples and the 100
+        validation states.  The zero operator, the probes and the sampled
+        states are PSD by construction and are not checked, and the
+        recovered conjugation's images are not built."""
         n = 64
         oracle = unitary_conjugation(random_unitary(n, RngStream(5, 999)))
         matrices = []
@@ -447,16 +447,15 @@ class TestReconstruction:
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         result = reconstruct_implementer(oracle, RngStream(5, 7))
         assert result.residual <= 1e-12
-        built = 1 + qsm.maps.probe_count(n)
-        images = built + 25 + VALIDATION_SAMPLES
-        assert sum(matrices) == built + images == 383
+        images = 1 + qsm.maps.probe_count(n) + 25 + VALIDATION_SAMPLES
+        assert sum(matrices) == images == 254
 
     def test_oracle_map_does_not_check_its_inputs_again(self, monkeypatch):
-        """At n = 8 a reconstruction hands cholesky the zero operator and the
-        16 probes, which it builds, and the 142 images of them and of the 125
-        sampled states, which are not checked; a conjugation behind
-        oracle_map adds only the inner map's check of each image, 142 more,
-        and no second check of the inputs: 301 matrices."""
+        """At n = 8 a reconstruction hands cholesky the 142 images of the
+        zero operator, the 16 probes and the 125 sampled states, none of
+        which is checked; a conjugation behind oracle_map adds only the
+        inner map's check of each image, 142 more, and no second check of
+        the inputs: 284 matrices."""
         hidden = unitary_conjugation(random_unitary(8, RngStream(3)))
         matrices = []
         cholesky = np.linalg.cholesky
@@ -469,7 +468,7 @@ class TestReconstruction:
         oracle = oracle_map(lambda a: apply_map(hidden, a), 8)
         result = reconstruct_implementer(oracle, RngStream(2))
         assert result.residual <= 1e-12
-        assert sum(matrices) == 301
+        assert sum(matrices) == 284
 
     def test_oracle_map_hands_read_only_operators(self):
         """An oracle cannot write into the samples a check reads after it."""
@@ -676,6 +675,5 @@ class TestBlocks:
                 assert set(blocks) <= {1}
 
     def test_maps_and_geometry_share_one_cap(self):
-        assert qsm.geometry._BLOCK_ENTRIES == qsm.linalg._BLOCK_ENTRIES
         for module in (qsm.maps, qsm.geometry, qsm.suites):
             assert module._blocks is qsm.linalg._blocks

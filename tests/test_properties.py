@@ -2,10 +2,8 @@
 theorem rests on, over random states and densities of every rank up to n = 8:
 the metric axioms, Fuchs-van de Graaf in this code's normalisation, the
 fidelity bound, invariance under unitary and antiunitary conjugation, the
-batched distances against the per-pair ones, and the pinching and trace
-bounds that let the uniqueness search reject a proposal before its
-decompositions; the rank that the Wishart sampler reads off the Gram
-spectrum, and the purity certificate of a probe image, against eigh; and,
+batched distances against the per-pair ones; the rank that the Wishart
+sampler reads off the Gram spectrum, and the purity certificate of a probe image, against eigh; and,
 at n = 2, the trace distance, fidelity and Bures distance against the
 closed forms on Bloch vectors."""
 
@@ -16,15 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsm.geometry import (
-    _TRACE_MARGIN,
-    _pinching_basis,
-    _pinching_bound,
-    _roundoff_slack,
-    midpoint_witness,
-    pinch_configuration,
-)
-from qsm.linalg import psd_clamp_entries, trace_norm_entries
+from qsm.geometry import _roundoff_slack, midpoint_witness
 from qsm.errors import NumericalBreakdown
 from qsm.maps import (
     _PURITY_TOL,
@@ -55,7 +45,6 @@ from qsm.states import (
     random_density,
     random_state,
     random_unitary,
-    zero_density,
 )
 
 #: tier-1 stays fast: few examples, no per-example deadline, and the same
@@ -138,158 +127,6 @@ def test_batched_distances_equal_per_pair(n, seed, count):
         assert [float(d) for d in batched] == [distance(kind, x, y) for x, y in zip(xs, ys)]
     orthogonal = orthogonality(x_stack, y_stack)
     assert list(orthogonal) == [are_orthogonal(x, y) for x, y in zip(xs, ys)]
-
-
-#: matrix sizes of the trace-bound property: every small n and the default cap
-bound_dims = st.sampled_from([*range(1, 9), 64])
-#: decimal exponents of the entries' magnitudes, between 1e-6 and 1e3
-spans = st.tuples(st.integers(-6, 3), st.integers(-6, 3)).map(sorted)
-
-
-def _hermitian(gen, n, span, shift):
-    """Hermitian matrix with entries of magnitude 10^[span], shifted by
-    shift times its spectral norm, so the clamp meets PSD, indefinite and
-    negative semidefinite inputs."""
-    mags = 10.0 ** gen.uniform(span[0], span[1], (n, n))
-    a = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) * mags
-    a = (a + a.conj().T) / 2.0
-    return a + shift * np.linalg.norm(a, 2) * np.eye(n)
-
-
-@PROPERTY
-@given(n=bound_dims, seed=seeds, span_w=spans, span_big_w=spans,
-       shift_w=st.sampled_from([-1.0, 0.0, 1.0]), shift_big_w=st.sampled_from([-1.0, 0.0, 1.0]),
-       near=st.booleans())
-# the shrunk counterexample of a search margin of 0
-@example(n=3, seed=0, span_w=[0, 0], span_big_w=[0, 0], shift_w=-1.0, shift_big_w=-1.0,
-         near=False)
-def test_trace_bounds_hold_for_computed_trace_norms(
-    n, seed, span_w, span_big_w, shift_w, shift_big_w, near
-):
-    """|tr D| <= ||D||_1 and tr clamp(w) >= tr w, in floating point: the
-    computed ||W - z||_1, z = clamp(w), is at least tr w - tr W and
-    |tr W - tr z| less the search's margin.  W = z + a definite offset makes
-    both bounds tight.  The search scales the margin by 1 + tr x + tr y,
-    which bounds the norms of its W = x, y and of its perturbations w."""
-    gen = RngStream(seed).generator()
-    w = _hermitian(gen, n, span_w, shift_w)
-    z = psd_clamp_entries(w)
-    big_w = _hermitian(gen, n, span_big_w, shift_big_w) + (z if near else 0.0)
-    norm = float(trace_norm_entries(big_w - z))
-    margin = _TRACE_MARGIN * (1.0 + np.linalg.norm(big_w, 2) + np.linalg.norm(w, 2))
-    tr_w, tr_big_w, tr_z = (float(np.trace(a).real) for a in (w, big_w, z))
-    assert norm >= tr_w - tr_big_w - margin
-    assert norm >= abs(tr_big_w - tr_z) - margin
-
-
-#: matrix sizes of the clamped-trace property, from n = 2 to the default cap
-clamp_dims = st.sampled_from([2, 3, 4, 5, 6, 8, 16, 32, 64])
-
-
-def _search_perturbation(n, seed, exponent):
-    """A perturbation as the uniqueness search draws it: a random state of
-    random rank plus 10^exponent times a Hermitian Gaussian direction."""
-    gen = RngStream(seed).generator()
-    a = random_state(n, int(gen.integers(1, n + 1)), gen).entries
-    g = gen.standard_normal((2, n, n))
-    g = g[0] + 1j * g[1]
-    return a + 10.0**exponent * (g + g.conj().T) / 2.0
-
-
-@PROPERTY
-@given(n=clamp_dims, seed=seeds, exponent=st.integers(-12, 0))
-def test_clamped_trace_from_eigvalsh(n, seed, exponent):
-    """The search's test (2) reads the clamped trace as the positive mass of
-    eigvalsh's spectrum; it differs from the trace of the computed clamp
-    (eigh, then the rebuild) by less than the margin, scaled as in the
-    search, so (2) rejects only what the trace bound on the clamp rejects."""
-    w = _search_perturbation(n, seed, exponent)
-    mass = float(np.maximum(np.linalg.eigvalsh(w), 0.0).sum())
-    clamped = float(np.trace(psd_clamp_entries(w)).real)
-    assert abs(mass - clamped) < _TRACE_MARGIN * (1.0 + np.linalg.norm(w, 2))
-
-
-def _mass_over_the_clamp():
-    """The first seeded perturbation, n = 2..4, whose eigvalsh mass exceeds
-    both the trace and the trace norm of its computed clamp while its own
-    trace does not, or None.  Whether, and where, eigvalsh sums a spectrum
-    above the clamp is up to the LAPACK build: with OpenBLAS about one seed
-    in ten does at n = 2."""
-    for n in (2, 3, 4):
-        for seed in range(100):
-            w = _search_perturbation(n, seed, -3)
-            mass = float(np.maximum(np.linalg.eigvalsh(w), 0.0).sum())
-            z = psd_clamp_entries(w)
-            epsilon = max(float(np.trace(z).real), float(trace_norm_entries(-z)))
-            if float(np.trace(w).real) <= epsilon < mass:
-                return w, z, mass, epsilon
-    return None
-
-
-def test_clamped_trace_needs_the_margin():
-    """A perturbation whose eigvalsh mass exceeds the clamp's trace and
-    trace norm.  Against x = y = 0 with epsilon at the larger of those two,
-    the full evaluation keeps the clamped proposal at every test, while
-    (2) with a zero margin would reject it; the margin keeps it.  The
-    property test above is the guard of the margin's size; this one shows
-    that the margin is needed, where the LAPACK build gives such a case."""
-    found = _mass_over_the_clamp()
-    if found is None:
-        pytest.skip("eigvalsh never sums above the clamp's trace on the seeds tried")
-    w, z, mass, epsilon = found
-    tr_z, norm = float(np.trace(z).real), float(trace_norm_entries(-z))
-    assert float(np.trace(w).real) <= epsilon  # the trace bound (0) implies
-    assert tr_z <= epsilon  # the trace bound on the computed clamp
-    assert norm <= epsilon  # (3) and (4)
-    assert mass > epsilon  # (2) at a zero margin
-    assert mass <= epsilon + _TRACE_MARGIN  # (2) at the search's margin
-
-
-#: matrix sizes of the pinching-bound property: every small n and two large
-pinching_dims = st.sampled_from([*range(1, 9), 16, 64])
-
-
-def _search_configuration(n, seed, zero_center):
-    """The entries of x, y and the center A and the radius of a pinch
-    configuration, or of two orthogonal rank-one densities of trace eps
-    around 0 (eps against 0 at n = 1)."""
-    gen = RngStream(seed).generator()
-    if zero_center:
-        eps = float(gen.uniform(0.5, 1.5))
-        v = random_unitary(n, gen)
-        x = eps * np.outer(v[:, 0], v[:, 0].conj())
-        y = eps * np.outer(v[:, 1], v[:, 1].conj()) if n >= 2 else np.zeros((1, 1))
-        return x, y, zero_density(n).entries, eps
-    center = random_state(n, int(gen.integers(1, n + 1)), gen)
-    pinch = pinch_configuration(center, gen)
-    return pinch.upper.entries, pinch.lower.entries, center.entries, pinch.epsilon
-
-
-@PROPERTY
-@given(n=pinching_dims, seed=seeds, zero_center=st.booleans(), exponent=st.floats(-9.0, 0.0))
-@example(n=2, seed=13, zero_center=True, exponent=0.0)
-@example(n=3, seed=1, zero_center=True, exponent=0.0)
-def test_pinching_bound_below_the_ball_distances(n, seed, zero_center, exponent):
-    """The search's bound (0), from the raw draws through its weights, is at
-    most max(||x - z||_1, ||y - z||_1) of the clamped perturbation z, to
-    1e-12, for eight perturbations w at scale 10^exponent * eps.  It is at
-    least the two bounds it stands for: the triangle bound ||x - y||_1 / 2
-    and the trace bound tr w - min(tr x, tr y) that it replaced.  The
-    examples are zero-center draws at scale eps, where a first sum read
-    without alpha, sum d^+, exceeds the distances by half of eps or more."""
-    x, y, a, eps = _search_configuration(n, seed, zero_center)
-    scale = 10.0**exponent * eps
-    g = RngStream(seed, 1).generator().standard_normal((8, 2, n, n))
-    weight, alpha, beta = _pinching_basis(x, y, a)
-    bound = _pinching_bound(scale * (g.reshape(8, -1) @ weight), alpha, beta)
-    h = g[:, 0] + 1j * g[:, 1]
-    w = a + scale * (h + h.conj().swapaxes(-1, -2)) / 2.0
-    z = psd_clamp_entries(w)
-    norms = np.maximum(trace_norm_entries(x - z), trace_norm_entries(y - z))
-    assert (bound <= norms + 1e-12).all()
-    assert (bound >= 0.5 * trace_norm_entries(x - y) - 1e-12).all()
-    traces = [np.trace(e).real for e in (x, y)]
-    assert (bound >= w.trace(axis1=1, axis2=2).real - min(traces) - 1e-12).all()
 
 
 #: dimensions of the Wishart and probe-image properties, up to the default cap

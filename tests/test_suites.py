@@ -108,6 +108,41 @@ def test_lemma3_holds_the_midpoint_to_the_roundoff_slack(monkeypatch):
     assert lemma3({"slack": 1e-6})[0] is True
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9, 1.0 - 1e-9], ids=["exact", "over", "under"])
+def test_lemma3_probe_catches_a_trace_norm_error_either_way(monkeypatch, scale):
+    """Trace norms read 1e-9 too large push the inner points of every probe
+    out of the balls; read 1e-9 too small, they pull its outer couplings
+    in.  Either way lemma3 fails at n = 2..6; with the exact norms every
+    inner point is accepted, every outer point rejected, and it passes."""
+    def scaled(arr, _norm=qsm.geometry.trace_norm_entries):
+        return _norm(arr) * scale
+
+    probes = []
+
+    def recording(*args, _probe=qsm.suites.intersection_uniqueness_search, **kwargs):
+        probes.append(_probe(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(qsm.geometry, "trace_norm_entries", scaled)
+    monkeypatch.setattr(qsm.suites, "intersection_uniqueness_search", recording)
+    for dim in range(2, 7):
+        passed, *_ = qsm.suites._lemma3(dim, RngStream(0, 2000 + dim).generator(), 20, 10000, {})
+        assert passed is (scale == 1.0)
+    assert [p.inner_feasible < p.inner_points for p in probes] == [scale > 1.0] * len(probes)
+    assert [p.outer_rejected < p.outer_points for p in probes] == [scale < 1.0] * len(probes)
+
+
+def test_lemma3_passes_at_large_n_under_the_derived_bound():
+    """Up to the dimension cap the probe reaches the tube, half of sqrt(2
+    eps s), and lemma3 passes: its pass bound is T(s), not a constant
+    fraction of eps, which the tube exceeds at large n."""
+    for report in run_suite("lemma3", [32, 48, 64], 0, samples=20, budget=2000):
+        assert report.passed
+        (witness,) = [w for w in report.witnesses if w["kind"] == "pinch-uniqueness"]
+        assert witness["tube_reached"] >= 0.25
+        assert witness["outer_rejected"] == witness["points"] // 2 + 1
+
+
 THEOREMS = {
     "thm-bures-D": MetricKind.BURES,
     "thm-bures-S": MetricKind.BURES,

@@ -43,10 +43,16 @@ def test_kernel_counts_prints_each_kernel_and_the_total():
 
 
 def test_search_layer_prints_one_line_per_dimension():
+    """Each probe holds: every inner point feasible and every outer point
+    rejected, one eigvalsh call on three matrices a point."""
     header, *rows = _lines("search_layer.py")
-    assert header.split()[:4] == ["n", "rounds", "feasible", "us_per_proposal"]
-    assert [int(row.split()[0]) for row in rows] == [2, 3, 4, 5, 6]
-    assert all(int(row.split()[1]) == 100 for row in rows)
+    assert header.split()[:4] == ["n", "points", "inner_feasible", "outer_rejected"]
+    rows = [row.split() for row in rows]
+    assert [int(row[0]) for row in rows] == [*range(1, 9), 16, 32, 48, 64]
+    for n, points, inner, outer, *_, calls, matrices in rows:
+        assert int(points) == 4 * (int(n) - 1) + 2
+        assert (int(inner), int(outer)) == (2 * (int(n) - 1), 2 * int(n))
+        assert (int(calls), int(matrices)) == (1, 3 * int(points))
 
 
 def test_bench_chain_multiplies_the_records_of_each_workload(tmp_path):

@@ -1,4 +1,5 @@
-"""Time the uniqueness search per proposal and count its rounds and kernels.
+"""Time the two-sided tube probe of lemma3 per configuration and count its
+points and kernels.
 
 Usage:
     python3 tools/search_layer.py [SRC_DIR]
@@ -7,27 +8,30 @@ SRC_DIR is the directory that holds the ``qsm`` package to run (default: the
 ``src`` directory of this checkout), so two checkouts compare by running the
 script on each.
 
-For each n = 2..6 the script builds one pinch configuration from
-``RngStream(1, n)`` (a random state of random rank and its pinch, as
-``lemma3`` draws them) and runs ``intersection_uniqueness_search`` on it at
-budget 10000 with a fresh ``RngStream(2, n)`` generator, so every run of a
-dimension is the same search.  It prints one line per dimension::
+For each n = 1..8, 16, 32, 48 and 64 the script builds one pinch
+configuration from ``RngStream(1, n)`` (a random state of random rank and
+its pinch, as ``lemma3`` draws them) and runs
+``intersection_uniqueness_search`` on it at budget 10000, so every coupling
+direction is probed, at the default slack s.  It prints one line per
+dimension::
 
-    n rounds feasible us_per_proposal eigvalsh <calls> <matrices> eigh <calls> <matrices>
+    n points inner_feasible outer_rejected inner_excess/s outer_excess/s
+        tube_reached us_per_config eigvalsh <calls> <matrices>
 
-``rounds`` is the number of blocks the search evaluated: it draws one normal
-stack per block, so it is the count of ``standard_normal`` calls on its
-generator.  ``feasible`` is the number of proposals that landed in both
-balls, ``proposals - rejections`` of the search's result, so it shows how
-much of the budget found a point beside what a proposal cost.
-``us_per_proposal`` is the minimum wall time of 5 runs, after one warm-up
-run, divided by the budget: every run is the same search, so the fastest is
-the one least slowed by other work on the host (on a shared host the median
-of one tree moved by more than half between back-to-back runs).  The
-kernel columns count the ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` calls
-of one further run and the matrices they were handed (a ``(k, n, n)`` stack
-counts k).  The timed runs are not counted, so the counting wrappers add
-nothing to their time.
+``points`` counts the inner and outer points; ``inner_feasible`` the inner
+points that passed the construction check and lie within s of both balls,
+out of half of points less one, and ``outer_rejected`` the outer points
+outside a ball by more than s.  ``inner_excess/s`` is the largest ball
+excess of an inner point (``-`` at n = 1, which has none) and
+``outer_excess/s`` the smallest of an outer point, both in units of s: the
+probe holds when the first is at most 1 and the second above it.
+``tube_reached`` is the separation of the farthest accepted point over
+sqrt(2 eps s).  ``us_per_config`` is the minimum wall time of 5 runs, after
+one warm-up run: every run is the same probe, so the fastest is the one
+least slowed by other work on the host.  The kernel columns count the
+``np.linalg.eigvalsh`` calls of one further run and the matrices they were
+handed (a ``(k, n, n)`` stack counts k).  The timed runs are not counted,
+so the counting wrapper adds nothing to their time.
 Run it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark does, to compare
 two checkouts on one core.
 """
@@ -42,20 +46,8 @@ from pathlib import Path
 import numpy as np
 
 BUDGET = 10000
-DIMS = range(2, 7)
+DIMS = (*range(1, 9), 16, 32, 48, 64)
 REPEATS = 5
-KERNELS = ("eigvalsh", "eigh")
-
-
-class RoundCounter(np.random.Generator):
-    """A generator that counts its standard_normal calls, one per block of
-    the search."""
-
-    rounds = 0
-
-    def standard_normal(self, *args, **kwargs):
-        self.rounds += 1
-        return super().standard_normal(*args, **kwargs)
 
 
 def main(argv: list[str]) -> int:
@@ -64,49 +56,46 @@ def main(argv: list[str]) -> int:
         print(f"no qsm package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src.resolve()))
-    from qsm.geometry import intersection_uniqueness_search, pinch_configuration
+    from qsm.geometry import _roundoff_slack, intersection_uniqueness_search, pinch_configuration
     from qsm.states import RngStream, random_state
 
-    print("n rounds feasible us_per_proposal eigvalsh calls matrices eigh calls matrices")
+    print("n points inner_feasible outer_rejected inner_excess/s outer_excess/s tube_reached"
+          " us_per_config eigvalsh calls matrices")
     for n in DIMS:
         gen = RngStream(1, n).generator()
         center = random_state(n, int(gen.integers(1, n + 1)), gen)
         pinch = pinch_configuration(center, gen)
+        slack = _roundoff_slack(pinch.upper, pinch.lower, pinch.epsilon)
 
-        def search():
-            counter = RoundCounter(RngStream(2, n).generator().bit_generator)
-            result = intersection_uniqueness_search(
-                pinch.upper, pinch.lower, center, pinch.epsilon, counter, BUDGET
+        def probe():
+            return intersection_uniqueness_search(
+                pinch.upper, pinch.lower, center, pinch.epsilon, BUDGET
             )
-            return counter.rounds, result.proposals - result.rejections
 
-        search()
+        probe()
         walls = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            rounds, feasible = search()
+            result = probe()
             walls.append(time.perf_counter() - start)
-        counts = {kernel: [0, 0] for kernel in KERNELS}
-        originals = {kernel: getattr(np.linalg, kernel) for kernel in KERNELS}
+        counts = [0, 0]
+        original = np.linalg.eigvalsh
 
-        def counted(kernel):
-            def counting(a, *args, **kwargs):
-                counts[kernel][0] += 1
-                counts[kernel][1] += math.prod(np.shape(a)[:-2])
-                return originals[kernel](a, *args, **kwargs)
+        def counting(a, *args, **kwargs):
+            counts[0] += 1
+            counts[1] += math.prod(np.shape(a)[:-2])
+            return original(a, *args, **kwargs)
 
-            return counting
-
-        for kernel in KERNELS:
-            setattr(np.linalg, kernel, counted(kernel))
+        np.linalg.eigvalsh = counting
         try:
-            search()
+            probe()
         finally:
-            for kernel, fn in originals.items():
-                setattr(np.linalg, kernel, fn)
-        us = min(walls) / BUDGET * 1e6
-        print(n, rounds, feasible, f"{us:.2f}",
-              *(f"{kernel} {calls} {matrices}" for kernel, (calls, matrices) in counts.items()))
+            np.linalg.eigvalsh = original
+        inner = f"{result.inner_excess / slack:.3f}" if result.inner_points else "-"
+        print(n, result.inner_points + result.outer_points, result.inner_feasible,
+              result.outer_rejected, inner, f"{result.outer_excess / slack:.3g}",
+              f"{result.tube_reached:.3f}", f"{min(walls) * 1e6:.1f}",
+              "eigvalsh", *counts)
     return 0
 
 
